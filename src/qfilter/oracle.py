@@ -9,8 +9,9 @@ with :func:`qfilter.filter_core.solve` is genuine cross-validation.
 The module also evaluates the stationarity identities that characterize an
 interior optimum (:func:`appendix_residuals`), and two comparison
 quantities: the optimal failure probability of *fully identifying* which
-of the three states was sent (:func:`three_state_Q`, a 2-D grid search on
-the determinant constraint), and the two-state bound |O12|
+of the three states was sent (:func:`three_state_Q`, exact to ~1e-12 by a
+1-D convex reduction of the positive-semidefiniteness constraint), and the
+two-state bound |O12|
 (:func:`two_state_Q`).  Filtering asks strictly less than identification,
 so its failure probability should never exceed either.
 """
@@ -21,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleError
+from .errors import DegenerateSubspaceError, DomainError, InfeasibleError
 from .filter_core import FilterSolution, solve
-from .states import Ensemble, gram_matrix, overlaps
+from .states import Ensemble, gram_matrix, overlaps, parallel_component_norm2
 
 __all__ = [
     "OracleResult",
@@ -106,10 +107,8 @@ def brute_force_filter(e: Ensemble, resolution: float = 1e-4) -> OracleResult:
     a12, a13 = abs(ov.O12) ** 2, abs(ov.O13) ** 2
     eta1, eta2, eta3 = (float(x) for x in e.priors)
     try:
-        from .states import parallel_component_norm2
-
         lower = max(parallel_component_norm2(e), a12, a13)
-    except Exception:
+    except DegenerateSubspaceError:
         lower = max(a12, a13)
 
     def scan(lo: float, hi: float, step: float):
@@ -220,11 +219,18 @@ def three_state_Q(e: Ensemble, resolution: float = 1e-3) -> float:
     """Optimal failure probability for fully identifying the state.
 
     Unambiguous three-way identification requires linearly independent
-    states and failure probabilities (q1, q2, q3) making the matrix with
-    diagonal q and off-diagonal overlaps singular and its 2x2 principal
-    minors nonnegative.  This scans (q1, q2) on a grid of the given step,
-    eliminates q3 through the determinant condition, and refines once
-    around the incumbent.  Orthogonal triples return exactly 0.
+    states and failure probabilities q in [0, 1]^3 making the matrix F with
+    diagonal q and off-diagonal overlaps O_ij positive semidefinite.  That
+    set is convex and the objective eta.q linear, so the minimum over
+    (q2, q3) at fixed q1 is a convex function of q1, and it has a closed
+    form: with d = q1*q2 - |O12|^2 and K = |q1*O23 - conj(O12)*O13|^2,
+    F >= 0 reduces to q1*q3 - |O13|^2 >= K/d, and the best d is
+    sqrt(eta3*K/eta2) clamped to the box q2, q3 <= 1.  The outer convex
+    problem is scanned over q1 in [|P psi1|^2, 1] (P projecting onto
+    span(psi2, psi3), below which F cannot be PSD) at step `resolution`,
+    then the bracket around the minimizer is shrunk below 1e-13.  The
+    result is exact to ~1e-12 whatever the resolution, which sets only the
+    bracketing step.  Orthogonal triples return exactly 0.
 
     Raises
     ------
@@ -244,44 +250,34 @@ def three_state_Q(e: Ensemble, resolution: float = 1e-3) -> float:
     a12, a13, a23 = abs(ov.O12) ** 2, abs(ov.O13) ** 2, abs(ov.O23) ** 2
     if max(a12, a13, a23) < 1e-28:
         return 0.0
-    cross = 2.0 * (ov.O12 * ov.O23 * np.conj(ov.O13)).real
-    eta = [float(x) for x in e.priors]
+    eta1, eta2, eta3 = (float(x) for x in e.priors)
+    c = np.conj(ov.O12) * ov.O13
+    d_ratio = np.sqrt(eta3 / eta2) if eta2 > 0.0 else np.inf
 
-    def scan(lo1, hi1, lo2, hi2, step):
-        g1 = np.arange(max(lo1, step), min(hi1, 1.0) + step / 2.0, step)
-        g2 = np.arange(max(lo2, step), min(hi2, 1.0) + step / 2.0, step)
-        if g1.size == 0 or g2.size == 0:
-            return None
-        mesh1, mesh2 = np.meshgrid(g1, g2, indexing="ij")
-        den = mesh1 * mesh2 - a12
+    def g(q1: np.ndarray) -> np.ndarray:
+        # In units of q1 (x2 = d/q1, k2 = K/q1^2), so that q1 = 0, reachable
+        # only when O12 = O13 = 0 and hence c = 0, is the two-state limit.
+        inv = np.divide(1.0, q1, out=np.zeros_like(q1), where=q1 > 0.0)
+        k2 = np.abs(ov.O23 - c * inv) ** 2
         with np.errstate(divide="ignore", invalid="ignore"):
-            mesh3 = (mesh1 * a23 + mesh2 * a13 - cross) / den
-        ok = (den > 1e-15) & np.isfinite(mesh3) & (mesh3 >= 0.0) & (mesh3 <= 1.0)
-        # With the determinant pinned to zero and nonnegative diagonal, the
-        # matrix is PSD iff the sum of principal 2x2 minors is nonnegative.
-        minor_sum = den + (mesh1 * mesh3 - a13) + (mesh2 * mesh3 - a23)
-        ok &= minor_sum >= -1e-9
-        if not np.any(ok):
-            return None
-        avg = eta[0] * mesh1 + eta[1] * mesh2 + eta[2] * mesh3
-        avg = np.where(ok, avg, np.inf)
-        i, j = np.unravel_index(int(np.argmin(avg)), avg.shape)
-        return float(g1[i]), float(g2[j]), float(avg[i, j])
+            x2 = np.clip(d_ratio * np.sqrt(k2), k2 / (1.0 - a13 * inv), 1.0 - a12 * inv)
+            inner = np.where(k2 > 0.0, eta2 * x2 + eta3 * k2 / x2, 0.0)
+        return eta1 * q1 + (eta2 * a12 + eta3 * a13) * inv + inner
 
-    coarse = scan(0.0, 1.0, 0.0, 1.0, resolution)
-    if coarse is None:
-        raise InfeasibleError(
-            "no feasible identification point found on the grid; the "
-            "instance or search is inconsistent"
-        )
-    q1, q2, best = coarse
-    fine = scan(
-        q1 - resolution, q1 + resolution, q2 - resolution, q2 + resolution,
-        resolution / 50.0,
-    )
-    if fine is not None and fine[2] < best:
-        best = fine[2]
-    return best
+    # (q1 - |O12|^2)(q1 - |O13|^2) >= K holds exactly for q1 >= |P psi1|^2.
+    lo = (a12 + a13 - 2.0 * (ov.O23 * np.conj(c)).real) / (1.0 - a23)
+    lo, hi = min(max(lo, a12, a13), 1.0), 1.0
+    points = int(np.ceil((hi - lo) / resolution)) + 1
+    best = np.inf
+    while True:
+        grid = np.linspace(lo, hi, points)
+        values = g(grid)
+        i = int(np.argmin(values))
+        best = min(best, float(values[i]))
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+        if hi - lo <= 1e-13:
+            return best
+        points = 257  # each later round shrinks the bracket 128-fold
 
 
 def two_state_Q(e: Ensemble) -> float:
@@ -297,11 +293,11 @@ def compare(e: Ensemble, resolution: float = 1e-3) -> ComparisonRecord:
     """Filtering vs. identification vs. pairwise discrimination.
 
     Returns the filtering optimum Q, the three-way identification optimum
-    Q' (numeric, at the given resolution), the two-state bound Q'', and
-    the ratio Q/Q'.  Filtering is never harder than identification, so the
-    ratio is at most 1 up to grid slack; for a perfectly distinguishable
-    (orthogonal) triple all quantities vanish and the ratio is defined
-    as 1.
+    Q' (exact to ~1e-12; `resolution` is only its bracketing step), the
+    two-state bound Q'', and the ratio Q/Q'.  Filtering is never harder
+    than identification, so the ratio is at most 1 up to rounding; for a
+    perfectly distinguishable (orthogonal) triple all quantities vanish
+    and the ratio is defined as 1.
     """
     resolution = _check_resolution(resolution)
     q_filter = solve(e).Q

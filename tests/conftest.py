@@ -22,7 +22,7 @@ import pathlib
 
 import numpy as np
 
-from qfilter import Ensemble
+from qfilter import Ensemble, overlaps
 
 FIXTURES_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -189,3 +189,51 @@ def stratified_random_ensembles(count: int, seed: int) -> list[Ensemble]:
             )
         out.append(Ensemble(states, priors))
     return out
+
+
+def grid_three_state_Q(e: Ensemble, resolution: float = 1e-3) -> float:
+    """Independent grid oracle for the three-state identification optimum.
+
+    Scans (q1, q2) on a grid of the given step, eliminates q3 through the
+    determinant condition det F = 0 (F with diagonal q and off-diagonal
+    overlaps), keeps the points where F is positive semidefinite, and
+    refines once around the incumbent at 1/50 of the step.  Every kept
+    point is feasible up to a 1e-9 slack on the minors, so the result can
+    only lie above the true optimum (by roughly the resolution).
+    """
+    ov = overlaps(e)
+    a12, a13, a23 = abs(ov.O12) ** 2, abs(ov.O13) ** 2, abs(ov.O23) ** 2
+    cross = 2.0 * (ov.O12 * ov.O23 * np.conj(ov.O13)).real
+    eta = [float(x) for x in e.priors]
+
+    def scan(lo1, hi1, lo2, hi2, step):
+        g1 = np.arange(max(lo1, step), min(hi1, 1.0) + step / 2.0, step)
+        g2 = np.arange(max(lo2, step), min(hi2, 1.0) + step / 2.0, step)
+        if g1.size == 0 or g2.size == 0:
+            return None
+        mesh1, mesh2 = np.meshgrid(g1, g2, indexing="ij")
+        den = mesh1 * mesh2 - a12
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mesh3 = (mesh1 * a23 + mesh2 * a13 - cross) / den
+        ok = (den > 1e-15) & np.isfinite(mesh3) & (mesh3 >= 0.0) & (mesh3 <= 1.0)
+        # With the determinant pinned to zero and nonnegative diagonal, the
+        # matrix is PSD iff the sum of principal 2x2 minors is nonnegative.
+        minor_sum = den + (mesh1 * mesh3 - a13) + (mesh2 * mesh3 - a23)
+        ok &= minor_sum >= -1e-9
+        if not np.any(ok):
+            return None
+        avg = eta[0] * mesh1 + eta[1] * mesh2 + eta[2] * mesh3
+        avg = np.where(ok, avg, np.inf)
+        i, j = np.unravel_index(int(np.argmin(avg)), avg.shape)
+        return float(g1[i]), float(g2[j]), float(avg[i, j])
+
+    coarse = scan(0.0, 1.0, 0.0, 1.0, resolution)
+    assert coarse is not None, "no feasible identification point on the grid"
+    q1, q2, best = coarse
+    fine = scan(
+        q1 - resolution, q1 + resolution, q2 - resolution, q2 + resolution,
+        resolution / 50.0,
+    )
+    if fine is not None and fine[2] < best:
+        best = fine[2]
+    return best

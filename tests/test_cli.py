@@ -249,6 +249,28 @@ class TestSweepCommand:
             assert qp == pytest.approx((s1 * s1 / s2 + 2.0 * s2) / 3.0, abs=1e-12)
             assert ratio == pytest.approx(q / qp, abs=1e-12)
 
+    def test_infeasible_point_is_reported_with_its_location(self, capsys):
+        code = main(
+            [
+                "sweep", "--family", "two_overlap",
+                "--start", "0.93", "--stop", "0.96", "--step", "0.01",
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: sweep: s1=0.95, s2=0.8: overlaps do not define" in err
+
+    def test_unequal_priors_use_the_exact_identification_optimum(self, capsys):
+        code = main(["sweep", "--priors", "0.5", "0.3", "0.2"])
+        out = capsys.readouterr().out
+        assert code == 0
+        _, rows = self.parse_rows(out)
+        assert len(rows) == 99
+        for s, q, qp, qpp in rows:
+            assert q <= qp + 1e-9
+            assert qpp == pytest.approx(s, abs=1e-12)
+        assert all(b[2] >= a[2] for a, b in zip(rows, rows[1:]))
+
     def test_writes_csv_file(self, tmp_path, capsys):
         target = tmp_path / "sweep.csv"
         code = main(

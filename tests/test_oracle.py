@@ -14,6 +14,7 @@ from qfilter import (
     brute_force_filter,
     compare,
     ensemble_from_overlaps,
+    parallel_component_norm2,
     solve,
     three_state_Q,
     two_state_Q,
@@ -22,6 +23,7 @@ from qfilter import (
 from conftest import (
     EQUAL_PRIORS,
     fifty_fifty_ensemble,
+    grid_three_state_Q,
     orthogonal_ensemble,
     random_ensemble,
     symmetric_ensemble,
@@ -107,15 +109,17 @@ class TestStationarityResiduals:
 
 class TestThreeStateIdentification:
     def test_symmetric_family_optimum_is_the_overlap(self):
-        value = three_state_Q(symmetric_ensemble(0.5), resolution=1e-3)
-        assert value == pytest.approx(0.5, abs=2e-3)
+        for s in (0.2, 0.5, 0.8):
+            value = three_state_Q(symmetric_ensemble(s), resolution=1e-3)
+            assert value == pytest.approx(s, abs=1e-9)
 
     def test_two_overlap_family_closed_form(self):
-        s1, s2 = RT2 / 5.0, 4.0 / 5.0
-        e = ensemble_from_overlaps(s1, s1, s2)
-        value = three_state_Q(e, resolution=1e-3)
-        expected = (s1 * s1 / s2 + 2.0 * s2) / 3.0
-        assert value == pytest.approx(expected, abs=2e-3)
+        s2 = 4.0 / 5.0
+        for s1 in (0.1, RT2 / 5.0, 0.6, math.sqrt(s2)):
+            e = ensemble_from_overlaps(s1, s1, s2)
+            value = three_state_Q(e, resolution=1e-3)
+            expected = (s1 * s1 / s2 + 2.0 * s2) / 3.0
+            assert value == pytest.approx(expected, abs=1e-9)
 
     def test_orthogonal_triple_is_exactly_zero(self):
         assert three_state_Q(orthogonal_ensemble(), resolution=1e-3) == 0.0
@@ -141,8 +145,86 @@ class TestThreeStateIdentification:
                 q_prime = three_state_Q(e, resolution=2e-3)
             except DomainError:
                 continue
-            assert solve(e).Q <= q_prime + 2e-3
+            assert solve(e).Q <= q_prime + 1e-9
             checked += 1
+
+    def test_never_above_and_close_to_the_grid_oracle(self):
+        rng = np.random.default_rng(53)
+        ensembles = [random_ensemble(rng) for _ in range(200)]
+        for _ in range(20):
+            s = rng.uniform(0.05, 0.95)
+            ensembles.append(symmetric_ensemble(s, rng.dirichlet([1.0] * 3)))
+            s1 = rng.uniform(0.05, 0.85)
+            ensembles.append(
+                ensemble_from_overlaps(s1, s1, 0.8, priors=rng.dirichlet([1.0] * 3))
+            )
+        checked = 0
+        for e in ensembles:
+            try:
+                exact = three_state_Q(e, resolution=1e-3)
+            except DomainError:
+                continue
+            # Every grid point is feasible, so the grid can only lie above.
+            grid = grid_three_state_Q(e, resolution=2e-3)
+            assert exact <= grid + 1e-12
+            assert grid - exact <= 1e-3
+            checked += 1
+        assert checked >= 230
+
+    @pytest.mark.parametrize(
+        "priors, regime",
+        [
+            ((0.2, 0.4, 0.4), "povm"),
+            ((0.1, 0.5, 0.4), "povm"),
+            ((0.3, 0.6, 0.1), "projective"),
+            ((0.2, 0.05, 0.75), "projective"),
+            ((0.5, 0.0, 0.5), "projective"),
+            ((0.5, 0.5, 0.0), "projective"),
+        ],
+    )
+    def test_two_state_limit_of_jaeger_and_shimony(self, priors, regime):
+        # psi1 orthogonal to psi2 and psi3 leaves unambiguous discrimination
+        # of psi2 against psi3 (Jaeger & Shimony, Phys. Lett. A 197, 83).
+        o23 = 0.6
+        e = ensemble_from_overlaps(0.0, 0.0, o23, priors=priors)
+        eta2, eta3 = priors[1], priors[2]
+        lo, hi = min(eta2, eta3), max(eta2, eta3)
+        if regime == "povm":
+            assert o23 <= math.sqrt(lo / hi)
+            expected = 2.0 * math.sqrt(eta2 * eta3) * o23
+        else:
+            assert o23 > math.sqrt(lo / hi)
+            expected = hi * o23**2 + lo
+        assert three_state_Q(e, resolution=1e-3) == pytest.approx(
+            expected, abs=1e-9
+        )
+
+    @pytest.mark.parametrize(
+        "priors", [(0.6, 0.0, 0.4), (0.6, 0.4, 0.0), (1.0, 0.0, 0.0)]
+    )
+    def test_zero_priors(self, priors):
+        rng = np.random.default_rng(54)
+        for _ in range(5):
+            e = random_ensemble(rng)
+            e = Ensemble(e.states, np.array(priors))
+            exact = three_state_Q(e, resolution=1e-3)
+            grid = grid_three_state_Q(e, resolution=1e-3)
+            assert exact <= grid + 1e-12
+            assert grid - exact <= 1e-3
+            if priors == (1.0, 0.0, 0.0):
+                # q2 = q3 = 1 is free, leaving q1 >= |P psi1|^2 with P the
+                # projector onto span(psi2, psi3).
+                assert exact == pytest.approx(
+                    parallel_component_norm2(e), abs=1e-12
+                )
+
+    def test_resolution_only_sets_the_bracketing_step(self):
+        rng = np.random.default_rng(55)
+        ensembles = [random_ensemble(rng) for _ in range(10)]
+        ensembles.append(symmetric_ensemble(0.4, (0.5, 0.3, 0.2)))
+        for e in ensembles:
+            values = [three_state_Q(e, resolution=r) for r in (1e-2, 1e-3, 1e-4)]
+            assert max(values) - min(values) <= 1e-12
 
 
 class TestPairwiseBaseline:
@@ -162,14 +244,14 @@ class TestCompare:
         e = ensemble_from_overlaps(s1, s1, s2)
         record = compare(e, resolution=1e-3)
         assert record.Q == pytest.approx(4.0 / 15.0, abs=1e-12)
-        assert record.Q_prime == pytest.approx(17.0 / 30.0, abs=2e-3)
-        assert record.ratio == pytest.approx(8.0 / 17.0, abs=5e-3)
+        assert record.Q_prime == pytest.approx(17.0 / 30.0, abs=1e-9)
+        assert record.ratio == pytest.approx(8.0 / 17.0, abs=1e-9)
         assert record.Q_double_prime == pytest.approx(s1, abs=1e-12)
 
     def test_symmetric_family_ratio_is_constant(self):
         for s in (0.2, 0.4, 0.6):
             record = compare(symmetric_ensemble(s), resolution=1e-3)
-            assert record.ratio == pytest.approx(2.0 * RT2 / 3.0, abs=5e-3)
+            assert record.ratio == pytest.approx(2.0 * RT2 / 3.0, abs=1e-9)
 
     def test_orthogonal_triple_ratio_convention(self):
         record = compare(orthogonal_ensemble(), resolution=1e-3)
