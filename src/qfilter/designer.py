@@ -17,16 +17,17 @@ Such a unitary exists iff the Gram matrix is preserved, which pins all
 inner products of the success vectors: they must reproduce the Hermitian
 residual matrix L built in :func:`build_L`.  The remaining freedom — which
 mode hosts state 1's success amplitude, and sign flips of individual
-success vectors that leave L invariant — is a discrete gauge.
-:func:`design` enumerates these gauges and keeps the one whose unitary
-synthesizes into the simplest mesh: fewest beam-splitter layers first,
-then the largest real trace of the upper-left 3x3 block (the most
-"pass-through" network), with deterministic tie-breaks.
+success vectors that leave L invariant — is a discrete gauge.  :func:`design`
+scores every gauge as a signed row permutation of one completed unitary and
+keeps the one that synthesizes into the simplest mesh: fewest beam-splitter
+layers first, then the largest real trace of the upper-left 3x3 block (the
+most "pass-through" network), with deterministic tie-breaks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -100,9 +101,7 @@ class MeasurementDesign:
     @property
     def outputs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Full output vectors: success part plus failure part."""
-        return tuple(
-            s + f for s, f in zip(self.success_vectors, self.failure_vectors)
-        )
+        return tuple(s + f for s, f in zip(self.success_vectors, self.failure_vectors))
 
     @property
     def set_ports(self) -> tuple[int, int]:
@@ -121,17 +120,12 @@ def failure_phases(e: Ensemble) -> tuple[float, float, float]:
     return (0.0, float(np.angle(ov.O12)), float(np.angle(ov.O13)))
 
 
-def failure_vectors(
-    e: Ensemble, sol: FilterSolution
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def failure_vectors(e: Ensemble, sol: FilterSolution) -> tuple[np.ndarray, ...]:
     """Mode-4 failure vectors ``sqrt(q_i) * e^{i chi_i} * e4``."""
-    chi = failure_phases(e)
-    out = []
-    for q_i, chi_i in zip(sol.failure_probabilities, chi):
-        v = np.zeros(NETWORK_DIM, dtype=complex)
+    out = tuple(np.zeros(NETWORK_DIM, dtype=complex) for _ in range(3))
+    for v, q_i, chi_i in zip(out, sol.failure_probabilities, failure_phases(e)):
         v[3] = np.sqrt(max(q_i, 0.0)) * np.exp(1j * chi_i)
-        out.append(v)
-    return tuple(out)
+    return out
 
 
 def build_L(e: Ensemble, sol: FilterSolution) -> np.ndarray:
@@ -151,16 +145,15 @@ def build_L(e: Ensemble, sol: FilterSolution) -> np.ndarray:
     ov = overlaps(e)
     q1, q2, q3 = sol.failure_probabilities
     chi2, chi3 = float(np.angle(ov.O12)), float(np.angle(ov.O13))
-    mat = np.zeros((3, 3), dtype=complex)
-    mat[0, 0] = 1.0 - q1
-    mat[1, 1] = 1.0 - q2
-    mat[2, 2] = 1.0 - q3
-    mat[0, 1] = ov.O12 - np.sqrt(max(q1 * q2, 0.0)) * np.exp(1j * chi2)
-    mat[0, 2] = ov.O13 - np.sqrt(max(q1 * q3, 0.0)) * np.exp(1j * chi3)
-    mat[1, 2] = ov.O23 - np.sqrt(max(q2 * q3, 0.0)) * np.exp(1j * (chi3 - chi2))
-    mat[1, 0] = np.conj(mat[0, 1])
-    mat[2, 0] = np.conj(mat[0, 2])
-    mat[2, 1] = np.conj(mat[1, 2])
+    l12 = ov.O12 - np.sqrt(max(q1 * q2, 0.0)) * np.exp(1j * chi2)
+    l13 = ov.O13 - np.sqrt(max(q1 * q3, 0.0)) * np.exp(1j * chi3)
+    l23 = ov.O23 - np.sqrt(max(q2 * q3, 0.0)) * np.exp(1j * (chi3 - chi2))
+    mat = np.array(
+        [[1.0 - q1, l12, l13],
+         [np.conj(l12), 1.0 - q2, l23],
+         [np.conj(l13), np.conj(l23), 1.0 - q3]],
+        dtype=complex,
+    )
     min_eig = float(np.linalg.eigvalsh(mat).min())
     if min_eig < -1e-8:
         raise InconsistentSolutionError(
@@ -172,10 +165,7 @@ def build_L(e: Ensemble, sol: FilterSolution) -> np.ndarray:
 
 
 def _success_vectors(
-    L: np.ndarray,
-    q: tuple[float, float, float],
-    swap: bool,
-    signs: tuple[int, int, int],
+    L: np.ndarray, q: tuple[float, ...], swap: bool, signs: tuple[int, ...]
 ) -> tuple[list[np.ndarray], float]:
     """Build success vectors for one gauge choice; returns (vectors, theta).
 
@@ -208,9 +198,7 @@ def _success_vectors(
         cos2theta, phase3 = 0.0, 1.0 + 0.0j
     theta = 0.5 * float(np.arccos(cos2theta))
     mode1, mode_a, mode_b = (1, 0, 2) if swap else (0, 1, 2)
-    v1 = np.zeros(NETWORK_DIM, dtype=complex)
-    v2 = np.zeros(NETWORK_DIM, dtype=complex)
-    v3 = np.zeros(NETWORK_DIM, dtype=complex)
+    v1, v2, v3 = (np.zeros(NETWORK_DIM, dtype=complex) for _ in range(3))
     v1[mode1] = signs[0] * np.sqrt(p[0])
     v2[mode_a] = signs[1] * np.sqrt(p[1]) * np.cos(theta)
     v2[mode_b] = signs[1] * np.sqrt(p[1]) * np.sin(theta)
@@ -240,9 +228,7 @@ def success_vectors(
         If |L23| exceeds sqrt(p2*p3) beyond 1e-10 (impossible for a
         solution that passed :func:`build_L`).
     """
-    q = (sol.q1, sol.q2, sol.q3)
-    vecs, _ = _success_vectors(L, q, swap, signs)
-    return tuple(vecs)
+    return tuple(_success_vectors(L, sol.failure_probabilities, swap, signs)[0])
 
 
 def embed_inputs(e: Ensemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -293,26 +279,18 @@ def _orthonormal_basis(
     kept: list[int] = []
     remaining = list(range(len(vectors)))
     while remaining:
-        if pivot:
-            residuals = {
-                k: _project_out(vectors[k], basis) for k in remaining
-            }
-            k = max(
-                remaining, key=lambda idx: float(np.linalg.norm(residuals[idx]))
-            )
-            w = residuals[k]
-        else:
-            k = remaining[0]
-            w = _project_out(vectors[k], basis)
+        pool = remaining if pivot else remaining[:1]
+        k, w = max(
+            ((k, _project_out(vectors[k], basis)) for k in pool),
+            key=lambda item: float(np.linalg.norm(item[1])),
+        )
         norm = float(np.linalg.norm(w))
+        remaining.remove(k)
         if norm > 1e-10:
             basis.append(w / norm)
             kept.append(k)
-            remaining.remove(k)
         elif pivot:
             break  # the largest residual is negligible; nothing spans more
-        else:
-            remaining.remove(k)
     return basis[start:], kept
 
 
@@ -336,9 +314,7 @@ def complete_unitary(e: Ensemble, outputs) -> np.ndarray:
     outs = [np.asarray(v, dtype=complex) for v in outputs]
     if len(outs) != 3 or any(v.shape != (NETWORK_DIM,) for v in outs):
         raise DomainError("outputs must be three 4-mode vectors")
-    gram_in = np.array([[np.vdot(a, b) for b in ins] for a in ins])
-    gram_out = np.array([[np.vdot(a, b) for b in outs] for a in outs])
-    diff = np.abs(gram_in - gram_out)
+    diff = np.abs(np.conj(ins) @ np.transpose(ins) - np.conj(outs) @ np.transpose(outs))
     worst = float(diff.max())
     if worst > GRAM_TOL:
         i, j = np.unravel_index(int(diff.argmax()), diff.shape)
@@ -355,7 +331,7 @@ def complete_unitary(e: Ensemble, outputs) -> np.ndarray:
     mat = np.zeros((NETWORK_DIM, NETWORK_DIM), dtype=complex)
     for u, v in zip(in_basis, out_basis):
         mat += np.outer(v, np.conj(u))
-    identity_cols = [np.eye(NETWORK_DIM, dtype=complex)[:, i] for i in range(NETWORK_DIM)]
+    identity_cols = list(np.eye(NETWORK_DIM, dtype=complex))
     comp_in, _ = _orthonormal_basis(identity_cols, against=in_basis, pivot=True)
     comp_out, _ = _orthonormal_basis(identity_cols, against=out_basis, pivot=True)
     for z, w in zip(comp_in, comp_out):
@@ -365,13 +341,21 @@ def complete_unitary(e: Ensemble, outputs) -> np.ndarray:
     return mat
 
 
-def _sign_options(l23_free: bool) -> list[tuple[int, int, int]]:
-    if l23_free:
-        return [
-            (1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
-            (-1, 1, 1), (-1, 1, -1), (-1, -1, 1), (-1, -1, -1),
-        ]
-    return [(1, 1, 1), (1, -1, -1), (-1, 1, 1), (-1, -1, -1)]
+def _gauge_candidates(l23_free: bool):
+    """Yield ``(swap, sign_index, signs, perm, diag)`` in tie-break order.
+
+    Gauge ``(swap, signs)`` has the standard-gauge outputs with rows in
+    order ``perm`` and rows 1-3 negated by ``diag``; a lone flip of vector 2
+    or 3 (only when L23 = 0, so theta = pi/4) swaps their shared modes.
+    """
+    sign_opts = [s for s in product((1, -1), repeat=3) if l23_free or s[1] == s[2]]
+    for swap in (False, True):
+        modes = (1, 0, 2) if swap else (0, 1, 2)
+        for sign_index, signs in enumerate(sign_opts):
+            rows = (0, 1, 2) if signs[1] == signs[2] else (0, 2, 1)
+            perm = tuple(rows[m] for m in modes) + (3,)
+            diag = tuple((signs[0], signs[1], signs[1])[m] for m in modes)
+            yield swap, sign_index, signs, perm, diag
 
 
 def design(e: Ensemble, sol: FilterSolution | None = None) -> MeasurementDesign:
@@ -386,35 +370,51 @@ def design(e: Ensemble, sol: FilterSolution | None = None) -> MeasurementDesign:
     remaining ties prefer the unitary acting most nearly as a pass-through
     on the three signal modes (largest real trace of the upper-left 3x3
     block), then the standard placement and unflipped signs.
+
+    One unitary U0 is completed in the standard gauge and each candidate
+    is scored as ``diag * U0[perm]`` (:func:`_gauge_candidates`).  Diagonal
+    phases leave the layer count unchanged, so :func:`decompose` runs once
+    per permutation, and only the winner is rebuilt.  Inputs spanning fewer
+    than 3 modes (whose pivoted completion is not permutation-equivariant)
+    and lone flips at theta != pi/4 complete and factor every candidate.
     """
     if sol is None:
         sol = solve(e)
-    q = (sol.q1, sol.q2, sol.q3)
-    fail_vecs = failure_vectors(e, sol)
-    chi = failure_phases(e)
-    residual_gram = build_L(e, sol)
+    fails = failure_vectors(e, sol)
+    L = build_L(e, sol)
     inputs = embed_inputs(e)
-    sign_opts = _sign_options(abs(residual_gram[1, 2]) <= 1e-12)
-    best_key = None
-    best = None
-    for swap in (False, True):
-        for sign_index, signs in enumerate(sign_opts):
-            succ, theta = _success_vectors(residual_gram, q, swap, signs)
-            outs = [s + f for s, f in zip(succ, fail_vecs)]
-            unitary = complete_unitary(e, outs)
-            program = decompose(unitary)
-            trace3 = sum(unitary[i, i].real for i in range(3))
-            key = (len(program.layers), round(-trace3, 9), int(swap), sign_index)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (succ, unitary, theta, swap)
-    succ, unitary, theta, swap = best
+
+    def build(swap, signs):
+        succ, theta = _success_vectors(L, sol.failure_probabilities, swap, signs)
+        return succ, theta, complete_unitary(e, [s + f for s, f in zip(succ, fails)])
+
+    base = build(False, (1, 1, 1))
+    l23_free = abs(L[1, 2]) <= 1e-12
+    permutable = len(_orthonormal_basis(list(inputs))[1]) == 3 and (
+        not l23_free or abs(base[1] - np.pi / 4.0) <= 1e-12
+    )
+    layer_counts: dict = {}
+    scored = []
+    for swap, sign_index, signs, perm, diag in _gauge_candidates(l23_free):
+        built = base if (swap, sign_index) == (False, 0) else None
+        if permutable:
+            unitary, layers_key = base[2][perm, :], perm
+        else:
+            built = built or build(swap, signs)
+            unitary, layers_key, diag = built[2], (swap, sign_index), (1, 1, 1)
+        if layers_key not in layer_counts:
+            layer_counts[layers_key] = len(decompose(unitary).layers)
+        trace3 = sum(diag[i] * unitary[i, i].real for i in range(3))
+        key = (layer_counts[layers_key], round(-trace3, 9), int(swap), sign_index)
+        scored.append((key, swap, signs, built))
+    _, swap, signs, built = min(scored)
+    succ, theta, unitary = built or build(swap, signs)
     return MeasurementDesign(
         success_vectors=tuple(succ),
-        failure_vectors=fail_vecs,
+        failure_vectors=fails,
         unitary=unitary,
         theta=float(theta),
-        chi=chi,
+        chi=failure_phases(e),
         solution=sol,
         embedded_inputs=inputs,
         state1_port=2 if swap else 1,

@@ -22,7 +22,19 @@ import pathlib
 
 import numpy as np
 
-from qfilter import Ensemble, overlaps
+from qfilter import (
+    Ensemble,
+    FilterSolution,
+    MeasurementDesign,
+    build_L,
+    complete_unitary,
+    decompose,
+    embed_inputs,
+    failure_phases,
+    failure_vectors,
+    overlaps,
+)
+from qfilter.designer import _success_vectors
 
 FIXTURES_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -160,6 +172,27 @@ def random_ensemble(rng: np.random.Generator, dim: int = 3) -> Ensemble:
     return Ensemble(states, rng.dirichlet([1.0, 1.0, 1.0]))
 
 
+def coplanar_ensemble(rng: np.random.Generator, in_span: bool) -> Ensemble:
+    """Random 3-D ensemble of rank 2, real in one draw out of three.
+
+    With ``in_span`` psi1 is a random combination of psi2 and psi3;
+    otherwise all three states are random vectors of one random plane.
+    """
+    z = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+    if rng.random() < 1.0 / 3.0:
+        z = z.real + 0j
+    if in_span:
+        a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
+        states = [a * z[0] + b * z[1], z[0], z[1]]
+    else:
+        plane, _ = np.linalg.qr(z.T)
+        coeffs = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+        states = [plane @ c for c in coeffs]
+    return Ensemble(
+        tuple(v / np.linalg.norm(v) for v in states), rng.dirichlet([1.0, 1.0, 1.0])
+    )
+
+
 def stratified_random_ensembles(count: int, seed: int) -> list[Ensemble]:
     """Random ensembles biased to hit all three measurement regimes.
 
@@ -237,3 +270,49 @@ def grid_three_state_Q(e: Ensemble, resolution: float = 1e-3) -> float:
     if fine is not None and fine[2] < best:
         best = fine[2]
     return best
+
+
+def exhaustive_design(e: Ensemble, sol: FilterSolution) -> MeasurementDesign:
+    """Independent gauge-search oracle: complete and factor every candidate.
+
+    Builds the success vectors, completes the 4x4 unitary and decomposes it
+    for each of the 8 gauge candidates (2 placements x 4 sign patterns that
+    leave L invariant), or 16 when L23 vanishes and lone flips of vector 2
+    or 3 are allowed too.  The winner has the fewest beam-splitter layers,
+    then the largest real trace of the upper-left 3x3 block, then the
+    standard placement, then the lowest sign index.
+    """
+    q = (sol.q1, sol.q2, sol.q3)
+    fail_vecs = failure_vectors(e, sol)
+    residual_gram = build_L(e, sol)
+    if abs(residual_gram[1, 2]) <= 1e-12:
+        sign_opts = [
+            (1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
+            (-1, 1, 1), (-1, 1, -1), (-1, -1, 1), (-1, -1, -1),
+        ]
+    else:
+        sign_opts = [(1, 1, 1), (1, -1, -1), (-1, 1, 1), (-1, -1, -1)]
+    best_key = None
+    best = None
+    for swap in (False, True):
+        for sign_index, signs in enumerate(sign_opts):
+            succ, theta = _success_vectors(residual_gram, q, swap, signs)
+            outs = [s + f for s, f in zip(succ, fail_vecs)]
+            unitary = complete_unitary(e, outs)
+            program = decompose(unitary)
+            trace3 = sum(unitary[i, i].real for i in range(3))
+            key = (len(program.layers), round(-trace3, 9), int(swap), sign_index)
+            if best_key is None or key < best_key:
+                best_key = key
+                best = (succ, unitary, theta, swap)
+    succ, unitary, theta, swap = best
+    return MeasurementDesign(
+        success_vectors=tuple(succ),
+        failure_vectors=fail_vecs,
+        unitary=unitary,
+        theta=float(theta),
+        chi=failure_phases(e),
+        solution=sol,
+        embedded_inputs=embed_inputs(e),
+        state1_port=2 if swap else 1,
+    )

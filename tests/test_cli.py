@@ -1,11 +1,14 @@
 """End-to-end command-line behavior, artifact formats, and diagnostics."""
 
+import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from qfilter import cli
 from qfilter.cli import main
 
 from conftest import FIXTURES_DIR
@@ -179,6 +182,35 @@ class TestSimulateCommand:
         assert doc["shards"] == 4
         counts = np.array(doc["counts"])
         assert counts.sum() == 10000
+
+    def test_out_of_band_warning_reports_the_worst_per_entry_excess(
+        self, monkeypatch, capsys
+    ):
+        real_sample = cli.sample
+        reports = []
+
+        def out_of_band(*args, **kwargs):
+            report = real_sample(*args, **kwargs)
+            counts = np.rint(report.exact_probabilities * 3000).astype(int)
+            # Input 2 fails 90 times too often (about 6 sigma on its
+            # failure port, whose band is the narrowest of all entries).
+            counts[1] = [counts[1, 0] - 45, 0, counts[1, 2] - 45, counts[1, 3] + 90]
+            reports.append(dataclasses.replace(report, counts=counts))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "sample", out_of_band)
+        code = main(
+            ["simulate", "--input", SYM_030, "--trials", "9000", "--seed", "1"]
+        )
+        err = capsys.readouterr().err
+        assert code == 0
+        worst = float(re.search(r"worst excess ([-+.e0-9]+)\)", err).group(1))
+        exact, counts = reports[0].exact_probabilities, reports[0].counts
+        deviation = np.abs(counts / counts.sum(axis=1, keepdims=True) - exact)
+        bands = 5.0 * np.sqrt(exact * (1.0 - exact) / 9000)
+        assert worst == pytest.approx(float((deviation - bands).max()), rel=1e-3)
+        # Pairing the largest deviation with the widest band understates it.
+        assert worst > deviation.max() - bands.max() + 1e-3
 
     def test_invalid_trials_fail(self, capsys):
         assert main(

@@ -16,8 +16,10 @@ from qfilter import (
     StateVector,
     build_L,
     complete_unitary,
+    decompose,
     design,
     embed_inputs,
+    ensemble_from_overlaps,
     failure_phases,
     failure_vectors,
     gram_matrix,
@@ -28,11 +30,14 @@ from qfilter import (
 
 from conftest import (
     EQUAL_PRIORS,
+    coplanar_ensemble,
+    exhaustive_design,
     fifty_fifty_ensemble,
     fifty_fifty_expected_outputs,
     fifty_fifty_expected_unitary,
     orthogonal_ensemble,
     random_ensemble,
+    stratified_random_ensembles,
     symmetric_ensemble,
     symmetric_expected_outputs,
     symmetric_expected_unitary,
@@ -275,3 +280,87 @@ class TestDesignedMeasurement:
         dsn = design(e)
         assert dsn.solution.Q == pytest.approx(4.0 / 9.0, abs=1e-12)
         assert dsn.solution.regime is Regime.POVM
+
+
+#: (c, d, priors): psi1 = (c, 0, sqrt(1 - c^2)), psi2 = e1, psi3 at angle d
+#: from psi2 in the (1, 2) plane.  psi1's in-span part lies along psi2, so
+#: q2 sits ~1e-13 below 1 and L23 vanishes while theta is not pi/4: lone
+#: sign flips are then not mode exchanges.
+NEAR_BOUNDARY = [
+    (0.36124918817329643, 0.0015538715153622853,
+     (0.9931442590823166, 0.005197694402083313, 0.0016580465155999731)),
+    (0.2677732690562591, 0.002757912203306029,
+     (0.9720706603129428, 0.008503009932030868, 0.019426329755026433)),
+    (0.43232303795648774, 0.002019729028931413,
+     (0.9450236768594797, 0.0459738187751771, 0.009002504365343153)),
+    (0.3511830408451394, 0.0016205241112029261,
+     (0.9311220215983655, 0.03740490849834109, 0.03147306990329332)),
+    (0.3541359738744093, 0.0018285953477239505,
+     (0.9204789243889581, 0.031833777882801215, 0.04768729772824071)),
+    (0.4683400588222117, 0.00211162073133565,
+     (0.9843088640686495, 0.0016714630649994882, 0.014019672866351085)),
+]
+
+
+def near_boundary_ensemble(c: float, d: float, priors) -> Ensemble:
+    return Ensemble(
+        (
+            np.array([c, 0.0, math.sqrt(1.0 - c * c)]),
+            np.array([1.0, 0.0, 0.0]),
+            np.array([math.cos(d), math.sin(d), 0.0]),
+        ),
+        np.asarray(priors),
+    )
+
+
+def oracle_instances(name: str) -> list[Ensemble]:
+    rng = np.random.default_rng(20260817)
+    if name == "stratified":
+        return stratified_random_ensembles(300, 20260816)
+    if name == "symmetric":
+        return [symmetric_ensemble(s) for s in np.linspace(0.05, 0.95, 19)]
+    if name == "structured":
+        # 16-candidate path where the permutation changes the layer count.
+        # The Gram matrix stops being positive definite near s = 0.906.
+        return [
+            ensemble_from_overlaps(s, s, s / math.sqrt(2.0))
+            for s in np.linspace(0.05, 0.9, 18)
+        ]
+    if name == "reference":
+        return [fifty_fifty_ensemble(), orthogonal_ensemble()]
+    if name == "random_3d":
+        return [random_ensemble(rng) for _ in range(100)]
+    if name == "random_2d":
+        return [random_ensemble(rng, dim=2) for _ in range(100)]
+    if name == "rank_2":
+        return [coplanar_ensemble(rng, in_span=k % 2 == 0) for k in range(100)]
+    return [near_boundary_ensemble(*args) for args in NEAR_BOUNDARY]
+
+
+class TestGaugeSearch:
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "stratified", "symmetric", "structured", "reference",
+            "random_3d", "random_2d", "rank_2", "near_boundary",
+        ],
+    )
+    def test_matches_the_exhaustive_search(self, name):
+        for e in oracle_instances(name):
+            sol = solve(e)
+            got, want = design(e, sol), exhaustive_design(e, sol)
+            assert np.array_equal(got.unitary, want.unitary)
+            assert got.state1_port == want.state1_port
+            assert got.theta == want.theta
+            for a, b in zip(got.success_vectors, want.success_vectors):
+                assert np.array_equal(a, b)
+            assert len(decompose(got.unitary).layers) == len(
+                decompose(want.unitary).layers
+            )
+
+    def test_near_boundary_set_offers_lone_flips_off_pi_over_4(self):
+        for args in NEAR_BOUNDARY:
+            e = near_boundary_ensemble(*args)
+            sol = solve(e)
+            assert abs(build_L(e, sol)[1, 2]) <= 1e-12
+            assert abs(design(e, sol).theta - math.pi / 4.0) > 1e-12

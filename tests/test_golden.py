@@ -1,0 +1,49 @@
+"""Every fixture x command artifact stays byte-identical.
+
+The files in ``tests/golden/`` are the stdout of these commands, run from
+the repository root::
+
+    for f in fifty_fifty orthogonal symmetric_s030 symmetric_s050; do
+      for c in solve design synthesize compare; do
+        qfilter $c --input fixtures/$f.json > tests/golden/$f.$c.json
+      done
+      qfilter simulate --input fixtures/$f.json --trials 1000000 --seed 7 \\
+        > tests/golden/$f.simulate.json
+    done
+    qfilter sweep > tests/golden/sweep.csv
+
+A change that alters an artifact on purpose regenerates the affected files
+with the same commands and says why in its change record.
+"""
+
+import pathlib
+
+import pytest
+
+from qfilter.cli import main
+
+from conftest import FIXTURES_DIR
+
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
+
+FIXTURES = ["fifty_fifty", "orthogonal", "symmetric_s030", "symmetric_s050"]
+
+SIMULATE_ARGS = ["--trials", "1000000", "--seed", "7"]
+
+CASES = [
+    (
+        f"{fixture}.{command}.json",
+        [command, "--input", str(FIXTURES_DIR / f"{fixture}.json")]
+        + (SIMULATE_ARGS if command == "simulate" else []),
+    )
+    for fixture in FIXTURES
+    for command in ("solve", "design", "synthesize", "simulate", "compare")
+] + [("sweep.csv", ["sweep"])]
+
+
+@pytest.mark.parametrize("golden, argv", CASES, ids=[name for name, _ in CASES])
+def test_artifact_is_byte_identical(golden, argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.out.encode("utf-8") == (GOLDEN_DIR / golden).read_bytes()
