@@ -249,8 +249,10 @@ def _design_checks(
     gap = float(np.abs(unitary.conj().T @ unitary - np.eye(4)).max())
     if gap > tol:
         return f"unitary deviates from unitarity by {gap:.3e}"
-    gram_in = gram_matrix([StateVector(v) for v in dsn.embedded_inputs])
-    gram_out = gram_matrix([StateVector(u) for u in dsn.outputs])
+    # The raw vectors: wrapping them in StateVector would renormalize away
+    # an output norm error of up to 1e-6.
+    gram_in = gram_matrix(dsn.embedded_inputs)
+    gram_out = gram_matrix(dsn.outputs)
     gram_gap = float(np.abs(gram_in - gram_out).max())
     if gram_gap > max(tol, 1e-9):
         return f"input/output Gram matrices differ by {gram_gap:.3e}"

@@ -23,13 +23,19 @@ interior regime needs a genuine generalized measurement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import DegeneratePriorError, DomainError, InternalConsistencyError
-from .states import Ensemble, overlaps, parallel_component_norm2
+from .states import (
+    Ensemble,
+    _parallel_norm2_formula,
+    overlaps,
+    parallel_component_norm2,
+)
 
 __all__ = [
     "Regime",
@@ -100,6 +106,14 @@ def _classify(A: float, w: float, eta1: float) -> Regime:
     return Regime.POVM
 
 
+def _check_target_prior(eta1: float) -> None:
+    if eta1 <= 0.0:
+        raise DegeneratePriorError(
+            "the filter target has zero prior probability; the optimal "
+            "failure trade-off is undefined"
+        )
+
+
 def classify_regime(e: Ensemble) -> Regime:
     """Classify which closed-form branch applies to the ensemble.
 
@@ -113,26 +127,16 @@ def classify_regime(e: Ensemble) -> Regime:
         to filter and the optimum is ill-posed.
     """
     eta1 = float(e.priors[0])
-    if eta1 <= 0.0:
-        raise DegeneratePriorError(
-            "the filter target has zero prior probability; the optimal "
-            "failure trade-off is undefined"
-        )
+    _check_target_prior(eta1)
     return _classify(average_overlap_A(e), parallel_component_norm2(e), eta1)
 
 
-def _solve_ordered(e: Ensemble) -> FilterSolution:
-    eta1 = float(e.priors[0])
-    if eta1 <= 0.0:
-        raise DegeneratePriorError(
-            "the filter target has zero prior probability; the optimal "
-            "failure trade-off is undefined"
-        )
-    ov = overlaps(e)
-    a12 = abs(ov.O12) ** 2
-    a13 = abs(ov.O13) ** 2
-    A = float(e.priors[1] * a12 + e.priors[2] * a13)
-    w = parallel_component_norm2(e)
+def _solve_ordered(priors, o12: complex, o13: complex, w: float) -> FilterSolution:
+    """The closed forms for priors (eta1, eta2, eta3), overlaps O12, O13 and w."""
+    eta1, eta2, eta3 = priors
+    a12 = abs(o12) ** 2
+    a13 = abs(o13) ** 2
+    A = eta2 * a12 + eta3 * a13
     if A == 0.0:
         if w > 1e-12:
             raise InternalConsistencyError(
@@ -145,10 +149,10 @@ def _solve_ordered(e: Ensemble) -> FilterSolution:
         return FilterSolution(0.0, 0.0, 0.0, 0.0, Regime.POVM, 0.0, w)
     regime = _classify(A, w, eta1)
     if regime is Regime.POVM:
-        q1 = float(np.sqrt(A / eta1))
-        scale = float(np.sqrt(eta1 / A))
+        q1 = math.sqrt(A / eta1)
+        scale = math.sqrt(eta1 / A)
         q2, q3 = scale * a12, scale * a13
-        Q = 2.0 * float(np.sqrt(eta1 * A))
+        Q = 2.0 * math.sqrt(eta1 * A)
     elif regime is Regime.VN_LARGE_OVERLAP:
         q1, q2, q3 = 1.0, a12, a13
         Q = eta1 + A
@@ -165,6 +169,8 @@ def solve(e: Ensemble) -> FilterSolution:
     States 2 and 3 are ordered internally so that |O12| >= |O13| before the
     closed forms are evaluated, and the results are mapped back, making the
     output invariant under interchanging (psi2, eta2) and (psi3, eta3).
+    The exchange reorders the ensemble's overlaps and priors; w is then
+    evaluated in the exchanged order, on (O13, O12, conj(O23)).
 
     Special cases
     -------------
@@ -177,14 +183,20 @@ def solve(e: Ensemble) -> FilterSolution:
     ------
     DegeneratePriorError
         If eta1 = 0.
+    DegenerateSubspaceError
+        If states 2 and 3 are numerically parallel.
     """
     ov = overlaps(e)
+    eta1, eta2, eta3 = e.priors.tolist()
+    _check_target_prior(eta1)
     if abs(ov.O13) > abs(ov.O12):
-        sol = _solve_ordered(e.swapped_23())
+        w = _parallel_norm2_formula(ov.O13, ov.O12, ov.O23.conjugate())
+        sol = _solve_ordered((eta1, eta3, eta2), ov.O13, ov.O12, w)
         return FilterSolution(
             sol.q1, sol.q3, sol.q2, sol.Q, sol.regime, sol.A, sol.parallel_norm2
         )
-    return _solve_ordered(e)
+    w = parallel_component_norm2(e)
+    return _solve_ordered((eta1, eta2, eta3), ov.O12, ov.O13, w)
 
 
 def m_matrix(e: Ensemble, q1: float) -> np.ndarray:

@@ -15,7 +15,9 @@ Inner products are conjugate-linear in the **first** slot:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,17 +44,6 @@ NORM_REJECT_TOL = 1e-6
 SUBSPACE_TOL = 1e-10
 
 
-def _as_complex_vector(amplitudes) -> np.ndarray:
-    arr = np.asarray(amplitudes, dtype=complex)
-    if arr.ndim != 1:
-        raise InvalidStateError(
-            f"state amplitudes must form a 1-D sequence, got shape {arr.shape}"
-        )
-    if not np.all(np.isfinite(arr.view(float))):
-        raise InvalidStateError("state amplitudes must be finite")
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """A unit-norm complex vector of probability amplitudes.
@@ -66,12 +57,23 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _as_complex_vector(self.amplitudes)
+        arr = np.asarray(self.amplitudes, dtype=complex)
+        if arr.ndim != 1:
+            raise InvalidStateError(
+                f"state amplitudes must form a 1-D sequence, got shape {arr.shape}"
+            )
+        # The squared norm exactly as np.linalg.norm forms it.  It is finite
+        # whenever every amplitude is, unless it overflows, so only then are
+        # the amplitudes themselves inspected.
+        re, im = arr.real, arr.imag
+        sqnorm = float(re.dot(re) + im.dot(im))
+        if not math.isfinite(sqnorm) and not np.isfinite(arr).all():
+            raise InvalidStateError("state amplitudes must be finite")
         if arr.size < 2:
             raise InvalidStateError(
                 f"state vectors must have dimension >= 2, got {arr.size}"
             )
-        norm = float(np.linalg.norm(arr))
+        norm = math.sqrt(sqnorm)
         if abs(norm - 1.0) > NORM_REJECT_TOL:
             raise InvalidStateError(
                 "state vector norm deviates from 1 by more than "
@@ -108,6 +110,12 @@ class Ensemble:
     ``states[0]`` is the filter target; the task downstream is to decide
     "target vs. {states[1], states[2]}" without error.  Priors must lie in
     [0, 1] and sum to 1 within 1e-12; all states must share one dimension.
+
+    The priors are copied and, like the amplitudes of the states, made
+    read-only, so an ensemble never changes after construction.  That is
+    why its overlaps and parallel-component norm (see :func:`overlaps` and
+    :func:`parallel_component_norm2`) are computed at most once per
+    instance, on first use.
     """
 
     states: tuple[StateVector, StateVector, StateVector]
@@ -126,18 +134,18 @@ class Ensemble:
             raise InvalidEnsembleError(
                 f"all states must share one dimension, got sizes {sorted(dims)}"
             )
-        priors = np.asarray(self.priors, dtype=float)
+        # A copy: freezing the caller's own array would be a side effect.
+        priors = np.array(self.priors, dtype=float)
         if priors.shape != (3,):
             raise InvalidEnsembleError(
                 f"priors must be 3 real numbers, got shape {priors.shape}"
             )
-        if not np.all(np.isfinite(priors)):
+        eta1, eta2, eta3 = values = priors.tolist()
+        if not all(map(math.isfinite, values)):
             raise InvalidEnsembleError("priors must be finite")
-        if np.any(priors < 0.0) or np.any(priors > 1.0):
-            raise InvalidEnsembleError(
-                f"priors must lie in [0, 1], got {priors.tolist()}"
-            )
-        total = float(priors.sum())
+        if not all(0.0 <= x <= 1.0 for x in values):
+            raise InvalidEnsembleError(f"priors must lie in [0, 1], got {values}")
+        total = 0.0 + eta1 + eta2 + eta3  # the order of priors.sum()
         if abs(total - 1.0) > 1e-12:
             raise InvalidEnsembleError(
                 f"priors must sum to 1 within 1e-12, got sum {total!r}"
@@ -157,6 +165,23 @@ class Ensemble:
             (self.states[0], self.states[2], self.states[1]),
             np.array([self.priors[0], self.priors[2], self.priors[1]]),
         )
+
+    # Memos behind overlaps() and parallel_component_norm2().  A raised
+    # error is not cached: the next access computes and raises again.
+
+    @cached_property
+    def _overlaps(self) -> "OverlapSet":
+        s1, s2, s3 = self.states
+        o12 = s1.inner(s2)
+        o13 = s1.inner(s3)
+        o23 = s2.inner(s3)
+        alpha = -float(np.angle(o12 * np.conj(o13)))
+        return OverlapSet(o12, o13, o23, alpha)
+
+    @cached_property
+    def _parallel_norm2(self) -> float:
+        ov = self._overlaps
+        return _parallel_norm2_formula(ov.O12, ov.O13, ov.O23)
 
 
 @dataclass(frozen=True)
@@ -181,17 +206,13 @@ class OverlapSet:
 
 
 def overlaps(e: Ensemble) -> OverlapSet:
-    """Compute the pairwise overlaps of an ensemble.
+    """The pairwise overlaps of an ensemble.
 
     The inner product conjugates the first argument, so
-    ``O12 = sum(conj(psi1) * psi2)``.
+    ``O12 = sum(conj(psi1) * psi2)``.  They are computed once per ensemble
+    and then reused: the amplitudes they come from are read-only.
     """
-    s1, s2, s3 = e.states
-    o12 = s1.inner(s2)
-    o13 = s1.inner(s3)
-    o23 = s2.inner(s3)
-    alpha = -float(np.angle(o12 * np.conj(o13)))
-    return OverlapSet(o12, o13, o23, alpha)
+    return e._overlaps
 
 
 def gram_matrix(vectors) -> np.ndarray:
@@ -244,25 +265,30 @@ def parallel_component_norm2(e: Ensemble) -> float:
 
     which agrees with the explicit projection route
     ``|| projector_23(e) @ psi1 ||^2`` to within 1e-10.  The result is
-    clipped into [0, 1] (floating dust only).
+    clipped into [0, 1] (floating dust only).  Like :func:`overlaps` it is
+    computed once per ensemble, which is read-only, and then reused.
 
     Raises
     ------
     DegenerateSubspaceError
-        If states 2 and 3 are numerically parallel.
+        If states 2 and 3 are numerically parallel (on every call).
     """
-    ov = overlaps(e)
-    if abs(ov.O23) >= 1.0 - SUBSPACE_TOL:
+    return e._parallel_norm2
+
+
+def _parallel_norm2_formula(o12: complex, o13: complex, o23: complex) -> float:
+    """The closed form of :func:`parallel_component_norm2`, from the overlaps.
+
+    ``solve`` also evaluates it with states 2 and 3 exchanged, on
+    ``(O13, O12, conj(O23))``.
+    """
+    if abs(o23) >= 1.0 - SUBSPACE_TOL:
         raise DegenerateSubspaceError(
-            f"states 2 and 3 are numerically parallel (|O23|={abs(ov.O23):.12g}); "
+            f"states 2 and 3 are numerically parallel (|O23|={abs(o23):.12g}); "
             "the parallel-component formula is singular"
         )
-    num = (
-        abs(ov.O12) ** 2
-        + abs(ov.O13) ** 2
-        - 2.0 * (ov.O12 * ov.O23 * np.conj(ov.O13)).real
-    )
-    val = num / (1.0 - abs(ov.O23) ** 2)
+    num = abs(o12) ** 2 + abs(o13) ** 2 - 2.0 * (o12 * o23 * np.conj(o13)).real
+    val = num / (1.0 - abs(o23) ** 2)
     return float(min(max(val, 0.0), 1.0))
 
 

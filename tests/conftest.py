@@ -23,9 +23,14 @@ import pathlib
 import numpy as np
 
 from qfilter import (
+    DegeneratePriorError,
+    DegenerateSubspaceError,
     Ensemble,
     FilterSolution,
+    InternalConsistencyError,
     MeasurementDesign,
+    OverlapSet,
+    Regime,
     build_L,
     complete_unitary,
     decompose,
@@ -35,6 +40,8 @@ from qfilter import (
     overlaps,
 )
 from qfilter.designer import _success_vectors
+from qfilter.filter_core import _classify
+from qfilter.states import SUBSPACE_TOL
 
 FIXTURES_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -316,3 +323,116 @@ def exhaustive_design(e: Ensemble, sol: FilterSolution) -> MeasurementDesign:
         embedded_inputs=embed_inputs(e),
         state1_port=2 if swap else 1,
     )
+
+
+def near_parallel_ensembles(draws: int, seed: int) -> list[Ensemble]:
+    """psi3 = normalize(psi2 + eps * x) for eps = 1e-3 ... 1e-12 and 0.
+
+    Random complex 3-D states and Dirichlet priors; every eps below about
+    1e-5 puts |O23| within ``SUBSPACE_TOL`` of 1.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(draws):
+        for eps in [10.0**-k for k in range(3, 13)] + [0.0]:
+            z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            z /= np.linalg.norm(z, axis=1)[:, None]
+            psi3 = z[1] + eps * z[2]
+            states = (z[0], z[1], psi3 / np.linalg.norm(psi3))
+            out.append(Ensemble(states, rng.dirichlet([1.0, 1.0, 1.0])))
+    return out
+
+
+# The closed-form route as it stood before overlaps were memoized on the
+# Ensemble: every call recomputes the overlaps, and solve() takes the 2<->3
+# exchange by building e.swapped_23().  Kept verbatim as a bit-for-bit
+# reference for solve() and von_neumann_baseline().
+
+
+def _reference_overlaps(e: Ensemble) -> OverlapSet:
+    s1, s2, s3 = e.states
+    o12 = s1.inner(s2)
+    o13 = s1.inner(s3)
+    o23 = s2.inner(s3)
+    alpha = -float(np.angle(o12 * np.conj(o13)))
+    return OverlapSet(o12, o13, o23, alpha)
+
+
+def _reference_parallel_component_norm2(e: Ensemble) -> float:
+    ov = _reference_overlaps(e)
+    if abs(ov.O23) >= 1.0 - SUBSPACE_TOL:
+        raise DegenerateSubspaceError(
+            f"states 2 and 3 are numerically parallel (|O23|={abs(ov.O23):.12g}); "
+            "the parallel-component formula is singular"
+        )
+    num = (
+        abs(ov.O12) ** 2
+        + abs(ov.O13) ** 2
+        - 2.0 * (ov.O12 * ov.O23 * np.conj(ov.O13)).real
+    )
+    val = num / (1.0 - abs(ov.O23) ** 2)
+    return float(min(max(val, 0.0), 1.0))
+
+
+def _reference_solve_ordered(e: Ensemble) -> FilterSolution:
+    eta1 = float(e.priors[0])
+    if eta1 <= 0.0:
+        raise DegeneratePriorError(
+            "the filter target has zero prior probability; the optimal "
+            "failure trade-off is undefined"
+        )
+    ov = _reference_overlaps(e)
+    a12 = abs(ov.O12) ** 2
+    a13 = abs(ov.O13) ** 2
+    A = float(e.priors[1] * a12 + e.priors[2] * a13)
+    w = _reference_parallel_component_norm2(e)
+    if A == 0.0:
+        if w > 1e-12:
+            raise InternalConsistencyError(
+                "weighted overlap A is zero although the target state has a "
+                f"component of squared norm {w:.3g} inside span{{psi2, psi3}}; "
+                "this requires zero prior weight on an overlapping state and "
+                "the closed-form optimum does not apply"
+            )
+        # Perfectly filterable: every state can be identified without failure.
+        return FilterSolution(0.0, 0.0, 0.0, 0.0, Regime.POVM, 0.0, w)
+    regime = _classify(A, w, eta1)
+    if regime is Regime.POVM:
+        q1 = float(np.sqrt(A / eta1))
+        scale = float(np.sqrt(eta1 / A))
+        q2, q3 = scale * a12, scale * a13
+        Q = 2.0 * float(np.sqrt(eta1 * A))
+    elif regime is Regime.VN_LARGE_OVERLAP:
+        q1, q2, q3 = 1.0, a12, a13
+        Q = eta1 + A
+    else:
+        q1 = w
+        q2, q3 = a12 / w, a13 / w
+        Q = eta1 * w + A / w
+    return FilterSolution(q1, q2, q3, Q, regime, A, w)
+
+
+def reference_solve(e: Ensemble) -> FilterSolution:
+    """Independent re-implementation of ``solve`` (see the note above)."""
+    ov = _reference_overlaps(e)
+    if abs(ov.O13) > abs(ov.O12):
+        sol = _reference_solve_ordered(e.swapped_23())
+        return FilterSolution(
+            sol.q1, sol.q3, sol.q2, sol.Q, sol.regime, sol.A, sol.parallel_norm2
+        )
+    return _reference_solve_ordered(e)
+
+
+def reference_von_neumann_baseline(e: Ensemble) -> float:
+    """Independent re-implementation of ``von_neumann_baseline``."""
+    ov = _reference_overlaps(e)
+    A = float(e.priors[1] * abs(ov.O12) ** 2 + e.priors[2] * abs(ov.O13) ** 2)
+    if A == 0.0:
+        return 0.0
+    eta1 = float(e.priors[0])
+    if A >= eta1:
+        return eta1 + A
+    w = _reference_parallel_component_norm2(e)
+    if w <= 1e-12:
+        return eta1 + A
+    return eta1 * w + A / w

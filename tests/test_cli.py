@@ -8,10 +8,10 @@ import re
 import numpy as np
 import pytest
 
-from qfilter import cli
+from qfilter import cli, design
 from qfilter.cli import main
 
-from conftest import FIXTURES_DIR
+from conftest import FIXTURES_DIR, fifty_fifty_ensemble
 
 RT2 = math.sqrt(2.0)
 
@@ -137,6 +137,21 @@ class TestDesignCommand:
         probs = np.array(doc["port_probabilities"])
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
         assert probs[0][3] == pytest.approx(2.0 / 3.0, abs=1e-9)
+
+    @pytest.mark.parametrize("excess", [1e-7, 1e-5])
+    def test_output_norm_error_is_reported_as_a_gram_gap(self, excess):
+        e = fifty_fifty_ensemble()
+        dsn = design(e)
+        assert cli._design_checks(e, dsn, cli.DEFAULT_TOLERANCE) is None
+        scale = 1.0 + excess
+        scaled = dataclasses.replace(
+            dsn,
+            success_vectors=(scale * dsn.success_vectors[0],) + dsn.success_vectors[1:],
+            failure_vectors=(scale * dsn.failure_vectors[0],) + dsn.failure_vectors[1:],
+        )
+        problem = cli._design_checks(e, scaled, cli.DEFAULT_TOLERANCE)
+        assert problem is not None
+        assert problem.startswith("input/output Gram matrices differ")
 
 
 class TestSynthesizeCommand:

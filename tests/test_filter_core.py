@@ -1,5 +1,6 @@
 """Closed-form optimal failure probabilities and regime classification."""
 
+import functools
 import math
 
 import numpy as np
@@ -9,8 +10,11 @@ from hypothesis import strategies as st
 
 from qfilter import (
     DegeneratePriorError,
+    DegenerateSubspaceError,
     DomainError,
     Ensemble,
+    InternalConsistencyError,
+    QFilterError,
     Regime,
     average_overlap_A,
     classify_regime,
@@ -19,13 +23,19 @@ from qfilter import (
     overlaps,
     parallel_component_norm2,
     solve,
+    von_neumann_baseline,
 )
 
 from conftest import (
     EQUAL_PRIORS,
+    coplanar_ensemble,
     fifty_fifty_ensemble,
+    near_parallel_ensembles,
     orthogonal_ensemble,
     random_ensemble,
+    reference_solve,
+    reference_von_neumann_baseline,
+    stratified_random_ensembles,
     symmetric_ensemble,
 )
 
@@ -207,3 +217,74 @@ class TestResidualOperator:
             m_matrix(e, -0.1)
         with pytest.raises(DomainError):
             m_matrix(e, 1.1)
+
+
+def _outcome(fn, e):
+    """The result of ``fn(e)`` as exact bits, or the class of its error."""
+    try:
+        out = fn(e)
+    except QFilterError as exc:
+        return type(exc)
+    if isinstance(out, float):
+        return out.hex()
+    fields = (out.q1, out.q2, out.q3, out.Q, out.A, out.parallel_norm2)
+    return tuple(float(x).hex() for x in fields) + (out.regime,)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_cases() -> dict[str, list[Ensemble]]:
+    rng = np.random.default_rng(20260817)
+    stratified = stratified_random_ensembles(200, 20260816)
+    # psi1 is orthogonal to psi2 but not to psi3, and lies in their span.
+    in_plane = (np.eye(3)[0], np.eye(3)[1], np.array([0.6, 0.8, 0.0]))
+    return {
+        "stratified": stratified,
+        # Every instance again with states 2 and 3 exchanged, so each one
+        # goes down the other branch of the |O13| > |O12| test too.
+        "stratified_swapped": [e.swapped_23() for e in stratified],
+        "near_parallel": near_parallel_ensembles(4, 20011203),
+        "coplanar": [coplanar_ensemble(rng, k % 2 == 0) for k in range(40)],
+        "random_2d_4d": [random_ensemble(rng, d) for d in (2, 4) for _ in range(20)],
+        "structured": [symmetric_ensemble(s) for s in np.linspace(0.05, 0.95, 19)]
+        + [fifty_fifty_ensemble(), orthogonal_ensemble()],
+        "degenerate_priors": [
+            Ensemble(in_plane, np.array(p))
+            for p in ([0.0, 0.5, 0.5], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5])
+        ],
+    }
+
+
+class TestReferenceRoute:
+    """solve() and von_neumann_baseline() agree bit for bit with the route
+    that recomputes the overlaps on every call and builds e.swapped_23()."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["stratified", "stratified_swapped", "near_parallel", "coplanar",
+         "random_2d_4d", "structured", "degenerate_priors"],
+    )
+    def test_bit_identical_to_reference(self, name):
+        ensembles = _reference_cases()[name]
+        for e in ensembles:
+            assert _outcome(solve, e) == _outcome(reference_solve, e)
+            assert _outcome(von_neumann_baseline, e) == _outcome(
+                reference_von_neumann_baseline, e
+            )
+
+    def test_cases_cover_both_paths_and_the_refusals(self):
+        cases = _reference_cases()
+        swapped = sum(
+            abs(overlaps(e).O13) > abs(overlaps(e).O12)
+            for e in cases["stratified"]
+        )
+        assert 20 <= swapped <= 180
+        errors = {
+            _outcome(solve, e)
+            for name in ("near_parallel", "degenerate_priors")
+            for e in cases[name]
+        }
+        assert {
+            DegenerateSubspaceError, DegeneratePriorError, InternalConsistencyError
+        } <= errors
+        regimes = {solve(e).regime for e in cases["stratified"]}
+        assert regimes == set(Regime)

@@ -13,14 +13,25 @@ from qfilter import (
     InvalidEnsembleError,
     InvalidStateError,
     StateVector,
+    compare,
+    design,
     ensemble_from_overlaps,
     gram_matrix,
     overlaps,
     parallel_component_norm2,
     projector_23,
+    solve,
+    von_neumann_baseline,
 )
 
-from conftest import EQUAL_PRIORS, fifty_fifty_ensemble, random_ensemble
+from conftest import (
+    EQUAL_PRIORS,
+    fifty_fifty_ensemble,
+    fifty_fifty_states,
+    near_parallel_ensembles,
+    random_ensemble,
+    stratified_random_ensembles,
+)
 
 
 class TestStateVector:
@@ -71,6 +82,19 @@ class TestStateVector:
         w = StateVector(1j * u.amplitudes)
         assert w.inner(v) == pytest.approx(-1j * u.inner(v), abs=1e-14)
 
+    def test_accepts_strided_amplitudes(self):
+        columns = np.eye(3, dtype=complex)
+        v = StateVector(columns[:, 1])
+        np.testing.assert_array_equal(v.amplitudes, [0.0, 1.0, 0.0])
+        columns[2, 0] = np.nan
+        with pytest.raises(InvalidStateError, match="finite"):
+            StateVector(columns[:, 0])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_norm_is_reported_as_a_norm_error(self):
+        with pytest.raises(InvalidStateError, match="norm=inf"):
+            StateVector(np.array([1e200, 1e200]))
+
     def test_padded_extends_with_zeros(self):
         v = StateVector(np.array([0.6, 0.8]))
         padded = v.padded(4)
@@ -100,6 +124,16 @@ class TestEnsemble:
             Ensemble((v1, v2, v3), np.array([1.2, -0.1, -0.1]))
         with pytest.raises(InvalidEnsembleError):
             Ensemble((v1, v2, v3), np.array([0.5, 0.5]))
+
+    def test_priors_are_copied_not_frozen_in_place(self):
+        priors = np.array([0.5, 0.3, 0.2])
+        e = Ensemble(tuple(fifty_fifty_states()), priors)
+        assert priors.flags.writeable
+        assert not np.shares_memory(priors, e.priors)
+        assert not e.priors.flags.writeable
+        e2 = ensemble_from_overlaps(0.3, 0.2, 0.1, priors)
+        assert priors.flags.writeable
+        assert not np.shares_memory(priors, e2.priors)
 
     def test_coerces_raw_arrays_to_state_vectors(self):
         e = fifty_fifty_ensemble()
@@ -137,6 +171,45 @@ class TestOverlaps:
         np.testing.assert_allclose(gram, gram.conj().T, atol=1e-14)
         np.testing.assert_allclose(np.diag(gram).real, 1.0, atol=1e-12)
         assert np.linalg.eigvalsh(gram).min() > -1e-12
+
+
+class TestOverlapMemo:
+    @pytest.fixture
+    def inner_calls(self, monkeypatch):
+        calls = []
+        inner = StateVector.inner
+
+        def counting_inner(self, other):
+            calls.append(1)
+            return inner(self, other)
+
+        monkeypatch.setattr(StateVector, "inner", counting_inner)
+        return calls
+
+    def test_overlaps_are_computed_once_per_ensemble(self, inner_calls):
+        ensembles = stratified_random_ensembles(8, 5)
+        # Both orders of states 2 and 3: solve() exchanges them itself
+        # when |O13| > |O12|.
+        for e in ensembles + [e.swapped_23() for e in ensembles]:
+            del inner_calls[:]
+            assert overlaps(e) is overlaps(e)
+            solve(e)
+            von_neumann_baseline(e)
+            design(e)
+            compare(e)
+            parallel_component_norm2(e)
+            projector_23(e)
+            assert len(inner_calls) <= 3
+
+    def test_near_parallel_error_is_raised_on_every_call(self, inner_calls):
+        e = near_parallel_ensembles(1, 7)[-1]  # psi3 = psi2
+        assert abs(overlaps(e).O23) == pytest.approx(1.0, abs=1e-12)
+        for _ in range(3):
+            with pytest.raises(DegenerateSubspaceError):
+                solve(e)
+            with pytest.raises(DegenerateSubspaceError):
+                parallel_component_norm2(e)
+        assert len(inner_calls) <= 3
 
 
 class TestProjector23:
