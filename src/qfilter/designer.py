@@ -22,12 +22,19 @@ scores every gauge as a signed row permutation of one completed unitary and
 keeps the one that synthesizes into the simplest mesh: fewest beam-splitter
 layers first, then the largest real trace of the upper-left 3x3 block (the
 most "pass-through" network), with deterministic tie-breaks.
+
+:func:`complete_unitary` orthonormalizes the inputs (and completes their
+span to all 4 modes) once per ensemble and keeps that input frame for every
+later call on the same ensemble; each call then orthonormalizes only its
+outputs.  Both pivoted completions stop once their basis spans the 4 modes.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -272,13 +279,14 @@ def _orthonormal_basis(
     mirroring onto a second vector set with the same Gram matrix.  With
     ``pivot=True`` the largest residual is taken first, which is the
     numerically safe choice when any spanning set will do (completing a
-    basis from coordinate directions).
+    basis from coordinate directions).  Either way it stops once the basis
+    spans the whole space: every further residual is rounding noise.
     """
     basis: list[np.ndarray] = [] if against is None else list(against)
     start = len(basis)
     kept: list[int] = []
     remaining = list(range(len(vectors)))
-    while remaining:
+    while remaining and len(basis) < len(vectors[0]):
         pool = remaining if pivot else remaining[:1]
         k, w = max(
             ((k, _project_out(vectors[k], basis)) for k in pool),
@@ -294,6 +302,37 @@ def _orthonormal_basis(
     return basis[start:], kept
 
 
+#: The coordinate directions (rows) a completion draws its complement from.
+_MODE_BASIS = np.eye(NETWORK_DIM, dtype=complex)
+_MODE_BASIS.setflags(write=False)
+
+
+class _InputFrame(NamedTuple):
+    """The half of :func:`complete_unitary` that depends only on the inputs."""
+
+    gram: np.ndarray
+    basis: list[np.ndarray]
+    kept: list[int]
+    complement: list[np.ndarray]
+
+
+#: One frame per ensemble, computed on first use.  Ensembles are immutable,
+#: so a frame never goes stale; weak keys free it with its ensemble.
+_INPUT_FRAMES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _input_frame(e: Ensemble) -> _InputFrame:
+    """Gram matrix, orthonormal basis and pivoted complement of the inputs."""
+    frame = _INPUT_FRAMES.get(e)
+    if frame is None:
+        ins = [np.asarray(v, dtype=complex) for v in embed_inputs(e)]
+        basis, kept = _orthonormal_basis(ins)
+        complement, _ = _orthonormal_basis(_MODE_BASIS, against=basis, pivot=True)
+        frame = _InputFrame(np.conj(ins) @ np.transpose(ins), basis, kept, complement)
+        _INPUT_FRAMES[e] = frame
+    return frame
+
+
 def complete_unitary(e: Ensemble, outputs) -> np.ndarray:
     """The 4x4 unitary mapping each embedded input to the given output.
 
@@ -304,17 +343,22 @@ def complete_unitary(e: Ensemble, outputs) -> np.ndarray:
     making its largest-magnitude entry real and positive, so the result is
     deterministic.
 
+    The input side (Gram matrix, orthonormal basis, pivoted complement) is
+    computed once per ensemble and reused by every later call; only the
+    output side is orthonormalized per call.  Both pivoted completions stop
+    as soon as their basis spans the 4 modes.
+
     Raises
     ------
     NoUnitaryError
         If the Gram matrices differ beyond 1e-8; the message names the
         worst-offending state pair.
     """
-    ins = [np.asarray(v, dtype=complex) for v in embed_inputs(e)]
+    frame = _input_frame(e)
     outs = [np.asarray(v, dtype=complex) for v in outputs]
     if len(outs) != 3 or any(v.shape != (NETWORK_DIM,) for v in outs):
         raise DomainError("outputs must be three 4-mode vectors")
-    diff = np.abs(np.conj(ins) @ np.transpose(ins) - np.conj(outs) @ np.transpose(outs))
+    diff = np.abs(frame.gram - np.conj(outs) @ np.transpose(outs))
     worst = float(diff.max())
     if worst > GRAM_TOL:
         i, j = np.unravel_index(int(diff.argmax()), diff.shape)
@@ -323,18 +367,15 @@ def complete_unitary(e: Ensemble, outputs) -> np.ndarray:
             f"of pair ({i + 1}, {j + 1}) differ by {worst:.3e} "
             f"(tolerance {GRAM_TOL:g})"
         )
-    in_basis, kept = _orthonormal_basis(ins)
     out_basis: list[np.ndarray] = []
-    for k in kept:
+    for k in frame.kept:
         w = _project_out(outs[k], out_basis)
         out_basis.append(w / np.linalg.norm(w))
     mat = np.zeros((NETWORK_DIM, NETWORK_DIM), dtype=complex)
-    for u, v in zip(in_basis, out_basis):
+    for u, v in zip(frame.basis, out_basis):
         mat += np.outer(v, np.conj(u))
-    identity_cols = list(np.eye(NETWORK_DIM, dtype=complex))
-    comp_in, _ = _orthonormal_basis(identity_cols, against=in_basis, pivot=True)
-    comp_out, _ = _orthonormal_basis(identity_cols, against=out_basis, pivot=True)
-    for z, w in zip(comp_in, comp_out):
+    comp_out, _ = _orthonormal_basis(_MODE_BASIS, against=out_basis, pivot=True)
+    for z, w in zip(frame.complement, comp_out):
         pivot = int(np.argmax(np.abs(w)))
         w = w / (w[pivot] / abs(w[pivot]))
         mat += np.outer(w, np.conj(z))
@@ -377,6 +418,8 @@ def design(e: Ensemble, sol: FilterSolution | None = None) -> MeasurementDesign:
     per permutation, and only the winner is rebuilt.  Inputs spanning fewer
     than 3 modes (whose pivoted completion is not permutation-equivariant)
     and lone flips at theta != pi/4 complete and factor every candidate.
+    Every completion of one ensemble shares its input frame, which is
+    computed once (see :func:`complete_unitary`); the rank test reads it too.
     """
     if sol is None:
         sol = solve(e)
@@ -390,11 +433,11 @@ def design(e: Ensemble, sol: FilterSolution | None = None) -> MeasurementDesign:
 
     base = build(False, (1, 1, 1))
     l23_free = abs(L[1, 2]) <= 1e-12
-    permutable = len(_orthonormal_basis(list(inputs))[1]) == 3 and (
+    permutable = len(_input_frame(e).kept) == 3 and (
         not l23_free or abs(base[1] - np.pi / 4.0) <= 1e-12
     )
     layer_counts: dict = {}
-    scored = []
+    scored, traces = [], []
     for swap, sign_index, signs, perm, diag in _gauge_candidates(l23_free):
         built = base if (swap, sign_index) == (False, 0) else None
         if permutable:
@@ -404,10 +447,14 @@ def design(e: Ensemble, sol: FilterSolution | None = None) -> MeasurementDesign:
             unitary, layers_key, diag = built[2], (swap, sign_index), (1, 1, 1)
         if layers_key not in layer_counts:
             layer_counts[layers_key] = len(decompose(unitary).layers)
-        trace3 = sum(diag[i] * unitary[i, i].real for i in range(3))
-        key = (layer_counts[layers_key], round(-trace3, 9), int(swap), sign_index)
-        scored.append((key, swap, signs, built))
-    _, swap, signs, built = min(scored)
+        traces.append(sum(diag[i] * unitary[i, i].real for i in range(3)))
+        scored.append((layer_counts[layers_key], int(swap), sign_index, signs, built))
+    # One rounding over all candidates; the same values as round(-trace, 9).
+    trace_keys = np.round(-np.array(traces), 9).tolist()
+    _, _, swap, _, signs, built = min(
+        (layers, key, swap, sign_index, signs, built)
+        for key, (layers, swap, sign_index, signs, built) in zip(trace_keys, scored)
+    )
     succ, theta, unitary = built or build(swap, signs)
     return MeasurementDesign(
         success_vectors=tuple(succ),

@@ -25,21 +25,22 @@ import numpy as np
 from qfilter import (
     DegeneratePriorError,
     DegenerateSubspaceError,
+    DomainError,
     Ensemble,
     FilterSolution,
     InternalConsistencyError,
     MeasurementDesign,
+    NoUnitaryError,
     OverlapSet,
     Regime,
     build_L,
-    complete_unitary,
     decompose,
     embed_inputs,
     failure_phases,
     failure_vectors,
     overlaps,
 )
-from qfilter.designer import _success_vectors
+from qfilter.designer import GRAM_TOL, NETWORK_DIM, _success_vectors
 from qfilter.filter_core import _classify
 from qfilter.states import SUBSPACE_TOL
 
@@ -279,15 +280,86 @@ def grid_three_state_Q(e: Ensemble, resolution: float = 1e-3) -> float:
     return best
 
 
-def exhaustive_design(e: Ensemble, sol: FilterSolution) -> MeasurementDesign:
-    """Independent gauge-search oracle: complete and factor every candidate.
+# complete_unitary and its Gram-Schmidt helpers as they stood before the
+# input side was memoized per ensemble: every call orthonormalizes the
+# inputs again, and each pivoted completion runs one more round after its
+# basis is full.  Kept verbatim as a bit-for-bit reference for
+# complete_unitary() and as the completion of exhaustive_design().
 
-    Builds the success vectors, completes the 4x4 unitary and decomposes it
-    for each of the 8 gauge candidates (2 placements x 4 sign patterns that
-    leave L invariant), or 16 when L23 vanishes and lone flips of vector 2
-    or 3 are allowed too.  The winner has the fewest beam-splitter layers,
-    then the largest real trace of the upper-left 3x3 block, then the
-    standard placement, then the lowest sign index.
+
+def _reference_project_out(vec: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
+    w = np.asarray(vec, dtype=complex).copy()
+    for _ in range(2):
+        for b in basis:
+            w -= np.vdot(b, w) * b
+    return w
+
+
+def _reference_orthonormal_basis(
+    vectors: list[np.ndarray],
+    against: list[np.ndarray] | None = None,
+    *,
+    pivot: bool = False,
+) -> tuple[list[np.ndarray], list[int]]:
+    basis: list[np.ndarray] = [] if against is None else list(against)
+    start = len(basis)
+    kept: list[int] = []
+    remaining = list(range(len(vectors)))
+    while remaining:
+        pool = remaining if pivot else remaining[:1]
+        k, w = max(
+            ((k, _reference_project_out(vectors[k], basis)) for k in pool),
+            key=lambda item: float(np.linalg.norm(item[1])),
+        )
+        norm = float(np.linalg.norm(w))
+        remaining.remove(k)
+        if norm > 1e-10:
+            basis.append(w / norm)
+            kept.append(k)
+        elif pivot:
+            break  # the largest residual is negligible; nothing spans more
+    return basis[start:], kept
+
+
+def reference_complete_unitary(e: Ensemble, outputs) -> np.ndarray:
+    """Independent re-implementation of ``complete_unitary`` (see the note above)."""
+    ins = [np.asarray(v, dtype=complex) for v in embed_inputs(e)]
+    outs = [np.asarray(v, dtype=complex) for v in outputs]
+    if len(outs) != 3 or any(v.shape != (NETWORK_DIM,) for v in outs):
+        raise DomainError("outputs must be three 4-mode vectors")
+    diff = np.abs(np.conj(ins) @ np.transpose(ins) - np.conj(outs) @ np.transpose(outs))
+    worst = float(diff.max())
+    if worst > GRAM_TOL:
+        i, j = np.unravel_index(int(diff.argmax()), diff.shape)
+        raise NoUnitaryError(
+            "no unitary maps these inputs to these outputs: inner products "
+            f"of pair ({i + 1}, {j + 1}) differ by {worst:.3e} "
+            f"(tolerance {GRAM_TOL:g})"
+        )
+    in_basis, kept = _reference_orthonormal_basis(ins)
+    out_basis: list[np.ndarray] = []
+    for k in kept:
+        w = _reference_project_out(outs[k], out_basis)
+        out_basis.append(w / np.linalg.norm(w))
+    mat = np.zeros((NETWORK_DIM, NETWORK_DIM), dtype=complex)
+    for u, v in zip(in_basis, out_basis):
+        mat += np.outer(v, np.conj(u))
+    identity_cols = list(np.eye(NETWORK_DIM, dtype=complex))
+    comp_in, _ = _reference_orthonormal_basis(identity_cols, against=in_basis, pivot=True)
+    comp_out, _ = _reference_orthonormal_basis(identity_cols, against=out_basis, pivot=True)
+    for z, w in zip(comp_in, comp_out):
+        pivot = int(np.argmax(np.abs(w)))
+        w = w / (w[pivot] / abs(w[pivot]))
+        mat += np.outer(w, np.conj(z))
+    return mat
+
+
+def gauge_candidates(e: Ensemble, sol: FilterSolution):
+    """Yield ``(swap, sign_index, success_vectors, theta, outputs)`` per gauge.
+
+    The 8 gauge candidates are 2 placements x 4 sign patterns that leave L
+    invariant, or 16 when L23 vanishes and lone flips of vector 2 or 3 are
+    allowed too; they come in tie-break order.
     """
     q = (sol.q1, sol.q2, sol.q3)
     fail_vecs = failure_vectors(e, sol)
@@ -299,23 +371,35 @@ def exhaustive_design(e: Ensemble, sol: FilterSolution) -> MeasurementDesign:
         ]
     else:
         sign_opts = [(1, 1, 1), (1, -1, -1), (-1, 1, 1), (-1, -1, -1)]
-    best_key = None
-    best = None
     for swap in (False, True):
         for sign_index, signs in enumerate(sign_opts):
             succ, theta = _success_vectors(residual_gram, q, swap, signs)
-            outs = [s + f for s, f in zip(succ, fail_vecs)]
-            unitary = complete_unitary(e, outs)
-            program = decompose(unitary)
-            trace3 = sum(unitary[i, i].real for i in range(3))
-            key = (len(program.layers), round(-trace3, 9), int(swap), sign_index)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (succ, unitary, theta, swap)
+            yield swap, sign_index, succ, theta, [s + f for s, f in zip(succ, fail_vecs)]
+
+
+def exhaustive_design(e: Ensemble, sol: FilterSolution) -> MeasurementDesign:
+    """Independent gauge-search oracle: complete and factor every candidate.
+
+    Builds the success vectors, completes the 4x4 unitary with
+    ``reference_complete_unitary`` and decomposes it for each gauge
+    candidate (:func:`gauge_candidates`).  The winner has the fewest
+    beam-splitter layers, then the largest real trace of the upper-left 3x3
+    block, then the standard placement, then the lowest sign index.
+    """
+    best_key = None
+    best = None
+    for swap, sign_index, succ, theta, outs in gauge_candidates(e, sol):
+        unitary = reference_complete_unitary(e, outs)
+        program = decompose(unitary)
+        trace3 = sum(unitary[i, i].real for i in range(3))
+        key = (len(program.layers), round(-trace3, 9), int(swap), sign_index)
+        if best_key is None or key < best_key:
+            best_key = key
+            best = (succ, unitary, theta, swap)
     succ, unitary, theta, swap = best
     return MeasurementDesign(
         success_vectors=tuple(succ),
-        failure_vectors=fail_vecs,
+        failure_vectors=failure_vectors(e, sol),
         unitary=unitary,
         theta=float(theta),
         chi=failure_phases(e),

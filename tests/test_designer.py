@@ -1,6 +1,8 @@
 """Measurement design: success/failure vectors and the realizing unitary."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -27,16 +29,21 @@ from qfilter import (
     solve,
     success_vectors,
 )
+from qfilter import designer
+from qfilter.cli import load_ensemble
 
 from conftest import (
     EQUAL_PRIORS,
+    FIXTURES_DIR,
     coplanar_ensemble,
     exhaustive_design,
     fifty_fifty_ensemble,
     fifty_fifty_expected_outputs,
     fifty_fifty_expected_unitary,
+    gauge_candidates,
     orthogonal_ensemble,
     random_ensemble,
+    reference_complete_unitary,
     stratified_random_ensembles,
     symmetric_ensemble,
     symmetric_expected_outputs,
@@ -334,6 +341,8 @@ def oracle_instances(name: str) -> list[Ensemble]:
         return [random_ensemble(rng, dim=2) for _ in range(100)]
     if name == "rank_2":
         return [coplanar_ensemble(rng, in_span=k % 2 == 0) for k in range(100)]
+    if name == "fixtures":
+        return [load_ensemble(str(p))[0] for p in sorted(FIXTURES_DIR.glob("*.json"))]
     return [near_boundary_ensemble(*args) for args in NEAR_BOUNDARY]
 
 
@@ -364,3 +373,130 @@ class TestGaugeSearch:
             sol = solve(e)
             assert abs(build_L(e, sol)[1, 2]) <= 1e-12
             assert abs(design(e, sol).theta - math.pi / 4.0) > 1e-12
+
+
+def completion_outcome(complete, e, outputs):
+    """The unitary's bytes, or the class and message of the error raised."""
+    try:
+        return complete(e, outputs).tobytes()
+    except (DomainError, NoUnitaryError) as exc:
+        return type(exc), str(exc)
+
+
+class TestReferenceCompletion:
+    """``complete_unitary`` is bit for bit ``reference_complete_unitary``."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["stratified", "random_2d", "rank_2", "near_boundary", "structured", "fixtures"],
+    )
+    def test_every_gauge_candidate_matches_the_reference(self, name):
+        for e in oracle_instances(name):
+            outputs = [outs for *_, outs in gauge_candidates(e, solve(e))]
+            assert len(outputs) in (8, 16)
+            for outs in outputs:
+                got = complete_unitary(e, outs)
+                assert got.tobytes() == reference_complete_unitary(e, outs).tobytes()
+
+    def test_later_calls_on_one_ensemble_match_the_reference(self):
+        rng = np.random.default_rng(31)
+        ensembles = [random_ensemble(rng) for _ in range(5)]
+        ensembles += [coplanar_ensemble(rng, in_span=k % 2 == 0) for k in range(4)]
+        for e in ensembles:
+            candidates = list(gauge_candidates(e, solve(e)))
+            # The swapped placement first, then the standard one.
+            for *_, outs in (candidates[-1], candidates[0], candidates[-1]):
+                got = complete_unitary(e, outs)
+                assert got.tobytes() == reference_complete_unitary(e, outs).tobytes()
+
+    def test_errors_match_the_reference(self):
+        e = fifty_fifty_ensemble()
+        good = [v.copy() for v in fifty_fifty_expected_outputs()]
+        scaled = [v.copy() for v in good]
+        scaled[1] *= 1.0 + 1e-6
+        cases = [
+            [good[0], good[1], np.array([0.0, 0.0, 1.0, 0.0])],  # Gram mismatch
+            scaled,  # norm mismatch above GRAM_TOL
+            good[:2],
+            [v[:3] for v in good],
+            [np.append(v, 0.0) for v in good],
+            good,
+        ]
+        kinds = set()
+        for outs in cases + cases:  # the second round reads the memo
+            want = completion_outcome(reference_complete_unitary, e, outs)
+            assert completion_outcome(complete_unitary, e, outs) == want
+            kinds.add(bytes if isinstance(want, bytes) else want[0])
+        assert kinds == {NoUnitaryError, DomainError, bytes}
+        four_modes = Ensemble(tuple(np.eye(4)[:3]), EQUAL_PRIORS)
+        for _ in range(2):
+            want = completion_outcome(reference_complete_unitary, four_modes, good)
+            assert want[0] is DomainError
+            assert completion_outcome(complete_unitary, four_modes, good) == want
+
+
+class TestCompletionWork:
+    """Each piece of Gram-Schmidt work in a design is done once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Count calls of the completion helpers, by name."""
+        calls = {"_project_out": 0, "complete_unitary": 0, "input_side": 0, "pivoted": 0}
+
+        def counting(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            monkeypatch.setattr(designer, name, wrapper)
+
+        counting("_project_out", designer._project_out)
+        counting("complete_unitary", designer.complete_unitary)
+        orthonormal_basis = designer._orthonormal_basis
+
+        def counting_basis(vectors, against=None, *, pivot=False):
+            calls["pivoted" if pivot else "input_side"] += 1
+            return orthonormal_basis(vectors, against, pivot=pivot)
+
+        monkeypatch.setattr(designer, "_orthonormal_basis", counting_basis)
+        return calls
+
+    def test_project_out_calls_per_design(self, calls):
+        rebuilt = kept_base = 0
+        for e in stratified_random_ensembles(40, 8):
+            sol = solve(e)
+            calls.update(_project_out=0, complete_unitary=0)
+            design(e, sol)
+            if calls["complete_unitary"] == 1:
+                assert calls["_project_out"] <= 14  # 23 before the memo
+                kept_base += 1
+            else:
+                assert calls["complete_unitary"] == 2
+                assert calls["_project_out"] <= 21  # 43 before the memo
+                rebuilt += 1
+        assert rebuilt and kept_base
+
+    def test_input_side_runs_once_per_ensemble(self, calls):
+        for e in stratified_random_ensembles(6, 9) + [fifty_fifty_ensemble()]:
+            calls.update(complete_unitary=0, input_side=0, pivoted=0)
+            dsn = design(e)
+            later = [outs for *_, outs in gauge_candidates(e, dsn.solution)][-3:]
+            for outs in later:
+                complete_unitary(e, outs)
+            completions = calls["complete_unitary"] + len(later)
+            assert calls["input_side"] == 1
+            # One pivoted completion of the inputs, one per output triple.
+            assert calls["pivoted"] == 1 + completions
+
+    def test_memo_does_not_keep_the_ensemble_alive(self, monkeypatch):
+        frames = weakref.WeakKeyDictionary()
+        monkeypatch.setattr(designer, "_INPUT_FRAMES", frames)
+        e = random_ensemble(np.random.default_rng(41))
+        dsn = design(e)
+        assert len(frames) == 1
+        del e
+        gc.collect()
+        assert len(frames) == 0
+        four_modes = Ensemble(tuple(np.eye(4)[:3]), EQUAL_PRIORS)
+        with pytest.raises(DomainError):
+            complete_unitary(four_modes, dsn.outputs)
+        assert len(frames) == 0
