@@ -31,6 +31,7 @@ outputs.  Both pivoted completions stop once their basis spans the 4 modes.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from itertools import product
@@ -129,8 +130,14 @@ def failure_phases(e: Ensemble) -> tuple[float, float, float]:
 
 def failure_vectors(e: Ensemble, sol: FilterSolution) -> tuple[np.ndarray, ...]:
     """Mode-4 failure vectors ``sqrt(q_i) * e^{i chi_i} * e4``."""
+    return _failure_vectors(sol, failure_phases(e))
+
+
+def _failure_vectors(
+    sol: FilterSolution, chi: tuple[float, float, float]
+) -> tuple[np.ndarray, ...]:
     out = tuple(np.zeros(NETWORK_DIM, dtype=complex) for _ in range(3))
-    for v, q_i, chi_i in zip(out, sol.failure_probabilities, failure_phases(e)):
+    for v, q_i, chi_i in zip(out, sol.failure_probabilities, chi):
         v[3] = np.sqrt(max(q_i, 0.0)) * np.exp(1j * chi_i)
     return out
 
@@ -149,9 +156,15 @@ def build_L(e: Ensemble, sol: FilterSolution) -> np.ndarray:
         If L has an eigenvalue below -1e-8, i.e. the provided solution is
         not consistent with the ensemble.
     """
+    return _build_L(e, sol, failure_phases(e))
+
+
+def _build_L(
+    e: Ensemble, sol: FilterSolution, chi: tuple[float, float, float]
+) -> np.ndarray:
     ov = overlaps(e)
     q1, q2, q3 = sol.failure_probabilities
-    chi2, chi3 = float(np.angle(ov.O12)), float(np.angle(ov.O13))
+    _, chi2, chi3 = chi
     l12 = ov.O12 - np.sqrt(max(q1 * q2, 0.0)) * np.exp(1j * chi2)
     l13 = ov.O13 - np.sqrt(max(q1 * q3, 0.0)) * np.exp(1j * chi3)
     l23 = ov.O23 - np.sqrt(max(q2 * q3, 0.0)) * np.exp(1j * (chi3 - chi2))
@@ -266,6 +279,11 @@ def _project_out(vec: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
     return w
 
 
+def _norm(w: np.ndarray) -> float:
+    """``np.linalg.norm(w)`` of a complex vector, by numpy's own formula."""
+    return math.sqrt(w.real.dot(w.real) + w.imag.dot(w.imag))
+
+
 def _orthonormal_basis(
     vectors: list[np.ndarray],
     against: list[np.ndarray] | None = None,
@@ -288,11 +306,10 @@ def _orthonormal_basis(
     remaining = list(range(len(vectors)))
     while remaining and len(basis) < len(vectors[0]):
         pool = remaining if pivot else remaining[:1]
-        k, w = max(
-            ((k, _project_out(vectors[k], basis)) for k in pool),
-            key=lambda item: float(np.linalg.norm(item[1])),
-        )
-        norm = float(np.linalg.norm(w))
+        residuals = [(k, _project_out(vectors[k], basis)) for k in pool]
+        norms = [_norm(w) for _, w in residuals]
+        norm = max(norms)
+        k, w = residuals[norms.index(norm)]
         remaining.remove(k)
         if norm > 1e-10:
             basis.append(w / norm)
@@ -370,7 +387,7 @@ def complete_unitary(e: Ensemble, outputs) -> np.ndarray:
     out_basis: list[np.ndarray] = []
     for k in frame.kept:
         w = _project_out(outs[k], out_basis)
-        out_basis.append(w / np.linalg.norm(w))
+        out_basis.append(w / _norm(w))
     mat = np.zeros((NETWORK_DIM, NETWORK_DIM), dtype=complex)
     for u, v in zip(frame.basis, out_basis):
         mat += np.outer(v, np.conj(u))
@@ -423,8 +440,9 @@ def design(e: Ensemble, sol: FilterSolution | None = None) -> MeasurementDesign:
     """
     if sol is None:
         sol = solve(e)
-    fails = failure_vectors(e, sol)
-    L = build_L(e, sol)
+    chi = failure_phases(e)
+    fails = _failure_vectors(sol, chi)
+    L = _build_L(e, sol, chi)
     inputs = embed_inputs(e)
 
     def build(swap, signs):
@@ -461,7 +479,7 @@ def design(e: Ensemble, sol: FilterSolution | None = None) -> MeasurementDesign:
         failure_vectors=fails,
         unitary=unitary,
         theta=float(theta),
-        chi=failure_phases(e),
+        chi=chi,
         solution=sol,
         embedded_inputs=inputs,
         state1_port=2 if swap else 1,

@@ -9,15 +9,16 @@ and phase ``phi`` embeds into the identity as
                          [-r,          t         ]]
 
 so a real layer (phi = 0) is an ordinary rotation.  :func:`decompose`
-factors a unitary into at most N(N-1)/2 such layers plus a diagonal of
-residual phases using triangular nulling (last column first); the phase
-diagonal multiplies on the input side, i.e. the matrix reconstructed by
-:func:`recompose` is ``(product of layers, leftmost applied last) @
-diag(exp(i * output_phases))``.
+factors a unitary by triangular nulling (last column first, two-row updates
+on Python scalars) into at most N(N-1)/2 such layers plus residual phases in
+(-pi, pi] applied on the input side; :func:`recompose`, an independent
+matrix-path check, multiplies back ``L_1 @ ... @ L_k @ diag(exp(i * phases))``.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +82,7 @@ class MeshProgram:
     ``recompose(program)`` multiplies the embedded layers in list order
     (so the *last* layer in the list acts on the input state first) and
     then applies ``diag(exp(i * output_phases))`` on the input side.
+    :func:`decompose` returns output phases in (-pi, pi].
     """
 
     layers: tuple[BeamSplitterLayer, ...]
@@ -135,10 +137,11 @@ def decompose(unitary: np.ndarray) -> MeshProgram:
     """Factor a unitary into beam-splitter layers plus residual phases.
 
     Uses triangular nulling: for each mode pair, a layer is chosen so that
-    left-multiplying by its adjoint zeroes one above-diagonal entry; what
-    remains at the end is a phase diagonal.  Layers that are numerically
-    the identity (|r| < 1e-12) are omitted, so the result has at most
-    N(N-1)/2 layers and ``recompose`` reproduces the input within 1e-9.
+    left-multiplying by its adjoint, a two-row update on Python scalars,
+    zeroes one above-diagonal entry; what remains is a phase diagonal, read
+    off in (-pi, pi] whatever the sign of a zero imaginary part.  Layers that
+    are numerically the identity (|r| < 1e-12) are omitted, so the result has
+    at most N(N-1)/2 layers and ``recompose`` reproduces the input within 1e-9.
 
     Raises
     ------
@@ -146,50 +149,47 @@ def decompose(unitary: np.ndarray) -> MeshProgram:
         If the input is not square (N >= 2) or not unitary within 1e-9;
         the message reports the unitarity residual.
     """
-    work = np.asarray(unitary, dtype=complex).copy()
-    if work.ndim != 2 or work.shape[0] != work.shape[1] or work.shape[0] < 2:
-        raise DomainError(f"expected a square matrix of size >= 2, got {work.shape}")
-    dim = work.shape[0]
-    residual = float(
-        np.max(np.abs(work.conj().T @ work - np.eye(dim, dtype=complex)))
-    )
+    mat = np.asarray(unitary, dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 2:
+        raise DomainError(f"expected a square matrix of size >= 2, got {mat.shape}")
+    dim = mat.shape[0]
+    residual = float(np.max(np.abs(mat.conj().T @ mat - np.eye(dim, dtype=complex))))
     if residual > UNITARITY_TOL:
         raise DomainError(
             f"matrix is not unitary within {UNITARITY_TOL:g} "
             f"(unitarity residual {residual:.3e})"
         )
+    work = mat.tolist()
     layers: list[BeamSplitterLayer] = []
     for p, q in _nulling_pairs(dim):
-        a = work[p - 1, q - 1]
-        b = work[q - 1, q - 1]
+        a, b = work[p - 1][q - 1], work[q - 1][q - 1]
         if abs(a) < 1e-15 and abs(b) < 1e-15:
             continue
         if abs(b) < 1e-15:
             t, r, phi = 0.0, 1.0, 0.0
         else:
-            phi0 = float(np.angle(a) - np.angle(b)) if abs(a) > 0.0 else 0.0
-            phi0 = (phi0 + np.pi) % (2.0 * np.pi) - np.pi
-            scale = np.hypot(abs(a), abs(b))
+            phi0 = cmath.phase(a) - cmath.phase(b) if abs(a) > 0.0 else 0.0
+            phi0 = (phi0 + math.pi) % (2.0 * math.pi) - math.pi
+            scale = math.hypot(abs(a), abs(b))
             t, r = abs(b) / scale, abs(a) / scale
             # Fold the phase into (-pi/2, pi/2] by flipping the sign of r.
-            if phi0 > np.pi / 2:
-                phi, r = phi0 - np.pi, -r
-            elif phi0 <= -np.pi / 2:
-                phi, r = phi0 + np.pi, -r
-            else:
-                phi = phi0
+            phi = phi0
+            if not -math.pi / 2 < phi0 <= math.pi / 2:
+                phi, r = phi0 - math.copysign(math.pi, phi0), -r
         if abs(r) < IDENTITY_DROP_TOL:
             continue
-        layer = BeamSplitterLayer(p, q, float(t), float(r), float(phi))
-        layers.append(layer)
-        work = embed_layer(layer, dim).conj().T @ work
-    off_diag = float(np.max(np.abs(work - np.diag(np.diag(work)))))
+        layers.append(BeamSplitterLayer(p, q, t, r, phi))
+        t_phase, r_phase = t * cmath.exp(-1j * phi), r * cmath.exp(-1j * phi)
+        row_p, row_q = work[p - 1], work[q - 1]
+        work[p - 1] = [t_phase * x - r * y for x, y in zip(row_p, row_q)]
+        work[q - 1] = [r_phase * x + t * y for x, y in zip(row_p, row_q)]
+    off_diag = max(abs(work[i][j]) for i in range(dim) for j in range(dim) if i != j)
     if off_diag > UNITARITY_TOL:
         raise InternalConsistencyError(
             f"triangular nulling left off-diagonal residue {off_diag:.3e}"
         )
-    phases = tuple(float(x) for x in np.angle(np.diag(work)))
-    return MeshProgram(tuple(layers), phases)
+    phases = (cmath.phase(work[i][i]) for i in range(dim))
+    return MeshProgram(tuple(layers), tuple(-x if x == -math.pi else x for x in phases))
 
 
 def recompose(program: MeshProgram) -> np.ndarray:

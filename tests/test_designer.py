@@ -88,6 +88,37 @@ class TestFailureSide:
         assert np.vdot(phis[0], phis[1]) == pytest.approx(ov.O12, abs=1e-10)
         assert np.vdot(phis[0], phis[2]) == pytest.approx(ov.O13, abs=1e-10)
 
+    def test_design_computes_the_phases_once(self, monkeypatch):
+        phases = designer.failure_phases
+        calls = {"failure_phases": 0, "angle": 0}
+
+        def counting_phases(e):
+            calls["failure_phases"] += 1
+            return phases(e)
+
+        monkeypatch.setattr(designer, "failure_phases", counting_phases)
+        for e in stratified_random_ensembles(12, 4):
+            sol = solve(e)
+            calls["failure_phases"] = 0
+            dsn = design(e, sol)
+            assert calls["failure_phases"] == 1
+            assert dsn.chi == phases(e)
+            for got, want in zip(dsn.failure_vectors, failure_vectors(e, sol)):
+                assert got.tobytes() == want.tobytes()
+        # Real overlaps and a real L23: arg O12 and arg O13 are the only angles.
+        angle = np.angle
+
+        def counting_angle(z, *args, **kwargs):
+            calls["angle"] += 1
+            return angle(z, *args, **kwargs)
+
+        monkeypatch.setattr(np, "angle", counting_angle)
+        for e in [fifty_fifty_ensemble(), symmetric_ensemble(0.3)]:
+            sol = solve(e)
+            calls["angle"] = 0
+            design(e, sol)
+            assert calls["angle"] == 2
+
 
 class TestSuccessGram:
     def test_success_gram_decouples_state_1(self):

@@ -1,6 +1,8 @@
 """Beam-splitter mesh synthesis and resynthesis."""
 
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -24,6 +26,10 @@ from conftest import (
 )
 
 RT2 = math.sqrt(2.0)
+
+DECOMPOSE_REFERENCE = (
+    pathlib.Path(__file__).resolve().parent / "golden" / "decompose_reference.json"
+)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -112,6 +118,12 @@ class TestDecompose:
         with pytest.raises(DomainError):
             decompose(np.ones((4, 3)))
 
+    @pytest.mark.parametrize("imag", [0.0, -0.0])
+    def test_negative_real_diagonal_gives_plus_pi(self, imag):
+        program = decompose(np.diag([complex(-1.0, imag), 1.0, 1j, -1j]))
+        assert program.layers == ()
+        assert program.output_phases == (math.pi, 0.0, math.pi / 2, -math.pi / 2)
+
     def test_tiny_reflections_are_dropped(self):
         layer = BeamSplitterLayer(1, 2, t=1.0, r=0.0)
         almost_identity = embed_layer(layer, dim=4)
@@ -155,3 +167,36 @@ class TestReferenceMeshes:
         dsn = design(fifty_fifty_ensemble())
         program = decompose(dsn.unitary)
         np.testing.assert_allclose(recompose(program), dsn.unitary, atol=1e-9)
+
+
+class TestDecomposeReference:
+    """``decompose`` reproduces the meshes recorded in ``decompose_reference.json``.
+
+    The file was written by ``scripts/generate_decompose_reference.py`` at
+    commit 11cbf56, when ``decompose`` still applied each layer as a full
+    4x4 matrix product.  It holds 299 unitaries: pipeline-pool designs and
+    the answered near-parallel designs in all 6 signal-row orders, real
+    orthogonal, permutation and diagonal-phase matrices, almost-identity
+    layers and Haar-random unitaries of sizes 2, 3 and 5.  The layer
+    sequence must match exactly; parameters agree to 1e-14, output phases
+    to 1e-14 modulo 2*pi, and ``recompose`` gives back the unitary to 1e-14.
+    """
+
+    def test_meshes_match_the_reference(self):
+        entries = json.loads(DECOMPOSE_REFERENCE.read_text(encoding="utf-8"))
+        assert len(entries) == 299
+        for entry in entries:
+            dim = entry["dim"]
+            unitary = np.frombuffer(
+                bytes.fromhex(entry["unitary"]), dtype=complex
+            ).reshape(dim, dim)
+            program = decompose(unitary)
+            got = [(l.p, l.q) for l in program.layers]
+            assert got == [(p, q) for p, q, *_ in entry["layers"]], entry["label"]
+            for layer, (_, _, t, r, phi) in zip(program.layers, entry["layers"]):
+                assert abs(layer.t - t) <= 1e-14, entry["label"]
+                assert abs(layer.r - r) <= 1e-14, entry["label"]
+                assert abs(layer.phi - phi) <= 1e-14, entry["label"]
+            for got_phase, phase in zip(program.output_phases, entry["output_phases"]):
+                assert abs(math.remainder(got_phase - phase, 2.0 * math.pi)) <= 1e-14
+            assert np.max(np.abs(recompose(program) - unitary)) <= 1e-14, entry["label"]
