@@ -360,3 +360,42 @@ class TestToleranceFlag:
         ):
             assert main(argv) == 0, argv
             capsys.readouterr()
+
+
+class TestStageFailures:
+    """A failing validation exits 1, names its stage and writes no artifact."""
+
+    PIPELINE = ("solve", "design", "synthesize", "simulate")
+    #: The patched check, what it returns, and the stage it validates.
+    CHECKS = {
+        "_validate_solution": (lambda *args: "forced failure", "solve"),
+        "_design_checks": (lambda *args: "forced failure", "design"),
+        "recompose": (lambda program: np.zeros((4, 4)), "synthesize"),
+    }
+    #: Which checks each command runs.
+    RUNS = {
+        "solve": ("_validate_solution",),
+        "design": ("_validate_solution", "_design_checks"),
+        "synthesize": ("_validate_solution", "_design_checks", "recompose"),
+        "simulate": ("_validate_solution", "_design_checks"),
+    }
+
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    @pytest.mark.parametrize("command", PIPELINE)
+    def test_failure_is_reported_under_its_stage(
+        self, command, check, monkeypatch, capsys
+    ):
+        replacement, stage = self.CHECKS[check]
+        monkeypatch.setattr(cli, check, replacement)
+        argv = [command, "--input", FIFTY_FIFTY]
+        if command == "simulate":
+            argv += ["--trials", "1000"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        if check not in self.RUNS[command]:
+            assert code == 0, captured.err
+            return
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {stage}: ")
+        assert captured.err.count("\n") == 1

@@ -11,6 +11,10 @@ the repository root::
         > tests/golden/$f.simulate.json
     done
     qfilter sweep > tests/golden/sweep.csv
+    qfilter sweep --family two_overlap --stop 0.9 \\
+      > tests/golden/sweep_two_overlap.csv
+    qfilter sweep --priors 0.5 0.3 0.2 --start 0.1 --stop 0.9 --step 0.1 \\
+      > tests/golden/sweep_priors.csv
 
 A change that alters an artifact on purpose regenerates the affected files
 with the same commands and says why in its change record.
@@ -38,7 +42,15 @@ CASES = [
     )
     for fixture in FIXTURES
     for command in ("solve", "design", "synthesize", "simulate", "compare")
-] + [("sweep.csv", ["sweep"])]
+] + [
+    ("sweep.csv", ["sweep"]),
+    ("sweep_two_overlap.csv", ["sweep", "--family", "two_overlap", "--stop", "0.9"]),
+    (
+        "sweep_priors.csv",
+        ["sweep", "--priors", "0.5", "0.3", "0.2"]
+        + ["--start", "0.1", "--stop", "0.9", "--step", "0.1"],
+    ),
+]
 
 
 @pytest.mark.parametrize("golden, argv", CASES, ids=[name for name, _ in CASES])
