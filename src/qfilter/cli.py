@@ -1,11 +1,15 @@
 """Command-line surface: solve, design, synthesize, simulate, compare, sweep.
 
-Each subcommand reads an ensemble description from a JSON file (see
-:func:`load_ensemble` for the format), runs the corresponding pipeline
-stage, validates the result, and emits a JSON artifact (CSV for sweeps)
-to stdout or ``--output``.  The exit code is 0 exactly when every stage
-validation passes; parse and validation failures are reported on stderr
-with the failing stage and field.
+Every subcommand but ``sweep`` reads an ensemble description from a JSON
+file (see :func:`load_ensemble` for the format).  The pipeline commands
+run the stage chain solve -> design -> synthesize or simulate as far as
+they need it, validating each stage before the next one runs, and emit a
+JSON artifact (CSV for sweeps) to stdout or ``--output``.  The exit code
+is 0 exactly when every validation passes.  Parse and validation
+failures exit 1 and are reported on stderr as ``error: <stage>:
+<message>``, naming the stage that failed and, for input errors, the
+field.  ``--tolerance`` must be a finite value >= 0; any other value,
+like any bad argument, is a usage error (exit 2).
 
 Floating-point values in artifacts are printed at 15 significant digits
 so that emitted files are stable enough to serve as regression fixtures.
@@ -15,7 +19,6 @@ Every artifact carries a ``schema`` version field and re-parses as JSON.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import sys
@@ -26,7 +29,7 @@ import numpy as np
 from .designer import MeasurementDesign, design
 from .errors import QFilterError
 from .filter_core import FilterSolution, solve
-from .multiport import MeshProgram, decompose, recompose
+from .multiport import decompose, recompose
 from .oracle import compare as oracle_compare
 from .oracle import three_state_Q, two_state_Q
 from .simulator import port_probabilities, sample, von_neumann_baseline
@@ -34,7 +37,6 @@ from .states import Ensemble, StateVector, ensemble_from_overlaps, gram_matrix, 
 
 __all__ = ["main", "load_ensemble"]
 
-SCHEMA_ENSEMBLE = "qfilter.ensemble/1"
 SCHEMA_SOLUTION = "qfilter.solution/1"
 SCHEMA_DESIGN = "qfilter.design/1"
 SCHEMA_MESH = "qfilter.mesh/1"
@@ -89,18 +91,16 @@ def _emit_json(payload: dict, output: str | None) -> None:
     _emit(json.dumps(_jsonify(payload), indent=2) + "\n", output)
 
 
-def _fail(stage: str, message: str) -> int:
-    print(f"error: {stage}: {message}", file=sys.stderr)
-    return 1
-
-
-def _warn(stage: str, message: str) -> None:
-    print(f"warning: {stage}: {message}", file=sys.stderr)
-
-
 # --------------------------------------------------------------------------
 # ensemble file parsing
 # --------------------------------------------------------------------------
+
+
+def _json_float(raw: Any) -> float:
+    """``float(raw)``, refusing a JSON boolean rather than reading it as 0 or 1."""
+    if isinstance(raw, bool):
+        raise TypeError("a boolean is not a number")
+    return float(raw)
 
 
 def _parse_amplitude(raw: Any, where: str) -> complex:
@@ -115,7 +115,9 @@ def _parse_amplitude(raw: Any, where: str) -> complex:
                 f"{where}: unknown amplitude fields {sorted(extra)}"
             )
         try:
-            return complex(float(raw.get("re", 0.0)), float(raw.get("im", 0.0)))
+            return complex(
+                _json_float(raw.get("re", 0.0)), _json_float(raw.get("im", 0.0))
+            )
         except (TypeError, ValueError) as exc:
             raise QFilterError(f"{where}: non-numeric re/im value") from exc
     raise QFilterError(
@@ -136,8 +138,9 @@ def load_ensemble(path: str) -> tuple[Ensemble, str | None]:
         }
 
     Amplitudes may be ``{re, im}`` objects or bare numbers (treated as
-    real).  Parse problems are reported with the offending line or field
-    path; validation problems with the violated constraint.
+    real).  JSON booleans are refused wherever a number is expected.
+    Parse problems are reported with the offending line or field path;
+    validation problems with the violated constraint.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -176,7 +179,7 @@ def load_ensemble(path: str) -> tuple[Ensemble, str | None]:
     if not isinstance(priors_raw, list) or len(priors_raw) != 3:
         raise QFilterError(f"{path}: field 'priors' must be an array of 3 reals")
     try:
-        priors = [float(p) for p in priors_raw]
+        priors = [_json_float(p) for p in priors_raw]
     except (TypeError, ValueError) as exc:
         raise QFilterError(f"{path}: field 'priors' contains a non-number") from exc
     try:
@@ -187,15 +190,6 @@ def load_ensemble(path: str) -> tuple[Ensemble, str | None]:
     if label is not None and not isinstance(label, str):
         raise QFilterError(f"{path}: field 'label' must be a string")
     return ensemble, label
-
-
-def _ensemble_payload(e: Ensemble, label: str | None) -> dict:
-    payload: dict[str, Any] = {"schema": SCHEMA_ENSEMBLE}
-    if label:
-        payload["label"] = label
-    payload["states"] = [state.amplitudes for state in e.states]
-    payload["priors"] = list(e.priors)
-    return payload
 
 
 # --------------------------------------------------------------------------
@@ -281,35 +275,56 @@ def _design_checks(
 # --------------------------------------------------------------------------
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
-    e, label = load_ensemble(args.input)
-    sol = solve(e)
-    problem = _validate_solution(e, sol, args.tolerance)
-    if problem is not None:
-        return _fail("solve", problem)
-    payload = {"schema": SCHEMA_SOLUTION}
+class _StageError(QFilterError):
+    """A failed validation, reported under the stage that ran it."""
+
+    def __init__(self, stage: str, message: str) -> None:
+        super().__init__(message)
+        self.stage = stage
+
+
+def _header(schema: str, label: str | None) -> dict[str, Any]:
+    """The leading fields of every JSON artifact."""
+    payload: dict[str, Any] = {"schema": schema}
     if label:
         payload["label"] = label
-    payload.update(_solution_payload(e, sol))
-    payload["priors"] = list(e.priors)
-    _emit_json(payload, args.output)
-    return 0
+    return payload
 
 
-def _cmd_design(args: argparse.Namespace) -> int:
+def _solved(args: argparse.Namespace) -> tuple[Ensemble, str | None, FilterSolution]:
+    """Load ``--input`` and solve it; raise if the solution fails validation."""
     e, label = load_ensemble(args.input)
     sol = solve(e)
     problem = _validate_solution(e, sol, args.tolerance)
     if problem is not None:
-        return _fail("solve", problem)
+        raise _StageError("solve", problem)
+    return e, label, sol
+
+
+def _designed(
+    args: argparse.Namespace,
+) -> tuple[Ensemble, str | None, MeasurementDesign]:
+    """:func:`_solved`, then design the measurement and validate it too."""
+    e, label, sol = _solved(args)
     dsn = design(e, sol)
     problem = _design_checks(e, dsn, args.tolerance)
     if problem is not None:
-        return _fail("design", problem)
-    payload: dict[str, Any] = {"schema": SCHEMA_DESIGN}
-    if label:
-        payload["label"] = label
-    payload["solution"] = _solution_payload(e, sol)
+        raise _StageError("design", problem)
+    return e, label, dsn
+
+
+def _cmd_solve(args: argparse.Namespace) -> None:
+    e, label, sol = _solved(args)
+    payload = _header(SCHEMA_SOLUTION, label)
+    payload.update(_solution_payload(e, sol))
+    payload["priors"] = list(e.priors)
+    _emit_json(payload, args.output)
+
+
+def _cmd_design(args: argparse.Namespace) -> None:
+    e, label, dsn = _designed(args)
+    payload = _header(SCHEMA_DESIGN, label)
+    payload["solution"] = _solution_payload(e, dsn.solution)
     payload["theta"] = dsn.theta
     payload["chi"] = list(dsn.chi)
     payload["state1_port"] = dsn.state1_port
@@ -319,32 +334,17 @@ def _cmd_design(args: argparse.Namespace) -> int:
     payload["unitary"] = dsn.unitary
     payload["port_probabilities"] = [port_probabilities(dsn, i) for i in range(3)]
     _emit_json(payload, args.output)
-    return 0
 
 
-def _cmd_synthesize(args: argparse.Namespace) -> int:
-    e, label = load_ensemble(args.input)
-    sol = solve(e)
-    problem = _validate_solution(e, sol, args.tolerance)
-    if problem is not None:
-        return _fail("solve", problem)
-    dsn = design(e, sol)
-    problem = _design_checks(e, dsn, args.tolerance)
-    if problem is not None:
-        return _fail("design", problem)
+def _cmd_synthesize(args: argparse.Namespace) -> None:
+    _, label, dsn = _designed(args)
     program = decompose(dsn.unitary)
     residual = float(np.abs(recompose(program) - dsn.unitary).max())
     if residual > max(args.tolerance, 1e-9):
-        return _fail(
-            "synthesize", f"mesh recomposition residual {residual:.3e} exceeds 1e-9"
-        )
+        raise QFilterError(f"mesh recomposition residual {residual:.3e} exceeds 1e-9")
     if len(program.layers) > 6:
-        return _fail(
-            "synthesize", f"{len(program.layers)} layers exceed the 6-layer budget"
-        )
-    payload: dict[str, Any] = {"schema": SCHEMA_MESH}
-    if label:
-        payload["label"] = label
+        raise QFilterError(f"{len(program.layers)} layers exceed the 6-layer budget")
+    payload = _header(SCHEMA_MESH, label)
     payload["layers"] = [
         {"p": layer.p, "q": layer.q, "t": layer.t, "r": layer.r, "phi": layer.phi}
         for layer in program.layers
@@ -354,30 +354,21 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     payload["recomposition_residual"] = residual
     payload["unitary"] = dsn.unitary
     _emit_json(payload, args.output)
-    return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    e, label = load_ensemble(args.input)
-    sol = solve(e)
-    problem = _validate_solution(e, sol, args.tolerance)
-    if problem is not None:
-        return _fail("solve", problem)
-    dsn = design(e, sol)
-    problem = _design_checks(e, dsn, args.tolerance)
-    if problem is not None:
-        return _fail("design", problem)
-    report = sample(dsn, e, trials=args.trials, seed=args.seed, shards=args.shards)
-    expected_q = sol.Q
+def _cmd_simulate(args: argparse.Namespace) -> None:
+    e, label, dsn = _designed(args)
+    report = sample(dsn, e, trials=args.trials, seed=args.seed)
+    expected_q = dsn.solution.Q
     sigma_band = 5.0 * math.sqrt(
         max(expected_q * (1.0 - expected_q), 0.0) / report.trials
     )
-    payload: dict[str, Any] = {"schema": SCHEMA_SIMULATION}
-    if label:
-        payload["label"] = label
+    payload = _header(SCHEMA_SIMULATION, label)
     payload["trials"] = report.trials
     payload["seed"] = report.seed
-    payload["shards"] = report.shards
+    # Kept at 1 for readers of the qfilter.simulation/1 schema; runs are
+    # no longer split into independently seeded shards.
+    payload["shards"] = 1
     payload["state1_port"] = dsn.state1_port
     payload["exact_probabilities"] = report.exact_probabilities
     payload["counts"] = report.counts
@@ -388,14 +379,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     _emit_json(payload, args.output)
     weighted = float(np.dot(e.priors, report.exact_probabilities[:, 3]))
     if abs(weighted - expected_q) > max(args.tolerance, 1e-10):
-        return _fail(
-            "simulate",
-            f"exact failure-port average {weighted!r} does not match Q={expected_q!r}",
+        raise QFilterError(
+            f"exact failure-port average {weighted!r} does not match Q={expected_q!r}"
         )
     if report.violations:
-        return _fail(
-            "simulate",
-            f"{report.violations} forbidden-port clicks in {report.trials} trials",
+        raise QFilterError(
+            f"{report.violations} forbidden-port clicks in {report.trials} trials"
         )
     counts_total = report.counts.sum(axis=1, keepdims=True)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -404,100 +393,77 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     bands = 5.0 * np.sqrt(np.maximum(exact * (1.0 - exact), 0.0) / report.trials)
     excess = np.abs(freq - exact) - bands
     if np.any(excess > 1e-15):
-        _warn(
-            "simulate",
-            "an empirical port frequency sits outside its 5-sigma band "
-            f"(worst excess {float(excess.max()):.3e}); "
+        print(
+            "warning: simulate: an empirical port frequency sits outside its "
+            f"5-sigma band (worst excess {float(excess.max()):.3e}); "
             "rerun with another seed to check",
+            file=sys.stderr,
         )
-    return 0
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: argparse.Namespace) -> None:
     e, label = load_ensemble(args.input)
     record = oracle_compare(e, resolution=args.resolution)
     if record.Q > record.Q_prime + 1e-9 and record.Q_prime > 1e-12:
-        return _fail(
-            "compare",
+        raise QFilterError(
             f"filtering failure {record.Q!r} exceeds identification failure "
-            f"{record.Q_prime!r} by more than 1e-9",
+            f"{record.Q_prime!r} by more than 1e-9"
         )
-    payload: dict[str, Any] = {"schema": SCHEMA_COMPARISON}
-    if label:
-        payload["label"] = label
+    payload = _header(SCHEMA_COMPARISON, label)
     payload["Q"] = record.Q
     payload["Q_prime"] = record.Q_prime
     payload["Q_double_prime"] = record.Q_double_prime
     payload["ratio"] = record.ratio
     payload["resolution"] = record.resolution
     _emit_json(payload, args.output)
-    return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    start, stop, step = args.start, args.stop, args.step
+def _cmd_sweep(args: argparse.Namespace) -> None:
+    """CSV over s of the family O12 = O13 = s, with O23 = s or O23 = --s2."""
+    start, stop, step, s2 = args.start, args.stop, args.step, args.s2
     if step <= 0.0:
-        return _fail("sweep", f"step must be positive, got {step!r}")
+        raise QFilterError(f"step must be positive, got {step!r}")
     if not (0.0 < start <= stop < 1.0):
-        return _fail(
-            "sweep",
-            f"range [{start!r}, {stop!r}] must satisfy 0 < start <= stop < 1",
+        raise QFilterError(
+            f"range [{start!r}, {stop!r}] must satisfy 0 < start <= stop < 1"
         )
+    symmetric = args.family == "symmetric_s"
+    if not symmetric and not 0.0 < s2 < 1.0:
+        raise QFilterError(f"--s2 must lie in (0, 1), got {s2!r}")
     priors = np.asarray(args.priors, dtype=float)
     equal_priors = bool(np.allclose(priors, 1.0 / 3.0, atol=1e-12))
     grid = np.arange(start, stop + step / 2.0, step)
     grid = grid[(grid > 0.0) & (grid < 1.0)]
-    buffer = io.StringIO()
-    buffer.write(f"# {SCHEMA_SWEEP}\n")
-    if args.family == "symmetric_s":
-        buffer.write("s,Q,Q_prime,Q_double_prime\n")
-        q_rows, qp_rows = [], []
-        for s in grid:
-            try:
-                e = ensemble_from_overlaps(s, s, s, priors=priors)
-                q_val = solve(e).Q
-                if equal_priors:
-                    qp_val = float(s)
-                else:
-                    qp_val = three_state_Q(e, resolution=args.resolution)
-            except QFilterError as exc:
-                return _fail("sweep", f"s={s:.15g}: {exc}")
-            qpp_val = two_state_Q(e)
-            q_rows.append(q_val)
-            qp_rows.append(qp_val)
-            buffer.write(
-                f"{_sig15(float(s)):.15g},{_sig15(q_val):.15g},"
-                f"{_sig15(qp_val):.15g},{_sig15(qpp_val):.15g}\n"
-            )
-        for name, rows in (("Q", q_rows), ("Q_prime", qp_rows)):
-            diffs = np.diff(rows)
-            if np.any(diffs < -1e-12):
-                return _fail(
-                    "sweep", f"{name} is not monotone nondecreasing in s"
-                )
-    else:  # two_overlap
-        s2 = args.s2
-        if not 0.0 < s2 < 1.0:
-            return _fail("sweep", f"--s2 must lie in (0, 1), got {s2!r}")
-        buffer.write("s1,s2,Q,Q_prime,ratio\n")
-        for s1 in grid:
-            try:
-                e = ensemble_from_overlaps(s1, s1, s2, priors=priors)
-                q_val = solve(e).Q
-                if equal_priors and s1 * s1 <= s2 + 1e-12:
-                    qp_val = (s1 * s1 / s2 + 2.0 * s2) / 3.0
-                else:
-                    qp_val = three_state_Q(e, resolution=args.resolution)
-            except QFilterError as exc:
-                return _fail("sweep", f"s1={s1:.15g}, s2={s2:.15g}: {exc}")
+    header = "s,Q,Q_prime,Q_double_prime" if symmetric else "s1,s2,Q,Q_prime,ratio"
+    lines = [f"# {SCHEMA_SWEEP}", header]
+    q_rows, qp_rows = [], []
+    for s in grid:
+        o23 = s if symmetric else s2
+        try:
+            e = ensemble_from_overlaps(s, s, o23, priors=priors)
+            q_val = solve(e).Q
+            # At equal priors Q' has a closed form: s on symmetric_s (where
+            # s*s <= s = o23 always holds), and on two_overlap while s*s <= s2.
+            if equal_priors and s * s <= o23 + 1e-12:
+                qp_val = float(s) if symmetric else (s * s / s2 + 2.0 * s2) / 3.0
+            else:
+                qp_val = three_state_Q(e, resolution=args.resolution)
+        except QFilterError as exc:
+            where = f"s={s:.15g}" if symmetric else f"s1={s:.15g}, s2={s2:.15g}"
+            raise QFilterError(f"{where}: {exc}") from exc
+        if symmetric:
+            row = (s, q_val, qp_val, two_state_Q(e))
+        else:
             ratio = 1.0 if qp_val <= 1e-12 else q_val / qp_val
-            buffer.write(
-                f"{_sig15(float(s1)):.15g},{_sig15(float(s2)):.15g},"
-                f"{_sig15(q_val):.15g},{_sig15(qp_val):.15g},"
-                f"{_sig15(ratio):.15g}\n"
-            )
-    _emit(buffer.getvalue(), args.output)
-    return 0
+            row = (s, s2, q_val, qp_val, ratio)
+        lines.append(",".join(f"{_sig15(float(x)):.15g}" for x in row))
+        q_rows.append(q_val)
+        qp_rows.append(qp_val)
+    if symmetric:
+        for name, rows in (("Q", q_rows), ("Q_prime", qp_rows)):
+            if np.any(np.diff(rows) < -1e-12):
+                raise QFilterError(f"{name} is not monotone nondecreasing in s")
+    _emit("\n".join(lines) + "\n", args.output)
 
 
 # --------------------------------------------------------------------------
@@ -505,21 +471,26 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser, *, needs_input: bool) -> None:
-    if needs_input:
-        parser.add_argument(
-            "--input", required=True, metavar="PATH", help="ensemble JSON file"
-        )
-    parser.add_argument(
-        "--output", metavar="PATH", help="write the artifact here instead of stdout"
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=DEFAULT_TOLERANCE,
-        metavar="T",
-        help=f"validation tolerance (default {DEFAULT_TOLERANCE})",
-    )
+def _tolerance(text: str) -> float:
+    """The ``--tolerance`` value: a finite float >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite value >= 0, got {text!r}")
+    return value
+
+
+#: Each subcommand: its name, its handler and its one-line help.
+_COMMANDS = (
+    ("solve", _cmd_solve, "optimal failure probabilities and regime for an ensemble"),
+    ("design", _cmd_design, "success/failure vectors and the 4x4 unitary"),
+    ("synthesize", _cmd_synthesize, "beam-splitter layer decomposition of the unitary"),
+    ("simulate", _cmd_simulate, "Monte Carlo audit of the designed measurement"),
+    ("compare", _cmd_compare, "filtering vs full-identification failure probabilities"),
+    ("sweep", _cmd_sweep, "CSV of Q and comparison curves over an overlap family"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -532,60 +503,34 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+    for name, func, help_text in _COMMANDS:
+        command = commands[name] = sub.add_parser(name, help=help_text)
+        command.set_defaults(func=func)
+        if name != "sweep":
+            command.add_argument(
+                "--input", required=True, metavar="PATH", help="ensemble JSON file"
+            )
+        command.add_argument(
+            "--output", metavar="PATH", help="write the artifact here instead of stdout"
+        )
+        command.add_argument(
+            "--tolerance",
+            type=_tolerance,
+            default=DEFAULT_TOLERANCE,
+            metavar="T",
+            help=f"validation tolerance, finite and >= 0 (default {DEFAULT_TOLERANCE})",
+        )
 
-    p_solve = sub.add_parser(
-        "solve", help="optimal failure probabilities and regime for an ensemble"
-    )
-    _add_common(p_solve, needs_input=True)
-    p_solve.set_defaults(func=_cmd_solve)
-
-    p_design = sub.add_parser(
-        "design", help="success/failure vectors and the 4x4 unitary"
-    )
-    _add_common(p_design, needs_input=True)
-    p_design.set_defaults(func=_cmd_design)
-
-    p_synth = sub.add_parser(
-        "synthesize", help="beam-splitter layer decomposition of the unitary"
-    )
-    _add_common(p_synth, needs_input=True)
-    p_synth.set_defaults(func=_cmd_synthesize)
-
-    p_sim = sub.add_parser(
-        "simulate", help="Monte Carlo audit of the designed measurement"
-    )
-    _add_common(p_sim, needs_input=True)
+    p_sim = commands["simulate"]
     p_sim.add_argument(
         "--trials", type=int, default=100_000, metavar="N", help="number of shots"
     )
     p_sim.add_argument(
         "--seed", type=int, default=0, metavar="N", help="RNG seed (recorded)"
     )
-    p_sim.add_argument(
-        "--shards", type=int, default=1, metavar="N", help="independent RNG shards"
-    )
-    p_sim.set_defaults(func=_cmd_simulate)
 
-    p_cmp = sub.add_parser(
-        "compare", help="filtering vs full-identification failure probabilities"
-    )
-    _add_common(p_cmp, needs_input=True)
-    p_cmp.add_argument(
-        "--resolution",
-        type=float,
-        default=1e-3,
-        metavar="R",
-        help=(
-            "bracketing step of the identification optimum, which is exact "
-            "to ~1e-12 at any step (default 1e-3)"
-        ),
-    )
-    p_cmp.set_defaults(func=_cmd_compare)
-
-    p_sweep = sub.add_parser(
-        "sweep", help="CSV of Q and comparison curves over an overlap family"
-    )
-    _add_common(p_sweep, needs_input=False)
+    p_sweep = commands["sweep"]
     p_sweep.add_argument(
         "--family",
         choices=("symmetric_s", "two_overlap"),
@@ -610,29 +555,30 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("P1", "P2", "P3"),
         help="prior probabilities (default equal)",
     )
-    p_sweep.add_argument(
-        "--resolution",
-        type=float,
-        default=1e-3,
-        metavar="R",
-        help=(
-            "bracketing step of the identification optima, which are exact "
-            "to ~1e-12 at any step (default 1e-3)"
-        ),
-    )
-    p_sweep.set_defaults(func=_cmd_sweep)
+
+    for name in ("compare", "sweep"):
+        commands[name].add_argument(
+            "--resolution",
+            type=float,
+            default=1e-3,
+            metavar="R",
+            help=(
+                "bracketing step of the identification optimum, which is "
+                "exact to ~1e-12 at any step (default 1e-3)"
+            ),
+        )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return int(args.func(args))
-    except QFilterError as exc:
-        return _fail(args.command, str(exc))
-    except (ValueError, OverflowError) as exc:
-        return _fail(args.command, str(exc))
+        args.func(args)
+    except (QFilterError, ValueError, OverflowError) as exc:
+        stage = exc.stage if isinstance(exc, _StageError) else args.command
+        print(f"error: {stage}: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

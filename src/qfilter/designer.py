@@ -47,7 +47,7 @@ from .errors import (
 )
 from .filter_core import FilterSolution, solve
 from .multiport import decompose
-from .states import Ensemble, overlaps
+from .states import Ensemble, gram_matrix, overlaps
 
 __all__ = [
     "MeasurementDesign",
@@ -345,7 +345,7 @@ def _input_frame(e: Ensemble) -> _InputFrame:
         ins = [np.asarray(v, dtype=complex) for v in embed_inputs(e)]
         basis, kept = _orthonormal_basis(ins)
         complement, _ = _orthonormal_basis(_MODE_BASIS, against=basis, pivot=True)
-        frame = _InputFrame(np.conj(ins) @ np.transpose(ins), basis, kept, complement)
+        frame = _InputFrame(gram_matrix(ins), basis, kept, complement)
         _INPUT_FRAMES[e] = frame
     return frame
 
@@ -375,7 +375,7 @@ def complete_unitary(e: Ensemble, outputs) -> np.ndarray:
     outs = [np.asarray(v, dtype=complex) for v in outputs]
     if len(outs) != 3 or any(v.shape != (NETWORK_DIM,) for v in outs):
         raise DomainError("outputs must be three 4-mode vectors")
-    diff = np.abs(frame.gram - np.conj(outs) @ np.transpose(outs))
+    diff = np.abs(frame.gram - gram_matrix(outs))
     worst = float(diff.max())
     if worst > GRAM_TOL:
         i, j = np.unravel_index(int(diff.argmax()), diff.shape)

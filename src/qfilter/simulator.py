@@ -54,10 +54,7 @@ class SimulationReport:
     empirical_Q:
         Fraction of trials that ended on the failure port (port 4).
     seed:
-        Seed the run can be replayed with.
-    shards:
-        Number of independent substreams the trials were split across;
-        results are deterministic for fixed (seed, shards).
+        Seed the run can be replayed with; a fixed seed gives fixed counts.
     """
 
     exact_probabilities: np.ndarray
@@ -66,7 +63,6 @@ class SimulationReport:
     violations: int
     empirical_Q: float
     seed: int
-    shards: int
 
 
 def port_probabilities(design: MeasurementDesign, i: int) -> np.ndarray:
@@ -82,26 +78,15 @@ def port_probabilities(design: MeasurementDesign, i: int) -> np.ndarray:
     return np.abs(amplitudes) ** 2
 
 
-def _shard_sizes(trials: int, shards: int) -> list[int]:
-    base, extra = divmod(trials, shards)
-    return [base + (1 if k < extra else 0) for k in range(shards)]
-
-
 def sample(
-    design: MeasurementDesign,
-    e: Ensemble,
-    trials: int,
-    seed: int,
-    *,
-    shards: int = 1,
+    design: MeasurementDesign, e: Ensemble, trials: int, seed: int
 ) -> SimulationReport:
     """Draw `trials` photons and tabulate clicks, failures, and violations.
 
     Each trial draws an input state from the priors and an output port
-    from that state's exact port distribution.  Trials are split across
-    `shards` independent substreams spawned from `seed`, so a run is
-    reproducible for a fixed (seed, shards) pair regardless of how the
-    shards are executed.  Probabilities below ``ZERO_PROB_TOL`` are
+    from that state's exact port distribution.  The draws come from the
+    first stream spawned from ``SeedSequence(seed)``, so a fixed seed
+    reproduces the run exactly.  Probabilities below ``ZERO_PROB_TOL`` are
     clamped to exact zeros before sampling.
     """
     trials = int(trials)
@@ -109,9 +94,6 @@ def sample(
         raise DomainError(f"trials must be >= 1, got {trials}")
     if trials > MAX_TRIALS:
         raise DomainError(f"trials must not exceed {MAX_TRIALS:g}, got {trials}")
-    shards = int(shards)
-    if shards < 1:
-        raise DomainError(f"shards must be >= 1, got {shards}")
     for given, built in zip(e.states, design.embedded_inputs):
         if np.max(np.abs(given.padded(4) - built)) > 1e-9:
             raise DomainError(
@@ -122,15 +104,11 @@ def sample(
     clean = np.where(exact < ZERO_PROB_TOL, 0.0, exact)
     clean = clean / clean.sum(axis=1, keepdims=True)
     counts = np.zeros((3, 4), dtype=np.int64)
-    children = np.random.SeedSequence(seed).spawn(shards)
-    for child, n in zip(children, _shard_sizes(trials, shards)):
-        if n == 0:
-            continue
-        rng = np.random.default_rng(child)
-        per_state = rng.multinomial(n, e.priors)
-        for i in range(3):
-            if per_state[i]:
-                counts[i] += rng.multinomial(per_state[i], clean[i])
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    per_state = rng.multinomial(trials, e.priors)
+    for i in range(3):
+        if per_state[i]:
+            counts[i] = rng.multinomial(per_state[i], clean[i])
     claim = design.state1_port - 1
     set_ports = [m - 1 for m in design.set_ports]
     violations = int(
@@ -147,7 +125,6 @@ def sample(
         violations=violations,
         empirical_Q=empirical_q,
         seed=int(seed),
-        shards=shards,
     )
 
 

@@ -218,18 +218,14 @@ def overlaps(e: Ensemble) -> OverlapSet:
 def gram_matrix(vectors) -> np.ndarray:
     """Gram matrix G[i, j] = <v_i|v_j> of a sequence of vectors.
 
-    Accepts :class:`StateVector` instances or plain arrays.
+    Accepts :class:`StateVector` instances or plain arrays of one length.
+    G is ``conj(A) @ A.T`` for the matrix A whose rows are the vectors.
     """
-    arrs = [
-        v.amplitudes if isinstance(v, StateVector) else np.asarray(v, dtype=complex)
-        for v in vectors
-    ]
-    n = len(arrs)
-    g = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            g[i, j] = np.vdot(arrs[i], arrs[j])
-    return g
+    rows = np.array(
+        [v.amplitudes if isinstance(v, StateVector) else v for v in vectors],
+        dtype=complex,
+    )
+    return np.conj(rows) @ rows.T
 
 
 def projector_23(e: Ensemble) -> np.ndarray:

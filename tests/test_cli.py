@@ -121,6 +121,28 @@ class TestDiagnostics:
         assert capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("priors", [[True, False, False], [0.5, 0.5, False]])
+    def test_boolean_priors_are_rejected(self, tmp_path, capsys, priors):
+        bad = tmp_path / "bad.json"
+        doc = json.loads(open(FIFTY_FIFTY).read())
+        bad.write_text(json.dumps(dict(doc, priors=priors)))
+        assert main(["solve", "--input", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "field 'priors' contains a non-number" in captured.err
+
+    @pytest.mark.parametrize("part", ["re", "im"])
+    def test_boolean_re_im_is_rejected(self, tmp_path, capsys, part):
+        bad = tmp_path / "bad.json"
+        doc = json.loads(open(FIFTY_FIFTY).read())
+        doc["states"][0][1] = {"re": 0.0, "im": 0.0, part: False}
+        bad.write_text(json.dumps(doc))
+        assert main(["solve", "--input", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "states[0][1]: non-numeric re/im value" in captured.err
+
+
 class TestDesignCommand:
     def test_artifact_contents(self, capsys):
         doc = run_json(capsys, ["design", "--input", FIFTY_FIFTY])
@@ -185,18 +207,6 @@ class TestSimulateCommand:
         assert doc["seed"] == 7
         assert doc["violations"] == 0
         assert abs(doc["empirical_Q"] - 4.0 / 9.0) <= doc["five_sigma_band"]
-
-    def test_sharded_run_is_reported(self, capsys):
-        doc = run_json(
-            capsys,
-            [
-                "simulate", "--input", FIFTY_FIFTY,
-                "--trials", "10000", "--seed", "3", "--shards", "4",
-            ],
-        )
-        assert doc["shards"] == 4
-        counts = np.array(doc["counts"])
-        assert counts.sum() == 10000
 
     def test_out_of_band_warning_reports_the_worst_per_entry_excess(
         self, monkeypatch, capsys
@@ -318,6 +328,25 @@ class TestSweepCommand:
             assert qpp == pytest.approx(s, abs=1e-12)
         assert all(b[2] >= a[2] for a, b in zip(rows, rows[1:]))
 
+    @pytest.mark.parametrize("family", ["symmetric_s", "two_overlap"])
+    def test_only_the_symmetric_family_checks_monotonicity(
+        self, family, monkeypatch, capsys
+    ):
+        falling = iter([0.5, 0.4, 0.3])
+        monkeypatch.setattr(cli, "three_state_Q", lambda e, resolution: next(falling))
+        code = main(
+            [
+                "sweep", "--family", family, "--priors", "0.5", "0.3", "0.2",
+                "--start", "0.2", "--stop", "0.4", "--step", "0.1",
+            ]
+        )
+        err = capsys.readouterr().err
+        if family == "symmetric_s":
+            assert code == 1
+            assert err == "error: sweep: Q_prime is not monotone nondecreasing in s\n"
+        else:
+            assert code == 0, err
+
     def test_writes_csv_file(self, tmp_path, capsys):
         target = tmp_path / "sweep.csv"
         code = main(
@@ -343,6 +372,27 @@ class TestSweepCommand:
 
 
 class TestToleranceFlag:
+    COMMANDS = {
+        "solve": ["--input", FIFTY_FIFTY],
+        "design": ["--input", FIFTY_FIFTY],
+        "synthesize": ["--input", FIFTY_FIFTY],
+        "simulate": ["--input", FIFTY_FIFTY, "--trials", "100"],
+        "compare": ["--input", FIFTY_FIFTY],
+        "sweep": ["--start", "0.3", "--stop", "0.3"],
+    }
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e-3"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_non_finite_or_negative_tolerance_is_refused(
+        self, command, value, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *self.COMMANDS[command], f"--tolerance={value}"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --tolerance: must be a finite value >= 0" in captured.err
+
     def test_tolerance_is_accepted_everywhere(self, capsys):
         for argv in (
             ["solve", "--input", FIFTY_FIFTY, "--tolerance", "1e-8"],

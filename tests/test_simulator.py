@@ -71,15 +71,6 @@ class TestSampling:
         np.testing.assert_array_equal(a.counts, b.counts)
         assert a.empirical_Q == b.empirical_Q
 
-    def test_shard_merge_is_deterministic(self):
-        e = fifty_fifty_ensemble()
-        dsn = design(e)
-        a = sample(dsn, e, trials=8_000, seed=9, shards=4)
-        b = sample(dsn, e, trials=8_000, seed=9, shards=4)
-        np.testing.assert_array_equal(a.counts, b.counts)
-        assert int(a.counts.sum()) == 8_000
-        assert a.shards == 4
-
     def test_different_seeds_differ(self):
         e = fifty_fifty_ensemble()
         dsn = design(e)
@@ -115,8 +106,6 @@ class TestSampling:
             sample(dsn, e, trials=0, seed=0)
         with pytest.raises(DomainError):
             sample(dsn, e, trials=10**9 + 1, seed=0)
-        with pytest.raises(DomainError):
-            sample(dsn, e, trials=100, seed=0, shards=0)
 
     def test_design_and_ensemble_must_match(self):
         e = fifty_fifty_ensemble()

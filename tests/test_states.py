@@ -168,6 +168,10 @@ class TestOverlaps:
         rng = np.random.default_rng(12)
         e = random_ensemble(rng)
         gram = gram_matrix(e.states)
+        ov = overlaps(e)
+        np.testing.assert_allclose(
+            [gram[0, 1], gram[0, 2], gram[1, 2]], [ov.O12, ov.O13, ov.O23], atol=1e-14
+        )
         np.testing.assert_allclose(gram, gram.conj().T, atol=1e-14)
         np.testing.assert_allclose(np.diag(gram).real, 1.0, atol=1e-12)
         assert np.linalg.eigvalsh(gram).min() > -1e-12
