@@ -8,8 +8,9 @@ JSON artifact (CSV for sweeps) to stdout or ``--output``.  The exit code
 is 0 exactly when every validation passes.  Parse and validation
 failures exit 1 and are reported on stderr as ``error: <stage>:
 <message>``, naming the stage that failed and, for input errors, the
-field.  ``--tolerance`` must be a finite value >= 0; any other value,
-like any bad argument, is a usage error (exit 2).
+field.  ``--tolerance`` must be a finite value >= 0 and ``--seed`` an
+integer >= 0; any other value, like any bad argument, is a usage error
+(exit 2).
 
 Floating-point values in artifacts are printed at 15 significant digits
 so that emitted files are stable enough to serve as regression fixtures.
@@ -97,9 +98,9 @@ def _emit_json(payload: dict, output: str | None) -> None:
 
 
 def _json_float(raw: Any) -> float:
-    """``float(raw)``, refusing a JSON boolean rather than reading it as 0 or 1."""
-    if isinstance(raw, bool):
-        raise TypeError("a boolean is not a number")
+    """``float(raw)`` of a JSON number; a boolean or a string is refused."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise TypeError(f"a JSON {type(raw).__name__} is not a number")
     return float(raw)
 
 
@@ -138,7 +139,8 @@ def load_ensemble(path: str) -> tuple[Ensemble, str | None]:
         }
 
     Amplitudes may be ``{re, im}`` objects or bare numbers (treated as
-    real).  JSON booleans are refused wherever a number is expected.
+    real).  Only JSON numbers are read as numbers: booleans and strings are
+    refused wherever a number is expected.
     Parse problems are reported with the offending line or field path;
     validation problems with the violated constraint.
     """
@@ -428,8 +430,12 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
             f"range [{start!r}, {stop!r}] must satisfy 0 < start <= stop < 1"
         )
     symmetric = args.family == "symmetric_s"
-    if not symmetric and not 0.0 < s2 < 1.0:
-        raise QFilterError(f"--s2 must lie in (0, 1), got {s2!r}")
+    if symmetric and s2 is not None:
+        raise QFilterError("--s2 applies only to the two_overlap family")
+    if not symmetric:
+        s2 = 0.8 if s2 is None else s2
+        if not 0.0 < s2 < 1.0:
+            raise QFilterError(f"--s2 must lie in (0, 1), got {s2!r}")
     priors = np.asarray(args.priors, dtype=float)
     equal_priors = bool(np.allclose(priors, 1.0 / 3.0, atol=1e-12))
     grid = np.arange(start, stop + step / 2.0, step)
@@ -482,6 +488,17 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """The ``--seed`` value: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return value
+
+
 #: Each subcommand: its name, its handler and its one-line help.
 _COMMANDS = (
     ("solve", _cmd_solve, "optimal failure probabilities and regime for an ensemble"),
@@ -527,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trials", type=int, default=100_000, metavar="N", help="number of shots"
     )
     p_sim.add_argument(
-        "--seed", type=int, default=0, metavar="N", help="RNG seed (recorded)"
+        "--seed", type=_seed, default=0, metavar="N", help="RNG seed, >= 0 (recorded)"
     )
 
     p_sweep = commands["sweep"]
@@ -543,9 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--s2",
         type=float,
-        default=0.8,
         metavar="S",
-        help="fixed second overlap for the two_overlap family (default 0.8)",
+        help="fixed second overlap of the two_overlap family only (default 0.8)",
     )
     p_sweep.add_argument(
         "--priors",

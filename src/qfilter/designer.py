@@ -21,12 +21,16 @@ success vectors that leave L invariant — is a discrete gauge.  :func:`design`
 scores every gauge as a signed row permutation of one completed unitary and
 keeps the one that synthesizes into the simplest mesh: fewest beam-splitter
 layers first, then the largest real trace of the upper-left 3x3 block (the
-most "pass-through" network), with deterministic tie-breaks.
+most "pass-through" network), with deterministic tie-breaks.  Layers are
+counted by the nulling kernel of :mod:`qfilter.multiport` on Python rows of
+that unitary; no mesh program is built for a candidate.
 
 :func:`complete_unitary` orthonormalizes the inputs (and completes their
 span to all 4 modes) once per ensemble and keeps that input frame for every
 later call on the same ensemble; each call then orthonormalizes only its
-outputs.  Both pivoted completions stop once their basis spans the 4 modes.
+outputs.  Both pivoted completions stop once their basis spans the 4 modes,
+and project out only the coordinate directions whose residual, read off the
+basis, can be the largest.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from .errors import (
     NoUnitaryError,
 )
 from .filter_core import FilterSolution, solve
-from .multiport import decompose
+from .multiport import _layer_count
 from .states import Ensemble, gram_matrix, overlaps
 
 __all__ = [
@@ -284,44 +288,69 @@ def _norm(w: np.ndarray) -> float:
     return math.sqrt(w.real.dot(w.real) + w.imag.dot(w.imag))
 
 
-def _orthonormal_basis(
-    vectors: list[np.ndarray],
-    against: list[np.ndarray] | None = None,
-    *,
-    pivot: bool = False,
-) -> tuple[list[np.ndarray], list[int]]:
-    """Gram-Schmidt; returns (new basis vectors, kept source indices).
+def _orthonormal_basis(vectors: list[np.ndarray]) -> tuple[list[np.ndarray], list[int]]:
+    """Gram-Schmidt in input order; returns (basis vectors, kept source indices).
 
-    With ``pivot=False`` the input order is preserved and near-dependent
-    vectors are dropped; this keeps the kept-index pattern meaningful for
-    mirroring onto a second vector set with the same Gram matrix.  With
-    ``pivot=True`` the largest residual is taken first, which is the
-    numerically safe choice when any spanning set will do (completing a
-    basis from coordinate directions).  Either way it stops once the basis
-    spans the whole space: every further residual is rounding noise.
+    Near-dependent vectors are dropped; keeping the input order makes the
+    kept-index pattern meaningful for mirroring onto a second vector set
+    with the same Gram matrix.
     """
-    basis: list[np.ndarray] = [] if against is None else list(against)
-    start = len(basis)
+    basis: list[np.ndarray] = []
     kept: list[int] = []
-    remaining = list(range(len(vectors)))
-    while remaining and len(basis) < len(vectors[0]):
-        pool = remaining if pivot else remaining[:1]
-        residuals = [(k, _project_out(vectors[k], basis)) for k in pool]
-        norms = [_norm(w) for _, w in residuals]
-        norm = max(norms)
-        k, w = residuals[norms.index(norm)]
-        remaining.remove(k)
+    for k, vec in enumerate(vectors):
+        w = _project_out(vec, basis)
+        norm = _norm(w)
         if norm > 1e-10:
             basis.append(w / norm)
             kept.append(k)
-        elif pivot:
-            break  # the largest residual is negligible; nothing spans more
-    return basis[start:], kept
+    return basis, kept
 
 
 #: The coordinate directions (rows) a completion draws its complement from.
 _MODE_BASIS = np.eye(NETWORK_DIM, dtype=complex)
 _MODE_BASIS.setflags(write=False)
+#: Squared-norm margin within which a pivot candidate is still projected out.
+#: Not a tuning knob: any margin far above rounding picks the same pivots, and
+#: a larger one only prunes less.
+_PIVOT_MARGIN = 1e-8
+
+
+def _complement(basis: list[np.ndarray]) -> list[np.ndarray]:
+    """Orthonormal completion of an orthonormal `basis` to all 4 modes.
+
+    Pivoted Gram-Schmidt over the coordinate directions: each round takes the
+    one with the largest residual (the first on a tie), which is the
+    numerically safe choice when any spanning set will do.  It stops once the
+    basis spans the 4 modes, or when the largest residual is negligible.
+
+    The residual of e_k against an orthonormal basis has squared norm
+    ``1 - m_k`` with ``m_k = sum_j |b_j[k]|^2``, read off the basis for every
+    candidate at once.  Both that value and the squared norm of the two-pass
+    residual that :func:`_project_out` computes equal the exact ``|P e_k|^2``
+    to within a few ulp (~1e-15), because the basis is orthonormal to working
+    precision.  A candidate whose ``m_k`` exceeds the least by more than
+    ``_PIVOT_MARGIN`` therefore computes a residual strictly smaller than
+    the least-mass candidate's, so it can neither be the largest nor tie with
+    it.  Only the candidates within the margin are projected out, and the
+    pick among them is the unpruned rule's, bit for bit.
+    """
+    full = list(basis)
+    remaining = list(range(NETWORK_DIM))
+    while remaining and len(full) < NETWORK_DIM:
+        rows = np.array(full)
+        mass = (rows.real ** 2 + rows.imag ** 2).sum(axis=0).tolist()
+        least = min(mass[k] for k in remaining)
+        pool = [k for k in remaining if mass[k] <= least + _PIVOT_MARGIN]
+        residuals = [(k, _project_out(_MODE_BASIS[k], full)) for k in pool]
+        norms = [_norm(w) for _, w in residuals]
+        norm = max(norms)
+        k, w = residuals[norms.index(norm)]
+        remaining.remove(k)
+        if norm > 1e-10:
+            full.append(w / norm)
+        else:
+            break  # the largest residual is negligible; nothing spans more
+    return full[len(basis):]
 
 
 class _InputFrame(NamedTuple):
@@ -344,8 +373,7 @@ def _input_frame(e: Ensemble) -> _InputFrame:
     if frame is None:
         ins = [np.asarray(v, dtype=complex) for v in embed_inputs(e)]
         basis, kept = _orthonormal_basis(ins)
-        complement, _ = _orthonormal_basis(_MODE_BASIS, against=basis, pivot=True)
-        frame = _InputFrame(gram_matrix(ins), basis, kept, complement)
+        frame = _InputFrame(gram_matrix(ins), basis, kept, _complement(basis))
         _INPUT_FRAMES[e] = frame
     return frame
 
@@ -363,7 +391,9 @@ def complete_unitary(e: Ensemble, outputs) -> np.ndarray:
     The input side (Gram matrix, orthonormal basis, pivoted complement) is
     computed once per ensemble and reused by every later call; only the
     output side is orthonormalized per call.  Both pivoted completions stop
-    as soon as their basis spans the 4 modes.
+    as soon as their basis spans the 4 modes; each round projects out only
+    the coordinate directions whose residual norm, read off the basis, is
+    within rounding of the largest (see :func:`_complement`).
 
     Raises
     ------
@@ -391,8 +421,7 @@ def complete_unitary(e: Ensemble, outputs) -> np.ndarray:
     mat = np.zeros((NETWORK_DIM, NETWORK_DIM), dtype=complex)
     for u, v in zip(frame.basis, out_basis):
         mat += np.outer(v, np.conj(u))
-    comp_out, _ = _orthonormal_basis(_MODE_BASIS, against=out_basis, pivot=True)
-    for z, w in zip(frame.complement, comp_out):
+    for z, w in zip(frame.complement, _complement(out_basis)):
         pivot = int(np.argmax(np.abs(w)))
         w = w / (w[pivot] / abs(w[pivot]))
         mat += np.outer(w, np.conj(z))
@@ -430,13 +459,17 @@ def design(e: Ensemble, sol: FilterSolution | None = None) -> MeasurementDesign:
     block), then the standard placement and unflipped signs.
 
     One unitary U0 is completed in the standard gauge and each candidate
-    is scored as ``diag * U0[perm]`` (:func:`_gauge_candidates`).  Diagonal
-    phases leave the layer count unchanged, so :func:`decompose` runs once
-    per permutation, and only the winner is rebuilt.  Inputs spanning fewer
-    than 3 modes (whose pivoted completion is not permutation-equivariant)
-    and lone flips at theta != pi/4 complete and factor every candidate.
-    Every completion of one ensemble shares its input frame, which is
-    computed once (see :func:`complete_unitary`); the rank test reads it too.
+    is scored as ``diag * U0[perm]`` (:func:`_gauge_candidates`) on Python
+    rows: ``U0.tolist()`` is taken once and each candidate is a row-permuted
+    list of it.  Diagonal phases leave the layer count unchanged, so layers
+    are counted once per permutation, by the nulling kernel that
+    :func:`qfilter.multiport.decompose` wraps (same layers, without its
+    input checks or layer objects); the trace keys are read from the same
+    rows, and only the winner is rebuilt.  Inputs spanning fewer than 3
+    modes (whose pivoted completion is not permutation-equivariant) and lone
+    flips at theta != pi/4 complete and count every candidate.  Every
+    completion of one ensemble shares its input frame, which is computed
+    once (see :func:`complete_unitary`); the rank test reads it too.
     """
     if sol is None:
         sol = solve(e)
@@ -454,18 +487,19 @@ def design(e: Ensemble, sol: FilterSolution | None = None) -> MeasurementDesign:
     permutable = len(_input_frame(e).kept) == 3 and (
         not l23_free or abs(base[1] - np.pi / 4.0) <= 1e-12
     )
+    base_rows = base[2].tolist()
     layer_counts: dict = {}
     scored, traces = [], []
     for swap, sign_index, signs, perm, diag in _gauge_candidates(l23_free):
         built = base if (swap, sign_index) == (False, 0) else None
         if permutable:
-            unitary, layers_key = base[2][perm, :], perm
+            rows, layers_key = [base_rows[i] for i in perm], perm
         else:
             built = built or build(swap, signs)
-            unitary, layers_key, diag = built[2], (swap, sign_index), (1, 1, 1)
+            rows, layers_key, diag = built[2].tolist(), (swap, sign_index), (1, 1, 1)
         if layers_key not in layer_counts:
-            layer_counts[layers_key] = len(decompose(unitary).layers)
-        traces.append(sum(diag[i] * unitary[i, i].real for i in range(3)))
+            layer_counts[layers_key] = _layer_count(rows)
+        traces.append(sum(diag[i] * rows[i][i].real for i in range(3)))
         scored.append((layer_counts[layers_key], int(swap), sign_index, signs, built))
     # One rounding over all candidates; the same values as round(-trace, 9).
     trace_keys = np.round(-np.array(traces), 9).tolist()

@@ -13,6 +13,11 @@ factors a unitary by triangular nulling (last column first, two-row updates
 on Python scalars) into at most N(N-1)/2 such layers plus residual phases in
 (-pi, pi] applied on the input side; :func:`recompose`, an independent
 matrix-path check, multiplies back ``L_1 @ ... @ L_k @ diag(exp(i * phases))``.
+
+The nulling itself is one private kernel on Python rows.  :func:`decompose`
+wraps it with its input checks, layer objects and phases; the designer's
+gauge search calls it through ``_layer_count``, which only counts the kept
+layers of a unitary it has just built.
 """
 
 from __future__ import annotations
@@ -133,6 +138,59 @@ def _nulling_pairs(dim: int) -> list[tuple[int, int]]:
     return [(p, q) for q in range(dim, 1, -1) for p in range(q - 1, 0, -1)]
 
 
+def _null(work: list[list[complex]]) -> list[tuple[int, int, float, float, float]]:
+    """Triangular nulling of the rows of a unitary; returns the kept layers.
+
+    Each kept layer is ``(p, q, t, r, phi)``, in :class:`BeamSplitterLayer`
+    field order.  ``work`` is left holding the phase diagonal: its entries
+    are rebound to new row lists, and no row list is mutated.
+
+    Raises
+    ------
+    InternalConsistencyError
+        If an off-diagonal entry above 1e-9 survives the nulling.
+    """
+    dim = len(work)
+    layers = []
+    for p, q in _nulling_pairs(dim):
+        a, b = work[p - 1][q - 1], work[q - 1][q - 1]
+        if abs(a) < 1e-15 and abs(b) < 1e-15:
+            continue
+        if abs(b) < 1e-15:
+            t, r, phi = 0.0, 1.0, 0.0
+        else:
+            phi0 = cmath.phase(a) - cmath.phase(b) if abs(a) > 0.0 else 0.0
+            phi0 = (phi0 + math.pi) % (2.0 * math.pi) - math.pi
+            scale = math.hypot(abs(a), abs(b))
+            t, r = abs(b) / scale, abs(a) / scale
+            # Fold the phase into (-pi/2, pi/2] by flipping the sign of r.
+            phi = phi0
+            if not -math.pi / 2 < phi0 <= math.pi / 2:
+                phi, r = phi0 - math.copysign(math.pi, phi0), -r
+        if abs(r) < IDENTITY_DROP_TOL:
+            continue
+        layers.append((p, q, t, r, phi))
+        t_phase, r_phase = t * cmath.exp(-1j * phi), r * cmath.exp(-1j * phi)
+        row_p, row_q = work[p - 1], work[q - 1]
+        work[p - 1] = [t_phase * x - r * y for x, y in zip(row_p, row_q)]
+        work[q - 1] = [r_phase * x + t * y for x, y in zip(row_p, row_q)]
+    off_diag = max(abs(work[i][j]) for i in range(dim) for j in range(dim) if i != j)
+    if off_diag > UNITARITY_TOL:
+        raise InternalConsistencyError(
+            f"triangular nulling left off-diagonal residue {off_diag:.3e}"
+        )
+    return layers
+
+
+def _layer_count(rows: list[list[complex]]) -> int:
+    """``len(decompose(U).layers)`` for a unitary given as Python rows.
+
+    Skips :func:`decompose`'s input checks, layer objects and phases; the
+    caller vouches that ``rows`` is unitary.  ``rows`` is not modified.
+    """
+    return len(_null(list(rows)))
+
+
 def decompose(unitary: np.ndarray) -> MeshProgram:
     """Factor a unitary into beam-splitter layers plus residual phases.
 
@@ -160,36 +218,9 @@ def decompose(unitary: np.ndarray) -> MeshProgram:
             f"(unitarity residual {residual:.3e})"
         )
     work = mat.tolist()
-    layers: list[BeamSplitterLayer] = []
-    for p, q in _nulling_pairs(dim):
-        a, b = work[p - 1][q - 1], work[q - 1][q - 1]
-        if abs(a) < 1e-15 and abs(b) < 1e-15:
-            continue
-        if abs(b) < 1e-15:
-            t, r, phi = 0.0, 1.0, 0.0
-        else:
-            phi0 = cmath.phase(a) - cmath.phase(b) if abs(a) > 0.0 else 0.0
-            phi0 = (phi0 + math.pi) % (2.0 * math.pi) - math.pi
-            scale = math.hypot(abs(a), abs(b))
-            t, r = abs(b) / scale, abs(a) / scale
-            # Fold the phase into (-pi/2, pi/2] by flipping the sign of r.
-            phi = phi0
-            if not -math.pi / 2 < phi0 <= math.pi / 2:
-                phi, r = phi0 - math.copysign(math.pi, phi0), -r
-        if abs(r) < IDENTITY_DROP_TOL:
-            continue
-        layers.append(BeamSplitterLayer(p, q, t, r, phi))
-        t_phase, r_phase = t * cmath.exp(-1j * phi), r * cmath.exp(-1j * phi)
-        row_p, row_q = work[p - 1], work[q - 1]
-        work[p - 1] = [t_phase * x - r * y for x, y in zip(row_p, row_q)]
-        work[q - 1] = [r_phase * x + t * y for x, y in zip(row_p, row_q)]
-    off_diag = max(abs(work[i][j]) for i in range(dim) for j in range(dim) if i != j)
-    if off_diag > UNITARITY_TOL:
-        raise InternalConsistencyError(
-            f"triangular nulling left off-diagonal residue {off_diag:.3e}"
-        )
+    layers = tuple(BeamSplitterLayer(*layer) for layer in _null(work))
     phases = (cmath.phase(work[i][i]) for i in range(dim))
-    return MeshProgram(tuple(layers), tuple(-x if x == -math.pi else x for x in phases))
+    return MeshProgram(layers, tuple(-x if x == -math.pi else x for x in phases))
 
 
 def recompose(program: MeshProgram) -> np.ndarray:

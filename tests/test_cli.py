@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,7 +125,7 @@ class TestDiagnostics:
     @pytest.mark.parametrize("priors", [[True, False, False], [0.5, 0.5, False]])
     def test_boolean_priors_are_rejected(self, tmp_path, capsys, priors):
         bad = tmp_path / "bad.json"
-        doc = json.loads(open(FIFTY_FIFTY).read())
+        doc = json.loads(Path(FIFTY_FIFTY).read_text(encoding="utf-8"))
         bad.write_text(json.dumps(dict(doc, priors=priors)))
         assert main(["solve", "--input", str(bad)]) == 1
         captured = capsys.readouterr()
@@ -134,13 +135,34 @@ class TestDiagnostics:
     @pytest.mark.parametrize("part", ["re", "im"])
     def test_boolean_re_im_is_rejected(self, tmp_path, capsys, part):
         bad = tmp_path / "bad.json"
-        doc = json.loads(open(FIFTY_FIFTY).read())
+        doc = json.loads(Path(FIFTY_FIFTY).read_text(encoding="utf-8"))
         doc["states"][0][1] = {"re": 0.0, "im": 0.0, part: False}
         bad.write_text(json.dumps(doc))
         assert main(["solve", "--input", str(bad)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "states[0][1]: non-numeric re/im value" in captured.err
+
+    @pytest.mark.parametrize(
+        "where, message",
+        [
+            ("priors", "field 'priors' contains a non-number"),
+            ("re", "states[0][1]: non-numeric re/im value"),
+            ("im", "states[0][1]: non-numeric re/im value"),
+        ],
+    )
+    def test_numeric_strings_are_rejected(self, tmp_path, capsys, where, message):
+        bad = tmp_path / "bad.json"
+        doc = json.loads(Path(FIFTY_FIFTY).read_text(encoding="utf-8"))
+        if where == "priors":
+            doc["priors"] = [str(p) for p in doc["priors"]]
+        else:
+            doc["states"][0][1] = {"re": 0.0, "im": 0.0, where: "0.0"}
+        bad.write_text(json.dumps(doc))
+        assert main(["solve", "--input", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
 
 class TestDesignCommand:
@@ -242,6 +264,18 @@ class TestSimulateCommand:
             ["simulate", "--input", FIFTY_FIFTY, "--trials", "0"]
         ) == 1
         assert "trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "seed, message",
+        [("-1", "must be an integer >= 0, got '-1'"), ("x", "invalid int value: 'x'")],
+    )
+    def test_invalid_seed_is_refused_before_any_stage(self, capsys, seed, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", "--input", FIFTY_FIFTY, f"--seed={seed}"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --seed: {message}" in captured.err
 
 
 class TestCompareCommand:
@@ -369,6 +403,14 @@ class TestSweepCommand:
         ) == 1
         err = capsys.readouterr().err
         assert err.count("error: sweep:") == 5
+
+    @pytest.mark.parametrize("s2", ["0.5", "1.5"])
+    def test_s2_is_refused_on_the_symmetric_family(self, capsys, s2):
+        code = main(["sweep", "--s2", s2, "--start", "0.5", "--stop", "0.6"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "error: sweep: --s2 applies only to the two_overlap family" in captured.err
 
 
 class TestToleranceFlag:

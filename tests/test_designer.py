@@ -29,7 +29,8 @@ from qfilter import (
     solve,
     success_vectors,
 )
-from qfilter import designer
+import qfilter
+from qfilter import designer, multiport
 from qfilter.cli import load_ensemble
 
 from conftest import (
@@ -474,21 +475,18 @@ class TestCompletionWork:
         """Count calls of the completion helpers, by name."""
         calls = {"_project_out": 0, "complete_unitary": 0, "input_side": 0, "pivoted": 0}
 
-        def counting(name, func):
+        def counting(key, name):
+            func = getattr(designer, name)
+
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                calls[key] += 1
                 return func(*args, **kwargs)
             monkeypatch.setattr(designer, name, wrapper)
 
-        counting("_project_out", designer._project_out)
-        counting("complete_unitary", designer.complete_unitary)
-        orthonormal_basis = designer._orthonormal_basis
-
-        def counting_basis(vectors, against=None, *, pivot=False):
-            calls["pivoted" if pivot else "input_side"] += 1
-            return orthonormal_basis(vectors, against, pivot=pivot)
-
-        monkeypatch.setattr(designer, "_orthonormal_basis", counting_basis)
+        counting("_project_out", "_project_out")
+        counting("complete_unitary", "complete_unitary")
+        counting("input_side", "_orthonormal_basis")
+        counting("pivoted", "_complement")
         return calls
 
     def test_project_out_calls_per_design(self, calls):
@@ -498,11 +496,13 @@ class TestCompletionWork:
             calls.update(_project_out=0, complete_unitary=0)
             design(e, sol)
             if calls["complete_unitary"] == 1:
-                assert calls["_project_out"] <= 14  # 23 before the memo
+                # 14 before pivot pruning, 23 before the memo
+                assert calls["_project_out"] <= 8
                 kept_base += 1
             else:
                 assert calls["complete_unitary"] == 2
-                assert calls["_project_out"] <= 21  # 43 before the memo
+                # 21 before pivot pruning, 43 before the memo
+                assert calls["_project_out"] <= 12
                 rebuilt += 1
         assert rebuilt and kept_base
 
@@ -518,6 +518,28 @@ class TestCompletionWork:
             # One pivoted completion of the inputs, one per output triple.
             assert calls["pivoted"] == 1 + completions
 
+    def test_exact_pivot_ties_are_all_projected_out(self, monkeypatch):
+        """2-D inputs leave e3 and e4 exactly tied; both are computed, e3 wins."""
+        rounds: list[tuple[int, int]] = []
+        project_out = designer._project_out
+
+        def recording(vec, basis):
+            rounds.append((len(basis), int(np.argmax(np.abs(vec)))))
+            return project_out(vec, basis)
+
+        rng = np.random.default_rng(43)
+        inputs = [embedded(random_ensemble(rng, dim=2)) for _ in range(10)]
+        bases = [designer._orthonormal_basis(ins)[0] for ins in inputs]
+        monkeypatch.setattr(designer, "_project_out", recording)
+        eye = np.eye(4, dtype=complex)
+        for basis in bases:
+            assert len(basis) == 2
+            rounds.clear()
+            complement = designer._complement(basis)
+            # Round one keeps both tied candidates, round two only e4.
+            assert rounds == [(2, 2), (2, 3), (3, 3)]
+            assert [v.tobytes() for v in complement] == [eye[2].tobytes(), eye[3].tobytes()]
+
     def test_memo_does_not_keep_the_ensemble_alive(self, monkeypatch):
         frames = weakref.WeakKeyDictionary()
         monkeypatch.setattr(designer, "_INPUT_FRAMES", frames)
@@ -531,3 +553,21 @@ class TestCompletionWork:
         with pytest.raises(DomainError):
             complete_unitary(four_modes, dsn.outputs)
         assert len(frames) == 0
+
+
+class TestGaugeScoringWork:
+    """The gauge search counts layers without building mesh programs."""
+
+    @pytest.mark.parametrize("name", ["stratified", "random_2d", "rank_2", "near_boundary"])
+    def test_design_makes_no_decompose_call(self, monkeypatch, name):
+        calls = []
+
+        def counting(unitary):
+            calls.append(unitary)
+            return decompose(unitary)
+
+        for module in (qfilter, multiport, designer):
+            monkeypatch.setattr(module, "decompose", counting, raising=False)
+        for e in oracle_instances(name)[:40]:
+            design(e)
+        assert calls == []

@@ -18,6 +18,7 @@ from qfilter import (
     embed_layer,
     recompose,
 )
+from qfilter.multiport import _layer_count
 
 from conftest import (
     fifty_fifty_ensemble,
@@ -200,3 +201,19 @@ class TestDecomposeReference:
             for got_phase, phase in zip(program.output_phases, entry["output_phases"]):
                 assert abs(math.remainder(got_phase - phase, 2.0 * math.pi)) <= 1e-14
             assert np.max(np.abs(recompose(program) - unitary)) <= 1e-14, entry["label"]
+
+
+class TestLayerCount:
+    """``_layer_count`` is the layer count of ``decompose``, from Python rows."""
+
+    def test_matches_decompose_on_the_reference(self):
+        entries = json.loads(DECOMPOSE_REFERENCE.read_text(encoding="utf-8"))
+        for entry in entries:
+            dim = entry["dim"]
+            unitary = np.frombuffer(
+                bytes.fromhex(entry["unitary"]), dtype=complex
+            ).reshape(dim, dim)
+            rows = unitary.tolist()
+            assert _layer_count(rows) == len(decompose(unitary).layers), entry["label"]
+            assert rows == unitary.tolist()
+
