@@ -34,6 +34,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT))
 
 import qfilter as qf  # noqa: E402
+from qfilter.multiport import embed_layer  # noqa: E402
 from perfbench.inputs import near_parallel, pipeline_pool  # noqa: E402
 
 OUT = ROOT / "tests" / "golden" / "decompose_reference.json"
@@ -81,7 +82,7 @@ def unitaries() -> list[tuple[str, np.ndarray]]:
     for r in (1e-16, 5e-15, 1e-11, 1e-8):
         for p, q in ((1, 2), (2, 4)):
             layer = qf.BeamSplitterLayer(p, q, float(np.sqrt(1.0 - r * r)), r, 0.4)
-            cases.append((f"almost identity ({p}, {q}) r={r:g}", qf.embed_layer(layer)))
+            cases.append((f"almost identity ({p}, {q}) r={r:g}", embed_layer(layer)))
     for dim in (2, 3, 5):
         for k in range(3):
             cases.append((f"haar {dim}x{dim} {k}", _haar(dim, rng)))

@@ -15,18 +15,15 @@ end to end, the question "is the system in state 1, or in the set
 * :mod:`qfilter.oracle` — independent brute-force verification plus
   comparisons against full three-state identification;
 * :mod:`qfilter.cli` — the ``qfilter`` command-line tool.
+
+The top level exports the stage functions, their value types and the
+errors.  The building blocks of the stages (``gram_matrix``,
+``average_overlap_A``, ``failure_phases``, ``embed_inputs``,
+``complete_unitary``, ``embed_layer`` and the like) are imported from
+their modules.
 """
 
-from .designer import (
-    MeasurementDesign,
-    build_L,
-    complete_unitary,
-    design,
-    embed_inputs,
-    failure_phases,
-    failure_vectors,
-    success_vectors,
-)
+from .designer import MeasurementDesign, design
 from .errors import (
     DegeneratePriorError,
     DegenerateSubspaceError,
@@ -39,21 +36,8 @@ from .errors import (
     NoUnitaryError,
     QFilterError,
 )
-from .filter_core import (
-    FilterSolution,
-    Regime,
-    average_overlap_A,
-    classify_regime,
-    m_matrix,
-    solve,
-)
-from .multiport import (
-    BeamSplitterLayer,
-    MeshProgram,
-    decompose,
-    embed_layer,
-    recompose,
-)
+from .filter_core import FilterSolution, Regime, solve
+from .multiport import BeamSplitterLayer, MeshProgram, decompose, recompose
 from .oracle import (
     ComparisonRecord,
     OracleResult,
@@ -74,10 +58,8 @@ from .states import (
     OverlapSet,
     StateVector,
     ensemble_from_overlaps,
-    gram_matrix,
     overlaps,
     parallel_component_norm2,
-    projector_23,
 )
 
 __version__ = "0.1.0"
@@ -89,30 +71,18 @@ __all__ = [
     "Ensemble",
     "OverlapSet",
     "overlaps",
-    "gram_matrix",
-    "projector_23",
     "parallel_component_norm2",
     "ensemble_from_overlaps",
     # filter core
     "Regime",
     "FilterSolution",
-    "average_overlap_A",
-    "classify_regime",
     "solve",
-    "m_matrix",
     # designer
     "MeasurementDesign",
-    "failure_phases",
-    "failure_vectors",
-    "build_L",
-    "success_vectors",
-    "embed_inputs",
-    "complete_unitary",
     "design",
     # multiport
     "BeamSplitterLayer",
     "MeshProgram",
-    "embed_layer",
     "decompose",
     "recompose",
     # simulator

@@ -8,9 +8,9 @@ JSON artifact (CSV for sweeps) to stdout or ``--output``.  The exit code
 is 0 exactly when every validation passes.  Parse and validation
 failures exit 1 and are reported on stderr as ``error: <stage>:
 <message>``, naming the stage that failed and, for input errors, the
-field.  ``--tolerance`` must be a finite value >= 0 and ``--seed`` an
-integer >= 0; any other value, like any bad argument, is a usage error
-(exit 2).
+field.  ``--tolerance`` must be a finite value >= 0, ``--seed`` an
+integer >= 0 and ``--trials`` an integer from 1 to ``MAX_TRIALS``; any
+other value, like any bad argument, is a usage error (exit 2).
 
 Floating-point values in artifacts are printed at 15 significant digits
 so that emitted files are stable enough to serve as regression fixtures.
@@ -33,7 +33,7 @@ from .filter_core import FilterSolution, solve
 from .multiport import decompose, recompose
 from .oracle import compare as oracle_compare
 from .oracle import three_state_Q, two_state_Q
-from .simulator import port_probabilities, sample, von_neumann_baseline
+from .simulator import MAX_TRIALS, port_probabilities, sample, von_neumann_baseline
 from .states import Ensemble, StateVector, ensemble_from_overlaps, gram_matrix, overlaps
 
 __all__ = ["main", "load_ensemble"]
@@ -477,26 +477,31 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
 # --------------------------------------------------------------------------
 
 
-def _tolerance(text: str) -> float:
-    """The ``--tolerance`` value: a finite float >= 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite value >= 0, got {text!r}")
-    return value
+def _ranged(parse, kind: str, ok, rule: str):
+    """An argparse type: ``parse`` the text as a ``kind`` value that ``ok`` accepts.
+
+    Any other text is a usage error whose message says which ``rule`` it broke.
+    """
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+
+    return convert
 
 
-def _seed(text: str) -> int:
-    """The ``--seed`` value: an integer >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return value
+_tolerance = _ranged(
+    float, "float", lambda v: math.isfinite(v) and v >= 0.0, "a finite value >= 0"
+)
+_seed = _ranged(int, "int", lambda v: v >= 0, "an integer >= 0")
+_trials = _ranged(
+    int, "int", lambda v: 1 <= v <= MAX_TRIALS, f"an integer from 1 to {MAX_TRIALS}"
+)
 
 
 #: Each subcommand: its name, its handler and its one-line help.
@@ -541,7 +546,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = commands["simulate"]
     p_sim.add_argument(
-        "--trials", type=int, default=100_000, metavar="N", help="number of shots"
+        "--trials",
+        type=_trials,
+        default=100_000,
+        metavar="N",
+        help=f"number of shots, 1 to {MAX_TRIALS} (default 100000)",
     )
     p_sim.add_argument(
         "--seed", type=_seed, default=0, metavar="N", help="RNG seed, >= 0 (recorded)"

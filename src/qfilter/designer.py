@@ -132,27 +132,28 @@ def failure_phases(e: Ensemble) -> tuple[float, float, float]:
     return (0.0, float(np.angle(ov.O12)), float(np.angle(ov.O13)))
 
 
-def failure_vectors(e: Ensemble, sol: FilterSolution) -> tuple[np.ndarray, ...]:
-    """Mode-4 failure vectors ``sqrt(q_i) * e^{i chi_i} * e4``."""
-    return _failure_vectors(sol, failure_phases(e))
-
-
-def _failure_vectors(
+def failure_vectors(
     sol: FilterSolution, chi: tuple[float, float, float]
 ) -> tuple[np.ndarray, ...]:
+    """Mode-4 failure vectors ``sqrt(q_i) * e^{i chi_i} * e4``.
+
+    ``chi`` are the phases from :func:`failure_phases`.
+    """
     out = tuple(np.zeros(NETWORK_DIM, dtype=complex) for _ in range(3))
     for v, q_i, chi_i in zip(out, sol.failure_probabilities, chi):
         v[3] = np.sqrt(max(q_i, 0.0)) * np.exp(1j * chi_i)
     return out
 
 
-def build_L(e: Ensemble, sol: FilterSolution) -> np.ndarray:
+def build_L(
+    e: Ensemble, sol: FilterSolution, chi: tuple[float, float, float]
+) -> np.ndarray:
     """Residual Gram matrix the success vectors must reproduce.
 
-    ``L[i, j] = <psi_i|psi_j> - <failure_i|failure_j>``.  For a valid
-    solution the first row and column off-diagonals vanish (that is what
-    the unitarity constraints on q enforce) and L is positive
-    semidefinite.
+    ``L[i, j] = <psi_i|psi_j> - <failure_i|failure_j>``, with the failure
+    phases ``chi`` from :func:`failure_phases`.  For a valid solution the
+    first row and column off-diagonals vanish (that is what the unitarity
+    constraints on q enforce) and L is positive semidefinite.
 
     Raises
     ------
@@ -160,12 +161,6 @@ def build_L(e: Ensemble, sol: FilterSolution) -> np.ndarray:
         If L has an eigenvalue below -1e-8, i.e. the provided solution is
         not consistent with the ensemble.
     """
-    return _build_L(e, sol, failure_phases(e))
-
-
-def _build_L(
-    e: Ensemble, sol: FilterSolution, chi: tuple[float, float, float]
-) -> np.ndarray:
     ov = overlaps(e)
     q1, q2, q3 = sol.failure_probabilities
     _, chi2, chi3 = chi
@@ -188,17 +183,27 @@ def _build_L(
     return mat
 
 
-def _success_vectors(
+def success_vectors(
     L: np.ndarray, q: tuple[float, ...], swap: bool, signs: tuple[int, ...]
 ) -> tuple[list[np.ndarray], float]:
-    """Build success vectors for one gauge choice; returns (vectors, theta).
+    """Success vectors for one gauge choice; returns (vectors, theta).
 
     Placement: state 1's success amplitude sits alone on one mode (mode 1,
     or mode 2 when ``swap``), states 2 and 3 share the remaining two of
-    the first three modes as ``sqrt(p_i) * (cos theta, +/- sin theta)``.
+    the first three modes as ``sqrt(p_i) * (cos theta, +/- sin theta)``
+    with ``p_i = 1 - q_i`` and ``theta = arccos(L23 / sqrt(p2*p3)) / 2``
+    (a complex L23 enters by its modulus, its phase carried on vector 3).
     ``signs`` multiplies each vector by +/-1; flips of vector 1 alone and
     joint flips of vectors 2 and 3 always preserve L, while a lone flip of
-    vector 2 or 3 is only admissible when L23 = 0.
+    vector 2 or 3 is only admissible when L23 = 0.  When q1 = 1 the first
+    vector is the zero vector: the target never produces a conclusive
+    click, which is the correct boundary design.
+
+    Raises
+    ------
+    InfeasibleError
+        If |L23| exceeds sqrt(p2*p3) beyond 1e-10 (impossible for an L
+        that passed :func:`build_L`).
     """
     p = [max(1.0 - q_i, 0.0) for q_i in q]
     l23 = complex(L[1, 2])
@@ -229,30 +234,6 @@ def _success_vectors(
     v3[mode_a] = signs[2] * np.sqrt(p[2]) * np.cos(theta) * phase3
     v3[mode_b] = -signs[2] * np.sqrt(p[2]) * np.sin(theta) * phase3
     return [v1, v2, v3], theta
-
-
-def success_vectors(
-    L: np.ndarray,
-    sol: FilterSolution,
-    *,
-    swap: bool = False,
-    signs: tuple[int, int, int] = (1, 1, 1),
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Success vectors for one explicit gauge choice.
-
-    By default uses the standard placement (state 1 on mode 1, states 2
-    and 3 mixed on modes 2 and 3 with angle
-    ``theta = arccos(L23 / sqrt(p2*p3)) / 2``) and no sign flips.  When
-    q1 = 1 the first vector is the zero vector: the target never produces
-    a conclusive click, which is the correct boundary design.
-
-    Raises
-    ------
-    InfeasibleError
-        If |L23| exceeds sqrt(p2*p3) beyond 1e-10 (impossible for a
-        solution that passed :func:`build_L`).
-    """
-    return tuple(_success_vectors(L, sol.failure_probabilities, swap, signs)[0])
 
 
 def embed_inputs(e: Ensemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -474,12 +455,12 @@ def design(e: Ensemble, sol: FilterSolution | None = None) -> MeasurementDesign:
     if sol is None:
         sol = solve(e)
     chi = failure_phases(e)
-    fails = _failure_vectors(sol, chi)
-    L = _build_L(e, sol, chi)
+    fails = failure_vectors(sol, chi)
+    L = build_L(e, sol, chi)
     inputs = embed_inputs(e)
 
     def build(swap, signs):
-        succ, theta = _success_vectors(L, sol.failure_probabilities, swap, signs)
+        succ, theta = success_vectors(L, sol.failure_probabilities, swap, signs)
         return succ, theta, complete_unitary(e, [s + f for s, f in zip(succ, fails)])
 
     base = build(False, (1, 1, 1))

@@ -27,9 +27,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .errors import DegeneratePriorError, DomainError, InternalConsistencyError
+from .errors import DegeneratePriorError, InternalConsistencyError
 from .states import (
     Ensemble,
     _parallel_norm2_formula,
@@ -37,14 +35,7 @@ from .states import (
     parallel_component_norm2,
 )
 
-__all__ = [
-    "Regime",
-    "FilterSolution",
-    "average_overlap_A",
-    "classify_regime",
-    "solve",
-    "m_matrix",
-]
+__all__ = ["Regime", "FilterSolution", "average_overlap_A", "solve"]
 
 #: Regime boundaries closer than this are resolved to POVM (the closed
 #: forms coincide there, so the tag choice is cosmetic but deterministic).
@@ -106,31 +97,6 @@ def _classify(A: float, w: float, eta1: float) -> Regime:
     return Regime.POVM
 
 
-def _check_target_prior(eta1: float) -> None:
-    if eta1 <= 0.0:
-        raise DegeneratePriorError(
-            "the filter target has zero prior probability; the optimal "
-            "failure trade-off is undefined"
-        )
-
-
-def classify_regime(e: Ensemble) -> Regime:
-    """Classify which closed-form branch applies to the ensemble.
-
-    Boundary ties within ``TIE_TOL`` resolve to ``POVM``, where the
-    adjacent formulas agree.
-
-    Raises
-    ------
-    DegeneratePriorError
-        If the filter target has zero prior (eta1 = 0): there is nothing
-        to filter and the optimum is ill-posed.
-    """
-    eta1 = float(e.priors[0])
-    _check_target_prior(eta1)
-    return _classify(average_overlap_A(e), parallel_component_norm2(e), eta1)
-
-
 def _solve_ordered(priors, o12: complex, o13: complex, w: float) -> FilterSolution:
     """The closed forms for priors (eta1, eta2, eta3), overlaps O12, O13 and w."""
     eta1, eta2, eta3 = priors
@@ -188,7 +154,11 @@ def solve(e: Ensemble) -> FilterSolution:
     """
     ov = overlaps(e)
     eta1, eta2, eta3 = e.priors.tolist()
-    _check_target_prior(eta1)
+    if eta1 <= 0.0:
+        raise DegeneratePriorError(
+            "the filter target has zero prior probability; the optimal "
+            "failure trade-off is undefined"
+        )
     if abs(ov.O13) > abs(ov.O12):
         w = _parallel_norm2_formula(ov.O13, ov.O12, ov.O23.conjugate())
         sol = _solve_ordered((eta1, eta3, eta2), ov.O13, ov.O12, w)
@@ -198,33 +168,3 @@ def solve(e: Ensemble) -> FilterSolution:
     w = parallel_component_norm2(e)
     return _solve_ordered((eta1, eta2, eta3), ov.O12, ov.O13, w)
 
-
-def m_matrix(e: Ensemble, q1: float) -> np.ndarray:
-    """Residual operator whose positivity makes a candidate q1 feasible.
-
-    For the failure probabilities implied by q1 through the unitarity
-    constraints, returns the 3x3 Hermitian matrix
-
-    ``diag(1-q1, 1-|O12|^2/q1, 1-|O13|^2/q1)`` with off-diagonal (2,3)
-    entry ``O23 - conj(O12)*O13/q1`` and zero first row/column
-    off-diagonals.  q1 is feasible exactly when this matrix is positive
-    semidefinite.
-
-    Raises
-    ------
-    DomainError
-        If q1 <= 0 (the constraint ratios are undefined) or q1 > 1.
-    """
-    q1 = float(q1)
-    if q1 <= 0.0:
-        raise DomainError(f"q1 must be positive, got {q1!r}")
-    if q1 > 1.0 + 1e-12:
-        raise DomainError(f"q1 must not exceed 1, got {q1!r}")
-    ov = overlaps(e)
-    m = np.zeros((3, 3), dtype=complex)
-    m[0, 0] = 1.0 - q1
-    m[1, 1] = 1.0 - abs(ov.O12) ** 2 / q1
-    m[2, 2] = 1.0 - abs(ov.O13) ** 2 / q1
-    m[1, 2] = ov.O23 - np.conj(ov.O12) * ov.O13 / q1
-    m[2, 1] = np.conj(m[1, 2])
-    return m

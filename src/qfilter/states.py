@@ -2,9 +2,8 @@
 
 This module defines the immutable value types (:class:`StateVector`,
 :class:`Ensemble`, :class:`OverlapSet`) and the geometric primitives the
-rest of the package builds on: pairwise overlaps, Gram matrices, the
-projector onto span{psi2, psi3}, and the squared norm of the component of
-psi1 lying inside that span.
+rest of the package builds on: pairwise overlaps, Gram matrices, and the
+squared norm of the component of psi1 lying inside span{psi2, psi3}.
 
 Conventions
 -----------
@@ -33,7 +32,6 @@ __all__ = [
     "OverlapSet",
     "overlaps",
     "gram_matrix",
-    "projector_23",
     "parallel_component_norm2",
     "ensemble_from_overlaps",
 ]
@@ -159,13 +157,6 @@ class Ensemble:
         """Common dimension of the three states."""
         return self.states[0].dim
 
-    def swapped_23(self) -> "Ensemble":
-        """Return the ensemble with states/priors 2 and 3 interchanged."""
-        return Ensemble(
-            (self.states[0], self.states[2], self.states[1]),
-            np.array([self.priors[0], self.priors[2], self.priors[1]]),
-        )
-
     # Memos behind overlaps() and parallel_component_norm2().  A raised
     # error is not cached: the next access computes and raises again.
 
@@ -228,30 +219,6 @@ def gram_matrix(vectors) -> np.ndarray:
     return np.conj(rows) @ rows.T
 
 
-def projector_23(e: Ensemble) -> np.ndarray:
-    """Orthogonal projector onto span{psi2, psi3}.
-
-    Built from psi2 and the Gram-Schmidt complement of psi3 against psi2;
-    the result is Hermitian, idempotent, and has rank 2.
-
-    Raises
-    ------
-    DegenerateSubspaceError
-        If |<psi2|psi3>| is within ``SUBSPACE_TOL`` of 1, i.e. the two
-        states span only a single direction.
-    """
-    ov = overlaps(e)
-    if abs(ov.O23) >= 1.0 - SUBSPACE_TOL:
-        raise DegenerateSubspaceError(
-            f"states 2 and 3 are numerically parallel (|O23|={abs(ov.O23):.12g}); "
-            "their span is not two-dimensional"
-        )
-    v2 = e.states[1].amplitudes
-    v3 = e.states[2].amplitudes
-    tilde3 = (v3 - ov.O23 * v2) / np.sqrt(1.0 - abs(ov.O23) ** 2)
-    return np.outer(v2, np.conj(v2)) + np.outer(tilde3, np.conj(tilde3))
-
-
 def parallel_component_norm2(e: Ensemble) -> float:
     """Squared norm of the component of psi1 inside span{psi2, psi3}.
 
@@ -259,8 +226,8 @@ def parallel_component_norm2(e: Ensemble) -> float:
 
     ``(|O12|^2 + |O13|^2 - 2 Re(O12 O23 conj(O13))) / (1 - |O23|^2)``
 
-    which agrees with the explicit projection route
-    ``|| projector_23(e) @ psi1 ||^2`` to within 1e-10.  The result is
+    which agrees with ``|| P @ psi1 ||^2``, P the orthogonal projector onto
+    span{psi2, psi3}, to within 1e-10.  The result is
     clipped into [0, 1] (floating dust only).  Like :func:`overlaps` it is
     computed once per ensemble, which is read-only, and then reused.
 

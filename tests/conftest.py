@@ -33,14 +33,18 @@ from qfilter import (
     NoUnitaryError,
     OverlapSet,
     Regime,
-    build_L,
     decompose,
+    overlaps,
+)
+from qfilter.designer import (
+    GRAM_TOL,
+    NETWORK_DIM,
+    build_L,
     embed_inputs,
     failure_phases,
     failure_vectors,
-    overlaps,
+    success_vectors,
 )
-from qfilter.designer import GRAM_TOL, NETWORK_DIM, _success_vectors
 from qfilter.filter_core import _classify
 from qfilter.states import SUBSPACE_TOL
 
@@ -362,8 +366,9 @@ def gauge_candidates(e: Ensemble, sol: FilterSolution):
     allowed too; they come in tie-break order.
     """
     q = (sol.q1, sol.q2, sol.q3)
-    fail_vecs = failure_vectors(e, sol)
-    residual_gram = build_L(e, sol)
+    chi = failure_phases(e)
+    fail_vecs = failure_vectors(sol, chi)
+    residual_gram = build_L(e, sol, chi)
     if abs(residual_gram[1, 2]) <= 1e-12:
         sign_opts = [
             (1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
@@ -373,7 +378,7 @@ def gauge_candidates(e: Ensemble, sol: FilterSolution):
         sign_opts = [(1, 1, 1), (1, -1, -1), (-1, 1, 1), (-1, -1, -1)]
     for swap in (False, True):
         for sign_index, signs in enumerate(sign_opts):
-            succ, theta = _success_vectors(residual_gram, q, swap, signs)
+            succ, theta = success_vectors(residual_gram, q, swap, signs)
             yield swap, sign_index, succ, theta, [s + f for s, f in zip(succ, fail_vecs)]
 
 
@@ -399,7 +404,7 @@ def exhaustive_design(e: Ensemble, sol: FilterSolution) -> MeasurementDesign:
     succ, unitary, theta, swap = best
     return MeasurementDesign(
         success_vectors=tuple(succ),
-        failure_vectors=failure_vectors(e, sol),
+        failure_vectors=failure_vectors(sol, failure_phases(e)),
         unitary=unitary,
         theta=float(theta),
         chi=failure_phases(e),
@@ -427,9 +432,56 @@ def near_parallel_ensembles(draws: int, seed: int) -> list[Ensemble]:
     return out
 
 
+# Reference helpers the package does not export: the 2<->3 exchange, the
+# projector onto span{psi2, psi3} (a second route to parallel_component_norm2)
+# and the residual operator whose positivity decides feasibility of a q1.
+
+
+def swapped_23(e: Ensemble) -> Ensemble:
+    """The ensemble with states/priors 2 and 3 interchanged."""
+    return Ensemble(
+        (e.states[0], e.states[2], e.states[1]),
+        np.array([e.priors[0], e.priors[2], e.priors[1]]),
+    )
+
+
+def projector_23(e: Ensemble) -> np.ndarray:
+    """Orthogonal projector onto span{psi2, psi3}.
+
+    Built from psi2 and the Gram-Schmidt complement of psi3 against psi2,
+    so it is Hermitian, idempotent and of rank 2 unless psi2 and psi3 are
+    parallel.
+    """
+    ov = overlaps(e)
+    v2 = e.states[1].amplitudes
+    v3 = e.states[2].amplitudes
+    tilde3 = (v3 - ov.O23 * v2) / np.sqrt(1.0 - abs(ov.O23) ** 2)
+    return np.outer(v2, np.conj(v2)) + np.outer(tilde3, np.conj(tilde3))
+
+
+def m_matrix(e: Ensemble, q1: float) -> np.ndarray:
+    """Residual operator whose positivity makes a candidate q1 in (0, 1] feasible.
+
+    For the failure probabilities implied by q1 through the unitarity
+    constraints, the 3x3 Hermitian matrix
+    ``diag(1-q1, 1-|O12|^2/q1, 1-|O13|^2/q1)`` with off-diagonal (2,3)
+    entry ``O23 - conj(O12)*O13/q1`` and zero first row/column
+    off-diagonals.  q1 is feasible exactly when it is positive
+    semidefinite.
+    """
+    ov = overlaps(e)
+    m = np.zeros((3, 3), dtype=complex)
+    m[0, 0] = 1.0 - q1
+    m[1, 1] = 1.0 - abs(ov.O12) ** 2 / q1
+    m[2, 2] = 1.0 - abs(ov.O13) ** 2 / q1
+    m[1, 2] = ov.O23 - np.conj(ov.O12) * ov.O13 / q1
+    m[2, 1] = np.conj(m[1, 2])
+    return m
+
+
 # The closed-form route as it stood before overlaps were memoized on the
 # Ensemble: every call recomputes the overlaps, and solve() takes the 2<->3
-# exchange by building e.swapped_23().  Kept verbatim as a bit-for-bit
+# exchange by building swapped_23(e).  Kept verbatim as a bit-for-bit
 # reference for solve() and von_neumann_baseline().
 
 
@@ -500,7 +552,7 @@ def reference_solve(e: Ensemble) -> FilterSolution:
     """Independent re-implementation of ``solve`` (see the note above)."""
     ov = _reference_overlaps(e)
     if abs(ov.O13) > abs(ov.O12):
-        sol = _reference_solve_ordered(e.swapped_23())
+        sol = _reference_solve_ordered(swapped_23(e))
         return FilterSolution(
             sol.q1, sol.q3, sol.q2, sol.Q, sol.regime, sol.A, sol.parallel_norm2
         )

@@ -21,8 +21,6 @@ from qfilter import (
     brute_force_filter,
     design,
     ensemble_from_overlaps,
-    gram_matrix,
-    m_matrix,
     overlaps,
     parallel_component_norm2,
     sample,
@@ -32,14 +30,17 @@ from qfilter import (
 )
 from qfilter.cli import main
 from qfilter.multiport import decompose, recompose
+from qfilter.states import gram_matrix
 
 from conftest import (
     EQUAL_PRIORS,
     fifty_fifty_ensemble,
     fifty_fifty_expected_outputs,
     fifty_fifty_expected_unitary,
+    m_matrix,
     random_ensemble,
     stratified_random_ensembles,
+    swapped_23,
     symmetric_ensemble,
     symmetric_expected_outputs,
     symmetric_expected_unitary,
@@ -230,7 +231,7 @@ def test_randomized_property_suite():
     for _ in range(25):
         e = random_ensemble(rng)
         sol = solve(e)
-        swapped = solve(e.swapped_23())
+        swapped = solve(swapped_23(e))
         assert abs(swapped.q1 - sol.q1) <= 1e-12
         assert abs(swapped.q2 - sol.q3) <= 1e-12
         assert abs(swapped.q3 - sol.q2) <= 1e-12

@@ -260,10 +260,17 @@ class TestSimulateCommand:
         assert worst > deviation.max() - bands.max() + 1e-3
 
     def test_invalid_trials_fail(self, capsys):
-        assert main(
-            ["simulate", "--input", FIFTY_FIFTY, "--trials", "0"]
-        ) == 1
-        assert "trials" in capsys.readouterr().err
+        # The range sample() enforces, refused as a usage error at parse time.
+        for trials in ("0", "1000000001"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["simulate", "--input", FIFTY_FIFTY, "--trials", trials])
+            assert exit_info.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert (
+                "argument --trials: must be an integer from 1 to 1000000000, "
+                f"got '{trials}'" in captured.err
+            )
 
     @pytest.mark.parametrize(
         "seed, message",

@@ -16,21 +16,23 @@ from qfilter import (
     NoUnitaryError,
     Regime,
     StateVector,
-    build_L,
-    complete_unitary,
     decompose,
     design,
-    embed_inputs,
     ensemble_from_overlaps,
-    failure_phases,
-    failure_vectors,
-    gram_matrix,
     overlaps,
     solve,
-    success_vectors,
 )
 import qfilter
 from qfilter import designer, multiport
+from qfilter.designer import (
+    build_L,
+    complete_unitary,
+    embed_inputs,
+    failure_phases,
+    failure_vectors,
+    success_vectors,
+)
+from qfilter.states import gram_matrix
 from qfilter.cli import load_ensemble
 
 from conftest import (
@@ -73,7 +75,7 @@ class TestFailureSide:
     def test_failure_vectors_live_in_the_last_mode(self):
         e = fifty_fifty_ensemble()
         sol = solve(e)
-        phis = failure_vectors(e, sol)
+        phis = failure_vectors(sol, failure_phases(e))
         qs = (sol.q1, sol.q2, sol.q3)
         for phi, q in zip(phis, qs):
             assert phi.shape == (4,)
@@ -84,7 +86,7 @@ class TestFailureSide:
         rng = np.random.default_rng(6)
         e = random_ensemble(rng)
         sol = solve(e)
-        phis = failure_vectors(e, sol)
+        phis = failure_vectors(sol, failure_phases(e))
         ov = overlaps(e)
         assert np.vdot(phis[0], phis[1]) == pytest.approx(ov.O12, abs=1e-10)
         assert np.vdot(phis[0], phis[2]) == pytest.approx(ov.O13, abs=1e-10)
@@ -104,7 +106,7 @@ class TestFailureSide:
             dsn = design(e, sol)
             assert calls["failure_phases"] == 1
             assert dsn.chi == phases(e)
-            for got, want in zip(dsn.failure_vectors, failure_vectors(e, sol)):
+            for got, want in zip(dsn.failure_vectors, failure_vectors(sol, phases(e))):
                 assert got.tobytes() == want.tobytes()
         # Real overlaps and a real L23: arg O12 and arg O13 are the only angles.
         angle = np.angle
@@ -127,7 +129,7 @@ class TestSuccessGram:
         for _ in range(20):
             e = random_ensemble(rng)
             sol = solve(e)
-            L = build_L(e, sol)
+            L = build_L(e, sol, failure_phases(e))
             assert abs(L[0, 1]) < 1e-10
             assert abs(L[0, 2]) < 1e-10
             assert L[0, 0].real == pytest.approx(1.0 - sol.q1, abs=1e-12)
@@ -141,15 +143,15 @@ class TestSuccessGram:
             regime=sol.regime, A=sol.A, parallel_norm2=sol.parallel_norm2,
         )
         with pytest.raises(InconsistentSolutionError):
-            build_L(e, bogus)
+            build_L(e, bogus, failure_phases(e))
 
 
 class TestSuccessVectors:
     def test_fifty_fifty_geometry(self):
         e = fifty_fifty_ensemble()
         sol = solve(e)
-        L = build_L(e, sol)
-        vecs = success_vectors(L, sol)
+        L = build_L(e, sol, failure_phases(e))
+        vecs, _ = success_vectors(L, sol.failure_probabilities, False, (1, 1, 1))
         # State 1 succeeds into mode 1 alone; 2 and 3 share modes 2-3.
         assert abs(vecs[0][0]) == pytest.approx(math.sqrt(1.0 - sol.q1), abs=1e-12)
         np.testing.assert_allclose(vecs[0][1:], 0.0, atol=1e-12)
@@ -162,7 +164,8 @@ class TestSuccessVectors:
     def test_vanishing_success_of_state_1_gives_zero_vector(self):
         e = symmetric_ensemble(0.9)  # q1 = 1 here
         sol = solve(e)
-        vecs = success_vectors(build_L(e, sol), sol)
+        L = build_L(e, sol, failure_phases(e))
+        vecs, _ = success_vectors(L, sol.failure_probabilities, False, (1, 1, 1))
         np.testing.assert_allclose(vecs[0], 0.0, atol=1e-12)
 
     def test_gram_is_reproduced_for_random_instances(self):
@@ -170,8 +173,8 @@ class TestSuccessVectors:
         for _ in range(25):
             e = random_ensemble(rng)
             sol = solve(e)
-            L = build_L(e, sol)
-            vecs = success_vectors(L, sol)
+            L = build_L(e, sol, failure_phases(e))
+            vecs, _ = success_vectors(L, sol.failure_probabilities, False, (1, 1, 1))
             gram = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
             np.testing.assert_allclose(gram, L, atol=1e-9)
 
@@ -180,7 +183,7 @@ class TestSuccessVectors:
         # 2 and 3; shrinking their success norms below it is impossible.
         e = symmetric_ensemble(0.5)
         sol = solve(e)
-        L = build_L(e, sol)
+        L = build_L(e, sol, failure_phases(e))
         assert abs(L[1, 2]) > 0.1
         bogus = FilterSolution(
             q1=sol.q1, q2=0.999, q3=0.999, Q=sol.Q,
@@ -190,7 +193,7 @@ class TestSuccessVectors:
         L_fake[1, 1] = 1.0 - bogus.q2
         L_fake[2, 2] = 1.0 - bogus.q3
         with pytest.raises(InfeasibleError):
-            success_vectors(L_fake, bogus)
+            success_vectors(L_fake, bogus.failure_probabilities, False, (1, 1, 1))
 
 
 class TestEmbedding:
@@ -403,7 +406,7 @@ class TestGaugeSearch:
         for args in NEAR_BOUNDARY:
             e = near_boundary_ensemble(*args)
             sol = solve(e)
-            assert abs(build_L(e, sol)[1, 2]) <= 1e-12
+            assert abs(build_L(e, sol, failure_phases(e))[1, 2]) <= 1e-12
             assert abs(design(e, sol).theta - math.pi / 4.0) > 1e-12
 
 

@@ -15,10 +15,9 @@ from qfilter import (
     MeshProgram,
     decompose,
     design,
-    embed_layer,
     recompose,
 )
-from qfilter.multiport import _layer_count
+from qfilter.multiport import _layer_count, embed_layer
 
 from conftest import (
     fifty_fifty_ensemble,

@@ -8,7 +8,6 @@ import pytest
 from qfilter import (
     DomainError,
     Ensemble,
-    average_overlap_A,
     design,
     parallel_component_norm2,
     port_probabilities,
@@ -16,6 +15,7 @@ from qfilter import (
     solve,
     von_neumann_baseline,
 )
+from qfilter.filter_core import average_overlap_A
 
 from conftest import (
     EQUAL_PRIORS,
