@@ -28,12 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DegeneratePriorError, InternalConsistencyError
-from .states import (
-    Ensemble,
-    _parallel_norm2_formula,
-    overlaps,
-    parallel_component_norm2,
-)
+from .states import Ensemble, overlaps, parallel_component_norm2
 
 __all__ = ["Regime", "FilterSolution", "average_overlap_A", "solve"]
 
@@ -97,11 +92,39 @@ def _classify(A: float, w: float, eta1: float) -> Regime:
     return Regime.POVM
 
 
-def _solve_ordered(priors, o12: complex, o13: complex, w: float) -> FilterSolution:
-    """The closed forms for priors (eta1, eta2, eta3), overlaps O12, O13 and w."""
-    eta1, eta2, eta3 = priors
-    a12 = abs(o12) ** 2
-    a13 = abs(o13) ** 2
+def solve(e: Ensemble) -> FilterSolution:
+    """Compute the optimal failure probabilities and average failure Q.
+
+    ``w`` is :func:`parallel_component_norm2` of the ensemble, so
+    ``parallel_norm2`` of the result is that same value, bit for bit.  The
+    output is invariant under interchanging (psi2, eta2) and (psi3, eta3):
+    A is a two-term sum, q2 and q3 are the same expressions in a12 and a13,
+    and w keeps its bits under the exchange whenever |O12| != |O13|.
+
+    Special cases
+    -------------
+    * A = 0 with no parallel component: all q_i = 0, Q = 0 (the target is
+      orthogonal to both other states, so filtering never fails).
+    * A = 0 with a parallel component present signals zero prior weight on
+      an overlapping state and raises :class:`InternalConsistencyError`.
+
+    Raises
+    ------
+    DegeneratePriorError
+        If eta1 = 0.
+    DegenerateSubspaceError
+        If states 2 and 3 are numerically parallel.
+    """
+    ov = overlaps(e)
+    eta1, eta2, eta3 = e.priors.tolist()
+    if eta1 <= 0.0:
+        raise DegeneratePriorError(
+            "the filter target has zero prior probability; the optimal "
+            "failure trade-off is undefined"
+        )
+    w = parallel_component_norm2(e)
+    a12 = abs(ov.O12) ** 2
+    a13 = abs(ov.O13) ** 2
     A = eta2 * a12 + eta3 * a13
     if A == 0.0:
         if w > 1e-12:
@@ -127,44 +150,3 @@ def _solve_ordered(priors, o12: complex, o13: complex, w: float) -> FilterSoluti
         q2, q3 = a12 / w, a13 / w
         Q = eta1 * w + A / w
     return FilterSolution(q1, q2, q3, Q, regime, A, w)
-
-
-def solve(e: Ensemble) -> FilterSolution:
-    """Compute the optimal failure probabilities and average failure Q.
-
-    States 2 and 3 are ordered internally so that |O12| >= |O13| before the
-    closed forms are evaluated, and the results are mapped back, making the
-    output invariant under interchanging (psi2, eta2) and (psi3, eta3).
-    The exchange reorders the ensemble's overlaps and priors; w is then
-    evaluated in the exchanged order, on (O13, O12, conj(O23)).
-
-    Special cases
-    -------------
-    * A = 0 with no parallel component: all q_i = 0, Q = 0 (the target is
-      orthogonal to both other states, so filtering never fails).
-    * A = 0 with a parallel component present signals zero prior weight on
-      an overlapping state and raises :class:`InternalConsistencyError`.
-
-    Raises
-    ------
-    DegeneratePriorError
-        If eta1 = 0.
-    DegenerateSubspaceError
-        If states 2 and 3 are numerically parallel.
-    """
-    ov = overlaps(e)
-    eta1, eta2, eta3 = e.priors.tolist()
-    if eta1 <= 0.0:
-        raise DegeneratePriorError(
-            "the filter target has zero prior probability; the optimal "
-            "failure trade-off is undefined"
-        )
-    if abs(ov.O13) > abs(ov.O12):
-        w = _parallel_norm2_formula(ov.O13, ov.O12, ov.O23.conjugate())
-        sol = _solve_ordered((eta1, eta3, eta2), ov.O13, ov.O12, w)
-        return FilterSolution(
-            sol.q1, sol.q3, sol.q2, sol.Q, sol.regime, sol.A, sol.parallel_norm2
-        )
-    w = parallel_component_norm2(e)
-    return _solve_ordered((eta1, eta2, eta3), ov.O12, ov.O13, w)
-

@@ -147,8 +147,8 @@ def von_neumann_baseline(e: Ensemble) -> float:
     if A >= eta1:
         return eta1 + A
     w = parallel_component_norm2(e)
-    if w <= 1e-12:
-        # Unreachable for consistent instances (A > 0 forces w > 0); kept
-        # as a defensive fallback for near-degenerate priors.
+    if w == 0.0:
+        # A > 0 forces w > 0 in exact arithmetic; only a w rounded to zero
+        # lands here, where A/w would divide by zero.
         return eta1 + A
     return eta1 * w + A / w

@@ -172,7 +172,19 @@ class Ensemble:
     @cached_property
     def _parallel_norm2(self) -> float:
         ov = self._overlaps
-        return _parallel_norm2_formula(ov.O12, ov.O13, ov.O23)
+        o12, o13, o23 = ov.O12, ov.O13, ov.O23
+        if abs(o23) >= 1.0 - SUBSPACE_TOL:
+            raise DegenerateSubspaceError(
+                f"states 2 and 3 are numerically parallel (|O23|={abs(o23):.12g}); "
+                "the parallel-component formula is singular"
+            )
+        # Evaluated with the larger of |O12|, |O13| first, so the bits do not
+        # depend on which of states 2 and 3 comes first.
+        if abs(o13) > abs(o12):
+            o12, o13, o23 = o13, o12, o23.conjugate()
+        num = abs(o12) ** 2 + abs(o13) ** 2 - 2.0 * (o12 * o23 * np.conj(o13)).real
+        val = num / (1.0 - abs(o23) ** 2)
+        return float(min(max(val, 0.0), 1.0))
 
 
 @dataclass(frozen=True)
@@ -227,9 +239,13 @@ def parallel_component_norm2(e: Ensemble) -> float:
     ``(|O12|^2 + |O13|^2 - 2 Re(O12 O23 conj(O13))) / (1 - |O23|^2)``
 
     which agrees with ``|| P @ psi1 ||^2``, P the orthogonal projector onto
-    span{psi2, psi3}, to within 1e-10.  The result is
-    clipped into [0, 1] (floating dust only).  Like :func:`overlaps` it is
-    computed once per ensemble, which is read-only, and then reused.
+    span{psi2, psi3}, to within 1e-10.  When |O13| > |O12| it is evaluated
+    on ``(O13, O12, conj(O23))``, the overlaps with states 2 and 3
+    exchanged, so exchanging (psi2, eta2) and (psi3, eta3) leaves the bits
+    unchanged whenever |O12| != |O13|.  The result is clipped into [0, 1]
+    (floating dust only).  Like :func:`overlaps` it is computed once per
+    ensemble, which is read-only, and then reused; ``solve`` returns
+    this same value as ``FilterSolution.parallel_norm2``.
 
     Raises
     ------
@@ -237,22 +253,6 @@ def parallel_component_norm2(e: Ensemble) -> float:
         If states 2 and 3 are numerically parallel (on every call).
     """
     return e._parallel_norm2
-
-
-def _parallel_norm2_formula(o12: complex, o13: complex, o23: complex) -> float:
-    """The closed form of :func:`parallel_component_norm2`, from the overlaps.
-
-    ``solve`` also evaluates it with states 2 and 3 exchanged, on
-    ``(O13, O12, conj(O23))``.
-    """
-    if abs(o23) >= 1.0 - SUBSPACE_TOL:
-        raise DegenerateSubspaceError(
-            f"states 2 and 3 are numerically parallel (|O23|={abs(o23):.12g}); "
-            "the parallel-component formula is singular"
-        )
-    num = abs(o12) ** 2 + abs(o13) ** 2 - 2.0 * (o12 * o23 * np.conj(o13)).real
-    val = num / (1.0 - abs(o23) ** 2)
-    return float(min(max(val, 0.0), 1.0))
 
 
 def ensemble_from_overlaps(o12, o13, o23, priors=(1 / 3, 1 / 3, 1 / 3)) -> Ensemble:

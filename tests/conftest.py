@@ -35,6 +35,7 @@ from qfilter import (
     Regime,
     decompose,
     overlaps,
+    parallel_component_norm2,
 )
 from qfilter.designer import (
     GRAM_TOL,
@@ -432,6 +433,24 @@ def near_parallel_ensembles(draws: int, seed: int) -> list[Ensemble]:
     return out
 
 
+def exchange_cases() -> dict[str, list[Ensemble]]:
+    """Ensembles with |O12| != |O13|, on which exchanging states 2 and 3
+    must not change the bits of w: 400 stratified draws, and the answered
+    draws of the near-parallel family (eps = 1e-3 and 1e-4)."""
+    near = []
+    for e in near_parallel_ensembles(12, 20011203):
+        try:
+            parallel_component_norm2(e)
+        except DegenerateSubspaceError:
+            continue
+        near.append(e)
+    cases = {"stratified": stratified_random_ensembles(400, 7), "near_parallel": near}
+    return {
+        name: [e for e in ens if abs(overlaps(e).O12) != abs(overlaps(e).O13)]
+        for name, ens in cases.items()
+    }
+
+
 # Reference helpers the package does not export: the 2<->3 exchange, the
 # projector onto span{psi2, psi3} (a second route to parallel_component_norm2)
 # and the residual operator whose positivity decides feasibility of a q1.
@@ -482,7 +501,9 @@ def m_matrix(e: Ensemble, q1: float) -> np.ndarray:
 # The closed-form route as it stood before overlaps were memoized on the
 # Ensemble: every call recomputes the overlaps, and solve() takes the 2<->3
 # exchange by building swapped_23(e).  Kept verbatim as a bit-for-bit
-# reference for solve() and von_neumann_baseline().
+# reference for solve().  The von_neumann_baseline() reference reads the w
+# of that solve route, which is the w of the exchanged order when
+# |O13| > |O12|, and falls back to eta1 + A only when w is exactly 0.
 
 
 def _reference_overlaps(e: Ensemble) -> OverlapSet:
@@ -568,7 +589,7 @@ def reference_von_neumann_baseline(e: Ensemble) -> float:
     eta1 = float(e.priors[0])
     if A >= eta1:
         return eta1 + A
-    w = _reference_parallel_component_norm2(e)
-    if w <= 1e-12:
+    w = reference_solve(e).parallel_norm2
+    if w == 0.0:
         return eta1 + A
     return eta1 * w + A / w

@@ -26,6 +26,7 @@ from qfilter.filter_core import average_overlap_A
 from conftest import (
     EQUAL_PRIORS,
     coplanar_ensemble,
+    exchange_cases,
     fifty_fifty_ensemble,
     m_matrix,
     near_parallel_ensembles,
@@ -146,8 +147,14 @@ class TestSolveInvariants:
         assert swapped.Q == pytest.approx(sol.Q, abs=1e-12)
         assert swapped.regime is sol.regime
 
+    @pytest.mark.parametrize("name", ["stratified", "near_parallel"])
+    def test_parallel_norm2_is_the_ensembles_w(self, name):
+        for e in exchange_cases()[name]:
+            for f in (e, swapped_23(e)):
+                assert solve(f).parallel_norm2 == parallel_component_norm2(f)
+
     def test_larger_second_overlap_is_handled(self):
-        # |O13| > |O12| exercises the internal relabeling path.
+        # |O13| > |O12|: w is evaluated with states 2 and 3 exchanged.
         e = ensemble_from_overlaps(0.1, 0.6, 0.2, priors=[0.4, 0.25, 0.35])
         ov = overlaps(e)
         assert abs(ov.O13) > abs(ov.O12)

@@ -172,9 +172,11 @@ class TestReferenceMeshes:
 class TestDecomposeReference:
     """``decompose`` reproduces the meshes recorded in ``decompose_reference.json``.
 
-    The file was written by ``scripts/generate_decompose_reference.py`` at
-    commit 11cbf56, when ``decompose`` still applied each layer as a full
-    4x4 matrix product.  It holds 299 unitaries: pipeline-pool designs and
+    The file is frozen: it was written at commit 11cbf56, when ``decompose``
+    still applied each layer as a full 4x4 matrix product, by a generator
+    script that has since been deleted.  Today's ``decompose`` differs from
+    it in the last bits, so regenerating it would turn this test into a
+    self-comparison.  It holds 299 unitaries: pipeline-pool designs and
     the answered near-parallel designs in all 6 signal-row orders, real
     orthogonal, permutation and diagonal-phase matrices, almost-identity
     layers and Haar-random unitaries of sizes 2, 3 and 5.  The layer

@@ -144,6 +144,15 @@ class TestProjectiveBaseline:
         expected = 0.98 * w + a_val / w
         assert von_neumann_baseline(e) == pytest.approx(expected, abs=1e-12)
 
+    def test_tiny_parallel_component_keeps_the_projection_value(self):
+        # w = d^2 = 1e-14 and A = w/4 > 0: the projection value
+        # eta1*w + A/w = 0.25, not the eta1 + A = 0.5 of failing on psi1.
+        d = 1e-7
+        psi1 = np.array([math.sqrt(1.0 - d * d), d, 0.0])
+        e = Ensemble((psi1, np.eye(3)[1], np.eye(3)[2]), np.array([0.5, 0.25, 0.25]))
+        assert parallel_component_norm2(e) == pytest.approx(1e-14, rel=1e-12)
+        assert von_neumann_baseline(e) == pytest.approx(0.25, abs=1e-12)
+
     def test_never_beats_the_optimal_measurement(self):
         rng = np.random.default_rng(44)
         for _ in range(50):

@@ -25,6 +25,7 @@ from qfilter.states import gram_matrix
 
 from conftest import (
     EQUAL_PRIORS,
+    exchange_cases,
     fifty_fifty_ensemble,
     fifty_fifty_states,
     near_parallel_ensembles,
@@ -193,7 +194,7 @@ class TestOverlapMemo:
 
     def test_overlaps_are_computed_once_per_ensemble(self, inner_calls):
         ensembles = stratified_random_ensembles(8, 5)
-        # Both orders of states 2 and 3: solve() exchanges them itself
+        # Both orders of states 2 and 3: w is evaluated in exchanged order
         # when |O13| > |O12|.
         for e in ensembles + [swapped_23(e) for e in ensembles]:
             del inner_calls[:]
@@ -252,6 +253,18 @@ class TestProjector23:
         psi1 = np.array([1.0, 2.0, 0.0]) / math.sqrt(5.0)
         e = Ensemble((psi1, psi2, psi3), EQUAL_PRIORS)
         assert parallel_component_norm2(e) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestParallelNormExchange:
+    """w does not depend on which of states 2 and 3 comes first, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["stratified", "near_parallel"])
+    def test_exchanging_states_2_and_3_keeps_the_bits(self, name):
+        cases = exchange_cases()[name]
+        exchanged = sum(abs(overlaps(e).O13) > abs(overlaps(e).O12) for e in cases)
+        assert len(cases) >= 20 and 5 <= exchanged <= len(cases) - 5
+        for e in cases:
+            assert parallel_component_norm2(swapped_23(e)) == parallel_component_norm2(e)
 
 
 class TestEnsembleFromOverlaps:
