@@ -388,12 +388,13 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         raise QFilterError(
             f"{report.violations} forbidden-port clicks in {report.trials} trials"
         )
-    counts_total = report.counts.sum(axis=1, keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        freq = np.where(counts_total > 0, report.counts / counts_total, 0.0)
+    # Row i is a frequency over state i's own draws; so is its band.
+    drawn = report.counts.sum(axis=1, keepdims=True)
     exact = report.exact_probabilities
-    bands = 5.0 * np.sqrt(np.maximum(exact * (1.0 - exact), 0.0) / report.trials)
-    excess = np.abs(freq - exact) - bands
+    with np.errstate(invalid="ignore", divide="ignore"):
+        freq = report.counts / drawn
+        bands = 5.0 * np.sqrt(np.maximum(exact * (1.0 - exact), 0.0) / drawn)
+    excess = np.where(drawn > 0, np.abs(freq - exact) - bands, 0.0)
     if np.any(excess > 1e-15):
         print(
             "warning: simulate: an empirical port frequency sits outside its "

@@ -23,14 +23,9 @@ keeps the one that synthesizes into the simplest mesh: fewest beam-splitter
 layers first, then the largest real trace of the upper-left 3x3 block (the
 most "pass-through" network), with deterministic tie-breaks.  Layers are
 counted by the nulling kernel of :mod:`qfilter.multiport` on Python rows of
-that unitary; no mesh program is built for a candidate.
-
-:func:`complete_unitary` orthonormalizes the inputs (and completes their
-span to all 4 modes) once per ensemble and keeps that input frame for every
-later call on the same ensemble; each call then orthonormalizes only its
-outputs.  Both pivoted completions stop once their basis spans the 4 modes,
-and project out only the coordinate directions whose residual, read off the
-basis, can be the largest.
+that unitary; no mesh program is built for a candidate, and the winner is
+read off the same rows, so a design completes one unitary.
+:func:`complete_unitary` describes how a completion reuses its work.
 """
 
 from __future__ import annotations
@@ -51,7 +46,7 @@ from .errors import (
 )
 from .filter_core import FilterSolution, solve
 from .multiport import _layer_count
-from .states import Ensemble, gram_matrix, overlaps
+from .states import Ensemble, overlaps
 
 __all__ = [
     "MeasurementDesign",
@@ -250,53 +245,64 @@ def embed_inputs(e: Ensemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(s.padded(NETWORK_DIM) for s in e.states)
 
 
-def _project_out(vec: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
+#: A 4-mode vector as Python complex scalars, with the modes unrolled: on
+#: 4-vectors numpy's per-call overhead costs more than the arithmetic.  A row
+#: is normalized times the reciprocal of its norm, as numpy divides by a real
+#: scalar; the sampled counts of the golden artifacts depend on that rounding.
+Row = list[complex]
+
+
+def _vdot(a: Row, b: Row) -> complex:
+    """``<a|b>`` of two rows."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return a0.conjugate() * b0 + a1.conjugate() * b1 + a2.conjugate() * b2 + a3.conjugate() * b3
+
+
+def _norm(w: Row) -> float:
+    return math.sqrt(_vdot(w, w).real)
+
+
+def _project_out(vec: Row, basis: list[Row]) -> Row:
     """Residual of `vec` orthogonal to `basis`, with one refinement pass.
 
     The second pass removes the components reintroduced by rounding in
     the first, keeping the residual orthogonal to working precision even
     when heavy cancellation occurs.
     """
-    w = np.asarray(vec, dtype=complex).copy()
+    w0, w1, w2, w3 = vec
     for _ in range(2):
-        for b in basis:
-            w -= np.vdot(b, w) * b
-    return w
+        for b0, b1, b2, b3 in basis:
+            c = b0.conjugate() * w0 + b1.conjugate() * w1 + b2.conjugate() * w2 + b3.conjugate() * w3
+            w0, w1, w2, w3 = w0 - c * b0, w1 - c * b1, w2 - c * b2, w3 - c * b3
+    return [w0, w1, w2, w3]
 
 
-def _norm(w: np.ndarray) -> float:
-    """``np.linalg.norm(w)`` of a complex vector, by numpy's own formula."""
-    return math.sqrt(w.real.dot(w.real) + w.imag.dot(w.imag))
-
-
-def _orthonormal_basis(vectors: list[np.ndarray]) -> tuple[list[np.ndarray], list[int]]:
+def _orthonormal_basis(vectors: list[Row]) -> tuple[list[Row], list[int]]:
     """Gram-Schmidt in input order; returns (basis vectors, kept source indices).
 
     Near-dependent vectors are dropped; keeping the input order makes the
     kept-index pattern meaningful for mirroring onto a second vector set
     with the same Gram matrix.
     """
-    basis: list[np.ndarray] = []
+    basis: list[Row] = []
     kept: list[int] = []
     for k, vec in enumerate(vectors):
         w = _project_out(vec, basis)
         norm = _norm(w)
         if norm > 1e-10:
-            basis.append(w / norm)
+            basis.append([x * (1.0 / norm) for x in w])
             kept.append(k)
     return basis, kept
 
 
-#: The coordinate directions (rows) a completion draws its complement from.
-_MODE_BASIS = np.eye(NETWORK_DIM, dtype=complex)
-_MODE_BASIS.setflags(write=False)
 #: Squared-norm margin within which a pivot candidate is still projected out.
 #: Not a tuning knob: any margin far above rounding picks the same pivots, and
 #: a larger one only prunes less.
 _PIVOT_MARGIN = 1e-8
 
 
-def _complement(basis: list[np.ndarray]) -> list[np.ndarray]:
+def _complement(basis: list[Row]) -> list[Row]:
     """Orthonormal completion of an orthonormal `basis` to all 4 modes.
 
     Pivoted Gram-Schmidt over the coordinate directions: each round takes the
@@ -313,34 +319,42 @@ def _complement(basis: list[np.ndarray]) -> list[np.ndarray]:
     ``_PIVOT_MARGIN`` therefore computes a residual strictly smaller than
     the least-mass candidate's, so it can neither be the largest nor tie with
     it.  Only the candidates within the margin are projected out, and the
-    pick among them is the unpruned rule's, bit for bit.
+    pick among them is the unpruned rule's.
     """
     full = list(basis)
     remaining = list(range(NETWORK_DIM))
     while remaining and len(full) < NETWORK_DIM:
-        rows = np.array(full)
-        mass = (rows.real ** 2 + rows.imag ** 2).sum(axis=0).tolist()
+        # sum() rounds differently across Python versions; the masses only prune.
+        mass = [sum(abs(x) ** 2 for x in col) for col in zip(*full)]
         least = min(mass[k] for k in remaining)
         pool = [k for k in remaining if mass[k] <= least + _PIVOT_MARGIN]
-        residuals = [(k, _project_out(_MODE_BASIS[k], full)) for k in pool]
+        units = [[complex(m == k) for m in range(NETWORK_DIM)] for k in pool]
+        residuals = [(k, _project_out(unit, full)) for k, unit in zip(pool, units)]
         norms = [_norm(w) for _, w in residuals]
         norm = max(norms)
         k, w = residuals[norms.index(norm)]
         remaining.remove(k)
         if norm > 1e-10:
-            full.append(w / norm)
+            full.append([x * (1.0 / norm) for x in w])
         else:
             break  # the largest residual is negligible; nothing spans more
     return full[len(basis):]
 
 
+def _phase_fixed(col: Row) -> Row:
+    """`col` with its largest-magnitude entry (the first on a tie) made real
+    and positive: the rule that fixes a completion column's free phase."""
+    pivot = max(col, key=abs)
+    return [x / (pivot / abs(pivot)) for x in col]
+
+
 class _InputFrame(NamedTuple):
     """The half of :func:`complete_unitary` that depends only on the inputs."""
 
-    gram: np.ndarray
-    basis: list[np.ndarray]
+    gram: list[list[complex]]
+    basis: list[Row]
     kept: list[int]
-    complement: list[np.ndarray]
+    complement: list[Row]
 
 
 #: One frame per ensemble, computed on first use.  Ensembles are immutable,
@@ -352,9 +366,10 @@ def _input_frame(e: Ensemble) -> _InputFrame:
     """Gram matrix, orthonormal basis and pivoted complement of the inputs."""
     frame = _INPUT_FRAMES.get(e)
     if frame is None:
-        ins = [np.asarray(v, dtype=complex) for v in embed_inputs(e)]
+        ins = [v.tolist() for v in embed_inputs(e)]
         basis, kept = _orthonormal_basis(ins)
-        frame = _InputFrame(gram_matrix(ins), basis, kept, _complement(basis))
+        gram = [[_vdot(a, b) for b in ins] for a in ins]
+        frame = _InputFrame(gram, basis, kept, _complement(basis))
         _INPUT_FRAMES[e] = frame
     return frame
 
@@ -369,12 +384,13 @@ def complete_unitary(e: Ensemble, outputs) -> np.ndarray:
     making its largest-magnitude entry real and positive, so the result is
     deterministic.
 
-    The input side (Gram matrix, orthonormal basis, pivoted complement) is
-    computed once per ensemble and reused by every later call; only the
-    output side is orthonormalized per call.  Both pivoted completions stop
-    as soon as their basis spans the 4 modes; each round projects out only
-    the coordinate directions whose residual norm, read off the basis, is
-    within rounding of the largest (see :func:`_complement`).
+    The Gram-Schmidt work runs on :data:`Row` lists.  The input side (Gram
+    matrix, orthonormal basis, pivoted complement) is computed once per
+    ensemble and reused by every later call; only the output side is
+    orthonormalized per call.  Both pivoted completions stop as soon as
+    their basis spans the 4 modes; each round projects out only the
+    coordinate directions whose residual norm, read off the basis, is within
+    rounding of the largest (see :func:`_complement`).
 
     Raises
     ------
@@ -386,27 +402,31 @@ def complete_unitary(e: Ensemble, outputs) -> np.ndarray:
     outs = [np.asarray(v, dtype=complex) for v in outputs]
     if len(outs) != 3 or any(v.shape != (NETWORK_DIM,) for v in outs):
         raise DomainError("outputs must be three 4-mode vectors")
-    diff = np.abs(frame.gram - gram_matrix(outs))
-    worst = float(diff.max())
+    outs = [v.tolist() for v in outs]
+    diff = [abs(g - _vdot(a, b)) for row, a in zip(frame.gram, outs) for g, b in zip(row, outs)]
+    worst = max(diff)
     if worst > GRAM_TOL:
-        i, j = np.unravel_index(int(diff.argmax()), diff.shape)
+        i, j = divmod(diff.index(worst), 3)
         raise NoUnitaryError(
             "no unitary maps these inputs to these outputs: inner products "
             f"of pair ({i + 1}, {j + 1}) differ by {worst:.3e} "
             f"(tolerance {GRAM_TOL:g})"
         )
-    out_basis: list[np.ndarray] = []
+    out_basis: list[Row] = []
     for k in frame.kept:
         w = _project_out(outs[k], out_basis)
-        out_basis.append(w / _norm(w))
-    mat = np.zeros((NETWORK_DIM, NETWORK_DIM), dtype=complex)
-    for u, v in zip(frame.basis, out_basis):
-        mat += np.outer(v, np.conj(u))
-    for z, w in zip(frame.complement, _complement(out_basis)):
-        pivot = int(np.argmax(np.abs(w)))
-        w = w / (w[pivot] / abs(w[pivot]))
-        mat += np.outer(w, np.conj(z))
-    return mat
+        norm = _norm(w)
+        out_basis.append([x * (1.0 / norm) for x in w])
+    # U = sum_k |out_k><in_k| over both frames (each fills the 4 modes), summed from 0j.
+    out_cols = out_basis + [_phase_fixed(w) for w in _complement(out_basis)]
+    in_cols = list(zip(*([x.conjugate() for x in u] for u in frame.basis + frame.complement)))
+    return np.array(
+        [
+            [0j + a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3 for b0, b1, b2, b3 in in_cols]
+            for a0, a1, a2, a3 in zip(*out_cols)
+        ],
+        dtype=complex,
+    )
 
 
 def _gauge_candidates(l23_free: bool):
@@ -441,16 +461,18 @@ def design(e: Ensemble, sol: FilterSolution | None = None) -> MeasurementDesign:
 
     One unitary U0 is completed in the standard gauge and each candidate
     is scored as ``diag * U0[perm]`` (:func:`_gauge_candidates`) on Python
-    rows: ``U0.tolist()`` is taken once and each candidate is a row-permuted
-    list of it.  Diagonal phases leave the layer count unchanged, so layers
+    rows of it.  Diagonal phases leave the layer count unchanged, so layers
     are counted once per permutation, by the nulling kernel that
     :func:`qfilter.multiport.decompose` wraps (same layers, without its
-    input checks or layer objects); the trace keys are read from the same
-    rows, and only the winner is rebuilt.  Inputs spanning fewer than 3
-    modes (whose pivoted completion is not permutation-equivariant) and lone
-    flips at theta != pi/4 complete and count every candidate.  Every
-    completion of one ensemble shares its input frame, which is computed
-    once (see :func:`complete_unitary`); the rank test reads it too.
+    input checks or layer objects); the trace keys and the winner's unitary
+    are read from the same rows.  The winner's column 4 (its input is e4)
+    then has its phase fixed again, since the flips can leave its largest
+    entry negative; up to rounding, that is the completion of the winner's
+    own outputs.  Inputs spanning fewer than 3 modes (whose pivoted
+    completion is not permutation-equivariant) and lone flips at theta !=
+    pi/4 complete and count every candidate.  Every completion of one
+    ensemble shares its input frame, which is computed once (see
+    :func:`complete_unitary`); the rank test reads it too.
     """
     if sol is None:
         sol = solve(e)
@@ -458,41 +480,44 @@ def design(e: Ensemble, sol: FilterSolution | None = None) -> MeasurementDesign:
     fails = failure_vectors(sol, chi)
     L = build_L(e, sol, chi)
     inputs = embed_inputs(e)
+    q = sol.failure_probabilities
 
-    def build(swap, signs):
-        succ, theta = success_vectors(L, sol.failure_probabilities, swap, signs)
-        return succ, theta, complete_unitary(e, [s + f for s, f in zip(succ, fails)])
+    def completed_rows(succ):
+        return complete_unitary(e, [s + f for s, f in zip(succ, fails)]).tolist()
 
-    base = build(False, (1, 1, 1))
+    base_succ, base_theta = success_vectors(L, q, False, (1, 1, 1))
     l23_free = abs(L[1, 2]) <= 1e-12
     permutable = len(_input_frame(e).kept) == 3 and (
-        not l23_free or abs(base[1] - np.pi / 4.0) <= 1e-12
+        not l23_free or abs(base_theta - np.pi / 4.0) <= 1e-12
     )
-    base_rows = base[2].tolist()
+    base_rows = completed_rows(base_succ) if permutable else None
     layer_counts: dict = {}
     scored, traces = [], []
     for swap, sign_index, signs, perm, diag in _gauge_candidates(l23_free):
-        built = base if (swap, sign_index) == (False, 0) else None
         if permutable:
             rows, layers_key = [base_rows[i] for i in perm], perm
         else:
-            built = built or build(swap, signs)
-            rows, layers_key, diag = built[2].tolist(), (swap, sign_index), (1, 1, 1)
+            rows = completed_rows(success_vectors(L, q, swap, signs)[0])
+            layers_key, diag = (swap, sign_index), (1, 1, 1)
         if layers_key not in layer_counts:
             layer_counts[layers_key] = _layer_count(rows)
         traces.append(sum(diag[i] * rows[i][i].real for i in range(3)))
-        scored.append((layer_counts[layers_key], int(swap), sign_index, signs, built))
+        scored.append((layer_counts[layers_key], int(swap), sign_index, signs, diag, rows))
     # One rounding over all candidates; the same values as round(-trace, 9).
     trace_keys = np.round(-np.array(traces), 9).tolist()
-    _, _, swap, _, signs, built = min(
-        (layers, key, swap, sign_index, signs, built)
-        for key, (layers, swap, sign_index, signs, built) in zip(trace_keys, scored)
+    _, _, swap, _, signs, diag, rows = min(
+        (layers, key, swap, sign_index, signs, diag, rows)
+        for key, (layers, swap, sign_index, signs, diag, rows) in zip(trace_keys, scored)
     )
-    succ, theta, unitary = built or build(swap, signs)
+    succ, theta = success_vectors(L, q, swap, signs)
+    if permutable:
+        rows = [row if d > 0 else [-x for x in row] for d, row in zip(diag + (1,), rows)]
+        col = _phase_fixed([row[3] for row in rows])
+        rows = [row[:3] + [x] for row, x in zip(rows, col)]
     return MeasurementDesign(
         success_vectors=tuple(succ),
         failure_vectors=fails,
-        unitary=unitary,
+        unitary=np.array(rows, dtype=complex),
         theta=float(theta),
         chi=chi,
         solution=sol,

@@ -239,9 +239,10 @@ class TestSimulateCommand:
         def out_of_band(*args, **kwargs):
             report = real_sample(*args, **kwargs)
             counts = np.rint(report.exact_probabilities * 3000).astype(int)
-            # Input 2 fails 90 times too often (about 6 sigma on its
-            # failure port, whose band is the narrowest of all entries).
-            counts[1] = [counts[1, 0] - 45, 0, counts[1, 2] - 45, counts[1, 3] + 90]
+            # Input 2 fails 140 times too often in its 3000 draws (about 6
+            # sigma on its failure port, whose band is the narrowest of all
+            # entries).
+            counts[1] = [counts[1, 0] - 70, 0, counts[1, 2] - 70, counts[1, 3] + 140]
             reports.append(dataclasses.replace(report, counts=counts))
             return reports[-1]
 
@@ -254,10 +255,24 @@ class TestSimulateCommand:
         worst = float(re.search(r"worst excess ([-+.e0-9]+)\)", err).group(1))
         exact, counts = reports[0].exact_probabilities, reports[0].counts
         deviation = np.abs(counts / counts.sum(axis=1, keepdims=True) - exact)
-        bands = 5.0 * np.sqrt(exact * (1.0 - exact) / 9000)
+        bands = 5.0 * np.sqrt(exact * (1.0 - exact) / counts.sum(axis=1, keepdims=True))
         assert worst == pytest.approx(float((deviation - bands).max()), rel=1e-3)
         # Pairing the largest deviation with the widest band understates it.
         assert worst > deviation.max() - bands.max() + 1e-3
+
+    def test_a_correct_design_at_skewed_priors_stays_in_band(self, tmp_path, capsys):
+        # States 2 and 3 are each drawn about 1000 times in 1e5 trials; bands
+        # over all trials were ten times too narrow for them.
+        doc = json.loads(Path(SYM_030).read_text())
+        doc["priors"] = [0.98, 0.01, 0.01]
+        skewed = tmp_path / "skewed.json"
+        skewed.write_text(json.dumps(doc))
+        for seed in range(60):
+            code = main(
+                ["simulate", "--input", str(skewed), "--trials", "100000", "--seed", str(seed)]
+            )
+            assert code == 0
+            assert capsys.readouterr().err == ""
 
     def test_invalid_trials_fail(self, capsys):
         # The range sample() enforces, refused as a usage error at parse time.

@@ -393,7 +393,6 @@ class TestGaugeSearch:
         for e in oracle_instances(name):
             sol = solve(e)
             got, want = design(e, sol), exhaustive_design(e, sol)
-            assert np.array_equal(got.unitary, want.unitary)
             assert got.state1_port == want.state1_port
             assert got.theta == want.theta
             for a, b in zip(got.success_vectors, want.success_vectors):
@@ -401,6 +400,9 @@ class TestGaugeSearch:
             assert len(decompose(got.unitary).layers) == len(
                 decompose(want.unitary).layers
             )
+            # The same winner, completed in another rounding order (and, on
+            # the permutable path, read off the standard-gauge unitary).
+            assert np.abs(got.unitary - want.unitary).max() <= 1e-13
 
     def test_near_boundary_set_offers_lone_flips_off_pi_over_4(self):
         for args in NEAR_BOUNDARY:
@@ -411,15 +413,34 @@ class TestGaugeSearch:
 
 
 def completion_outcome(complete, e, outputs):
-    """The unitary's bytes, or the class and message of the error raised."""
+    """The unitary, or the class and message of the error raised."""
     try:
-        return complete(e, outputs).tobytes()
+        return complete(e, outputs)
     except (DomainError, NoUnitaryError) as exc:
         return type(exc), str(exc)
 
 
+def completion_residuals(unitary, e, outputs) -> tuple[float, float]:
+    """Unitarity residual and worst input-to-output mapping error."""
+    unitarity = np.abs(unitary.conj().T @ unitary - np.eye(4)).max()
+    mapping = max(np.abs(unitary @ v - o).max() for v, o in zip(embedded(e), outputs))
+    return unitarity, mapping
+
+
+def assert_completes_like_the_reference(e, outputs, got=None):
+    """``complete_unitary`` is as accurate as the reference and, within a
+    bound that grows as 1/sigma_min of the inputs, the same unitary."""
+    got = complete_unitary(e, outputs) if got is None else got
+    want = reference_complete_unitary(e, outputs)
+    for g, w in zip(completion_residuals(got, e, outputs), completion_residuals(want, e, outputs)):
+        assert g <= w + 1e-15
+    singular = np.linalg.svd(np.array(embedded(e)), compute_uv=False)
+    assert np.abs(got - want).max() <= 4e-15 / singular[singular > 1e-10].min()
+
+
 class TestReferenceCompletion:
-    """``complete_unitary`` is bit for bit ``reference_complete_unitary``."""
+    """``complete_unitary`` agrees with ``reference_complete_unitary``, which
+    redoes all of its Gram-Schmidt work in numpy on every call."""
 
     @pytest.mark.parametrize(
         "name",
@@ -430,8 +451,7 @@ class TestReferenceCompletion:
             outputs = [outs for *_, outs in gauge_candidates(e, solve(e))]
             assert len(outputs) in (8, 16)
             for outs in outputs:
-                got = complete_unitary(e, outs)
-                assert got.tobytes() == reference_complete_unitary(e, outs).tobytes()
+                assert_completes_like_the_reference(e, outs)
 
     def test_later_calls_on_one_ensemble_match_the_reference(self):
         rng = np.random.default_rng(31)
@@ -441,8 +461,7 @@ class TestReferenceCompletion:
             candidates = list(gauge_candidates(e, solve(e)))
             # The swapped placement first, then the standard one.
             for *_, outs in (candidates[-1], candidates[0], candidates[-1]):
-                got = complete_unitary(e, outs)
-                assert got.tobytes() == reference_complete_unitary(e, outs).tobytes()
+                assert_completes_like_the_reference(e, outs)
 
     def test_errors_match_the_reference(self):
         e = fifty_fifty_ensemble()
@@ -460,9 +479,14 @@ class TestReferenceCompletion:
         kinds = set()
         for outs in cases + cases:  # the second round reads the memo
             want = completion_outcome(reference_complete_unitary, e, outs)
-            assert completion_outcome(complete_unitary, e, outs) == want
-            kinds.add(bytes if isinstance(want, bytes) else want[0])
-        assert kinds == {NoUnitaryError, DomainError, bytes}
+            got = completion_outcome(complete_unitary, e, outs)
+            if isinstance(want, np.ndarray):
+                assert_completes_like_the_reference(e, outs, got)
+                kinds.add(np.ndarray)
+            else:
+                assert got == want
+                kinds.add(want[0])
+        assert kinds == {NoUnitaryError, DomainError, np.ndarray}
         four_modes = Ensemble(tuple(np.eye(4)[:3]), EQUAL_PRIORS)
         for _ in range(2):
             want = completion_outcome(reference_complete_unitary, four_modes, good)
@@ -493,21 +517,22 @@ class TestCompletionWork:
         return calls
 
     def test_project_out_calls_per_design(self, calls):
-        rebuilt = kept_base = 0
-        for e in stratified_random_ensembles(40, 8):
+        for e in stratified_random_ensembles(40, 8) + oracle_instances("fixtures"):
             sol = solve(e)
             calls.update(_project_out=0, complete_unitary=0)
             design(e, sol)
-            if calls["complete_unitary"] == 1:
-                # 14 before pivot pruning, 23 before the memo
-                assert calls["_project_out"] <= 8
-                kept_base += 1
-            else:
-                assert calls["complete_unitary"] == 2
-                # 21 before pivot pruning, 43 before the memo
-                assert calls["_project_out"] <= 12
-                rebuilt += 1
-        assert rebuilt and kept_base
+            # Permutable: one completion, the winner read off its rows.
+            assert calls["complete_unitary"] == 1
+            # 12 when the winner was completed again, 23 before the memo
+            assert calls["_project_out"] <= 8
+
+    @pytest.mark.parametrize("name", ["random_2d", "near_boundary"])
+    def test_unpermutable_designs_complete_every_candidate(self, calls, name):
+        for e in oracle_instances(name)[:20]:
+            sol = solve(e)
+            calls.update(complete_unitary=0)
+            design(e, sol)
+            assert calls["complete_unitary"] == len(list(gauge_candidates(e, sol)))
 
     def test_input_side_runs_once_per_ensemble(self, calls):
         for e in stratified_random_ensembles(6, 9) + [fifty_fifty_ensemble()]:
@@ -531,17 +556,16 @@ class TestCompletionWork:
             return project_out(vec, basis)
 
         rng = np.random.default_rng(43)
-        inputs = [embedded(random_ensemble(rng, dim=2)) for _ in range(10)]
+        inputs = [[v.tolist() for v in embedded(random_ensemble(rng, dim=2))] for _ in range(10)]
         bases = [designer._orthonormal_basis(ins)[0] for ins in inputs]
         monkeypatch.setattr(designer, "_project_out", recording)
-        eye = np.eye(4, dtype=complex)
         for basis in bases:
             assert len(basis) == 2
             rounds.clear()
             complement = designer._complement(basis)
             # Round one keeps both tied candidates, round two only e4.
             assert rounds == [(2, 2), (2, 3), (3, 3)]
-            assert [v.tobytes() for v in complement] == [eye[2].tobytes(), eye[3].tobytes()]
+            assert np.array(complement).tobytes() == np.eye(4, dtype=complex)[2:].tobytes()
 
     def test_memo_does_not_keep_the_ensemble_alive(self, monkeypatch):
         frames = weakref.WeakKeyDictionary()

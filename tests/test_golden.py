@@ -18,6 +18,16 @@ the repository root::
 
 A change that alters an artifact on purpose regenerates the affected files
 with the same commands and says why in its change record.
+
+The files were written with numpy's bundled OpenBLAS running its SkylakeX
+kernels; ``OPENBLAS_VERBOSE=2 python -c "import numpy"`` prints the kernel
+(``Core: ...``) on stderr.  Other kernels sum in another order, and the
+last digits of some artifacts follow: 9 of the 23 differ under
+``OPENBLAS_CORETYPE=Haswell`` and 11 under ``Prescott``, all of them among
+the design, synthesize and simulate files of ``fifty_fifty``,
+``symmetric_s030`` and ``symmetric_s050``, ``orthogonal.solve``,
+``orthogonal.design`` and ``sweep_two_overlap.csv``.  A mismatch on another
+machine should first be checked against that kernel.
 """
 
 import pathlib
