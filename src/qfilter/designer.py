@@ -44,7 +44,7 @@ from .errors import (
     InfeasibleError,
     NoUnitaryError,
 )
-from .filter_core import FilterSolution, solve
+from .filter_core import FilterSolution, Regime, solve
 from .multiport import _layer_count
 from .states import Ensemble, overlaps
 
@@ -179,7 +179,12 @@ def build_L(
 
 
 def success_vectors(
-    L: np.ndarray, q: tuple[float, ...], swap: bool, signs: tuple[int, ...]
+    L: np.ndarray,
+    q: tuple[float, ...],
+    swap: bool,
+    signs: tuple[int, ...],
+    *,
+    rank_one: bool = False,
 ) -> tuple[list[np.ndarray], float]:
     """Success vectors for one gauge choice; returns (vectors, theta).
 
@@ -193,6 +198,15 @@ def success_vectors(
     vector 2 or 3 is only admissible when L23 = 0.  When q1 = 1 the first
     vector is the zero vector: the target never produces a conclusive
     click, which is the correct boundary design.
+
+    ``rank_one`` declares the ``VN_SMALL_OVERLAP`` regime.  There q1 = w,
+    so the projector onto psi1's orthogonal complement has rank one, and
+    the projector certifying the set, orthogonal to both, has rank one
+    too: the success vectors of states 2 and 3 are parallel, and theta is
+    exactly 0, or pi/2 when a real L23 is negative (Bergou, Herzog &
+    Hillery, PRA 71, 042314, 2005).  Read off the rounded ratio instead,
+    arccos would turn a 1-ulp error into theta ~ 1e-8, and the mesh would
+    need two more beam splitters.
 
     Raises
     ------
@@ -218,6 +232,8 @@ def success_vectors(
             # set the mixing angle from the magnitude.
             cos2theta = min(abs(l23) / bound, 1.0)
             phase3 = np.exp(1j * np.angle(l23))
+        if rank_one:
+            cos2theta = -1.0 if cos2theta < 0.0 else 1.0
     else:
         cos2theta, phase3 = 0.0, 1.0 + 0.0j
     theta = 0.5 * float(np.arccos(cos2theta))
@@ -231,17 +247,23 @@ def success_vectors(
     return [v1, v2, v3], theta
 
 
+def _check_fits(e: Ensemble) -> None:
+    """Refuse states of more than 3 dimensions: mode 4 is reserved as the
+    failure direction and must start unoccupied."""
+    if e.dim > NETWORK_DIM - 1:
+        raise DomainError(
+            f"designs use {NETWORK_DIM} modes with mode {NETWORK_DIM} reserved "
+            f"for failure; states of dimension {e.dim} do not fit"
+        )
+
+
 def embed_inputs(e: Ensemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pad the ensemble's states into the 4-mode network.
 
     The states may use at most 3 dimensions; mode 4 is reserved as the
     failure direction and must start unoccupied.
     """
-    if e.dim > NETWORK_DIM - 1:
-        raise DomainError(
-            f"designs use {NETWORK_DIM} modes with mode {NETWORK_DIM} reserved "
-            f"for failure; states of dimension {e.dim} do not fit"
-        )
+    _check_fits(e)
     return tuple(s.padded(NETWORK_DIM) for s in e.states)
 
 
@@ -363,10 +385,13 @@ _INPUT_FRAMES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _input_frame(e: Ensemble) -> _InputFrame:
-    """Gram matrix, orthonormal basis and pivoted complement of the inputs."""
+    """Gram matrix, orthonormal basis and pivoted complement of the inputs,
+    which are read as rows straight off the states' ``values``."""
     frame = _INPUT_FRAMES.get(e)
     if frame is None:
-        ins = [v.tolist() for v in embed_inputs(e)]
+        _check_fits(e)
+        pad = (0j,) * (NETWORK_DIM - e.dim)
+        ins = [[*s.values, *pad] for s in e.states]
         basis, kept = _orthonormal_basis(ins)
         gram = [[_vdot(a, b) for b in ins] for a in ins]
         frame = _InputFrame(gram, basis, kept, _complement(basis))
@@ -471,8 +496,12 @@ def design(e: Ensemble, sol: FilterSolution | None = None) -> MeasurementDesign:
     own outputs.  Inputs spanning fewer than 3 modes (whose pivoted
     completion is not permutation-equivariant) and lone flips at theta !=
     pi/4 complete and count every candidate.  Every completion of one
-    ensemble shares its input frame, which is computed once (see
-    :func:`complete_unitary`); the rank test reads it too.
+    ensemble shares its input frame, which is computed once from the
+    states' ``values`` (see :func:`complete_unitary`); the rank test reads
+    it too, and ``embedded_inputs`` is the one padded copy of the inputs.
+    In the ``VN_SMALL_OVERLAP`` regime theta is exactly 0 or pi/2 (the
+    ``rank_one`` rule of :func:`success_vectors`).  When the standard gauge
+    wins, its success vectors are reused rather than built again.
     """
     if sol is None:
         sol = solve(e)
@@ -481,11 +510,12 @@ def design(e: Ensemble, sol: FilterSolution | None = None) -> MeasurementDesign:
     L = build_L(e, sol, chi)
     inputs = embed_inputs(e)
     q = sol.failure_probabilities
+    rank_one = sol.regime is Regime.VN_SMALL_OVERLAP
 
     def completed_rows(succ):
         return complete_unitary(e, [s + f for s, f in zip(succ, fails)]).tolist()
 
-    base_succ, base_theta = success_vectors(L, q, False, (1, 1, 1))
+    base_succ, base_theta = success_vectors(L, q, False, (1, 1, 1), rank_one=rank_one)
     l23_free = abs(L[1, 2]) <= 1e-12
     permutable = len(_input_frame(e).kept) == 3 and (
         not l23_free or abs(base_theta - np.pi / 4.0) <= 1e-12
@@ -497,7 +527,7 @@ def design(e: Ensemble, sol: FilterSolution | None = None) -> MeasurementDesign:
         if permutable:
             rows, layers_key = [base_rows[i] for i in perm], perm
         else:
-            rows = completed_rows(success_vectors(L, q, swap, signs)[0])
+            rows = completed_rows(success_vectors(L, q, swap, signs, rank_one=rank_one)[0])
             layers_key, diag = (swap, sign_index), (1, 1, 1)
         if layers_key not in layer_counts:
             layer_counts[layers_key] = _layer_count(rows)
@@ -509,7 +539,10 @@ def design(e: Ensemble, sol: FilterSolution | None = None) -> MeasurementDesign:
         (layers, key, swap, sign_index, signs, diag, rows)
         for key, (layers, swap, sign_index, signs, diag, rows) in zip(trace_keys, scored)
     )
-    succ, theta = success_vectors(L, q, swap, signs)
+    if swap or signs != (1, 1, 1):
+        succ, theta = success_vectors(L, q, swap, signs, rank_one=rank_one)
+    else:
+        succ, theta = base_succ, base_theta  # the standard gauge won
     if permutable:
         rows = [row if d > 0 else [-x for x in row] for d, row in zip(diag + (1,), rows)]
         col = _phase_fixed([row[3] for row in rows])

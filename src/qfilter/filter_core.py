@@ -81,7 +81,8 @@ class FilterSolution:
 def average_overlap_A(e: Ensemble) -> float:
     """Weighted overlap A = eta2*|O12|^2 + eta3*|O13|^2 (lies in [0, 1])."""
     ov = overlaps(e)
-    return float(e.priors[1] * abs(ov.O12) ** 2 + e.priors[2] * abs(ov.O13) ** 2)
+    _, eta2, eta3 = e.etas
+    return eta2 * abs(ov.O12) ** 2 + eta3 * abs(ov.O13) ** 2
 
 
 def _classify(A: float, w: float, eta1: float) -> Regime:
@@ -116,7 +117,7 @@ def solve(e: Ensemble) -> FilterSolution:
         If states 2 and 3 are numerically parallel.
     """
     ov = overlaps(e)
-    eta1, eta2, eta3 = e.priors.tolist()
+    eta1, eta2, eta3 = e.etas
     if eta1 <= 0.0:
         raise DegeneratePriorError(
             "the filter target has zero prior probability; the optimal "

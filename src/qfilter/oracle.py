@@ -105,7 +105,7 @@ def brute_force_filter(e: Ensemble, resolution: float = 1e-4) -> OracleResult:
     resolution = _check_resolution(resolution)
     ov = overlaps(e)
     a12, a13 = abs(ov.O12) ** 2, abs(ov.O13) ** 2
-    eta1, eta2, eta3 = (float(x) for x in e.priors)
+    eta1, eta2, eta3 = e.etas
     try:
         lower = max(parallel_component_norm2(e), a12, a13)
     except DegenerateSubspaceError:
@@ -180,10 +180,9 @@ def _identity_residuals(
         )
     else:
         delta = 0.0
-    stationarity = (
-        e.priors[0] * q1 * q1 - e.priors[1] * mag12**2 - e.priors[2] * mag13**2
-    )
-    eta23 = float(e.priors[1] * e.priors[2])
+    eta1, eta2, eta3 = e.etas
+    stationarity = eta1 * q1 * q1 - eta2 * mag12**2 - eta3 * mag13**2
+    eta23 = eta2 * eta3
     if eta23 > 0.0:
         inv_lambda = np.sqrt(max(d12, 0.0) * max(d13, 0.0) / eta23)
     else:
@@ -250,7 +249,7 @@ def three_state_Q(e: Ensemble, resolution: float = 1e-3) -> float:
     a12, a13, a23 = abs(ov.O12) ** 2, abs(ov.O13) ** 2, abs(ov.O23) ** 2
     if max(a12, a13, a23) < 1e-28:
         return 0.0
-    eta1, eta2, eta3 = (float(x) for x in e.priors)
+    eta1, eta2, eta3 = e.etas
     c = np.conj(ov.O12) * ov.O13
     d_ratio = np.sqrt(eta3 / eta2) if eta2 > 0.0 else np.inf
 

@@ -143,7 +143,7 @@ def von_neumann_baseline(e: Ensemble) -> float:
     A = average_overlap_A(e)
     if A == 0.0:
         return 0.0
-    eta1 = float(e.priors[0])
+    eta1 = e.etas[0]
     if A >= eta1:
         return eta1 + A
     w = parallel_component_norm2(e)

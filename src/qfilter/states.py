@@ -5,6 +5,13 @@ This module defines the immutable value types (:class:`StateVector`,
 rest of the package builds on: pairwise overlaps, Gram matrices, and the
 squared norm of the component of psi1 lying inside span{psi2, psi3}.
 
+A state has a handful of amplitudes, so it stores them as a tuple of
+Python ``complex`` and the overlaps and that squared norm are formed on
+those scalars: on vectors this short numpy's per-call overhead costs more
+than the arithmetic.  Every sum runs left to right in a fixed order (never
+``sum()``, whose float rounding changed in Python 3.12), so the bits do
+not depend on the Python version or on the BLAS kernel numpy selects.
+
 Conventions
 -----------
 Inner products are conjugate-linear in the **first** slot:
@@ -14,8 +21,9 @@ Inner products are conjugate-linear in the **first** slot:
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -42,34 +50,41 @@ NORM_REJECT_TOL = 1e-6
 SUBSPACE_TOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class StateVector:
     """A unit-norm complex vector of probability amplitudes.
 
     The constructor accepts any sequence of (complex) numbers whose
     Euclidean norm is within ``NORM_REJECT_TOL`` of 1, renormalizes it
-    exactly, and stores a read-only copy.  Zero vectors and badly
-    normalized inputs are rejected rather than silently rescaled.
+    exactly, and keeps the result in ``values``, a tuple of Python
+    ``complex``.  Zero vectors and badly normalized inputs are rejected
+    rather than silently rescaled.  ``amplitudes`` is the same vector as a
+    read-only ndarray, built from ``values`` on first access.
     """
 
-    amplitudes: np.ndarray
+    values: tuple[complex, ...]
 
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.amplitudes, dtype=complex)
+    def __init__(self, amplitudes) -> None:
+        arr = np.asarray(amplitudes, dtype=complex)
         if arr.ndim != 1:
             raise InvalidStateError(
                 f"state amplitudes must form a 1-D sequence, got shape {arr.shape}"
             )
-        # The squared norm exactly as np.linalg.norm forms it.  It is finite
-        # whenever every amplitude is, unless it overflows, so only then are
-        # the amplitudes themselves inspected.
-        re, im = arr.real, arr.imag
-        sqnorm = float(re.dot(re) + im.dot(im))
-        if not math.isfinite(sqnorm) and not np.isfinite(arr).all():
+        values = arr.tolist()
+        # The squared real parts, then the squared imaginary parts, each
+        # summed left to right.  The result is finite whenever every
+        # amplitude is, unless it overflows, so only then are the amplitudes
+        # themselves inspected.
+        re2 = im2 = 0.0
+        for x in values:
+            re2 += x.real * x.real
+            im2 += x.imag * x.imag
+        sqnorm = re2 + im2
+        if not math.isfinite(sqnorm) and not all(map(cmath.isfinite, values)):
             raise InvalidStateError("state amplitudes must be finite")
-        if arr.size < 2:
+        if len(values) < 2:
             raise InvalidStateError(
-                f"state vectors must have dimension >= 2, got {arr.size}"
+                f"state vectors must have dimension >= 2, got {len(values)}"
             )
         norm = math.sqrt(sqnorm)
         if abs(norm - 1.0) > NORM_REJECT_TOL:
@@ -77,18 +92,36 @@ class StateVector:
                 "state vector norm deviates from 1 by more than "
                 f"{NORM_REJECT_TOL:g} (norm={norm:.9g}); normalize explicitly"
             )
-        arr = arr / norm
+        # Times the reciprocal norm, which is how numpy divides a complex
+        # array by a real scalar.  The factor is a complex number so that
+        # every Python version rounds the product alike: from 3.14 on, a
+        # complex times a float is taken componentwise, which can change
+        # the sign of a zero part.
+        scale = complex(1.0 / norm, 0.0)
+        object.__setattr__(self, "values", tuple([x * scale for x in values]))
+
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
+        """The normalized amplitudes as a read-only complex ndarray."""
+        arr = np.array(self.values, dtype=complex)
         arr.setflags(write=False)
-        object.__setattr__(self, "amplitudes", arr)
+        return arr
 
     @property
     def dim(self) -> int:
         """Dimension of the underlying mode space."""
-        return int(self.amplitudes.size)
+        return len(self.values)
 
     def inner(self, other: "StateVector") -> complex:
-        """Inner product with `other`, conjugating this vector's amplitudes."""
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
+        """Inner product with `other`, conjugating this vector's amplitudes.
+
+        The products ``conj(a_k) * b_k`` are added to ``0j`` one mode at a
+        time, first mode first.
+        """
+        acc = 0j
+        for a, b in zip(self.values, other.values):
+            acc += a.conjugate() * b
+        return acc
 
     def padded(self, dim: int) -> np.ndarray:
         """Return a writable copy embedded into `dim` modes (zero padding)."""
@@ -97,7 +130,7 @@ class StateVector:
                 f"cannot pad a {self.dim}-dimensional state into {dim} modes"
             )
         out = np.zeros(dim, dtype=complex)
-        out[: self.dim] = self.amplitudes
+        out[: self.dim] = self.values
         return out
 
 
@@ -109,25 +142,27 @@ class Ensemble:
     "target vs. {states[1], states[2]}" without error.  Priors must lie in
     [0, 1] and sum to 1 within 1e-12; all states must share one dimension.
 
-    The priors are copied and, like the amplitudes of the states, made
-    read-only, so an ensemble never changes after construction.  That is
-    why its overlaps and parallel-component norm (see :func:`overlaps` and
-    :func:`parallel_component_norm2`) are computed at most once per
-    instance, on first use.
+    The priors are copied and, like the states, made read-only, so an
+    ensemble never changes after construction.  ``etas`` holds the same
+    priors as a tuple of Python floats, which the closed-form stages read.
+    Because nothing changes, the overlaps and parallel-component norm (see
+    :func:`overlaps` and :func:`parallel_component_norm2`) are computed at
+    most once per instance, on first use.
     """
 
     states: tuple[StateVector, StateVector, StateVector]
     priors: np.ndarray
+    etas: tuple[float, float, float] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         states = tuple(
-            s if isinstance(s, StateVector) else StateVector(s) for s in self.states
+            [s if isinstance(s, StateVector) else StateVector(s) for s in self.states]
         )
         if len(states) != 3:
             raise InvalidEnsembleError(
                 f"an ensemble needs exactly 3 states, got {len(states)}"
             )
-        dims = {s.dim for s in states}
+        dims = {len(s.values) for s in states}
         if len(dims) != 1:
             raise InvalidEnsembleError(
                 f"all states must share one dimension, got sizes {sorted(dims)}"
@@ -141,7 +176,7 @@ class Ensemble:
         eta1, eta2, eta3 = values = priors.tolist()
         if not all(map(math.isfinite, values)):
             raise InvalidEnsembleError("priors must be finite")
-        if not all(0.0 <= x <= 1.0 for x in values):
+        if min(values) < 0.0 or max(values) > 1.0:
             raise InvalidEnsembleError(f"priors must lie in [0, 1], got {values}")
         total = 0.0 + eta1 + eta2 + eta3  # the order of priors.sum()
         if abs(total - 1.0) > 1e-12:
@@ -151,6 +186,7 @@ class Ensemble:
         priors.setflags(write=False)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "priors", priors)
+        object.__setattr__(self, "etas", (eta1, eta2, eta3))
 
     @property
     def dim(self) -> int:
@@ -166,8 +202,7 @@ class Ensemble:
         o12 = s1.inner(s2)
         o13 = s1.inner(s3)
         o23 = s2.inner(s3)
-        alpha = -float(np.angle(o12 * np.conj(o13)))
-        return OverlapSet(o12, o13, o23, alpha)
+        return OverlapSet(o12, o13, o23, -cmath.phase(o12 * o13.conjugate()))
 
     @cached_property
     def _parallel_norm2(self) -> float:
@@ -182,9 +217,9 @@ class Ensemble:
         # depend on which of states 2 and 3 comes first.
         if abs(o13) > abs(o12):
             o12, o13, o23 = o13, o12, o23.conjugate()
-        num = abs(o12) ** 2 + abs(o13) ** 2 - 2.0 * (o12 * o23 * np.conj(o13)).real
+        num = abs(o12) ** 2 + abs(o13) ** 2 - 2.0 * (o12 * o23 * o13.conjugate()).real
         val = num / (1.0 - abs(o23) ** 2)
-        return float(min(max(val, 0.0), 1.0))
+        return min(max(val, 0.0), 1.0)
 
 
 @dataclass(frozen=True)

@@ -365,12 +365,15 @@ def gauge_candidates(e: Ensemble, sol: FilterSolution):
 
     The 8 gauge candidates are 2 placements x 4 sign patterns that leave L
     invariant, or 16 when L23 vanishes and lone flips of vector 2 or 3 are
-    allowed too; they come in tie-break order.
+    allowed too; they come in tie-break order.  In the VN_SMALL_OVERLAP
+    regime the success vectors of states 2 and 3 are parallel, so theta is
+    taken as exactly 0 or pi/2 (``rank_one``), as ``design`` takes it.
     """
     q = (sol.q1, sol.q2, sol.q3)
     chi = failure_phases(e)
     fail_vecs = failure_vectors(sol, chi)
     residual_gram = build_L(e, sol, chi)
+    rank_one = sol.regime is Regime.VN_SMALL_OVERLAP
     if abs(residual_gram[1, 2]) <= 1e-12:
         sign_opts = [
             (1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
@@ -380,7 +383,7 @@ def gauge_candidates(e: Ensemble, sol: FilterSolution):
         sign_opts = [(1, 1, 1), (1, -1, -1), (-1, 1, 1), (-1, -1, -1)]
     for swap in (False, True):
         for sign_index, signs in enumerate(sign_opts):
-            succ, theta = success_vectors(residual_gram, q, swap, signs)
+            succ, theta = success_vectors(residual_gram, q, swap, signs, rank_one=rank_one)
             yield swap, sign_index, succ, theta, [s + f for s, f in zip(succ, fail_vecs)]
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qfilter import (
+    DegenerateSubspaceError,
     DomainError,
     Ensemble,
     FilterSolution,
@@ -44,6 +45,7 @@ from conftest import (
     fifty_fifty_expected_outputs,
     fifty_fifty_expected_unitary,
     gauge_candidates,
+    near_parallel_ensembles,
     orthogonal_ensemble,
     random_ensemble,
     reference_complete_unitary,
@@ -410,6 +412,64 @@ class TestGaugeSearch:
             sol = solve(e)
             assert abs(build_L(e, sol, failure_phases(e))[1, 2]) <= 1e-12
             assert abs(design(e, sol).theta - math.pi / 4.0) > 1e-12
+
+
+def vn_small_cases(name: str) -> list[tuple[Ensemble, FilterSolution]]:
+    """The VN_SMALL_OVERLAP instances of a stratified, near-parallel or real set.
+
+    The real set (real states, half of them nearly coplanar, first prior
+    dominant) is where a negative L23 makes theta pi/2.
+    """
+    if name == "stratified":
+        ensembles = stratified_random_ensembles(300, 20260816)
+    elif name == "near_parallel":
+        ensembles = near_parallel_ensembles(40, 20011203)
+    else:
+        rng = np.random.default_rng(5)
+        ensembles = []
+        for k in range(60):
+            z = rng.normal(size=(3, 3))
+            if k % 2:
+                z[0] = z[1] + z[2] + 0.1 * z[0]
+            states = tuple(v / np.linalg.norm(v) for v in z)
+            ensembles.append(Ensemble(states, rng.dirichlet([8.0, 1.0, 1.0])))
+    cases = []
+    for e in ensembles:
+        try:
+            sol = solve(e)
+        except DegenerateSubspaceError:
+            continue
+        if sol.regime is Regime.VN_SMALL_OVERLAP:
+            cases.append((e, sol))
+    return cases
+
+
+class TestRankOneTheta:
+    """q1 = w makes the success vectors of states 2 and 3 parallel."""
+
+    @pytest.mark.parametrize("name", ["stratified", "near_parallel", "real"])
+    def test_theta_is_exactly_0_or_pi_over_2(self, name):
+        cases = vn_small_cases(name)
+        assert len(cases) >= 15
+        thetas = set()
+        for e, sol in cases:
+            dsn = design(e, sol)
+            assert dsn.theta in (0.0, math.pi / 2.0)
+            thetas.add(dsn.theta)
+            unitary = dsn.unitary
+            np.testing.assert_allclose(unitary.conj().T @ unitary, np.eye(4), atol=1e-10)
+            probs = [np.abs(unitary @ v) ** 2 for v in embedded(e)]
+            claim = dsn.state1_port - 1
+            others = [p - 1 for p in dsn.set_ports]
+            assert probs[0][others].sum() < 1e-10
+            assert max(probs[1][claim], probs[2][claim]) < 1e-10
+            for p, q_i in zip(probs, sol.failure_probabilities):
+                assert p[3] == pytest.approx(q_i, abs=1e-9)
+            np.testing.assert_allclose(
+                gram_matrix(embedded(e)), gram_matrix(dsn.outputs), atol=1e-9
+            )
+        if name == "real":
+            assert thetas == {0.0, math.pi / 2.0}
 
 
 def completion_outcome(complete, e, outputs):

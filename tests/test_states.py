@@ -36,6 +36,11 @@ from conftest import (
 )
 
 
+def complex_bits(z: complex) -> tuple[str, str]:
+    """The exact bits of a complex number, signed zeros included."""
+    return z.real.hex(), z.imag.hex()
+
+
 class TestStateVector:
     def test_accepts_normalized_vector(self):
         v = StateVector(np.array([1.0, 1.0j]) / math.sqrt(2.0))
@@ -72,6 +77,36 @@ class TestStateVector:
         v = StateVector(np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             v.amplitudes[0] = 0.0
+
+    def test_amplitudes_are_a_read_only_array_of_the_stored_values(self):
+        v = StateVector(np.array([0.6, 0.8j, -0.0]))
+        assert isinstance(v.values, tuple)
+        assert all(type(x) is complex for x in v.values)
+        arr = v.amplitudes
+        assert isinstance(arr, np.ndarray) and arr.dtype == complex and arr.shape == (3,)
+        assert not arr.flags.writeable
+        assert list(map(complex_bits, arr.tolist())) == list(map(complex_bits, v.values))
+        assert v.amplitudes is arr
+
+    def test_inner_is_a_fixed_order_scalar_sum(self):
+        rng = np.random.default_rng(31)
+        states = [StateVector(v) for v in fifty_fifty_states() + list(np.eye(3))]
+        states.append(StateVector(np.conj(np.array([0.6, 0.8, -0.0]))))
+        for dim in (3, 2, 4, 7):
+            z = rng.normal(size=(12, dim)) + 1j * rng.normal(size=(12, dim))
+            z[::3].imag = 0.0
+            states += [StateVector(x / np.linalg.norm(x)) for x in z]
+        for u in states:
+            for v in states:
+                if u.dim != v.dim:
+                    continue
+                acc = 0j
+                for a, b in zip(u.values, v.values):
+                    acc = complex(
+                        acc.real + (a.real * b.real + a.imag * b.imag),
+                        acc.imag + (a.real * b.imag - a.imag * b.real),
+                    )
+                assert complex_bits(u.inner(v)) == complex_bits(acc)
 
     def test_inner_is_conjugate_linear_in_first_slot(self):
         rng = np.random.default_rng(3)
