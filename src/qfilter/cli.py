@@ -15,6 +15,10 @@ other value, like any bad argument, is a usage error (exit 2).
 Floating-point values in artifacts are printed at 15 significant digits
 so that emitted files are stable enough to serve as regression fixtures.
 Every artifact carries a ``schema`` version field and re-parses as JSON.
+
+``solve``, ``design``, ``synthesize`` and an equal-prior ``sweep`` never
+import numpy; ``simulate`` (its random stream) and ``compare`` (the grid of
+:func:`qfilter.oracle.three_state_Q`) import it on first use.
 """
 
 from __future__ import annotations
@@ -25,12 +29,10 @@ import math
 import sys
 from typing import Any
 
-import numpy as np
-
 from .designer import MeasurementDesign, design
 from .errors import QFilterError
 from .filter_core import FilterSolution, solve
-from .multiport import decompose, recompose
+from .multiport import _recomposed, _unitarity_residual, decompose
 from .oracle import compare as oracle_compare
 from .oracle import three_state_Q, two_state_Q
 from .simulator import MAX_TRIALS, port_probabilities, sample, von_neumann_baseline
@@ -62,21 +64,18 @@ def _sig15(value: float) -> float:
 
 
 def _jsonify(obj: Any) -> Any:
-    """Recursively convert numbers/arrays to JSON-safe, 15-digit values."""
+    """Recursively convert numbers/arrays (read through ``tolist``) to
+    JSON-safe, 15-digit values."""
     if isinstance(obj, dict):
         return {key: _jsonify(val) for key, val in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(item) for item in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(item) for item in obj.tolist()]
-    if isinstance(obj, (complex, np.complexfloating)):
+    if hasattr(obj, "tolist"):
+        return _jsonify(obj.tolist())
+    if isinstance(obj, complex):
         return {"re": _sig15(float(obj.real)), "im": _sig15(float(obj.imag))}
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return _sig15(float(obj))
+    if isinstance(obj, float):
+        return _sig15(obj)
     return obj
 
 
@@ -174,7 +173,7 @@ def load_ensemble(path: str) -> tuple[Ensemble, str | None]:
             for j, entry in enumerate(state_raw)
         ]
         try:
-            vectors.append(StateVector(np.asarray(amplitudes, dtype=complex)))
+            vectors.append(StateVector(amplitudes))
         except QFilterError as exc:
             raise QFilterError(f"{path}: states[{i}]: {exc}") from exc
     priors_raw = raw["priors"]
@@ -185,7 +184,7 @@ def load_ensemble(path: str) -> tuple[Ensemble, str | None]:
     except (TypeError, ValueError) as exc:
         raise QFilterError(f"{path}: field 'priors' contains a non-number") from exc
     try:
-        ensemble = Ensemble(tuple(vectors), np.asarray(priors, dtype=float))
+        ensemble = Ensemble(tuple(vectors), priors)
     except QFilterError as exc:
         raise QFilterError(f"{path}: {exc}") from exc
     label = raw.get("label")
@@ -230,7 +229,8 @@ def _validate_solution(e: Ensemble, sol: FilterSolution, tol: float) -> str | No
     ):
         if abs(lhs - rhs) > tol:
             return f"zero-error constraint {name} violated by {abs(lhs - rhs):.3e}"
-    weighted = float(np.dot(e.priors, [sol.q1, sol.q2, sol.q3]))
+    eta1, eta2, eta3 = e.etas
+    weighted = 0.0 + eta1 * sol.q1 + eta2 * sol.q2 + eta3 * sol.q3
     if abs(weighted - sol.Q) > tol:
         return f"Q does not equal the weighted failure average (diff {abs(weighted - sol.Q):.3e})"
     if sol.q1 < sol.parallel_norm2 - tol:
@@ -241,15 +241,14 @@ def _validate_solution(e: Ensemble, sol: FilterSolution, tol: float) -> str | No
 def _design_checks(
     e: Ensemble, dsn: MeasurementDesign, tol: float
 ) -> str | None:
-    unitary = dsn.unitary
-    gap = float(np.abs(unitary.conj().T @ unitary - np.eye(4)).max())
+    gap = _unitarity_residual(dsn._unitary)
     if gap > tol:
         return f"unitary deviates from unitarity by {gap:.3e}"
     # The raw vectors: wrapping them in StateVector would renormalize away
     # an output norm error of up to 1e-6.
-    gram_in = gram_matrix(dsn.embedded_inputs)
-    gram_out = gram_matrix(dsn.outputs)
-    gram_gap = float(np.abs(gram_in - gram_out).max())
+    gram_in = gram_matrix(dsn._embedded_inputs)
+    gram_out = gram_matrix(dsn._outputs)
+    gram_gap = max(abs(a - b) for ra, rb in zip(gram_in, gram_out) for a, b in zip(ra, rb))
     if gram_gap > max(tol, 1e-9):
         return f"input/output Gram matrices differ by {gram_gap:.3e}"
     sol = dsn.solution
@@ -258,10 +257,10 @@ def _design_checks(
     set_ports = [p - 1 for p in dsn.set_ports]
     for i in range(3):
         probs = port_probabilities(dsn, i)
-        forbidden = probs[set_ports].sum() if i == 0 else probs[claim]
+        forbidden = probs[set_ports[0]] + probs[set_ports[1]] if i == 0 else probs[claim]
         if forbidden > max(tol, 1e-12):
             return (
-                f"input {i + 1} leaks probability {float(forbidden):.3e} "
+                f"input {i + 1} leaks probability {forbidden:.3e} "
                 "into a forbidden port"
             )
         if abs(probs[3] - expected_q[i]) > max(tol, 1e-9):
@@ -319,7 +318,7 @@ def _cmd_solve(args: argparse.Namespace) -> None:
     e, label, sol = _solved(args)
     payload = _header(SCHEMA_SOLUTION, label)
     payload.update(_solution_payload(e, sol))
-    payload["priors"] = list(e.priors)
+    payload["priors"] = list(e.etas)
     _emit_json(payload, args.output)
 
 
@@ -331,17 +330,19 @@ def _cmd_design(args: argparse.Namespace) -> None:
     payload["chi"] = list(dsn.chi)
     payload["state1_port"] = dsn.state1_port
     payload["set_ports"] = list(dsn.set_ports)
-    payload["success_vectors"] = [v for v in dsn.success_vectors]
-    payload["failure_vectors"] = [v for v in dsn.failure_vectors]
-    payload["unitary"] = dsn.unitary
+    payload["success_vectors"] = dsn._success_vectors
+    payload["failure_vectors"] = dsn._failure_vectors
+    payload["unitary"] = dsn._unitary
     payload["port_probabilities"] = [port_probabilities(dsn, i) for i in range(3)]
     _emit_json(payload, args.output)
 
 
 def _cmd_synthesize(args: argparse.Namespace) -> None:
     _, label, dsn = _designed(args)
-    program = decompose(dsn.unitary)
-    residual = float(np.abs(recompose(program) - dsn.unitary).max())
+    program = decompose(dsn._unitary)
+    residual = max(
+        abs(a - b) for ra, rb in zip(_recomposed(program), dsn._unitary) for a, b in zip(ra, rb)
+    )
     if residual > max(args.tolerance, 1e-9):
         raise QFilterError(f"mesh recomposition residual {residual:.3e} exceeds 1e-9")
     if len(program.layers) > 6:
@@ -354,11 +355,13 @@ def _cmd_synthesize(args: argparse.Namespace) -> None:
     payload["output_phases"] = list(program.output_phases)
     payload["layer_count"] = len(program.layers)
     payload["recomposition_residual"] = residual
-    payload["unitary"] = dsn.unitary
+    payload["unitary"] = dsn._unitary
     _emit_json(payload, args.output)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
+    import numpy as np
+
     e, label, dsn = _designed(args)
     report = sample(dsn, e, trials=args.trials, seed=args.seed)
     expected_q = dsn.solution.Q
@@ -437,10 +440,15 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
         s2 = 0.8 if s2 is None else s2
         if not 0.0 < s2 < 1.0:
             raise QFilterError(f"--s2 must lie in (0, 1), got {s2!r}")
-    priors = np.asarray(args.priors, dtype=float)
-    equal_priors = bool(np.allclose(priors, 1.0 / 3.0, atol=1e-12))
-    grid = np.arange(start, stop + step / 2.0, step)
-    grid = grid[(grid > 0.0) & (grid < 1.0)]
+    priors = args.priors
+    # np.allclose(priors, 1/3, atol=1e-12), whose default rtol is 1e-5.
+    equal_priors = all(abs(p - 1.0 / 3.0) <= 1e-12 + 1e-5 / 3.0 for p in priors)
+    # np.arange(start, stop + step / 2, step): start, start + step, then
+    # start + i * delta with delta the difference of those two.
+    count = math.ceil((stop + step / 2.0 - start) / step)
+    delta = (start + step) - start
+    grid = [start, start + step][:count] + [start + i * delta for i in range(2, count)]
+    grid = [s for s in grid if 0.0 < s < 1.0]
     header = "s,Q,Q_prime,Q_double_prime" if symmetric else "s1,s2,Q,Q_prime,ratio"
     lines = [f"# {SCHEMA_SWEEP}", header]
     q_rows, qp_rows = [], []
@@ -452,7 +460,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
             # At equal priors Q' has a closed form: s on symmetric_s (where
             # s*s <= s = o23 always holds), and on two_overlap while s*s <= s2.
             if equal_priors and s * s <= o23 + 1e-12:
-                qp_val = float(s) if symmetric else (s * s / s2 + 2.0 * s2) / 3.0
+                qp_val = s if symmetric else (s * s / s2 + 2.0 * s2) / 3.0
             else:
                 qp_val = three_state_Q(e, resolution=args.resolution)
         except QFilterError as exc:
@@ -463,12 +471,12 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
         else:
             ratio = 1.0 if qp_val <= 1e-12 else q_val / qp_val
             row = (s, s2, q_val, qp_val, ratio)
-        lines.append(",".join(f"{_sig15(float(x)):.15g}" for x in row))
+        lines.append(",".join(f"{_sig15(x):.15g}" for x in row))
         q_rows.append(q_val)
         qp_rows.append(qp_val)
     if symmetric:
         for name, rows in (("Q", q_rows), ("Q_prime", qp_rows)):
-            if np.any(np.diff(rows) < -1e-12):
+            if any(b - a < -1e-12 for a, b in zip(rows, rows[1:])):
                 raise QFilterError(f"{name} is not monotone nondecreasing in s")
     _emit("\n".join(lines) + "\n", args.output)
 

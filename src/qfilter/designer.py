@@ -26,17 +26,20 @@ counted by the nulling kernel of :mod:`qfilter.multiport` on Python rows of
 that unitary; no mesh program is built for a candidate, and the winner is
 read off the same rows, so a design completes one unitary.
 :func:`complete_unitary` describes how a completion reuses its work.
+
+Every step runs on Python scalars, as :data:`Row` lists, and imports no
+numpy; the building blocks return rows, and only the ndarray views of a
+:class:`MeasurementDesign` import numpy when first read.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import weakref
 from dataclasses import dataclass
 from itertools import product
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     DomainError,
@@ -46,7 +49,10 @@ from .errors import (
 )
 from .filter_core import FilterSolution, Regime, solve
 from .multiport import _layer_count
-from .states import Ensemble, overlaps
+from .states import Ensemble, _cholesky, frozen_array, gram_matrix, overlaps
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MeasurementDesign",
@@ -66,9 +72,17 @@ NETWORK_DIM = 4
 GRAM_TOL = 1e-8
 
 
+_VECTOR_FIELDS = ("success_vectors", "failure_vectors", "unitary", "embedded_inputs")
+
+
 @dataclass(frozen=True, eq=False)
 class MeasurementDesign:
     """A complete, executable description of the optimal measurement.
+
+    A vector field takes an ndarray or Python rows and keeps them as rows
+    of Python ``complex`` under its name with a leading underscore, which
+    the stages read; the field itself (like ``outputs``, success plus
+    failure vectors) reads as a read-only ndarray built on first access.
 
     Attributes
     ----------
@@ -105,15 +119,46 @@ class MeasurementDesign:
     embedded_inputs: tuple[np.ndarray, np.ndarray, np.ndarray]
     state1_port: int
 
+    def __post_init__(self) -> None:
+        for name in _VECTOR_FIELDS:
+            rows = self.__dict__.pop(name)
+            self.__dict__["_" + name] = tuple([tuple(map(complex, row)) for row in rows])
+
+    def __getattr__(self, name: str):
+        """Build an ndarray view (a vector field or ``outputs``) on first read."""
+        if name not in _VECTOR_FIELDS + ("outputs",):
+            raise AttributeError(name)
+        rows = self._outputs if name == "outputs" else self.__dict__["_" + name]
+        view = frozen_array(rows) if name == "unitary" else tuple(map(frozen_array, rows))
+        self.__dict__[name] = view
+        return view
+
     @property
-    def outputs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Full output vectors: success part plus failure part."""
-        return tuple(s + f for s, f in zip(self.success_vectors, self.failure_vectors))
+    def _outputs(self) -> list[Row]:
+        return _sums(self._success_vectors, self._failure_vectors)
 
     @property
     def set_ports(self) -> tuple[int, int]:
         """1-based modes whose click certifies "not the target"."""
         return tuple(m for m in (1, 2, 3) if m != self.state1_port)
+
+
+#: A 4-mode vector as Python complex scalars, with the modes unrolled: on
+#: 4-vectors numpy's per-call overhead costs more than the arithmetic.  A row
+#: is normalized times the reciprocal of its norm, as numpy divides by a real
+#: scalar; the sampled counts of the golden artifacts depend on that rounding.
+Row = list[complex]
+
+
+def _sums(succ, fails) -> list[Row]:
+    """The outputs ``success_i + failure_i``, entry by entry."""
+    return [[a + b for a, b in zip(s, f)] for s, f in zip(succ, fails)]
+
+
+def _scaled(x: float, phase: complex) -> complex:
+    """``x * phase`` as numpy forms a real times a complex number: the real
+    is promoted to ``complex(x, 0)``, whatever the Python version."""
+    return complex(x, 0.0) * phase
 
 
 def failure_phases(e: Ensemble) -> tuple[float, float, float]:
@@ -124,28 +169,50 @@ def failure_phases(e: Ensemble) -> tuple[float, float, float]:
     ``chi_1 = 0`` (gauge), ``chi_j = arg(O1j)``.
     """
     ov = overlaps(e)
-    return (0.0, float(np.angle(ov.O12)), float(np.angle(ov.O13)))
+    return (0.0, cmath.phase(ov.O12), cmath.phase(ov.O13))
 
 
 def failure_vectors(
     sol: FilterSolution, chi: tuple[float, float, float]
-) -> tuple[np.ndarray, ...]:
-    """Mode-4 failure vectors ``sqrt(q_i) * e^{i chi_i} * e4``.
+) -> tuple[Row, Row, Row]:
+    """Mode-4 failure vectors ``sqrt(q_i) * e^{i chi_i} * e4``, as rows.
 
     ``chi`` are the phases from :func:`failure_phases`.
     """
-    out = tuple(np.zeros(NETWORK_DIM, dtype=complex) for _ in range(3))
-    for v, q_i, chi_i in zip(out, sol.failure_probabilities, chi):
-        v[3] = np.sqrt(max(q_i, 0.0)) * np.exp(1j * chi_i)
-    return out
+    return tuple(
+        [0j, 0j, 0j, _scaled(math.sqrt(max(q_i, 0.0)), cmath.exp(1j * chi_i))]
+        for q_i, chi_i in zip(sol.failure_probabilities, chi)
+    )
+
+
+def _least_eigenvalue(mat: list[Row]) -> float:
+    """Least eigenvalue of a Hermitian 3x3 matrix, closed-form when its
+    first-row off-diagonals nearly vanish, as they do in :func:`build_L`.
+
+    Without them it is that of ``mat[0][0]`` (+) a 2x2 block, and they move
+    it by at most ``r = hypot(|mat[0][1]|, |mat[0][2]|)`` (Weyl).  For r >
+    1e-13 it is bisected in that bracket: ``mat - x*I`` has a Cholesky
+    factor exactly when x lies below it."""
+    (a, b, c), (_, d, f), (_, _, g) = mat
+    d, g = d.real, g.real
+    least = min(a.real, 0.5 * (d + g - math.hypot(d - g, 2.0 * abs(f))))
+    radius = math.hypot(abs(b), abs(c))
+    if radius <= 1e-13:
+        return least
+    lo, hi = least - radius, least + radius
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        shifted = [[x - mid if i == j else x for j, x in enumerate(row)] for i, row in enumerate(mat)]
+        lo, hi = (mid, hi) if _cholesky(shifted) else (lo, mid)
+    return lo
 
 
 def build_L(
     e: Ensemble, sol: FilterSolution, chi: tuple[float, float, float]
-) -> np.ndarray:
-    """Residual Gram matrix the success vectors must reproduce.
+) -> list[Row]:
+    """Residual Gram matrix the success vectors must reproduce, as 3 rows.
 
-    ``L[i, j] = <psi_i|psi_j> - <failure_i|failure_j>``, with the failure
+    ``L[i][j] = <psi_i|psi_j> - <failure_i|failure_j>``, with the failure
     phases ``chi`` from :func:`failure_phases`.  For a valid solution the
     first row and column off-diagonals vanish (that is what the unitarity
     constraints on q enforce) and L is positive semidefinite.
@@ -159,16 +226,15 @@ def build_L(
     ov = overlaps(e)
     q1, q2, q3 = sol.failure_probabilities
     _, chi2, chi3 = chi
-    l12 = ov.O12 - np.sqrt(max(q1 * q2, 0.0)) * np.exp(1j * chi2)
-    l13 = ov.O13 - np.sqrt(max(q1 * q3, 0.0)) * np.exp(1j * chi3)
-    l23 = ov.O23 - np.sqrt(max(q2 * q3, 0.0)) * np.exp(1j * (chi3 - chi2))
-    mat = np.array(
-        [[1.0 - q1, l12, l13],
-         [np.conj(l12), 1.0 - q2, l23],
-         [np.conj(l13), np.conj(l23), 1.0 - q3]],
-        dtype=complex,
-    )
-    min_eig = float(np.linalg.eigvalsh(mat).min())
+    l12 = ov.O12 - _scaled(math.sqrt(max(q1 * q2, 0.0)), cmath.exp(1j * chi2))
+    l13 = ov.O13 - _scaled(math.sqrt(max(q1 * q3, 0.0)), cmath.exp(1j * chi3))
+    l23 = ov.O23 - _scaled(math.sqrt(max(q2 * q3, 0.0)), cmath.exp(1j * (chi3 - chi2)))
+    mat = [
+        [complex(1.0 - q1, 0.0), l12, l13],
+        [l12.conjugate(), complex(1.0 - q2, 0.0), l23],
+        [l13.conjugate(), l23.conjugate(), complex(1.0 - q3, 0.0)],
+    ]
+    min_eig = _least_eigenvalue(mat)
     if min_eig < -1e-8:
         raise InconsistentSolutionError(
             "residual Gram matrix has negative eigenvalue "
@@ -179,14 +245,14 @@ def build_L(
 
 
 def success_vectors(
-    L: np.ndarray,
+    L: list[Row],
     q: tuple[float, ...],
     swap: bool,
     signs: tuple[int, ...],
     *,
     rank_one: bool = False,
-) -> tuple[list[np.ndarray], float]:
-    """Success vectors for one gauge choice; returns (vectors, theta).
+) -> tuple[list[Row], float]:
+    """Success vectors for one gauge choice, as rows; returns (vectors, theta).
 
     Placement: state 1's success amplitude sits alone on one mode (mode 1,
     or mode 2 when ``swap``), states 2 and 3 share the remaining two of
@@ -215,10 +281,10 @@ def success_vectors(
         that passed :func:`build_L`).
     """
     p = [max(1.0 - q_i, 0.0) for q_i in q]
-    l23 = complex(L[1, 2])
+    l23 = complex(L[1][2])
     p23 = p[1] * p[2]
     if p23 > 1e-24:
-        bound = np.sqrt(p23)
+        bound = math.sqrt(p23)
         if abs(l23) > bound + 1e-10:
             raise InfeasibleError(
                 f"|L23| = {abs(l23):.12g} exceeds sqrt(p2*p3) = {bound:.12g}; "
@@ -231,47 +297,31 @@ def success_vectors(
             # Complex overlap: carry its phase on vector 3 as a whole and
             # set the mixing angle from the magnitude.
             cos2theta = min(abs(l23) / bound, 1.0)
-            phase3 = np.exp(1j * np.angle(l23))
+            phase3 = cmath.exp(1j * cmath.phase(l23))
         if rank_one:
             cos2theta = -1.0 if cos2theta < 0.0 else 1.0
     else:
         cos2theta, phase3 = 0.0, 1.0 + 0.0j
-    theta = 0.5 * float(np.arccos(cos2theta))
+    theta = 0.5 * math.acos(cos2theta)
+    cos, sin = math.cos(theta), math.sin(theta)
     mode1, mode_a, mode_b = (1, 0, 2) if swap else (0, 1, 2)
-    v1, v2, v3 = (np.zeros(NETWORK_DIM, dtype=complex) for _ in range(3))
-    v1[mode1] = signs[0] * np.sqrt(p[0])
-    v2[mode_a] = signs[1] * np.sqrt(p[1]) * np.cos(theta)
-    v2[mode_b] = signs[1] * np.sqrt(p[1]) * np.sin(theta)
-    v3[mode_a] = signs[2] * np.sqrt(p[2]) * np.cos(theta) * phase3
-    v3[mode_b] = -signs[2] * np.sqrt(p[2]) * np.sin(theta) * phase3
+    r1, r2, r3 = (math.sqrt(p_i) for p_i in p)
+    v1, v2, v3 = ([0j] * NETWORK_DIM for _ in range(3))
+    v1[mode1] = complex(signs[0] * r1, 0.0)
+    v2[mode_a] = complex(signs[1] * r2 * cos, 0.0)
+    v2[mode_b] = complex(signs[1] * r2 * sin, 0.0)
+    v3[mode_a] = _scaled(signs[2] * r3 * cos, phase3)
+    v3[mode_b] = _scaled(-signs[2] * r3 * sin, phase3)
     return [v1, v2, v3], theta
 
 
-def _check_fits(e: Ensemble) -> None:
-    """Refuse states of more than 3 dimensions: mode 4 is reserved as the
-    failure direction and must start unoccupied."""
-    if e.dim > NETWORK_DIM - 1:
-        raise DomainError(
-            f"designs use {NETWORK_DIM} modes with mode {NETWORK_DIM} reserved "
-            f"for failure; states of dimension {e.dim} do not fit"
-        )
-
-
-def embed_inputs(e: Ensemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pad the ensemble's states into the 4-mode network.
+def embed_inputs(e: Ensemble) -> tuple[tuple[complex, ...], ...]:
+    """The ensemble's states padded into the 4-mode network, as rows.
 
     The states may use at most 3 dimensions; mode 4 is reserved as the
     failure direction and must start unoccupied.
     """
-    _check_fits(e)
-    return tuple(s.padded(NETWORK_DIM) for s in e.states)
-
-
-#: A 4-mode vector as Python complex scalars, with the modes unrolled: on
-#: 4-vectors numpy's per-call overhead costs more than the arithmetic.  A row
-#: is normalized times the reciprocal of its norm, as numpy divides by a real
-#: scalar; the sampled counts of the golden artifacts depend on that rounding.
-Row = list[complex]
+    return _input_frame(e).inputs
 
 
 def _vdot(a: Row, b: Row) -> complex:
@@ -373,6 +423,7 @@ def _phase_fixed(col: Row) -> Row:
 class _InputFrame(NamedTuple):
     """The half of :func:`complete_unitary` that depends only on the inputs."""
 
+    inputs: tuple[tuple[complex, ...], ...]
     gram: list[list[complex]]
     basis: list[Row]
     kept: list[int]
@@ -385,22 +436,25 @@ _INPUT_FRAMES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _input_frame(e: Ensemble) -> _InputFrame:
-    """Gram matrix, orthonormal basis and pivoted complement of the inputs,
-    which are read as rows straight off the states' ``values``."""
+    """Padded inputs, Gram matrix, orthonormal basis and pivoted complement
+    of the inputs, which are read as rows straight off the states' ``values``."""
     frame = _INPUT_FRAMES.get(e)
     if frame is None:
-        _check_fits(e)
+        if e.dim > NETWORK_DIM - 1:
+            raise DomainError(
+                f"designs use {NETWORK_DIM} modes with mode {NETWORK_DIM} reserved "
+                f"for failure; states of dimension {e.dim} do not fit"
+            )
         pad = (0j,) * (NETWORK_DIM - e.dim)
-        ins = [[*s.values, *pad] for s in e.states]
+        ins = tuple([(*s.values, *pad) for s in e.states])
         basis, kept = _orthonormal_basis(ins)
-        gram = [[_vdot(a, b) for b in ins] for a in ins]
-        frame = _InputFrame(gram, basis, kept, _complement(basis))
+        frame = _InputFrame(ins, gram_matrix(e.states), basis, kept, _complement(basis))
         _INPUT_FRAMES[e] = frame
     return frame
 
 
-def complete_unitary(e: Ensemble, outputs) -> np.ndarray:
-    """The 4x4 unitary mapping each embedded input to the given output.
+def complete_unitary(e: Ensemble, outputs) -> list[Row]:
+    """The 4x4 unitary mapping each embedded input to the given output, as rows.
 
     A linear isometry between the two triples exists iff their Gram
     matrices agree; it is extended to all 4 modes by mapping the
@@ -424,10 +478,12 @@ def complete_unitary(e: Ensemble, outputs) -> np.ndarray:
         worst-offending state pair.
     """
     frame = _input_frame(e)
-    outs = [np.asarray(v, dtype=complex) for v in outputs]
-    if len(outs) != 3 or any(v.shape != (NETWORK_DIM,) for v in outs):
+    try:
+        outs = [[complex(x) for x in v] for v in outputs]
+    except TypeError:
+        outs = []
+    if len(outs) != 3 or any(len(v) != NETWORK_DIM for v in outs):
         raise DomainError("outputs must be three 4-mode vectors")
-    outs = [v.tolist() for v in outs]
     diff = [abs(g - _vdot(a, b)) for row, a in zip(frame.gram, outs) for g, b in zip(row, outs)]
     worst = max(diff)
     if worst > GRAM_TOL:
@@ -445,13 +501,10 @@ def complete_unitary(e: Ensemble, outputs) -> np.ndarray:
     # U = sum_k |out_k><in_k| over both frames (each fills the 4 modes), summed from 0j.
     out_cols = out_basis + [_phase_fixed(w) for w in _complement(out_basis)]
     in_cols = list(zip(*([x.conjugate() for x in u] for u in frame.basis + frame.complement)))
-    return np.array(
-        [
-            [0j + a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3 for b0, b1, b2, b3 in in_cols]
-            for a0, a1, a2, a3 in zip(*out_cols)
-        ],
-        dtype=complex,
-    )
+    return [
+        [0j + a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3 for b0, b1, b2, b3 in in_cols]
+        for a0, a1, a2, a3 in zip(*out_cols)
+    ]
 
 
 def _gauge_candidates(l23_free: bool):
@@ -508,17 +561,17 @@ def design(e: Ensemble, sol: FilterSolution | None = None) -> MeasurementDesign:
     chi = failure_phases(e)
     fails = failure_vectors(sol, chi)
     L = build_L(e, sol, chi)
-    inputs = embed_inputs(e)
+    frame = _input_frame(e)
     q = sol.failure_probabilities
     rank_one = sol.regime is Regime.VN_SMALL_OVERLAP
 
     def completed_rows(succ):
-        return complete_unitary(e, [s + f for s, f in zip(succ, fails)]).tolist()
+        return complete_unitary(e, _sums(succ, fails))
 
     base_succ, base_theta = success_vectors(L, q, False, (1, 1, 1), rank_one=rank_one)
-    l23_free = abs(L[1, 2]) <= 1e-12
-    permutable = len(_input_frame(e).kept) == 3 and (
-        not l23_free or abs(base_theta - np.pi / 4.0) <= 1e-12
+    l23_free = abs(L[1][2]) <= 1e-12
+    permutable = len(frame.kept) == 3 and (
+        not l23_free or abs(base_theta - math.pi / 4.0) <= 1e-12
     )
     base_rows = completed_rows(base_succ) if permutable else None
     layer_counts: dict = {}
@@ -533,11 +586,9 @@ def design(e: Ensemble, sol: FilterSolution | None = None) -> MeasurementDesign:
             layer_counts[layers_key] = _layer_count(rows)
         traces.append(sum(diag[i] * rows[i][i].real for i in range(3)))
         scored.append((layer_counts[layers_key], int(swap), sign_index, signs, diag, rows))
-    # One rounding over all candidates; the same values as round(-trace, 9).
-    trace_keys = np.round(-np.array(traces), 9).tolist()
     _, _, swap, _, signs, diag, rows = min(
-        (layers, key, swap, sign_index, signs, diag, rows)
-        for key, (layers, swap, sign_index, signs, diag, rows) in zip(trace_keys, scored)
+        (layers, round(-trace, 9), swap, sign_index, signs, diag, rows)
+        for trace, (layers, swap, sign_index, signs, diag, rows) in zip(traces, scored)
     )
     if swap or signs != (1, 1, 1):
         succ, theta = success_vectors(L, q, swap, signs, rank_one=rank_one)
@@ -548,12 +599,12 @@ def design(e: Ensemble, sol: FilterSolution | None = None) -> MeasurementDesign:
         col = _phase_fixed([row[3] for row in rows])
         rows = [row[:3] + [x] for row, x in zip(rows, col)]
     return MeasurementDesign(
-        success_vectors=tuple(succ),
+        success_vectors=succ,
         failure_vectors=fails,
-        unitary=np.array(rows, dtype=complex),
-        theta=float(theta),
+        unitary=rows,
+        theta=theta,
         chi=chi,
         solution=sol,
-        embedded_inputs=inputs,
+        embedded_inputs=frame.inputs,
         state1_port=2 if swap else 1,
     )

@@ -12,7 +12,9 @@ so a real layer (phi = 0) is an ordinary rotation.  :func:`decompose`
 factors a unitary by triangular nulling (last column first, two-row updates
 on Python scalars) into at most N(N-1)/2 such layers plus residual phases in
 (-pi, pi] applied on the input side; :func:`recompose`, an independent
-matrix-path check, multiplies back ``L_1 @ ... @ L_k @ diag(exp(i * phases))``.
+check, multiplies back ``L_1 @ ... @ L_k @ diag(exp(i * phases))`` with
+two-column updates on Python scalars.  Only :func:`embed_layer` and the
+ndarray that :func:`recompose` returns import numpy.
 
 The nulling itself is one private kernel on Python rows.  :func:`decompose`
 wraps it with its input checks, layer objects and phases; the designer's
@@ -25,10 +27,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, InternalConsistencyError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BeamSplitterLayer",
@@ -119,6 +123,8 @@ def embed_layer(layer: BeamSplitterLayer, dim: int = 4) -> np.ndarray:
     With phi = 0 the embedded block is the real rotation
     ``[[t, r], [-r, t]]``.
     """
+    import numpy as np
+
     if layer.q > dim:
         raise DomainError(
             f"layer acts on mode {layer.q} but the embedding has {dim} modes"
@@ -191,8 +197,23 @@ def _layer_count(rows: list[list[complex]]) -> int:
     return len(_null(list(rows)))
 
 
-def decompose(unitary: np.ndarray) -> MeshProgram:
-    """Factor a unitary into beam-splitter layers plus residual phases.
+def _unitarity_residual(rows: list[list[complex]]) -> float:
+    """``max |(U^H U - I)[i][j]|`` of a square matrix given as rows; each
+    entry is summed from ``0j`` down the columns, first row first."""
+    cols = list(zip(*rows))
+    worst = 0.0
+    for i, a in enumerate(cols):
+        for j in range(i, len(cols)):
+            acc = -1.0 + 0j if i == j else 0j
+            for x, y in zip(a, cols[j]):
+                acc += x.conjugate() * y
+            worst = max(worst, abs(acc))
+    return worst
+
+
+def decompose(unitary) -> MeshProgram:
+    """Factor a unitary (an ndarray or rows) into beam-splitter layers plus
+    residual phases.
 
     Uses triangular nulling: for each mode pair, a layer is chosen so that
     left-multiplying by its adjoint, a two-row update on Python scalars,
@@ -200,6 +221,7 @@ def decompose(unitary: np.ndarray) -> MeshProgram:
     off in (-pi, pi] whatever the sign of a zero imaginary part.  Layers that
     are numerically the identity (|r| < 1e-12) are omitted, so the result has
     at most N(N-1)/2 layers and ``recompose`` reproduces the input within 1e-9.
+    Its shape and unitarity are checked on the same Python scalars.
 
     Raises
     ------
@@ -207,26 +229,43 @@ def decompose(unitary: np.ndarray) -> MeshProgram:
         If the input is not square (N >= 2) or not unitary within 1e-9;
         the message reports the unitarity residual.
     """
-    mat = np.asarray(unitary, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 2:
-        raise DomainError(f"expected a square matrix of size >= 2, got {mat.shape}")
-    dim = mat.shape[0]
-    residual = float(np.max(np.abs(mat.conj().T @ mat - np.eye(dim, dtype=complex))))
+    rows = unitary.tolist() if hasattr(unitary, "tolist") else unitary
+    try:
+        work = [list(map(complex, row)) for row in rows]
+    except TypeError:
+        work = []
+    if len(work) < 2 or any(len(row) != len(work) for row in work):
+        import numpy as np
+
+        raise DomainError(f"expected a square matrix of size >= 2, got {np.shape(unitary)}")
+    residual = _unitarity_residual(work)
     if residual > UNITARITY_TOL:
         raise DomainError(
             f"matrix is not unitary within {UNITARITY_TOL:g} "
             f"(unitarity residual {residual:.3e})"
         )
-    work = mat.tolist()
     layers = tuple(BeamSplitterLayer(*layer) for layer in _null(work))
-    phases = (cmath.phase(work[i][i]) for i in range(dim))
+    phases = (cmath.phase(work[i][i]) for i in range(len(work)))
     return MeshProgram(layers, tuple(-x if x == -math.pi else x for x in phases))
+
+
+def _recomposed(program: MeshProgram) -> list[list[complex]]:
+    """:func:`recompose` as rows: each layer updates two columns of the
+    running product, and the phases scale the columns last."""
+    dim = program.dim
+    mat = [[complex(i == j) for j in range(dim)] for i in range(dim)]
+    for layer in program.layers:
+        p, q, phase = layer.p - 1, layer.q - 1, cmath.exp(1j * layer.phi)
+        tp, rp = layer.t * phase, layer.r * phase
+        for row in mat:
+            x, y = row[p], row[q]
+            row[p], row[q] = x * tp - y * layer.r, x * rp + y * layer.t
+    phases = [cmath.exp(1j * phi) for phi in program.output_phases]
+    return [[x * z for x, z in zip(row, phases)] for row in mat]
 
 
 def recompose(program: MeshProgram) -> np.ndarray:
     """Multiply a mesh program back into its unitary matrix."""
-    dim = program.dim
-    mat = np.eye(dim, dtype=complex)
-    for layer in program.layers:
-        mat = mat @ embed_layer(layer, dim)
-    return mat @ np.diag(np.exp(1j * np.asarray(program.output_phases)))
+    import numpy as np
+
+    return np.array(_recomposed(program), dtype=complex)

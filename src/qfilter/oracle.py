@@ -13,14 +13,15 @@ of the three states was sent (:func:`three_state_Q`, exact to ~1e-12 by a
 1-D convex reduction of the positive-semidefiniteness constraint), and the
 two-state bound |O12|
 (:func:`two_state_Q`).  Filtering asks strictly less than identification,
-so its failure probability should never exceed either.
+so its failure probability should never exceed either.  The scans and
+grids run vectorized in numpy, which each function imports on first use;
+:func:`two_state_Q` needs none.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DegenerateSubspaceError, DomainError, InfeasibleError
 from .filter_core import FilterSolution, solve
@@ -102,6 +103,8 @@ def brute_force_filter(e: Ensemble, resolution: float = 1e-4) -> OracleResult:
         If no grid point is feasible (impossible for a valid ensemble,
         since q1 = 1 always is; signals an upstream bug).
     """
+    import numpy as np
+
     resolution = _check_resolution(resolution)
     ov = overlaps(e)
     a12, a13 = abs(ov.O12) ** 2, abs(ov.O13) ** 2
@@ -184,7 +187,7 @@ def _identity_residuals(
     stationarity = eta1 * q1 * q1 - eta2 * mag12**2 - eta3 * mag13**2
     eta23 = eta2 * eta3
     if eta23 > 0.0:
-        inv_lambda = np.sqrt(max(d12, 0.0) * max(d13, 0.0) / eta23)
+        inv_lambda = math.sqrt(max(d12, 0.0) * max(d13, 0.0) / eta23)
     else:
         inv_lambda = 0.0
     return {
@@ -237,9 +240,10 @@ def three_state_Q(e: Ensemble, resolution: float = 1e-3) -> float:
         If the resolution is outside (0, 1e-2] or the states are linearly
         dependent (Gram eigenvalue <= 1e-8): identification is impossible.
     """
+    import numpy as np
+
     resolution = _check_resolution(resolution)
-    gram = gram_matrix(e.states)
-    min_eig = float(np.linalg.eigvalsh(gram).min())
+    min_eig = float(np.linalg.eigvalsh(np.array(gram_matrix(e.states))).min())
     if min_eig <= 1e-8:
         raise DomainError(
             "states are linearly dependent (Gram matrix eigenvalue "

@@ -7,18 +7,21 @@ and ports from the exact distributions, counting clicks per (state, port)
 and auditing the zero-error property: the target state must never click on
 the "not target" ports and vice versa.  Port 4 is the inconclusive
 outcome, so the port-4 fraction estimates the average failure probability.
+Only :func:`sample` imports numpy, whose random stream the audit runs on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .designer import MeasurementDesign
 from .errors import DomainError
 from .filter_core import average_overlap_A
 from .states import Ensemble, parallel_component_norm2
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SimulationReport",
@@ -65,17 +68,23 @@ class SimulationReport:
     seed: int
 
 
-def port_probabilities(design: MeasurementDesign, i: int) -> np.ndarray:
-    """Exact output-port distribution for input state `i` (0-based).
+def port_probabilities(design: MeasurementDesign, i: int) -> list[float]:
+    """Exact output-port distribution for input state `i` (0-based), as a list.
 
     The four probabilities are nonnegative, sum to 1 within 1e-12, and the
     port-4 entry equals the failure probability q_i of the realized
-    optimum within 1e-10.
+    optimum within 1e-10.  Each is ``re^2 + im^2`` of an amplitude summed
+    from ``0j`` in mode order.
     """
     if i not in (0, 1, 2):
         raise DomainError(f"state index must be 0, 1 or 2, got {i!r}")
-    amplitudes = design.unitary @ design.embedded_inputs[i]
-    return np.abs(amplitudes) ** 2
+    probs = []
+    for row in design._unitary:
+        amp = 0j
+        for u, x in zip(row, design._embedded_inputs[i]):
+            amp += u * x
+        probs.append(amp.real * amp.real + amp.imag * amp.imag)
+    return probs
 
 
 def sample(
@@ -89,6 +98,8 @@ def sample(
     reproduces the run exactly.  Probabilities below ``ZERO_PROB_TOL`` are
     clamped to exact zeros before sampling.
     """
+    import numpy as np
+
     trials = int(trials)
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")

@@ -11,6 +11,8 @@ those scalars: on vectors this short numpy's per-call overhead costs more
 than the arithmetic.  Every sum runs left to right in a fixed order (never
 ``sum()``, whose float rounding changed in Python 3.12), so the bits do
 not depend on the Python version or on the BLAS kernel numpy selects.
+Only the ndarray views (``amplitudes``, ``priors``, ``padded``) and the
+refusal of an input that is not a flat sequence import numpy.
 
 Conventions
 -----------
@@ -24,15 +26,16 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     DegenerateSubspaceError,
     InvalidEnsembleError,
     InvalidStateError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "StateVector",
@@ -50,11 +53,80 @@ NORM_REJECT_TOL = 1e-6
 SUBSPACE_TOL = 1e-10
 
 
+class memo:
+    """``functools.cached_property`` without the lock it takes before 3.12;
+    a raised error is not kept.  Read on the class it raises AttributeError,
+    so a dataclass field it backs has no default, and ``__post_init__``
+    finds the value given in the instance ``__dict__``."""
+
+    def __init__(self, func) -> None:
+        self.func, self.name = func, func.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
+def frozen_array(values, dtype=complex) -> np.ndarray:
+    """``values`` as a new read-only ndarray (imports numpy)."""
+    import numpy as np
+
+    arr = np.array(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
+def _entries(values, cast, refusal: str, error: type[Exception]) -> list:
+    """``[cast(x) for x in values]`` of a flat sequence (an ndarray is read
+    through ``tolist``).  Anything else is refused with its shape, which
+    only this path imports numpy to compute."""
+    entries = values.tolist() if hasattr(values, "tolist") else values
+    try:
+        return [cast(x) for x in entries]
+    except TypeError:
+        pass
+    import numpy as np
+
+    raise error(f"{refusal}, got shape {np.asarray(values, dtype=cast).shape}")
+
+
+def _vdot(a, b) -> complex:
+    """``<a|b>``: the products ``conj(a_k) * b_k`` added to ``0j`` in mode order."""
+    acc = 0j
+    for x, y in zip(a, b):
+        acc += x.conjugate() * y
+    return acc
+
+
+def _cholesky(g) -> list[list[complex]] | None:
+    """Lower Cholesky factor of a Hermitian matrix given as rows (None if it
+    is not positive definite), column by column as LAPACK's ``potf2``."""
+    n = len(g)
+    low = [[0j] * n for _ in range(n)]
+    for j in range(n):
+        left, sq = low[j][:j], 0.0
+        for x in left:
+            sq += x.real * x.real + x.imag * x.imag
+        pivot = g[j][j].real - sq
+        if not pivot > 0.0:
+            return None
+        low[j][j] = complex(math.sqrt(pivot), 0.0)
+        scale = complex(1.0 / low[j][j].real, 0.0)
+        for i in range(j + 1, n):
+            acc = complex(g[i][j])
+            for x, y in zip(low[i], left):
+                acc -= x * y.conjugate()
+            low[i][j] = acc * scale
+    return low
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class StateVector:
     """A unit-norm complex vector of probability amplitudes.
 
-    The constructor accepts any sequence of (complex) numbers whose
+    The constructor accepts any flat sequence of (complex) numbers whose
     Euclidean norm is within ``NORM_REJECT_TOL`` of 1, renormalizes it
     exactly, and keeps the result in ``values``, a tuple of Python
     ``complex``.  Zero vectors and badly normalized inputs are rejected
@@ -65,12 +137,9 @@ class StateVector:
     values: tuple[complex, ...]
 
     def __init__(self, amplitudes) -> None:
-        arr = np.asarray(amplitudes, dtype=complex)
-        if arr.ndim != 1:
-            raise InvalidStateError(
-                f"state amplitudes must form a 1-D sequence, got shape {arr.shape}"
-            )
-        values = arr.tolist()
+        values = _entries(
+            amplitudes, complex, "state amplitudes must form a 1-D sequence", InvalidStateError
+        )
         # The squared real parts, then the squared imaginary parts, each
         # summed left to right.  The result is finite whenever every
         # amplitude is, unless it overflows, so only then are the amplitudes
@@ -100,12 +169,10 @@ class StateVector:
         scale = complex(1.0 / norm, 0.0)
         object.__setattr__(self, "values", tuple([x * scale for x in values]))
 
-    @cached_property
+    @memo
     def amplitudes(self) -> np.ndarray:
         """The normalized amplitudes as a read-only complex ndarray."""
-        arr = np.array(self.values, dtype=complex)
-        arr.setflags(write=False)
-        return arr
+        return frozen_array(self.values)
 
     @property
     def dim(self) -> int:
@@ -118,13 +185,12 @@ class StateVector:
         The products ``conj(a_k) * b_k`` are added to ``0j`` one mode at a
         time, first mode first.
         """
-        acc = 0j
-        for a, b in zip(self.values, other.values):
-            acc += a.conjugate() * b
-        return acc
+        return _vdot(self.values, other.values)
 
     def padded(self, dim: int) -> np.ndarray:
         """Return a writable copy embedded into `dim` modes (zero padding)."""
+        import numpy as np
+
         if dim < self.dim:
             raise InvalidStateError(
                 f"cannot pad a {self.dim}-dimensional state into {dim} modes"
@@ -142,10 +208,10 @@ class Ensemble:
     "target vs. {states[1], states[2]}" without error.  Priors must lie in
     [0, 1] and sum to 1 within 1e-12; all states must share one dimension.
 
-    The priors are copied and, like the states, made read-only, so an
-    ensemble never changes after construction.  ``etas`` holds the same
-    priors as a tuple of Python floats, which the closed-form stages read.
-    Because nothing changes, the overlaps and parallel-component norm (see
+    The priors are kept in ``etas``, a tuple of Python floats that the
+    closed-form stages read; ``priors`` is a read-only ndarray copy of
+    them, built on first access.  Like the states, they never change after
+    construction, so the overlaps and parallel-component norm (see
     :func:`overlaps` and :func:`parallel_component_norm2`) are computed at
     most once per instance, on first use.
     """
@@ -167,26 +233,28 @@ class Ensemble:
             raise InvalidEnsembleError(
                 f"all states must share one dimension, got sizes {sorted(dims)}"
             )
-        # A copy: freezing the caller's own array would be a side effect.
-        priors = np.array(self.priors, dtype=float)
-        if priors.shape != (3,):
-            raise InvalidEnsembleError(
-                f"priors must be 3 real numbers, got shape {priors.shape}"
-            )
-        eta1, eta2, eta3 = values = priors.tolist()
+        # Read into floats: a copy, so the caller's sequence is left alone.
+        refusal = "priors must be 3 real numbers"
+        values = _entries(self.__dict__.pop("priors"), float, refusal, InvalidEnsembleError)
+        if len(values) != 3:
+            raise InvalidEnsembleError(f"{refusal}, got shape {(len(values),)}")
+        eta1, eta2, eta3 = values
         if not all(map(math.isfinite, values)):
             raise InvalidEnsembleError("priors must be finite")
         if min(values) < 0.0 or max(values) > 1.0:
             raise InvalidEnsembleError(f"priors must lie in [0, 1], got {values}")
-        total = 0.0 + eta1 + eta2 + eta3  # the order of priors.sum()
+        total = 0.0 + eta1 + eta2 + eta3  # the order of numpy's sum()
         if abs(total - 1.0) > 1e-12:
             raise InvalidEnsembleError(
                 f"priors must sum to 1 within 1e-12, got sum {total!r}"
             )
-        priors.setflags(write=False)
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "priors", priors)
         object.__setattr__(self, "etas", (eta1, eta2, eta3))
+
+    @memo
+    def priors(self) -> np.ndarray:
+        """The priors as a read-only float ndarray."""
+        return frozen_array(self.etas, float)
 
     @property
     def dim(self) -> int:
@@ -196,7 +264,7 @@ class Ensemble:
     # Memos behind overlaps() and parallel_component_norm2().  A raised
     # error is not cached: the next access computes and raises again.
 
-    @cached_property
+    @memo
     def _overlaps(self) -> "OverlapSet":
         s1, s2, s3 = self.states
         o12 = s1.inner(s2)
@@ -204,7 +272,7 @@ class Ensemble:
         o23 = s2.inner(s3)
         return OverlapSet(o12, o13, o23, -cmath.phase(o12 * o13.conjugate()))
 
-    @cached_property
+    @memo
     def _parallel_norm2(self) -> float:
         ov = self._overlaps
         o12, o13, o23 = ov.O12, ov.O13, ov.O23
@@ -253,17 +321,14 @@ def overlaps(e: Ensemble) -> OverlapSet:
     return e._overlaps
 
 
-def gram_matrix(vectors) -> np.ndarray:
-    """Gram matrix G[i, j] = <v_i|v_j> of a sequence of vectors.
+def gram_matrix(vectors) -> list[list[complex]]:
+    """Gram matrix G[i][j] = <v_i|v_j> of a sequence of vectors, as rows.
 
-    Accepts :class:`StateVector` instances or plain arrays of one length.
-    G is ``conj(A) @ A.T`` for the matrix A whose rows are the vectors.
+    Accepts :class:`StateVector` instances or plain sequences of one
+    length.  Each entry is the fixed-order sum of :meth:`StateVector.inner`.
     """
-    rows = np.array(
-        [v.amplitudes if isinstance(v, StateVector) else v for v in vectors],
-        dtype=complex,
-    )
-    return np.conj(rows) @ rows.T
+    rows = [v.values if isinstance(v, StateVector) else v for v in vectors]
+    return [[_vdot(a, b) for b in rows] for a in rows]
 
 
 def parallel_component_norm2(e: Ensemble) -> float:
@@ -297,20 +362,17 @@ def ensemble_from_overlaps(o12, o13, o23, priors=(1 / 3, 1 / 3, 1 / 3)) -> Ensem
     so they are exact to floating precision.  The overlap triple must form
     a positive-definite Gram matrix (linearly independent states).
     """
-    g = np.array(
+    low = _cholesky(
         [
             [1.0, o12, o13],
-            [np.conj(o12), 1.0, o23],
-            [np.conj(o13), np.conj(o23), 1.0],
-        ],
-        dtype=complex,
+            [o12.conjugate(), 1.0, o23],
+            [o13.conjugate(), o23.conjugate(), 1.0],
+        ]
     )
-    try:
-        low = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError as exc:
+    if low is None:
         raise InvalidEnsembleError(
             "overlaps do not define three linearly independent unit vectors "
             "(Gram matrix is not positive definite)"
-        ) from exc
-    states = tuple(StateVector(np.conj(low[i, :])) for i in range(3))
-    return Ensemble(states, np.asarray(priors, dtype=float))
+        )
+    states = tuple(StateVector([x.conjugate() for x in row]) for row in low)
+    return Ensemble(states, priors)

@@ -374,7 +374,7 @@ def gauge_candidates(e: Ensemble, sol: FilterSolution):
     fail_vecs = failure_vectors(sol, chi)
     residual_gram = build_L(e, sol, chi)
     rank_one = sol.regime is Regime.VN_SMALL_OVERLAP
-    if abs(residual_gram[1, 2]) <= 1e-12:
+    if abs(residual_gram[1][2]) <= 1e-12:
         sign_opts = [
             (1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
             (-1, 1, 1), (-1, 1, -1), (-1, -1, 1), (-1, -1, -1),
@@ -384,7 +384,7 @@ def gauge_candidates(e: Ensemble, sol: FilterSolution):
     for swap in (False, True):
         for sign_index, signs in enumerate(sign_opts):
             succ, theta = success_vectors(residual_gram, q, swap, signs, rank_one=rank_one)
-            yield swap, sign_index, succ, theta, [s + f for s, f in zip(succ, fail_vecs)]
+            yield swap, sign_index, succ, theta, [np.add(s, f) for s, f in zip(succ, fail_vecs)]
 
 
 def exhaustive_design(e: Ensemble, sol: FilterSolution) -> MeasurementDesign:

@@ -211,7 +211,7 @@ def test_randomized_property_suite():
         embedded = [s.padded(4) for s in e.states]
         gram_in = gram_matrix([StateVector(v) for v in embedded])
         gram_out = gram_matrix([StateVector(v) for v in dsn.outputs])
-        assert np.abs(gram_in - gram_out).max() <= 1e-9
+        assert np.abs(np.array(gram_in) - np.array(gram_out)).max() <= 1e-9
 
     # Residual-operator positivity and the failure-probability bounds.
     for _ in range(40):

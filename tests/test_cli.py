@@ -480,11 +480,12 @@ class TestStageFailures:
     """A failing validation exits 1, names its stage and writes no artifact."""
 
     PIPELINE = ("solve", "design", "synthesize", "simulate")
-    #: The patched check, what it returns, and the stage it validates.
+    #: Each check: the attribute of ``cli`` patched, what it returns, and
+    #: the stage it validates.  The mesh is recomposed on Python rows.
     CHECKS = {
-        "_validate_solution": (lambda *args: "forced failure", "solve"),
-        "_design_checks": (lambda *args: "forced failure", "design"),
-        "recompose": (lambda program: np.zeros((4, 4)), "synthesize"),
+        "_validate_solution": ("_validate_solution", lambda *args: "forced failure", "solve"),
+        "_design_checks": ("_design_checks", lambda *args: "forced failure", "design"),
+        "recompose": ("_recomposed", lambda program: [[0j] * 4] * 4, "synthesize"),
     }
     #: Which checks each command runs.
     RUNS = {
@@ -499,8 +500,8 @@ class TestStageFailures:
     def test_failure_is_reported_under_its_stage(
         self, command, check, monkeypatch, capsys
     ):
-        replacement, stage = self.CHECKS[check]
-        monkeypatch.setattr(cli, check, replacement)
+        attribute, replacement, stage = self.CHECKS[check]
+        monkeypatch.setattr(cli, attribute, replacement)
         argv = [command, "--input", FIFTY_FIFTY]
         if command == "simulate":
             argv += ["--trials", "1000"]

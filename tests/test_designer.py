@@ -1,7 +1,10 @@
 """Measurement design: success/failure vectors and the realizing unitary."""
 
+import cmath
+import dataclasses
 import gc
 import math
+import types
 import weakref
 
 import numpy as np
@@ -80,7 +83,7 @@ class TestFailureSide:
         phis = failure_vectors(sol, failure_phases(e))
         qs = (sol.q1, sol.q2, sol.q3)
         for phi, q in zip(phis, qs):
-            assert phi.shape == (4,)
+            assert len(phi) == 4 and all(type(x) is complex for x in phi)
             np.testing.assert_allclose(phi[:3], 0.0, atol=1e-15)
             assert abs(phi[3]) == pytest.approx(math.sqrt(q), abs=1e-12)
 
@@ -109,15 +112,17 @@ class TestFailureSide:
             assert calls["failure_phases"] == 1
             assert dsn.chi == phases(e)
             for got, want in zip(dsn.failure_vectors, failure_vectors(sol, phases(e))):
-                assert got.tobytes() == want.tobytes()
+                assert got.tobytes() == np.array(want).tobytes()
         # Real overlaps and a real L23: arg O12 and arg O13 are the only angles.
-        angle = np.angle
+        phase = cmath.phase
 
-        def counting_angle(z, *args, **kwargs):
+        def counting_phase(z):
             calls["angle"] += 1
-            return angle(z, *args, **kwargs)
+            return phase(z)
 
-        monkeypatch.setattr(np, "angle", counting_angle)
+        counting_cmath = types.SimpleNamespace(**vars(cmath))
+        counting_cmath.phase = counting_phase
+        monkeypatch.setattr(designer, "cmath", counting_cmath)
         for e in [fifty_fifty_ensemble(), symmetric_ensemble(0.3)]:
             sol = solve(e)
             calls["angle"] = 0
@@ -131,7 +136,7 @@ class TestSuccessGram:
         for _ in range(20):
             e = random_ensemble(rng)
             sol = solve(e)
-            L = build_L(e, sol, failure_phases(e))
+            L = np.array(build_L(e, sol, failure_phases(e)))
             assert abs(L[0, 1]) < 1e-10
             assert abs(L[0, 2]) < 1e-10
             assert L[0, 0].real == pytest.approx(1.0 - sol.q1, abs=1e-12)
@@ -146,6 +151,76 @@ class TestSuccessGram:
         )
         with pytest.raises(InconsistentSolutionError):
             build_L(e, bogus, failure_phases(e))
+
+
+def numpy_L(e: Ensemble, sol: FilterSolution) -> np.ndarray:
+    """The residual Gram matrix of :func:`build_L`, built in numpy."""
+    ov = overlaps(e)
+    q1, q2, q3 = sol.failure_probabilities
+    _, chi2, chi3 = failure_phases(e)
+    l12 = ov.O12 - np.sqrt(max(q1 * q2, 0.0)) * np.exp(1j * chi2)
+    l13 = ov.O13 - np.sqrt(max(q1 * q3, 0.0)) * np.exp(1j * chi3)
+    l23 = ov.O23 - np.sqrt(max(q2 * q3, 0.0)) * np.exp(1j * (chi3 - chi2))
+    return np.array(
+        [[1.0 - q1, l12, l13],
+         [np.conj(l12), 1.0 - q2, l23],
+         [np.conj(l13), np.conj(l23), 1.0 - q3]],
+        dtype=complex,
+    )
+
+
+def gate_cases(name: str) -> list[tuple[Ensemble, FilterSolution]]:
+    """Answered instances of a set, or bogus solutions built from them."""
+    if name == "near_parallel":
+        ensembles = near_parallel_ensembles(40, 20011203)
+    elif name == "fixtures":
+        ensembles = oracle_instances("fixtures")
+    else:
+        ensembles = stratified_random_ensembles(300 if name == "stratified" else 100, 20260816)
+    cases = []
+    for e in ensembles:
+        try:
+            sol = solve(e)
+        except DegenerateSubspaceError:
+            continue
+        if name != "bogus":
+            cases.append((e, sol))
+            continue
+        # Scaled failure probabilities: the first-row entries of L no longer
+        # vanish, and some of these matrices are indefinite.
+        for f in (0.5, 0.9, 0.999, 1.5):
+            q = [f * x for x in sol.failure_probabilities]
+            cases.append((e, FilterSolution(*q, sol.Q, sol.regime, sol.A, sol.parallel_norm2)))
+    if name == "bogus":
+        e = fifty_fifty_ensemble()
+        sol = solve(e)
+        cases.append((e, FilterSolution(1.0, 1.0, 1.0, 1.0, sol.regime, sol.A, sol.parallel_norm2)))
+    return cases
+
+
+class TestLeastEigenvalueGate:
+    """``build_L`` gates on a scalar least eigenvalue instead of eigvalsh."""
+
+    @pytest.mark.parametrize("name", ["stratified", "near_parallel", "fixtures", "bogus"])
+    def test_same_decision_message_and_eigenvalue_as_eigvalsh(self, name):
+        cases = gate_cases(name)
+        refused = 0
+        for e, sol in cases:
+            mat = numpy_L(e, sol)
+            want = float(np.linalg.eigvalsh(mat).min())
+            assert abs(designer._least_eigenvalue(mat.tolist()) - want) <= 1e-12
+            if want < -1e-8:
+                refused += 1
+                with pytest.raises(InconsistentSolutionError) as err:
+                    build_L(e, sol, failure_phases(e))
+                assert str(err.value) == (
+                    f"residual Gram matrix has negative eigenvalue {want:.3e}; the "
+                    "failure probabilities are not consistent with this ensemble"
+                )
+            else:
+                np.testing.assert_array_equal(build_L(e, sol, failure_phases(e)), mat)
+        assert len(cases) >= 4
+        assert (refused > 0) == (name == "bogus")
 
 
 class TestSuccessVectors:
@@ -186,14 +261,14 @@ class TestSuccessVectors:
         e = symmetric_ensemble(0.5)
         sol = solve(e)
         L = build_L(e, sol, failure_phases(e))
-        assert abs(L[1, 2]) > 0.1
+        assert abs(L[1][2]) > 0.1
         bogus = FilterSolution(
             q1=sol.q1, q2=0.999, q3=0.999, Q=sol.Q,
             regime=sol.regime, A=sol.A, parallel_norm2=sol.parallel_norm2,
         )
-        L_fake = L.copy()
-        L_fake[1, 1] = 1.0 - bogus.q2
-        L_fake[2, 2] = 1.0 - bogus.q3
+        L_fake = [list(row) for row in L]
+        L_fake[1][1] = complex(1.0 - bogus.q2)
+        L_fake[2][2] = complex(1.0 - bogus.q3)
         with pytest.raises(InfeasibleError):
             success_vectors(L_fake, bogus.failure_probabilities, False, (1, 1, 1))
 
@@ -203,7 +278,7 @@ class TestEmbedding:
         e = fifty_fifty_ensemble()
         emb = embed_inputs(e)
         for vec, state in zip(emb, e.states):
-            assert vec.shape == (4,)
+            assert len(vec) == 4 and all(type(x) is complex for x in vec)
             np.testing.assert_allclose(vec[:3], state.amplitudes, atol=0)
             assert vec[3] == 0.0
 
@@ -217,7 +292,7 @@ class TestEmbedding:
             EQUAL_PRIORS,
         )
         emb = embed_inputs(e)
-        assert all(v.shape == (4,) for v in emb)
+        assert all(len(v) == 4 for v in emb)
 
     def test_four_dimensional_states_are_rejected(self):
         vecs = tuple(np.eye(4)[:3])
@@ -232,7 +307,7 @@ class TestCompleteUnitary:
         for _ in range(20):
             e = random_ensemble(rng)
             dsn = design(e)
-            unitary = complete_unitary(e, dsn.outputs)
+            unitary = np.array(complete_unitary(e, dsn.outputs))
             np.testing.assert_allclose(
                 unitary.conj().T @ unitary, np.eye(4), atol=1e-10
             )
@@ -325,6 +400,31 @@ class TestDesignedMeasurement:
         assert dsn.solution.Q == pytest.approx(4.0 / 9.0, abs=1e-12)
         assert dsn.solution.regime is Regime.POVM
 
+    def test_vector_fields_are_read_only_views_of_python_rows(self):
+        for e in stratified_random_ensembles(10, 3) + [fifty_fifty_ensemble()]:
+            dsn = design(e)
+            rows = {
+                "success_vectors": dsn._success_vectors,
+                "failure_vectors": dsn._failure_vectors,
+                "unitary": dsn._unitary,
+                "embedded_inputs": dsn._embedded_inputs,
+                "outputs": tuple(tuple(row) for row in dsn._outputs),
+            }
+            for name, want in rows.items():
+                assert all(type(x) is complex for row in want for x in row)
+                view = getattr(dsn, name)
+                arrays = [view] if name == "unitary" else list(view)
+                assert all(not a.flags.writeable and a.dtype == complex for a in arrays)
+                assert np.array(view).tobytes() == np.array(want, dtype=complex).tobytes()
+                assert getattr(dsn, name) is view
+            np.testing.assert_array_equal(
+                dsn.outputs, np.add(dsn.success_vectors, dsn.failure_vectors)
+            )
+            # Keyword construction from the views gives the same rows.
+            again = dataclasses.replace(dsn)
+            assert again._unitary == dsn._unitary
+            assert again._success_vectors == dsn._success_vectors
+
 
 #: (c, d, priors): psi1 = (c, 0, sqrt(1 - c^2)), psi2 = e1, psi3 at angle d
 #: from psi2 in the (1, 2) plane.  psi1's in-span part lies along psi2, so
@@ -410,7 +510,7 @@ class TestGaugeSearch:
         for args in NEAR_BOUNDARY:
             e = near_boundary_ensemble(*args)
             sol = solve(e)
-            assert abs(build_L(e, sol, failure_phases(e))[1, 2]) <= 1e-12
+            assert abs(build_L(e, sol, failure_phases(e))[1][2]) <= 1e-12
             assert abs(design(e, sol).theta - math.pi / 4.0) > 1e-12
 
 
@@ -482,6 +582,7 @@ def completion_outcome(complete, e, outputs):
 
 def completion_residuals(unitary, e, outputs) -> tuple[float, float]:
     """Unitarity residual and worst input-to-output mapping error."""
+    unitary = np.asarray(unitary)
     unitarity = np.abs(unitary.conj().T @ unitary - np.eye(4)).max()
     mapping = max(np.abs(unitary @ v - o).max() for v, o in zip(embedded(e), outputs))
     return unitarity, mapping
@@ -490,7 +591,7 @@ def completion_residuals(unitary, e, outputs) -> tuple[float, float]:
 def assert_completes_like_the_reference(e, outputs, got=None):
     """``complete_unitary`` is as accurate as the reference and, within a
     bound that grows as 1/sigma_min of the inputs, the same unitary."""
-    got = complete_unitary(e, outputs) if got is None else got
+    got = np.asarray(complete_unitary(e, outputs) if got is None else got)
     want = reference_complete_unitary(e, outputs)
     for g, w in zip(completion_residuals(got, e, outputs), completion_residuals(want, e, outputs)):
         assert g <= w + 1e-15

@@ -21,17 +21,14 @@ with the same commands and says why in its change record.
 
 The files were written with numpy's bundled OpenBLAS running its SkylakeX
 kernels; ``OPENBLAS_VERBOSE=2 python -c "import numpy"`` prints the kernel
-(``Core: ...``) on stderr.  Other kernels sum in another order, and the
-last digits of some artifacts follow: 1 of the 23 differs under
-``OPENBLAS_CORETYPE=Haswell`` (``sweep_two_overlap.csv``, whose states come
-from the Cholesky factor in ``ensemble_from_overlaps``) and 6 under
-``Prescott`` (that file, the design and simulate files of ``fifty_fifty``
-and ``symmetric_s030``, and ``symmetric_s050.synthesize``), through the
-Cholesky factor and the matrix products that still run in numpy.  A
-mismatch on another machine should first be checked against that kernel.
-The overlaps, w and the closed forms are formed on Python scalars, so the
-solve and compare artifacts are the same under every kernel; the last test
-below checks that under Haswell and Prescott.
+(``Core: ...``) on stderr.  No artifact depends on it any more: the
+overlaps, w, the Cholesky factor of ``ensemble_from_overlaps``, the design,
+the port probabilities and the mesh recomposition are all formed on Python
+scalars, and the identification grid of ``compare`` calls no BLAS routine.
+All 23 artifacts read the same under ``OPENBLAS_CORETYPE=Haswell`` and
+``Prescott`` (before, 1 and 6 of them differed); the kernel test below
+checks that.  ``solve``, ``design``, ``synthesize`` and the equal-prior
+sweeps do not import numpy at all, which the last test checks.
 """
 
 import json
@@ -80,40 +77,70 @@ def test_artifact_is_byte_identical(golden, argv, capsys):
     assert captured.out.encode("utf-8") == (GOLDEN_DIR / golden).read_bytes()
 
 
-#: Every solve and compare artifact: their overlaps, w and closed forms are
-#: formed on Python scalars, so their bits must not depend on BLAS.
-KERNEL_FREE = [
+#: Every artifact: none of them reaches a BLAS routine (see the docstring).
+KERNEL_FREE = CASES
+
+#: The artifacts of the commands that run without numpy.
+NUMPY_FREE = [
     (name, argv)
     for name, argv in CASES
-    if name.endswith((".solve.json", ".compare.json"))
+    if name.endswith((".solve.json", ".design.json", ".synthesize.json"))
+    or name == "sweep.csv"
 ]
 
 #: Runs each (name, argv) of its first argument through the CLI in one
-#: process and prints {name: stdout} as JSON.
+#: process and prints {name: stdout} as JSON, plus under "numpy" whether
+#: numpy was imported, after ``import qfilter`` and after the runs.
 RUN_CASES = """
 import contextlib, io, json, sys
+import qfilter
 from qfilter.cli import main
-out = {}
+out = {"numpy": ["numpy" in sys.modules]}
 for name, argv in json.loads(sys.argv[1]):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(argv)
     out[name] = buf.getvalue() if code == 0 else f"exit {code}"
+out["numpy"].append("numpy" in sys.modules)
 print(json.dumps(out))
 """
 
 
-@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
-def test_solve_and_compare_do_not_depend_on_the_blas_kernel(coretype):
+def run_cases(cases, prelude: str = "", **env) -> dict:
+    """:data:`RUN_CASES` in a fresh process that imports this ``qfilter``."""
     src = str(pathlib.Path(qfilter.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_CORETYPE=coretype, OPENBLAS_VERBOSE="2")
     proc = subprocess.run(
-        [sys.executable, "-c", RUN_CASES, json.dumps(KERNEL_FREE)],
-        env=env, capture_output=True, text=True, check=True, timeout=300,
+        [sys.executable, "-c", prelude + RUN_CASES, json.dumps(cases)],
+        env=dict(os.environ, PYTHONPATH=path, **env),
+        capture_output=True, text=True, check=True, timeout=300,
     )
-    if "Core:" not in proc.stderr:
-        pytest.skip("numpy's BLAS is not an OpenBLAS that reports its kernel")
-    got = json.loads(proc.stdout)
-    for name, _ in KERNEL_FREE:
+    return {"stderr": proc.stderr, **json.loads(proc.stdout)}
+
+
+def assert_golden(got: dict, cases) -> None:
+    for name, _ in cases:
         assert got[name].encode("utf-8") == (GOLDEN_DIR / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_solve_and_compare_do_not_depend_on_the_blas_kernel(coretype):
+    """Every artifact, not only solve and compare, under another kernel."""
+    # numpy first: the commands that do not import it would not print the kernel.
+    got = run_cases(
+        KERNEL_FREE, "import numpy\n", OPENBLAS_CORETYPE=coretype, OPENBLAS_VERBOSE="2"
+    )
+    if "Core:" not in got["stderr"]:
+        pytest.skip("numpy's BLAS is not an OpenBLAS that reports its kernel")
+    assert_golden(got, KERNEL_FREE)
+
+
+def test_solve_design_synthesize_and_sweep_never_import_numpy():
+    got = run_cases(NUMPY_FREE)
+    assert got["numpy"] == [False, False]
+    assert_golden(got, NUMPY_FREE)
+    # The other commands import it on first use, in a fresh process.
+    rest = [case for case in CASES if case not in NUMPY_FREE]
+    got = run_cases(rest)
+    assert got["numpy"] == [False, True]
+    assert_golden(got, rest)

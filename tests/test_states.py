@@ -204,7 +204,10 @@ class TestOverlaps:
     def test_gram_matrix_is_hermitian_psd_with_unit_diagonal(self):
         rng = np.random.default_rng(12)
         e = random_ensemble(rng)
-        gram = gram_matrix(e.states)
+        rows = gram_matrix(e.states)
+        assert len(rows) == 3 and all(len(row) == 3 for row in rows)
+        assert all(type(x) is complex for row in rows for x in row)
+        gram = np.array(rows)
         ov = overlaps(e)
         np.testing.assert_allclose(
             [gram[0, 1], gram[0, 2], gram[1, 2]], [ov.O12, ov.O13, ov.O23], atol=1e-14
