@@ -17,13 +17,14 @@ end to end, the question "is the system in state 1, or in the set
 * :mod:`qfilter.cli` — the ``qfilter`` command-line tool.
 
 The top level exports the stage functions, their value types and the
-errors.  Importing it does not import numpy: the closed forms, the design
-and the mesh run on Python scalars, and numpy is imported on first use by
-``sample``, the oracle's grids, ``recompose`` and the ndarray views of the
-value types (``StateVector.amplitudes``, ``MeasurementDesign.unitary``, ...).  The building blocks of the stages (``gram_matrix``,
-``average_overlap_A``, ``failure_phases``, ``embed_inputs``,
-``complete_unitary``, ``embed_layer`` and the like) are imported from
-their modules.
+errors.  Importing it does not import numpy: the closed forms, the design,
+the mesh and ``compare`` run on Python scalars, and numpy is imported on
+first use by ``sample``, ``brute_force_filter``, ``recompose`` and the
+ndarray views of the value types (``StateVector.amplitudes``,
+``MeasurementDesign.unitary``, ...).  The building blocks of the stages
+(``gram_matrix``, ``average_overlap_A``, ``failure_phases``,
+``embed_inputs``, ``complete_unitary``, ``embed_layer`` and the like) are
+imported from their modules.
 """
 
 from .designer import MeasurementDesign, design

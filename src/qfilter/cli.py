@@ -16,9 +16,8 @@ Floating-point values in artifacts are printed at 15 significant digits
 so that emitted files are stable enough to serve as regression fixtures.
 Every artifact carries a ``schema`` version field and re-parses as JSON.
 
-``solve``, ``design``, ``synthesize`` and an equal-prior ``sweep`` never
-import numpy; ``simulate`` (its random stream) and ``compare`` (the grid of
-:func:`qfilter.oracle.three_state_Q`) import it on first use.
+Every command but ``simulate`` runs on Python scalars and never imports
+numpy; ``simulate`` imports it on first use for its random stream.
 """
 
 from __future__ import annotations
@@ -597,8 +596,8 @@ def build_parser() -> argparse.ArgumentParser:
             default=1e-3,
             metavar="R",
             help=(
-                "bracketing step of the identification optimum, which is "
-                "exact to ~1e-12 at any step (default 1e-3)"
+                "step in (0, 1e-2], validated and recorded; the identification "
+                "optimum is exact to a few ulps at any value (default 1e-3)"
             ),
         )
     return parser

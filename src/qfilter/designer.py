@@ -202,8 +202,7 @@ def _least_eigenvalue(mat: list[Row]) -> float:
     lo, hi = least - radius, least + radius
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        shifted = [[x - mid if i == j else x for j, x in enumerate(row)] for i, row in enumerate(mat)]
-        lo, hi = (mid, hi) if _cholesky(shifted) else (lo, mid)
+        lo, hi = (mid, hi) if _cholesky(mat, mid) else (lo, mid)
     return lo
 
 

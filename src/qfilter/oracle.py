@@ -9,13 +9,12 @@ with :func:`qfilter.filter_core.solve` is genuine cross-validation.
 The module also evaluates the stationarity identities that characterize an
 interior optimum (:func:`appendix_residuals`), and two comparison
 quantities: the optimal failure probability of *fully identifying* which
-of the three states was sent (:func:`three_state_Q`, exact to ~1e-12 by a
-1-D convex reduction of the positive-semidefiniteness constraint), and the
-two-state bound |O12|
-(:func:`two_state_Q`).  Filtering asks strictly less than identification,
-so its failure probability should never exceed either.  The scans and
-grids run vectorized in numpy, which each function imports on first use;
-:func:`two_state_Q` needs none.
+of the three states was sent (:func:`three_state_Q`, exact to a few ulps
+by a 1-D convex reduction of the positive-semidefiniteness constraint),
+and the two-state bound |O12| (:func:`two_state_Q`).  Filtering asks
+strictly less than identification, so its failure probability should
+never exceed either.  Only :func:`brute_force_filter` imports numpy (on
+first use, for its vectorized grid); the rest runs on Python scalars.
 """
 
 from __future__ import annotations
@@ -23,9 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .designer import _least_eigenvalue
 from .errors import DegenerateSubspaceError, DomainError, InfeasibleError
 from .filter_core import FilterSolution, solve
-from .states import Ensemble, gram_matrix, overlaps, parallel_component_norm2
+from .states import Ensemble, _cholesky, gram_matrix, overlaps, parallel_component_norm2
 
 __all__ = [
     "OracleResult",
@@ -39,6 +39,8 @@ __all__ = [
 
 #: Feasibility slack on the smallest eigenvalue of the residual operator.
 PSD_SLACK = 1e-10
+#: Golden-section ratio (sqrt(5) - 1) / 2 of the identification search.
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,59 +230,66 @@ def three_state_Q(e: Ensemble, resolution: float = 1e-3) -> float:
     form: with d = q1*q2 - |O12|^2 and K = |q1*O23 - conj(O12)*O13|^2,
     F >= 0 reduces to q1*q3 - |O13|^2 >= K/d, and the best d is
     sqrt(eta3*K/eta2) clamped to the box q2, q3 <= 1.  The outer convex
-    problem is scanned over q1 in [|P psi1|^2, 1] (P projecting onto
-    span(psi2, psi3), below which F cannot be PSD) at step `resolution`,
-    then the bracket around the minimizer is shrunk below 1e-13.  The
-    result is exact to ~1e-12 whatever the resolution, which sets only the
-    bracketing step.  Orthogonal triples return exactly 0.
+    problem over q1 in [|P psi1|^2, 1] (P projecting onto span(psi2,
+    psi3), below which F cannot be PSD) is solved by golden-section search
+    (Kiefer 1953) until the next point is not strictly inside the bracket
+    in floating point; the least value evaluated, ends included, is exact
+    to a few ulps, also on a kink.  `resolution` is only validated.
+    Orthogonal triples return exactly 0.
 
     Raises
     ------
     DomainError
         If the resolution is outside (0, 1e-2] or the states are linearly
-        dependent (Gram eigenvalue <= 1e-8): identification is impossible.
+        dependent (Gram matrix G - 1e-8*I not positive definite).
     """
-    import numpy as np
-
     resolution = _check_resolution(resolution)
-    min_eig = float(np.linalg.eigvalsh(np.array(gram_matrix(e.states))).min())
-    if min_eig <= 1e-8:
+    gram = gram_matrix(e.states)
+    if _cholesky(gram, 1e-8) is None:
         raise DomainError(
             "states are linearly dependent (Gram matrix eigenvalue "
-            f"{min_eig:.3e}); exact identification of all three is impossible"
+            f"{_least_eigenvalue(gram):.3e}); exact identification of all three is impossible"
         )
     ov = overlaps(e)
     a12, a13, a23 = abs(ov.O12) ** 2, abs(ov.O13) ** 2, abs(ov.O23) ** 2
     if max(a12, a13, a23) < 1e-28:
         return 0.0
     eta1, eta2, eta3 = e.etas
-    c = np.conj(ov.O12) * ov.O13
-    d_ratio = np.sqrt(eta3 / eta2) if eta2 > 0.0 else np.inf
+    c = ov.O12.conjugate() * ov.O13
+    d_ratio = math.sqrt(eta3 / eta2) if eta2 > 0.0 else math.inf
 
-    def g(q1: np.ndarray) -> np.ndarray:
+    def g(q1: float) -> float:
         # In units of q1 (x2 = d/q1, k2 = K/q1^2), so that q1 = 0, reachable
         # only when O12 = O13 = 0 and hence c = 0, is the two-state limit.
-        inv = np.divide(1.0, q1, out=np.zeros_like(q1), where=q1 > 0.0)
-        k2 = np.abs(ov.O23 - c * inv) ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x2 = np.clip(d_ratio * np.sqrt(k2), k2 / (1.0 - a13 * inv), 1.0 - a12 * inv)
-            inner = np.where(k2 > 0.0, eta2 * x2 + eta3 * k2 / x2, 0.0)
+        # A clip bound of k2/0 is +inf, and x2 = 0 (d = 0 < K) is infeasible.
+        inv = 1.0 / q1 if q1 > 0.0 else 0.0
+        k = abs(ov.O23 - c * inv)
+        k2, inner = k * k, 0.0
+        if k2 > 0.0:
+            den = 1.0 - a13 * inv
+            x2 = min(max(d_ratio * math.sqrt(k2), k2 / den) if den else math.inf, 1.0 - a12 * inv)
+            inner = eta2 * x2 + eta3 * k2 / x2 if x2 else math.inf
         return eta1 * q1 + (eta2 * a12 + eta3 * a13) * inv + inner
 
     # (q1 - |O12|^2)(q1 - |O13|^2) >= K holds exactly for q1 >= |P psi1|^2.
-    lo = (a12 + a13 - 2.0 * (ov.O23 * np.conj(c)).real) / (1.0 - a23)
-    lo, hi = min(max(lo, a12, a13), 1.0), 1.0
-    points = int(np.ceil((hi - lo) / resolution)) + 1
-    best = np.inf
-    while True:
-        grid = np.linspace(lo, hi, points)
-        values = g(grid)
-        i = int(np.argmin(values))
-        best = min(best, float(values[i]))
-        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
-        if hi - lo <= 1e-13:
-            return best
-        points = 257  # each later round shrinks the bracket 128-fold
+    lo = (a12 + a13 - 2.0 * (ov.O23 * c.conjugate()).real) / (1.0 - a23)
+    a, b = min(max(lo, a12, a13), 1.0), 1.0
+    if a == 0.0:  # O12 = O13 = 0, so g(q1) = eta1*q1 + g(0)
+        return g(a)
+    x, y = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    gx, gy = g(x), g(y)
+    best = min(g(a), g(b), gx, gy)
+    while a < x < y < b:
+        if gx <= gy:  # convex: the minimum lies in [a, y]
+            b, y, gy = y, x, gx
+            x = b - _INV_PHI * (b - a)
+            gx = g(x)
+        else:
+            a, x, gx = x, y, gy
+            y = a + _INV_PHI * (b - a)
+            gy = g(y)
+        best = min(best, gx, gy)
+    return best
 
 
 def two_state_Q(e: Ensemble) -> float:
@@ -296,8 +305,8 @@ def compare(e: Ensemble, resolution: float = 1e-3) -> ComparisonRecord:
     """Filtering vs. identification vs. pairwise discrimination.
 
     Returns the filtering optimum Q, the three-way identification optimum
-    Q' (exact to ~1e-12; `resolution` is only its bracketing step), the
-    two-state bound Q'', and the ratio Q/Q'.  Filtering is never harder
+    Q' (exact to a few ulps; `resolution` is validated and recorded but
+    does not change it), the two-state bound Q'', and the ratio Q/Q'.  Filtering is never harder
     than identification, so the ratio is at most 1 up to rounding; for a
     perfectly distinguishable (orthogonal) triple all quantities vanish
     and the ratio is defined as 1.

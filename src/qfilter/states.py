@@ -100,8 +100,8 @@ def _vdot(a, b) -> complex:
     return acc
 
 
-def _cholesky(g) -> list[list[complex]] | None:
-    """Lower Cholesky factor of a Hermitian matrix given as rows (None if it
+def _cholesky(g, shift: float = 0.0) -> list[list[complex]] | None:
+    """Lower Cholesky factor of ``g - shift*I``, g Hermitian rows (None if it
     is not positive definite), column by column as LAPACK's ``potf2``."""
     n = len(g)
     low = [[0j] * n for _ in range(n)]
@@ -109,7 +109,7 @@ def _cholesky(g) -> list[list[complex]] | None:
         left, sq = low[j][:j], 0.0
         for x in left:
             sq += x.real * x.real + x.imag * x.imag
-        pivot = g[j][j].real - sq
+        pivot = g[j][j].real - shift - sq
         if not pivot > 0.0:
             return None
         low[j][j] = complex(math.sqrt(pivot), 0.0)

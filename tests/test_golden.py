@@ -24,11 +24,11 @@ kernels; ``OPENBLAS_VERBOSE=2 python -c "import numpy"`` prints the kernel
 (``Core: ...``) on stderr.  No artifact depends on it any more: the
 overlaps, w, the Cholesky factor of ``ensemble_from_overlaps``, the design,
 the port probabilities and the mesh recomposition are all formed on Python
-scalars, and the identification grid of ``compare`` calls no BLAS routine.
-All 23 artifacts read the same under ``OPENBLAS_CORETYPE=Haswell`` and
-``Prescott`` (before, 1 and 6 of them differed); the kernel test below
-checks that.  ``solve``, ``design``, ``synthesize`` and the equal-prior
-sweeps do not import numpy at all, which the last test checks.
+scalars, and so is the identification search of ``compare`` and of the
+sweeps.  All 23 artifacts read the same under ``OPENBLAS_CORETYPE=Haswell``
+and ``Prescott`` (before, 1 and 6 of them differed); the kernel test below
+checks that.  Every command but ``simulate`` runs without importing numpy,
+which the last test checks.
 """
 
 import json
@@ -80,13 +80,8 @@ def test_artifact_is_byte_identical(golden, argv, capsys):
 #: Every artifact: none of them reaches a BLAS routine (see the docstring).
 KERNEL_FREE = CASES
 
-#: The artifacts of the commands that run without numpy.
-NUMPY_FREE = [
-    (name, argv)
-    for name, argv in CASES
-    if name.endswith((".solve.json", ".design.json", ".synthesize.json"))
-    or name == "sweep.csv"
-]
+#: The artifacts of the commands that run without numpy: all but simulate's.
+NUMPY_FREE = [(name, argv) for name, argv in CASES if not name.endswith(".simulate.json")]
 
 #: Runs each (name, argv) of its first argument through the CLI in one
 #: process and prints {name: stdout} as JSON, plus under "numpy" whether
@@ -136,10 +131,12 @@ def test_solve_and_compare_do_not_depend_on_the_blas_kernel(coretype):
 
 
 def test_solve_design_synthesize_and_sweep_never_import_numpy():
+    """solve, design, synthesize and compare on each fixture, and every sweep
+    (unequal priors included), reproduce their goldens in one process that
+    never imports numpy; simulate imports it on first use, in another."""
     got = run_cases(NUMPY_FREE)
     assert got["numpy"] == [False, False]
     assert_golden(got, NUMPY_FREE)
-    # The other commands import it on first use, in a fresh process.
     rest = [case for case in CASES if case not in NUMPY_FREE]
     got = run_cases(rest)
     assert got["numpy"] == [False, True]

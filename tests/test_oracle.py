@@ -1,6 +1,8 @@
 """Brute-force cross-validation and comparison baselines."""
 
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,9 +21,11 @@ from qfilter import (
     three_state_Q,
     two_state_Q,
 )
+from qfilter.states import gram_matrix
 
 from conftest import (
     EQUAL_PRIORS,
+    coplanar_ensemble,
     fifty_fifty_ensemble,
     grid_three_state_Q,
     orthogonal_ensemble,
@@ -121,6 +125,25 @@ class TestThreeStateIdentification:
             expected = (s1 * s1 / s2 + 2.0 * s2) / 3.0
             assert value == pytest.approx(expected, abs=1e-9)
 
+    @pytest.mark.parametrize("s", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
+    def test_symmetric_family_at_unequal_priors_is_exact_at_the_kink(self, s):
+        # Q' = s is where the minimized function of q1 has a kink, so the
+        # search must run to the floating-point resolution of q1.
+        e = ensemble_from_overlaps(s, s, s, priors=(0.5, 0.3, 0.2))
+        assert abs(three_state_Q(e, resolution=1e-3) - s) <= 4 * math.ulp(s)
+
+    def test_two_overlap_family_at_equal_priors_is_exact(self):
+        checked = 0
+        for s2 in (0.3, 0.5, 0.8):
+            for s1 in (0.05 * k for k in range(1, 20)):
+                if s1 * s1 > s2:
+                    continue
+                exact = float((Fraction(s1) ** 2 / Fraction(s2) + 2 * Fraction(s2)) / 3)
+                value = three_state_Q(ensemble_from_overlaps(s1, s1, s2), resolution=1e-3)
+                assert abs(value - exact) <= 4 * math.ulp(exact), (s1, s2)
+                checked += 1
+        assert checked == 41
+
     def test_orthogonal_triple_is_exactly_zero(self):
         assert three_state_Q(orthogonal_ensemble(), resolution=1e-3) == 0.0
 
@@ -219,12 +242,56 @@ class TestThreeStateIdentification:
                 )
 
     def test_resolution_only_sets_the_bracketing_step(self):
+        """``resolution`` is validated and recorded, but the golden-section
+        search does not read it: Q' is the same to the bit at every step."""
         rng = np.random.default_rng(55)
         ensembles = [random_ensemble(rng) for _ in range(10)]
         ensembles.append(symmetric_ensemble(0.4, (0.5, 0.3, 0.2)))
         for e in ensembles:
             values = [three_state_Q(e, resolution=r) for r in (1e-2, 1e-3, 1e-4)]
-            assert max(values) - min(values) <= 1e-12
+            assert values[0] == values[1] == values[2]
+
+
+class TestDependenceGate:
+    """``three_state_Q`` refuses dependent states by a Cholesky test of
+    G - 1e-8*I, G the Gram matrix, with the same decision as eigvalsh."""
+
+    @staticmethod
+    def cases(name: str, rng: np.random.Generator) -> list[Ensemble]:
+        if name == "random":
+            return [random_ensemble(rng) for _ in range(200)]
+        if name == "dependent":
+            return [coplanar_ensemble(rng, k % 2 == 0) for k in range(40)] + [
+                random_ensemble(rng, dim=2) for _ in range(20)
+            ]
+        # Least eigenvalue 1e-8 * (1 -+ 1e-3): a random G shifted and rescaled.
+        out = []
+        for k in range(40):
+            g0 = np.array(gram_matrix(random_ensemble(rng).states))
+            lam0 = float(np.linalg.eigvalsh(g0).min())
+            tau = 1e-8 * (1.0 + (1e-3 if k % 2 else -1e-3))
+            t = tau * (1.0 - lam0) / (1.0 - tau)
+            g = (g0 + (t - lam0) * np.eye(3)) / (1.0 - lam0 + t)
+            o12, o13, o23 = (complex(g[i, j]) for i, j in ((0, 1), (0, 2), (1, 2)))
+            out.append(ensemble_from_overlaps(o12, o13, o23, priors=rng.dirichlet([1.0] * 3)))
+        return out
+
+    @pytest.mark.parametrize("name, refusals", [("random", 0), ("dependent", 60), ("boundary", 20)])
+    def test_same_decision_as_eigvalsh(self, name, refusals):
+        refused = 0
+        for e in self.cases(name, np.random.default_rng(56)):
+            want = float(np.linalg.eigvalsh(np.array(gram_matrix(e.states))).min())
+            if want > 1e-8:
+                three_state_Q(e, resolution=1e-3)
+                continue
+            refused += 1
+            with pytest.raises(DomainError) as err:
+                three_state_Q(e, resolution=1e-3)
+            message = str(err.value)
+            assert message.startswith("states are linearly dependent")
+            got = float(re.search(r"eigenvalue (\S+)\)", message).group(1))
+            assert abs(got - want) <= 1e-12
+        assert refused == refusals
 
 
 class TestPairwiseBaseline:
