@@ -8,9 +8,10 @@ JSON artifact (CSV for sweeps) to stdout or ``--output``.  The exit code
 is 0 exactly when every validation passes.  Parse and validation
 failures exit 1 and are reported on stderr as ``error: <stage>:
 <message>``, naming the stage that failed and, for input errors, the
-field.  ``--tolerance`` must be a finite value >= 0, ``--seed`` an
-integer >= 0 and ``--trials`` an integer from 1 to ``MAX_TRIALS``; any
-other value, like any bad argument, is a usage error (exit 2).
+field.  ``--tolerance`` (the four stage commands) must be a finite value
+>= 0, ``--resolution`` (compare) in (0, 1e-2], ``--seed`` an integer >= 0
+and ``--trials`` an integer from 1 to ``MAX_TRIALS``; any other value,
+like any bad argument, is a usage error (exit 2).
 
 Floating-point values in artifacts are printed at 15 significant digits
 so that emitted files are stable enough to serve as regression fixtures.
@@ -57,8 +58,6 @@ DEFAULT_TOLERANCE = 1e-10
 
 def _sig15(value: float) -> float:
     """Round a float to 15 significant digits (artifact stability)."""
-    if not math.isfinite(value):
-        return float(value)
     return float(f"{value:.15g}")
 
 
@@ -461,7 +460,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
             if equal_priors and s * s <= o23 + 1e-12:
                 qp_val = s if symmetric else (s * s / s2 + 2.0 * s2) / 3.0
             else:
-                qp_val = three_state_Q(e, resolution=args.resolution)
+                qp_val = three_state_Q(e)
         except QFilterError as exc:
             where = f"s={s:.15g}" if symmetric else f"s1={s:.15g}, s2={s2:.15g}"
             raise QFilterError(f"{where}: {exc}") from exc
@@ -506,6 +505,7 @@ def _ranged(parse, kind: str, ok, rule: str):
 _tolerance = _ranged(
     float, "float", lambda v: math.isfinite(v) and v >= 0.0, "a finite value >= 0"
 )
+_resolution = _ranged(float, "float", lambda v: 0.0 < v <= 1e-2, "a value in (0, 1e-2]")
 _seed = _ranged(int, "int", lambda v: v >= 0, "an integer >= 0")
 _trials = _ranged(
     int, "int", lambda v: 1 <= v <= MAX_TRIALS, f"an integer from 1 to {MAX_TRIALS}"
@@ -544,13 +544,14 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument(
             "--output", metavar="PATH", help="write the artifact here instead of stdout"
         )
-        command.add_argument(
-            "--tolerance",
-            type=_tolerance,
-            default=DEFAULT_TOLERANCE,
-            metavar="T",
-            help=f"validation tolerance, finite and >= 0 (default {DEFAULT_TOLERANCE})",
-        )
+        if name not in ("compare", "sweep"):
+            command.add_argument(
+                "--tolerance",
+                type=_tolerance,
+                default=DEFAULT_TOLERANCE,
+                metavar="T",
+                help=f"validation tolerance, finite and >= 0 (default {DEFAULT_TOLERANCE})",
+            )
 
     p_sim = commands["simulate"]
     p_sim.add_argument(
@@ -589,17 +590,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="prior probabilities (default equal)",
     )
 
-    for name in ("compare", "sweep"):
-        commands[name].add_argument(
-            "--resolution",
-            type=float,
-            default=1e-3,
-            metavar="R",
-            help=(
-                "step in (0, 1e-2], validated and recorded; the identification "
-                "optimum is exact to a few ulps at any value (default 1e-3)"
-            ),
-        )
+    commands["compare"].add_argument(
+        "--resolution",
+        type=_resolution,
+        default=1e-3,
+        metavar="R",
+        help="in (0, 1e-2], recorded in the artifact; changes no result (default 1e-3)",
+    )
     return parser
 
 

@@ -49,7 +49,7 @@ from .errors import (
 )
 from .filter_core import FilterSolution, Regime, solve
 from .multiport import _layer_count
-from .states import Ensemble, _cholesky, frozen_array, gram_matrix, overlaps
+from .states import Ensemble, _least_eigenvalue, frozen_array, gram_matrix, overlaps
 
 if TYPE_CHECKING:
     import numpy as np
@@ -183,27 +183,6 @@ def failure_vectors(
         [0j, 0j, 0j, _scaled(math.sqrt(max(q_i, 0.0)), cmath.exp(1j * chi_i))]
         for q_i, chi_i in zip(sol.failure_probabilities, chi)
     )
-
-
-def _least_eigenvalue(mat: list[Row]) -> float:
-    """Least eigenvalue of a Hermitian 3x3 matrix, closed-form when its
-    first-row off-diagonals nearly vanish, as they do in :func:`build_L`.
-
-    Without them it is that of ``mat[0][0]`` (+) a 2x2 block, and they move
-    it by at most ``r = hypot(|mat[0][1]|, |mat[0][2]|)`` (Weyl).  For r >
-    1e-13 it is bisected in that bracket: ``mat - x*I`` has a Cholesky
-    factor exactly when x lies below it."""
-    (a, b, c), (_, d, f), (_, _, g) = mat
-    d, g = d.real, g.real
-    least = min(a.real, 0.5 * (d + g - math.hypot(d - g, 2.0 * abs(f))))
-    radius = math.hypot(abs(b), abs(c))
-    if radius <= 1e-13:
-        return least
-    lo, hi = least - radius, least + radius
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if _cholesky(mat, mid) else (lo, mid)
-    return lo
 
 
 def build_L(
@@ -379,7 +358,9 @@ def _complement(basis: list[Row]) -> list[Row]:
     Pivoted Gram-Schmidt over the coordinate directions: each round takes the
     one with the largest residual (the first on a tie), which is the
     numerically safe choice when any spanning set will do.  It stops once the
-    basis spans the 4 modes, or when the largest residual is negligible.
+    basis spans the 4 modes.  The residual it keeps is never small: those of
+    the directions not yet picked have squared norms summing to
+    ``4 - len(full) >= 1``, so the largest is at least 1/2.
 
     The residual of e_k against an orthonormal basis has squared norm
     ``1 - m_k`` with ``m_k = sum_j |b_j[k]|^2``, read off the basis for every
@@ -394,7 +375,7 @@ def _complement(basis: list[Row]) -> list[Row]:
     """
     full = list(basis)
     remaining = list(range(NETWORK_DIM))
-    while remaining and len(full) < NETWORK_DIM:
+    while len(full) < NETWORK_DIM:
         # sum() rounds differently across Python versions; the masses only prune.
         mass = [sum(abs(x) ** 2 for x in col) for col in zip(*full)]
         least = min(mass[k] for k in remaining)
@@ -405,10 +386,7 @@ def _complement(basis: list[Row]) -> list[Row]:
         norm = max(norms)
         k, w = residuals[norms.index(norm)]
         remaining.remove(k)
-        if norm > 1e-10:
-            full.append([x * (1.0 / norm) for x in w])
-        else:
-            break  # the largest residual is negligible; nothing spans more
+        full.append([x * (1.0 / norm) for x in w])
     return full[len(basis):]
 
 

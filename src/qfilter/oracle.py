@@ -22,10 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .designer import _least_eigenvalue
 from .errors import DegenerateSubspaceError, DomainError, InfeasibleError
 from .filter_core import FilterSolution, solve
-from .states import Ensemble, _cholesky, gram_matrix, overlaps, parallel_component_norm2
+from .states import Ensemble, _cholesky, _least_eigenvalue, _overlap_gram, overlaps
+from .states import parallel_component_norm2
 
 __all__ = [
     "OracleResult",
@@ -219,7 +219,7 @@ def appendix_residuals(e: Ensemble, sol: FilterSolution) -> dict[str, float]:
     return _identity_residuals(e, sol.failure_probabilities)
 
 
-def three_state_Q(e: Ensemble, resolution: float = 1e-3) -> float:
+def three_state_Q(e: Ensemble) -> float:
     """Optimal failure probability for fully identifying the state.
 
     Unambiguous three-way identification requires linearly independent
@@ -234,23 +234,21 @@ def three_state_Q(e: Ensemble, resolution: float = 1e-3) -> float:
     psi3), below which F cannot be PSD) is solved by golden-section search
     (Kiefer 1953) until the next point is not strictly inside the bracket
     in floating point; the least value evaluated, ends included, is exact
-    to a few ulps, also on a kink.  `resolution` is only validated.
-    Orthogonal triples return exactly 0.
+    to a few ulps, also on a kink.  Orthogonal triples return exactly 0.
 
     Raises
     ------
     DomainError
-        If the resolution is outside (0, 1e-2] or the states are linearly
-        dependent (Gram matrix G - 1e-8*I not positive definite).
+        If the states are linearly dependent (Gram matrix G - 1e-8*I not
+        positive definite).
     """
-    resolution = _check_resolution(resolution)
-    gram = gram_matrix(e.states)
+    ov = overlaps(e)
+    gram = _overlap_gram(ov.O12, ov.O13, ov.O23)
     if _cholesky(gram, 1e-8) is None:
         raise DomainError(
             "states are linearly dependent (Gram matrix eigenvalue "
             f"{_least_eigenvalue(gram):.3e}); exact identification of all three is impossible"
         )
-    ov = overlaps(e)
     a12, a13, a23 = abs(ov.O12) ** 2, abs(ov.O13) ** 2, abs(ov.O23) ** 2
     if max(a12, a13, a23) < 1e-28:
         return 0.0
@@ -305,15 +303,15 @@ def compare(e: Ensemble, resolution: float = 1e-3) -> ComparisonRecord:
     """Filtering vs. identification vs. pairwise discrimination.
 
     Returns the filtering optimum Q, the three-way identification optimum
-    Q' (exact to a few ulps; `resolution` is validated and recorded but
-    does not change it), the two-state bound Q'', and the ratio Q/Q'.  Filtering is never harder
-    than identification, so the ratio is at most 1 up to rounding; for a
-    perfectly distinguishable (orthogonal) triple all quantities vanish
-    and the ratio is defined as 1.
+    Q' (exact to a few ulps), the two-state bound Q'', and the ratio Q/Q'.
+    Filtering is never harder than identification, so the ratio is at most
+    1 up to rounding; for a perfectly distinguishable (orthogonal) triple
+    all quantities vanish and the ratio is defined as 1.  `resolution`
+    changes no value: it is checked to lie in (0, 1e-2] and recorded.
     """
     resolution = _check_resolution(resolution)
     q_filter = solve(e).Q
-    q_identify = three_state_Q(e, resolution)
+    q_identify = three_state_Q(e)
     q_pairwise = two_state_Q(e)
     if q_identify <= 1e-12:
         ratio = 1.0

@@ -122,6 +122,27 @@ def _cholesky(g, shift: float = 0.0) -> list[list[complex]] | None:
     return low
 
 
+def _least_eigenvalue(mat: list[list[complex]]) -> float:
+    """Least eigenvalue of a Hermitian 3x3 matrix, closed-form when its
+    first-row off-diagonals nearly vanish, as in :func:`.designer.build_L`.
+
+    Without them it is that of ``mat[0][0]`` (+) a 2x2 block, and they move
+    it by at most ``r = hypot(|mat[0][1]|, |mat[0][2]|)`` (Weyl).  For r >
+    1e-13 it is bisected in that bracket: ``mat - x*I`` has a Cholesky
+    factor exactly when x lies below it."""
+    (a, b, c), (_, d, f), (_, _, g) = mat
+    d, g = d.real, g.real
+    least = min(a.real, 0.5 * (d + g - math.hypot(d - g, 2.0 * abs(f))))
+    radius = math.hypot(abs(b), abs(c))
+    if radius <= 1e-13:
+        return least
+    lo, hi = least - radius, least + radius
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _cholesky(mat, mid) else (lo, mid)
+    return lo
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class StateVector:
     """A unit-norm complex vector of probability amplitudes.
@@ -331,6 +352,15 @@ def gram_matrix(vectors) -> list[list[complex]]:
     return [[_vdot(a, b) for b in rows] for a in rows]
 
 
+def _overlap_gram(o12, o13, o23) -> list[list[complex]]:
+    """Gram matrix of three unit vectors with overlaps O12, O13 and O23, as rows."""
+    return [
+        [1.0, o12, o13],
+        [o12.conjugate(), 1.0, o23],
+        [o13.conjugate(), o23.conjugate(), 1.0],
+    ]
+
+
 def parallel_component_norm2(e: Ensemble) -> float:
     """Squared norm of the component of psi1 inside span{psi2, psi3}.
 
@@ -362,13 +392,7 @@ def ensemble_from_overlaps(o12, o13, o23, priors=(1 / 3, 1 / 3, 1 / 3)) -> Ensem
     so they are exact to floating precision.  The overlap triple must form
     a positive-definite Gram matrix (linearly independent states).
     """
-    low = _cholesky(
-        [
-            [1.0, o12, o13],
-            [o12.conjugate(), 1.0, o23],
-            [o13.conjugate(), o23.conjugate(), 1.0],
-        ]
-    )
+    low = _cholesky(_overlap_gram(o12, o13, o23))
     if low is None:
         raise InvalidEnsembleError(
             "overlaps do not define three linearly independent unit vectors "

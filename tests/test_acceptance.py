@@ -97,7 +97,7 @@ def test_filtering_vs_identification_ratio():
     e = ensemble_from_overlaps(s1, s1, s2, priors=EQUAL_PRIORS)
     q_filter = solve(e).Q
     q_prime_closed = (s1 * s1 / s2 + 2.0 * s2) / 3.0
-    q_prime_numeric = three_state_Q(e, resolution=1e-3)
+    q_prime_numeric = three_state_Q(e)
     assert abs(q_prime_numeric - q_prime_closed) <= 1e-9
     for q_prime in (q_prime_closed, q_prime_numeric):
         assert abs(q_filter / q_prime - 0.47) <= 0.005

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qfilter import cli, design
+from qfilter import BeamSplitterLayer, cli, design
 from qfilter.cli import main
 
 from conftest import FIXTURES_DIR, fifty_fifty_ensemble
@@ -27,6 +27,16 @@ def run_json(capsys, argv: list[str]) -> dict:
     captured = capsys.readouterr()
     assert code == 0, captured.err
     return json.loads(captured.out)
+
+
+def amplitude(value):
+    """An edit of an ensemble document that sets ``states[0][1]`` to `value`."""
+
+    def edit(doc: dict) -> dict:
+        doc["states"][0][1] = value
+        return doc
+
+    return edit
 
 
 def all_floats(node):
@@ -163,6 +173,56 @@ class TestDiagnostics:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+    #: Each malformed file: the edit made to the fifty-fifty fixture, and the
+    #: message that follows the file's path.
+    MALFORMED = {
+        "top_level_array": (lambda doc: [doc], "top level must be a JSON object"),
+        "no_states": (
+            lambda doc: {k: v for k, v in doc.items() if k != "states"},
+            "missing required field 'states'",
+        ),
+        "no_priors": (
+            lambda doc: {k: v for k, v in doc.items() if k != "priors"},
+            "missing required field 'priors'",
+        ),
+        "two_states": (
+            lambda doc: dict(doc, states=doc["states"][:2]),
+            "field 'states' must be an array of exactly 3 states",
+        ),
+        "empty_state": (
+            lambda doc: dict(doc, states=[doc["states"][0], [], doc["states"][2]]),
+            "states[1] must be a non-empty array of amplitudes",
+        ),
+        "priors_object": (
+            lambda doc: dict(doc, priors={"p1": 0.5}),
+            "field 'priors' must be an array of 3 reals",
+        ),
+        "label_number": (lambda doc: dict(doc, label=7), "field 'label' must be a string"),
+        "amplitude_fields": (
+            amplitude({"re": 0.0, "im": 0.0, "phase": 0.0}),
+            "states[0][1]: unknown amplitude fields ['phase']",
+        ),
+        "amplitude_boolean": (
+            amplitude(True), "states[0][1]: expected a number or {re, im} object"
+        ),
+        "amplitude_string": (
+            amplitude("0.5"), "states[0][1]: expected a number or {re, im} object, got str"
+        ),
+        "amplitude_array": (
+            amplitude([0.5]), "states[0][1]: expected a number or {re, im} object, got list"
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_file_is_refused_with_its_field(self, tmp_path, capsys, case):
+        edit, message = self.MALFORMED[case]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edit(json.loads(Path(FIFTY_FIFTY).read_text()))))
+        assert main(["solve", "--input", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: solve: {bad}: {message}\n"
 
 
 class TestDesignCommand:
@@ -313,6 +373,27 @@ class TestCompareCommand:
         assert doc["Q_prime"] == 0.0
         assert doc["ratio"] == 1.0
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("5", "must be a value in (0, 1e-2], got '5'"),
+            ("0", "must be a value in (0, 1e-2], got '0'"),
+            ("nan", "must be a value in (0, 1e-2], got 'nan'"),
+            ("x", "invalid float value: 'x'"),
+        ],
+    )
+    def test_invalid_resolution_is_refused_before_any_stage(self, capsys, value, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["compare", "--input", FIFTY_FIFTY, f"--resolution={value}"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --resolution: {message}" in captured.err
+
+    def test_resolution_is_recorded(self, capsys):
+        doc = run_json(capsys, ["compare", "--input", FIFTY_FIFTY, "--resolution", "1e-2"])
+        assert doc["resolution"] == 1e-2
+
 
 class TestSweepCommand:
     @staticmethod
@@ -389,7 +470,7 @@ class TestSweepCommand:
         self, family, monkeypatch, capsys
     ):
         falling = iter([0.5, 0.4, 0.3])
-        monkeypatch.setattr(cli, "three_state_Q", lambda e, resolution: next(falling))
+        monkeypatch.setattr(cli, "three_state_Q", lambda e: next(falling))
         code = main(
             [
                 "sweep", "--family", family, "--priors", "0.5", "0.3", "0.2",
@@ -441,8 +522,6 @@ class TestToleranceFlag:
         "design": ["--input", FIFTY_FIFTY],
         "synthesize": ["--input", FIFTY_FIFTY],
         "simulate": ["--input", FIFTY_FIFTY, "--trials", "100"],
-        "compare": ["--input", FIFTY_FIFTY],
-        "sweep": ["--start", "0.3", "--stop", "0.3"],
     }
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1e-3"])
@@ -466,14 +545,27 @@ class TestToleranceFlag:
                 "simulate", "--input", FIFTY_FIFTY,
                 "--trials", "100", "--tolerance", "1e-8",
             ],
-            ["compare", "--input", FIFTY_FIFTY, "--tolerance", "1e-8"],
-            [
-                "sweep", "--start", "0.3", "--stop", "0.3",
-                "--tolerance", "1e-8",
-            ],
         ):
             assert main(argv) == 0, argv
             capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--input", FIFTY_FIFTY, "--tolerance", "1e-8"],
+            ["sweep", "--start", "0.3", "--stop", "0.3", "--tolerance", "1e-8"],
+            ["sweep", "--start", "0.3", "--stop", "0.3", "--resolution", "1e-3"],
+        ],
+    )
+    def test_options_that_select_nothing_are_not_accepted(self, argv, capsys):
+        # compare and sweep validate nothing by a tolerance, and Q' is exact,
+        # so sweep has no step to set.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
 
 
 class TestStageFailures:
@@ -514,3 +606,80 @@ class TestStageFailures:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {stage}: ")
         assert captured.err.count("\n") == 1
+
+    #: Each check, reached by one wrong field in the result of the call that
+    #: feeds it: the command, the attribute of ``cli`` whose result is edited,
+    #: the edit, and the message printed after ``error: ``.
+    EDITS = {
+        "q_range": (
+            "solve", "solve", lambda sol: dataclasses.replace(sol, q1=1.5),
+            "solve: q1=1.5 outside [0, 1]",
+        ),
+        "zero_error": (
+            "solve", "solve", lambda sol: dataclasses.replace(sol, q2=0.5),
+            "solve: zero-error constraint q1*q2 = |O12|^2 violated by 1.111e-01",
+        ),
+        "weighted_Q": (
+            "solve", "solve", lambda sol: dataclasses.replace(sol, Q=0.5),
+            "solve: Q does not equal the weighted failure average (diff 5.556e-02)",
+        ),
+        "parallel_bound": (
+            "solve", "solve", lambda sol: dataclasses.replace(sol, parallel_norm2=0.9),
+            "solve: q1=0.6666666666666666 below the parallel-component bound 0.9",
+        ),
+        "unitarity": (
+            "design", "design",
+            lambda dsn: dataclasses.replace(dsn, unitary=np.multiply(dsn.unitary, 1.000001)),
+            "design: unitary deviates from unitarity by 2.000e-06",
+        ),
+        "leak": (
+            "design", "design", lambda dsn: dataclasses.replace(dsn, state1_port=2),
+            "design: input 1 leaks probability 3.333e-01 into a forbidden port",
+        ),
+        "failure_port": (
+            "design", "design",
+            lambda dsn: dataclasses.replace(
+                dsn, solution=dataclasses.replace(dsn.solution, q1=0.5)
+            ),
+            "design: input 1 failure-port probability 0.6666666666666666 does not "
+            "match q1=0.5",
+        ),
+        "layer_budget": (
+            "synthesize", "decompose",
+            lambda program: dataclasses.replace(
+                program, layers=program.layers + (BeamSplitterLayer(1, 2, t=1.0, r=0.0),) * 5
+            ),
+            "synthesize: 7 layers exceed the 6-layer budget",
+        ),
+        "failure_average": (
+            "simulate", "sample",
+            lambda report: dataclasses.replace(
+                report, exact_probabilities=report.exact_probabilities + [0.0, 0.0, 0.0, 0.01]
+            ),
+            "simulate: exact failure-port average 0.4544444444444445 does not match "
+            "Q=0.4444444444444444",
+        ),
+        "violations": (
+            "simulate", "sample", lambda report: dataclasses.replace(report, violations=3),
+            "simulate: 3 forbidden-port clicks in 1000 trials",
+        ),
+        "Q_above_Q_prime": (
+            "compare", "oracle_compare", lambda record: dataclasses.replace(record, Q_prime=0.4),
+            "compare: filtering failure 0.4444444444444444 exceeds identification "
+            "failure 0.4 by more than 1e-9",
+        ),
+    }
+
+    @pytest.mark.parametrize("check", sorted(EDITS))
+    def test_each_check_prints_its_own_message(self, check, monkeypatch, capsys):
+        command, attribute, edit, message = self.EDITS[check]
+        real = getattr(cli, attribute)
+        monkeypatch.setattr(cli, attribute, lambda *args, **kwargs: edit(real(*args, **kwargs)))
+        argv = [command, "--input", FIFTY_FIFTY]
+        if command == "simulate":
+            argv += ["--trials", "1000"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        # simulate writes its artifact before its two checks on the sample.
+        assert (captured.out == "") == (command != "simulate")

@@ -36,7 +36,7 @@ from qfilter.designer import (
     failure_vectors,
     success_vectors,
 )
-from qfilter.states import gram_matrix
+from qfilter.states import _least_eigenvalue, gram_matrix
 from qfilter.cli import load_ensemble
 
 from conftest import (
@@ -208,7 +208,7 @@ class TestLeastEigenvalueGate:
         for e, sol in cases:
             mat = numpy_L(e, sol)
             want = float(np.linalg.eigvalsh(mat).min())
-            assert abs(designer._least_eigenvalue(mat.tolist()) - want) <= 1e-12
+            assert abs(_least_eigenvalue(mat.tolist()) - want) <= 1e-12
             if want < -1e-8:
                 refused += 1
                 with pytest.raises(InconsistentSolutionError) as err:
@@ -244,6 +244,19 @@ class TestSuccessVectors:
         L = build_L(e, sol, failure_phases(e))
         vecs, _ = success_vectors(L, sol.failure_probabilities, False, (1, 1, 1))
         np.testing.assert_allclose(vecs[0], 0.0, atol=1e-12)
+
+    def test_vanishing_success_of_state_2_gives_zero_vector(self):
+        # psi1's in-span part lies along psi2 and psi3 is orthogonal to both,
+        # so q1 = |O12|^2 and q2 = 1 exactly: no mixing angle is defined.
+        e = Ensemble(((0.6, 0.0, 0.8), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), (0.9, 0.05, 0.05))
+        sol = solve(e)
+        assert sol.q2 == 1.0
+        L = build_L(e, sol, failure_phases(e))
+        vecs, theta = success_vectors(L, sol.failure_probabilities, False, (1, 1, 1))
+        assert vecs[1] == [0j] * 4
+        assert theta == math.pi / 4
+        gram = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
+        np.testing.assert_allclose(gram, L, atol=1e-12)
 
     def test_gram_is_reproduced_for_random_instances(self):
         rng = np.random.default_rng(8)
@@ -321,6 +334,12 @@ class TestCompleteUnitary:
         with pytest.raises(NoUnitaryError) as err:
             complete_unitary(e, outputs)
         assert "(2, 3)" in str(err.value) or "(1, 3)" in str(err.value)
+
+    @pytest.mark.parametrize("outputs", [5, [[1.0, 0.0]] * 3, [None] * 3])
+    def test_outputs_that_are_not_three_4_vectors_are_refused(self, outputs):
+        with pytest.raises(DomainError) as err:
+            complete_unitary(fifty_fifty_ensemble(), outputs)
+        assert str(err.value) == "outputs must be three 4-mode vectors"
 
 
 class TestDesignedMeasurement:
@@ -424,6 +443,10 @@ class TestDesignedMeasurement:
             again = dataclasses.replace(dsn)
             assert again._unitary == dsn._unitary
             assert again._success_vectors == dsn._success_vectors
+            # Any other name is missing, so hasattr(dsn, "tolist") is False.
+            with pytest.raises(AttributeError) as err:
+                dsn.tolist
+            assert str(err.value) == "tolist"
 
 
 #: (c, d, priors): psi1 = (c, 0, sqrt(1 - c^2)), psi2 = e1, psi3 at angle d

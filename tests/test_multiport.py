@@ -52,6 +52,12 @@ class TestBeamSplitterLayer:
         with pytest.raises(DomainError):
             BeamSplitterLayer(3, 3, t=1.0, r=0.0)
 
+    @pytest.mark.parametrize("p, q", [(1.0, 2), (1, 2.5), ("1", 2)])
+    def test_mode_indices_must_be_integers(self, p, q):
+        with pytest.raises(DomainError) as err:
+            BeamSplitterLayer(p, q, t=1.0, r=0.0)
+        assert str(err.value) == "mode indices must be integers"
+
     def test_phase_defaults_to_zero(self):
         layer = BeamSplitterLayer(1, 4, t=1.0 / RT2, r=-1.0 / RT2)
         assert layer.phi == 0.0
@@ -117,6 +123,9 @@ class TestDecompose:
         assert "residual" in str(err.value) or "unitar" in str(err.value)
         with pytest.raises(DomainError):
             decompose(np.ones((4, 3)))
+        with pytest.raises(DomainError) as err:
+            decompose(5)
+        assert str(err.value) == "expected a square matrix of size >= 2, got ()"
 
     @pytest.mark.parametrize("imag", [0.0, -0.0])
     def test_negative_real_diagonal_gives_plus_pi(self, imag):
@@ -146,6 +155,12 @@ class TestMeshPrograms:
         layer = BeamSplitterLayer(3, 4, t=1.0, r=0.0)
         with pytest.raises(DomainError):
             MeshProgram(layers=(layer,), output_phases=(0.0, 0.0))
+        with pytest.raises(DomainError) as err:
+            MeshProgram(layers=(), output_phases=(0.0,))
+        assert str(err.value) == "a mesh program needs at least 2 modes"
+        with pytest.raises(DomainError) as err:
+            embed_layer(layer, dim=3)
+        assert str(err.value) == "layer acts on mode 4 but the embedding has 3 modes"
 
 
 class TestReferenceMeshes:

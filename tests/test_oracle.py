@@ -1,5 +1,6 @@
 """Brute-force cross-validation and comparison baselines."""
 
+import inspect
 import math
 import re
 from fractions import Fraction
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from qfilter import (
+    DegenerateSubspaceError,
     DomainError,
     Ensemble,
     InfeasibleError,
@@ -64,6 +66,19 @@ class TestBruteForce:
             # Grid points are feasible, so they can only do worse.
             assert result.Q_star >= sol.Q - 1e-9
 
+    def test_parallel_states_2_and_3_leave_two_state_filtering(self):
+        # psi2 = psi3, so the parallel-component bound is undefined and the
+        # search starts at |O12|^2.  Filtering is then telling psi1 from psi2
+        # at priors eta1 and eta2 + eta3: it fails at 2*sqrt(eta1*(eta2 + eta3))
+        # * |O12| = sqrt(2)/3, with q1 = |O12|*sqrt((eta2 + eta3)/eta1) = 1/sqrt(2).
+        psi1, psi2 = (0.5, math.sqrt(0.75), 0.0), (1.0, 0.0, 0.0)
+        e = Ensemble((psi1, psi2, psi2), EQUAL_PRIORS)
+        with pytest.raises(DegenerateSubspaceError):
+            parallel_component_norm2(e)
+        result = brute_force_filter(e, resolution=1e-4)
+        assert result.Q_star == pytest.approx(RT2 / 3.0, abs=1e-6)
+        assert result.q1_star == pytest.approx(1.0 / RT2, abs=1e-4)
+
     def test_resolution_is_validated(self):
         e = fifty_fifty_ensemble()
         with pytest.raises(DomainError):
@@ -83,6 +98,14 @@ class TestStationarityResiduals:
         assert sol.regime is Regime.POVM
         res = appendix_residuals(e, sol)
         assert set(res) == self.KEYS
+        for key in self.KEYS:
+            assert res[key] <= 1e-10, key
+
+    def test_a_zero_prior_leaves_no_multiplier_to_invert(self):
+        # eta2*eta3 = 0: inv_lambda is reported as 0, the other identities hold.
+        e = ensemble_from_overlaps(0.3, 0.4, 0.5, priors=(0.5, 0.5, 0.0))
+        res = appendix_residuals(e, solve(e))
+        assert res["inv_lambda"] == 0.0
         for key in self.KEYS:
             assert res[key] <= 1e-10, key
 
@@ -114,14 +137,14 @@ class TestStationarityResiduals:
 class TestThreeStateIdentification:
     def test_symmetric_family_optimum_is_the_overlap(self):
         for s in (0.2, 0.5, 0.8):
-            value = three_state_Q(symmetric_ensemble(s), resolution=1e-3)
+            value = three_state_Q(symmetric_ensemble(s))
             assert value == pytest.approx(s, abs=1e-9)
 
     def test_two_overlap_family_closed_form(self):
         s2 = 4.0 / 5.0
         for s1 in (0.1, RT2 / 5.0, 0.6, math.sqrt(s2)):
             e = ensemble_from_overlaps(s1, s1, s2)
-            value = three_state_Q(e, resolution=1e-3)
+            value = three_state_Q(e)
             expected = (s1 * s1 / s2 + 2.0 * s2) / 3.0
             assert value == pytest.approx(expected, abs=1e-9)
 
@@ -130,7 +153,7 @@ class TestThreeStateIdentification:
         # Q' = s is where the minimized function of q1 has a kink, so the
         # search must run to the floating-point resolution of q1.
         e = ensemble_from_overlaps(s, s, s, priors=(0.5, 0.3, 0.2))
-        assert abs(three_state_Q(e, resolution=1e-3) - s) <= 4 * math.ulp(s)
+        assert abs(three_state_Q(e) - s) <= 4 * math.ulp(s)
 
     def test_two_overlap_family_at_equal_priors_is_exact(self):
         checked = 0
@@ -139,17 +162,21 @@ class TestThreeStateIdentification:
                 if s1 * s1 > s2:
                     continue
                 exact = float((Fraction(s1) ** 2 / Fraction(s2) + 2 * Fraction(s2)) / 3)
-                value = three_state_Q(ensemble_from_overlaps(s1, s1, s2), resolution=1e-3)
+                value = three_state_Q(ensemble_from_overlaps(s1, s1, s2))
                 assert abs(value - exact) <= 4 * math.ulp(exact), (s1, s2)
                 checked += 1
         assert checked == 41
 
+    def test_takes_only_the_ensemble(self):
+        # Q' is exact to a few ulps, so there is no step or tolerance to pass.
+        assert list(inspect.signature(three_state_Q).parameters) == ["e"]
+
     def test_orthogonal_triple_is_exactly_zero(self):
-        assert three_state_Q(orthogonal_ensemble(), resolution=1e-3) == 0.0
+        assert three_state_Q(orthogonal_ensemble()) == 0.0
 
     def test_nearly_orthogonal_triple_is_nearly_zero(self):
         e = ensemble_from_overlaps(1e-6, 1e-6, 1e-6)
-        assert three_state_Q(e, resolution=1e-3) <= 5e-3
+        assert three_state_Q(e) <= 5e-3
 
     def test_linearly_dependent_states_are_rejected(self):
         psi2 = np.array([1.0, 0.0, 0.0], dtype=complex)
@@ -157,7 +184,7 @@ class TestThreeStateIdentification:
         psi1 = (psi2 + psi3) / np.linalg.norm(psi2 + psi3)
         e = Ensemble((psi1, psi2, psi3), EQUAL_PRIORS)
         with pytest.raises(DomainError):
-            three_state_Q(e, resolution=1e-3)
+            three_state_Q(e)
 
     def test_filtering_never_does_worse_than_identifying(self):
         rng = np.random.default_rng(52)
@@ -165,7 +192,7 @@ class TestThreeStateIdentification:
         while checked < 8:
             e = random_ensemble(rng)
             try:
-                q_prime = three_state_Q(e, resolution=2e-3)
+                q_prime = three_state_Q(e)
             except DomainError:
                 continue
             assert solve(e).Q <= q_prime + 1e-9
@@ -184,7 +211,7 @@ class TestThreeStateIdentification:
         checked = 0
         for e in ensembles:
             try:
-                exact = three_state_Q(e, resolution=1e-3)
+                exact = three_state_Q(e)
             except DomainError:
                 continue
             # Every grid point is feasible, so the grid can only lie above.
@@ -218,7 +245,7 @@ class TestThreeStateIdentification:
         else:
             assert o23 > math.sqrt(lo / hi)
             expected = hi * o23**2 + lo
-        assert three_state_Q(e, resolution=1e-3) == pytest.approx(
+        assert three_state_Q(e) == pytest.approx(
             expected, abs=1e-9
         )
 
@@ -230,7 +257,7 @@ class TestThreeStateIdentification:
         for _ in range(5):
             e = random_ensemble(rng)
             e = Ensemble(e.states, np.array(priors))
-            exact = three_state_Q(e, resolution=1e-3)
+            exact = three_state_Q(e)
             grid = grid_three_state_Q(e, resolution=1e-3)
             assert exact <= grid + 1e-12
             assert grid - exact <= 1e-3
@@ -240,16 +267,6 @@ class TestThreeStateIdentification:
                 assert exact == pytest.approx(
                     parallel_component_norm2(e), abs=1e-12
                 )
-
-    def test_resolution_only_sets_the_bracketing_step(self):
-        """``resolution`` is validated and recorded, but the golden-section
-        search does not read it: Q' is the same to the bit at every step."""
-        rng = np.random.default_rng(55)
-        ensembles = [random_ensemble(rng) for _ in range(10)]
-        ensembles.append(symmetric_ensemble(0.4, (0.5, 0.3, 0.2)))
-        for e in ensembles:
-            values = [three_state_Q(e, resolution=r) for r in (1e-2, 1e-3, 1e-4)]
-            assert values[0] == values[1] == values[2]
 
 
 class TestDependenceGate:
@@ -282,11 +299,11 @@ class TestDependenceGate:
         for e in self.cases(name, np.random.default_rng(56)):
             want = float(np.linalg.eigvalsh(np.array(gram_matrix(e.states))).min())
             if want > 1e-8:
-                three_state_Q(e, resolution=1e-3)
+                three_state_Q(e)
                 continue
             refused += 1
             with pytest.raises(DomainError) as err:
-                three_state_Q(e, resolution=1e-3)
+                three_state_Q(e)
             message = str(err.value)
             assert message.startswith("states are linearly dependent")
             got = float(re.search(r"eigenvalue (\S+)\)", message).group(1))
@@ -324,3 +341,14 @@ class TestCompare:
         record = compare(orthogonal_ensemble(), resolution=1e-3)
         assert record.Q == record.Q_prime == record.Q_double_prime == 0.0
         assert record.ratio == 1.0
+
+    def test_resolution_is_recorded_and_changes_no_value(self):
+        """``resolution`` is validated and recorded, but Q' is exact and the
+        same to the bit at every value."""
+        rng = np.random.default_rng(55)
+        ensembles = [random_ensemble(rng) for _ in range(10)]
+        ensembles.append(symmetric_ensemble(0.4, (0.5, 0.3, 0.2)))
+        for e in ensembles:
+            records = [compare(e, resolution=r) for r in (1e-2, 1e-3, 1e-4)]
+            assert [r.resolution for r in records] == [1e-2, 1e-3, 1e-4]
+            assert records[0].Q_prime == records[1].Q_prime == records[2].Q_prime

@@ -64,10 +64,10 @@ class TestStateVector:
             StateVector(np.array([1.0]))
 
     def test_rejects_non_finite(self):
-        with pytest.raises(InvalidStateError):
-            StateVector(np.array([np.nan, 0.0]))
-        with pytest.raises(InvalidStateError):
-            StateVector(np.array([np.inf, 0.0]))
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            with pytest.raises(InvalidStateError) as err:
+                StateVector(np.array([bad, 0.0]))
+            assert str(err.value) == "state amplitudes must be finite"
 
     def test_rejects_matrix_input(self):
         with pytest.raises(InvalidStateError):
@@ -161,6 +161,10 @@ class TestEnsemble:
             Ensemble((v1, v2, v3), np.array([1.2, -0.1, -0.1]))
         with pytest.raises(InvalidEnsembleError):
             Ensemble((v1, v2, v3), np.array([0.5, 0.5]))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidEnsembleError) as err:
+                Ensemble((v1, v2, v3), [0.5, 0.5, bad])
+            assert str(err.value) == "priors must be finite"
 
     def test_priors_are_copied_not_frozen_in_place(self):
         priors = np.array([0.5, 0.3, 0.2])
