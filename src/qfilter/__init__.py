@@ -18,10 +18,12 @@ end to end, the question "is the system in state 1, or in the set
 
 The top level exports the stage functions, their value types and the
 errors.  Importing it does not import numpy: the closed forms, the design,
-the mesh and ``compare`` run on Python scalars, and numpy is imported on
-first use by ``sample``, ``brute_force_filter``, ``recompose`` and the
-ndarray views of the value types (``StateVector.amplitudes``,
-``MeasurementDesign.unitary``, ...).  The building blocks of the stages
+the mesh, ``compare`` and ``sample`` run on Python scalars (``sample``
+draws from numpy's ``SeedSequence``/PCG64/multinomial stream reproduced on
+Python ints), and numpy is imported on first use only by
+``brute_force_filter``, ``recompose`` and the ndarray views of the value
+types (``StateVector.amplitudes``, ``MeasurementDesign.unitary``,
+``SimulationReport.counts``, ...).  The building blocks of the stages
 (``gram_matrix``, ``average_overlap_A``, ``failure_phases``,
 ``embed_inputs``, ``complete_unitary``, ``embed_layer`` and the like) are
 imported from their modules.

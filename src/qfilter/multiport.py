@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -55,7 +56,9 @@ class BeamSplitterLayer:
     Attributes
     ----------
     p, q:
-        1-based mode indices with p < q.
+        1-based mode indices with p < q.  Any integral value (one with
+        ``__index__``, like ``numpy.int64``) is accepted and kept as a
+        Python ``int``; floats and strings are refused.
     t, r:
         Real transmissivity and reflectivity, ``t^2 + r^2 = 1`` within
         1e-12.  ``r`` may be negative; the sign convention keeps the layer
@@ -71,8 +74,12 @@ class BeamSplitterLayer:
     phi: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.p, int) and isinstance(self.q, int)):
-            raise DomainError("mode indices must be integers")
+        try:
+            p, q = int(operator.index(self.p)), int(operator.index(self.q))
+        except TypeError:
+            raise DomainError("mode indices must be integers") from None
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
         if not 1 <= self.p < self.q:
             raise DomainError(
                 f"mode indices must satisfy 1 <= p < q, got p={self.p}, q={self.q}"

@@ -7,18 +7,23 @@ and ports from the exact distributions, counting clicks per (state, port)
 and auditing the zero-error property: the target state must never click on
 the "not target" ports and vice versa.  Port 4 is the inconclusive
 outcome, so the port-4 fraction estimates the average failure probability.
-Only :func:`sample` imports numpy, whose random stream the audit runs on.
+:func:`sample` does not import numpy: it draws from numpy's
+``SeedSequence``/PCG64/multinomial stream reproduced on Python ints (see
+:mod:`qfilter._stream`).  Only the ndarray views of
+:class:`SimulationReport` import numpy, on first read.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .designer import MeasurementDesign
 from .errors import DomainError
 from .filter_core import average_overlap_A
-from .states import Ensemble, parallel_component_norm2
+from .states import Ensemble, frozen_array, parallel_component_norm2
 
 if TYPE_CHECKING:
     import numpy as np
@@ -37,9 +42,17 @@ ZERO_PROB_TOL = 1e-14
 MAX_TRIALS = 10**9
 
 
+_ROW_FIELDS = {"exact_probabilities": float, "counts": int}
+
+
 @dataclass(frozen=True, eq=False)
 class SimulationReport:
     """Outcome statistics of a Monte-Carlo run.
+
+    ``exact_probabilities`` and ``counts`` take an ndarray or Python rows
+    and keep them as rows of Python ``float`` and ``int`` under their names
+    with a leading underscore, which the command-line tool reads; the
+    fields themselves read as read-only ndarrays built on first access.
 
     Attributes
     ----------
@@ -66,6 +79,19 @@ class SimulationReport:
     violations: int
     empirical_Q: float
     seed: int
+
+    def __post_init__(self) -> None:
+        for name, cast in _ROW_FIELDS.items():
+            rows = self.__dict__.pop(name)
+            self.__dict__["_" + name] = tuple([tuple(map(cast, row)) for row in rows])
+
+    def __getattr__(self, name: str):
+        """Build the ndarray view of a row field on first read."""
+        if name not in _ROW_FIELDS:
+            raise AttributeError(name)
+        dtype = "float64" if name == "exact_probabilities" else "int64"
+        view = self.__dict__[name] = frozen_array(self.__dict__["_" + name], dtype)
+        return view
 
 
 def port_probabilities(design: MeasurementDesign, i: int) -> list[float]:
@@ -95,47 +121,63 @@ def sample(
     Each trial draws an input state from the priors and an output port
     from that state's exact port distribution.  The draws come from the
     first stream spawned from ``SeedSequence(seed)``, so a fixed seed
-    reproduces the run exactly.  Probabilities below ``ZERO_PROB_TOL`` are
-    clamped to exact zeros before sampling.
+    reproduces the run exactly.  That stream is numpy's: ``SeedSequence``,
+    PCG64 and ``Generator.multinomial`` reproduced bit for bit on Python
+    ints (see :mod:`qfilter._stream`), so the counts are those of
+    ``numpy.random.default_rng(SeedSequence(seed).spawn(1)[0])`` without
+    importing numpy.  Probabilities below ``ZERO_PROB_TOL`` are clamped to
+    exact zeros before sampling, and each row is renormalized.
     """
-    import numpy as np
+    from ._stream import spawned_stream
 
     trials = int(trials)
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     if trials > MAX_TRIALS:
         raise DomainError(f"trials must not exceed {MAX_TRIALS:g}, got {trials}")
-    for given, built in zip(e.states, design.embedded_inputs):
-        if np.max(np.abs(given.padded(4) - built)) > 1e-9:
+    seed = int(operator.index(seed))
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    for given, built in zip(e.states, design._embedded_inputs):
+        amps = given.values + (0j,) * (len(built) - len(given.values))
+        if len(amps) != len(built) or max(abs(a - b) for a, b in zip(amps, built)) > 1e-9:
             raise DomainError(
                 "the design was built for a different ensemble than the one "
                 "being sampled"
             )
-    exact = np.array([port_probabilities(design, i) for i in range(3)])
-    clean = np.where(exact < ZERO_PROB_TOL, 0.0, exact)
-    clean = clean / clean.sum(axis=1, keepdims=True)
-    counts = np.zeros((3, 4), dtype=np.int64)
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    per_state = rng.multinomial(trials, e.priors)
-    for i in range(3):
-        if per_state[i]:
-            counts[i] = rng.multinomial(per_state[i], clean[i])
+    exact = [port_probabilities(design, i) for i in range(3)]
+    clean = []
+    for i, row in enumerate(exact):
+        kept = [0.0 if p < ZERO_PROB_TOL else p for p in row]
+        total = 0.0 + kept[0] + kept[1] + kept[2] + kept[3]  # numpy's row sum
+        if not 0.0 < total < math.inf:
+            raise DomainError(
+                f"the port probabilities of state {i + 1} sum to {total!r}, "
+                "not to a positive finite number"
+            )
+        clean.append([p / total for p in kept])
+    stream = spawned_stream(seed)
+    per_state = stream.multinomial(trials, e.etas)
+    counts = [
+        stream.multinomial(n, row) if n else [0, 0, 0, 0]
+        for n, row in zip(per_state, clean)
+    ]
     claim = design.state1_port - 1
     set_ports = [m - 1 for m in design.set_ports]
-    violations = int(
-        counts[0, set_ports[0]]
-        + counts[0, set_ports[1]]
-        + counts[1, claim]
-        + counts[2, claim]
+    violations = (
+        counts[0][set_ports[0]]
+        + counts[0][set_ports[1]]
+        + counts[1][claim]
+        + counts[2][claim]
     )
-    empirical_q = float(counts[:, 3].sum() / trials)
+    empirical_q = sum(row[3] for row in counts) / trials
     return SimulationReport(
         exact_probabilities=exact,
         counts=counts,
         trials=trials,
         violations=violations,
         empirical_Q=empirical_q,
-        seed=int(seed),
+        seed=seed,
     )
 
 

@@ -27,8 +27,10 @@ the port probabilities and the mesh recomposition are all formed on Python
 scalars, and so is the identification search of ``compare`` and of the
 sweeps.  All 23 artifacts read the same under ``OPENBLAS_CORETYPE=Haswell``
 and ``Prescott`` (before, 1 and 6 of them differed); the kernel test below
-checks that.  Every command but ``simulate`` runs without importing numpy,
-which the last test checks.
+checks that.  No command imports numpy, ``simulate`` included: its counts
+come from numpy's ``SeedSequence``/PCG64/multinomial stream reproduced on
+Python ints, and the last test checks that all 23 artifacts come out of one
+process that never imports numpy.
 """
 
 import json
@@ -80,8 +82,8 @@ def test_artifact_is_byte_identical(golden, argv, capsys):
 #: Every artifact: none of them reaches a BLAS routine (see the docstring).
 KERNEL_FREE = CASES
 
-#: The artifacts of the commands that run without numpy: all but simulate's.
-NUMPY_FREE = [(name, argv) for name, argv in CASES if not name.endswith(".simulate.json")]
+#: The artifacts of the commands that run without numpy: every one.
+NUMPY_FREE = CASES
 
 #: Runs each (name, argv) of its first argument through the CLI in one
 #: process and prints {name: stdout} as JSON, plus under "numpy" whether
@@ -130,14 +132,10 @@ def test_solve_and_compare_do_not_depend_on_the_blas_kernel(coretype):
     assert_golden(got, KERNEL_FREE)
 
 
-def test_solve_design_synthesize_and_sweep_never_import_numpy():
-    """solve, design, synthesize and compare on each fixture, and every sweep
-    (unequal priors included), reproduce their goldens in one process that
-    never imports numpy; simulate imports it on first use, in another."""
+def test_every_command_never_imports_numpy():
+    """solve, design, synthesize, simulate and compare on each fixture, and
+    every sweep (unequal priors included), reproduce their goldens in one
+    process that never imports numpy."""
     got = run_cases(NUMPY_FREE)
     assert got["numpy"] == [False, False]
     assert_golden(got, NUMPY_FREE)
-    rest = [case for case in CASES if case not in NUMPY_FREE]
-    got = run_cases(rest)
-    assert got["numpy"] == [False, True]
-    assert_golden(got, rest)

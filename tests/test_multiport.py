@@ -58,6 +58,12 @@ class TestBeamSplitterLayer:
             BeamSplitterLayer(p, q, t=1.0, r=0.0)
         assert str(err.value) == "mode indices must be integers"
 
+    @pytest.mark.parametrize("p, q", [(1, 2), (1, np.int64(2)), (np.int64(3), np.int64(4))])
+    def test_integral_mode_indices_are_kept_as_int(self, p, q):
+        layer = BeamSplitterLayer(p, q, t=1.0, r=0.0)
+        assert (layer.p, layer.q) == (p, q)
+        assert type(layer.p) is int and type(layer.q) is int
+
     def test_phase_defaults_to_zero(self):
         layer = BeamSplitterLayer(1, 4, t=1.0 / RT2, r=-1.0 / RT2)
         assert layer.phi == 0.0

@@ -1,9 +1,12 @@
 """Exact port statistics, Monte Carlo audit, and the projective baseline."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qfilter import (
     DomainError,
@@ -15,7 +18,9 @@ from qfilter import (
     solve,
     von_neumann_baseline,
 )
+from qfilter._stream import spawned_stream
 from qfilter.filter_core import average_overlap_A
+from qfilter.simulator import MAX_TRIALS
 
 from conftest import (
     EQUAL_PRIORS,
@@ -114,6 +119,13 @@ class TestSampling:
         with pytest.raises(DomainError):
             sample(dsn, other, trials=100, seed=0)
 
+    def test_port_rows_must_be_distributions(self):
+        e = fifty_fifty_ensemble()
+        dsn = design(e)
+        broken = dataclasses.replace(dsn, unitary=np.multiply(dsn.unitary, math.nan))
+        with pytest.raises(DomainError, match="port probabilities of state 1 sum to nan"):
+            sample(broken, e, trials=100, seed=0)
+
     def test_orthogonal_triple_never_hits_the_failure_port(self):
         e = orthogonal_ensemble()
         dsn = design(e)
@@ -121,6 +133,71 @@ class TestSampling:
         assert report.empirical_Q == 0.0
         assert report.counts[:, 3].sum() == 0
         assert report.violations == 0
+
+
+def numpy_stream(seed: int) -> np.random.Generator:
+    """The reference: numpy's generator of the first stream spawned from `seed`."""
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+
+
+#: Weights of a probability row: exact zeros, tiny entries (n*p far below
+#: 30 at any n) and entries of order one.
+WEIGHT = st.one_of(st.just(0.0), st.floats(1e-12, 1e-6), st.floats(1e-3, 1.0))
+
+
+class TestStream:
+    """The Python-int stream of ``sample`` is numpy's, bit for bit."""
+
+    @given(
+        seed=st.one_of(st.integers(0, 2**32), st.integers(0, 2**160)),
+        n=st.one_of(st.integers(1, 200), st.integers(1, MAX_TRIALS)),
+        weights=st.lists(WEIGHT, min_size=2, max_size=6).filter(lambda w: sum(w) > 0.0),
+    )
+    # An entry above 0.5, and a zero row tail behind it.
+    @example(seed=2**128, n=MAX_TRIALS, weights=[0.2, 0.0, 0.7, 0.1, 0.0])
+    # n*p on both sides of 30 in one row, seed beyond 2^128.
+    @example(seed=2**128 + 1, n=10**6, weights=[1e-5, 0.6, 2e-5, 0.4])
+    @example(seed=0, n=1, weights=[0.0, 1.0])
+    # The third conditional probability rounds above 1: 0.4 / (1 - 0.3 - 0.3).
+    @example(seed=3, n=10**6, weights=[0.3, 0.3, 0.4, 0.0])
+    @settings(max_examples=300, deadline=None)
+    def test_multinomial_matches_numpy(self, seed, n, weights):
+        total = sum(weights)
+        pvals = [w / total for w in weights]
+        ours, ref = spawned_stream(seed), numpy_stream(seed)
+        for _ in range(3):
+            assert ours.multinomial(n, pvals) == ref.multinomial(n, pvals).tolist()
+
+    @pytest.mark.parametrize(
+        "n, p", [(10**6, 0.3), (10**9, 0.5), (10**9, 0.97), (5000, 0.02)]
+    )
+    def test_binomial_matches_numpy_into_the_btpe_tails(self, n, p):
+        """500 BTPE draws each.  Draws outside [xl, xr] come from the
+        exponential tails with |y - m| > 20, which go through the squeeze
+        and, when it is inconclusive, the Stirling bound."""
+        ours, ref = spawned_stream(n), numpy_stream(n)
+        drawn = [ours.binomial(n, p) for _ in range(500)]
+        assert drawn == ref.binomial(n, p, size=500).tolist()
+        r = min(p, 1.0 - p)
+        m = math.floor(n * r + r)
+        p1 = math.floor(2.195 * math.sqrt(n * r * (1.0 - r)) - 4.6 * (1.0 - r)) + 0.5
+        # numpy draws B(n, 1 - p) for p > 1/2 and returns n minus it.
+        ys = [y if p <= 0.5 else n - y for y in drawn]
+        assert any(abs(y - m) > max(p1 + 1, 20) for y in ys)
+
+    #: (seed, n, pvals) -> counts, as numpy 2.4 draws them: the stream stays
+    #: fixed even if a later numpy changes its Generator algorithms.
+    PINNED = [
+        (7, 10**6, [0.5, 0.25, 0.25], [499365, 250252, 250383]),
+        (7, 333_333, [1 / 3, 0.0, 0.0, 2 / 3], [110768, 0, 0, 222565]),
+        (2**130 + 5, 10**9, [0.05, 0.6, 0.0, 0.35], [49983375, 600011158, 0, 350005467]),
+        (12345, 40, [0.9, 0.1], [34, 6]),
+        (0, 1, [0.25, 0.25, 0.25, 0.25], [1, 0, 0, 0]),
+    ]
+
+    @pytest.mark.parametrize("seed, n, pvals, counts", PINNED)
+    def test_pinned_counts(self, seed, n, pvals, counts):
+        assert spawned_stream(seed).multinomial(n, pvals) == counts
 
 
 class TestProjectiveBaseline:
