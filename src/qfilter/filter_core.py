@@ -32,10 +32,6 @@ from .states import Ensemble, overlaps, parallel_component_norm2
 
 __all__ = ["Regime", "FilterSolution", "average_overlap_A", "solve"]
 
-#: Regime boundaries closer than this are resolved to POVM (the closed
-#: forms coincide there, so the tag choice is cosmetic but deterministic).
-TIE_TOL = 1e-12
-
 
 class Regime(str, Enum):
     """Which of the three closed-form branches is optimal."""
@@ -86,9 +82,11 @@ def average_overlap_A(e: Ensemble) -> float:
 
 
 def _classify(A: float, w: float, eta1: float) -> Regime:
-    if A > eta1 + TIE_TOL:
+    # Exact comparisons, a tie going to POVM: the closed forms meet at both
+    # boundaries, and a slack would put q1 = sqrt(A/eta1) outside [w, 1].
+    if A > eta1:
         return Regime.VN_LARGE_OVERLAP
-    if A < eta1 * w * w - TIE_TOL:
+    if A < eta1 * w * w:
         return Regime.VN_SMALL_OVERLAP
     return Regime.POVM
 

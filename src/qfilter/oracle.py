@@ -253,24 +253,35 @@ def three_state_Q(e: Ensemble) -> float:
     if max(a12, a13, a23) < 1e-28:
         return 0.0
     eta1, eta2, eta3 = e.etas
-    c = ov.O12.conjugate() * ov.O13
-    d_ratio = math.sqrt(eta3 / eta2) if eta2 > 0.0 else math.inf
+    o23, c = ov.O23, ov.O12.conjugate() * ov.O13
+    sqrt, inf = math.sqrt, math.inf
+    d_ratio = sqrt(eta3 / eta2) if eta2 > 0.0 else inf
+    a_term = eta2 * a12 + eta3 * a13
 
     def g(q1: float) -> float:
         # In units of q1 (x2 = d/q1, k2 = K/q1^2), so that q1 = 0, reachable
         # only when O12 = O13 = 0 and hence c = 0, is the two-state limit.
         # A clip bound of k2/0 is +inf, and x2 = 0 (d = 0 < K) is infeasible.
+        # x2 = min(max(d_ratio*k, k2/den), 1 - a12/q1) with the ties of the
+        # builtins, written out: each call costs more than the arithmetic.
         inv = 1.0 / q1 if q1 > 0.0 else 0.0
-        k = abs(ov.O23 - c * inv)
+        k = abs(o23 - c * inv)
         k2, inner = k * k, 0.0
         if k2 > 0.0:
             den = 1.0 - a13 * inv
-            x2 = min(max(d_ratio * math.sqrt(k2), k2 / den) if den else math.inf, 1.0 - a12 * inv)
-            inner = eta2 * x2 + eta3 * k2 / x2 if x2 else math.inf
-        return eta1 * q1 + (eta2 * a12 + eta3 * a13) * inv + inner
+            x2 = inf
+            if den:
+                x2, clip = d_ratio * sqrt(k2), k2 / den
+                if clip > x2:
+                    x2 = clip
+            cap = 1.0 - a12 * inv
+            if cap < x2:
+                x2 = cap
+            inner = eta2 * x2 + eta3 * k2 / x2 if x2 else inf
+        return eta1 * q1 + a_term * inv + inner
 
     # (q1 - |O12|^2)(q1 - |O13|^2) >= K holds exactly for q1 >= |P psi1|^2.
-    lo = (a12 + a13 - 2.0 * (ov.O23 * c.conjugate()).real) / (1.0 - a23)
+    lo = (a12 + a13 - 2.0 * (o23 * c.conjugate()).real) / (1.0 - a23)
     a, b = min(max(lo, a12, a13), 1.0), 1.0
     if a == 0.0:  # O12 = O13 = 0, so g(q1) = eta1*q1 + g(0)
         return g(a)
@@ -282,11 +293,14 @@ def three_state_Q(e: Ensemble) -> float:
             b, y, gy = y, x, gx
             x = b - _INV_PHI * (b - a)
             gx = g(x)
+            if gx < best:
+                best = gx
         else:
             a, x, gx = x, y, gy
             y = a + _INV_PHI * (b - a)
             gy = g(y)
-        best = min(best, gx, gy)
+            if gy < best:
+                best = gy
     return best
 
 

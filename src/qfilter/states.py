@@ -17,8 +17,10 @@ refusal of an input that is not a flat sequence import numpy.
 Conventions
 -----------
 Inner products are conjugate-linear in the **first** slot:
-``inner(a, b) = sum(conj(a_k) * b_k)``.  All tolerances follow one scheme:
-1e-10 for normalization/Hermiticity checks, 1e-12 for scalar identities.
+``inner(a, b) = sum(conj(a_k) * b_k)``.  A state whose norm is within
+``NORM_REJECT_TOL`` = 1e-6 of 1 is renormalized, one further off is refused;
+priors must sum to 1 within 1e-12, and an overlap magnitude may exceed 1
+by at most 1e-12.
 """
 
 from __future__ import annotations

@@ -112,6 +112,34 @@ class TestRegimeClassification:
         with pytest.raises(DegeneratePriorError):
             solve(e)
 
+    # Two families crossing one regime boundary at o^2 = base: A = eta1 at
+    # priors (0.4, 0.3, 0.3), and A = eta1 * w^2 with w = 2 o^2 / 1.2 at
+    # priors (0.6, 0.2, 0.2).
+    BOUNDARIES = {
+        "A = eta1": (2.0 / 3.0, 0.6, (0.4, 0.3, 0.3), Regime.VN_LARGE_OVERLAP),
+        "A = eta1 w^2": (0.24, 0.2, (0.6, 0.2, 0.2), Regime.VN_SMALL_OVERLAP),
+    }
+
+    @pytest.mark.parametrize("boundary", sorted(BOUNDARIES))
+    def test_both_sides_of_each_boundary_keep_probabilities_and_Q(self, boundary):
+        base, o23, priors, above = self.BOUNDARIES[boundary]
+        tie = solve(ensemble_from_overlaps(math.sqrt(base), math.sqrt(base), o23, priors))
+        for d in (-5e-13, -1e-13, -1e-15, 1e-15, 1e-13, 5e-13):
+            o = math.sqrt(base + d)
+            sol = solve(ensemble_from_overlaps(o, o, o23, priors))
+            assert all(0.0 <= q <= 1.0 for q in sol.failure_probabilities), (d, sol)
+            assert sol.q1 >= sol.parallel_norm2, (d, sol)
+            assert abs(sol.Q - tie.Q) <= 2.0 * abs(d) + 4.0 * math.ulp(tie.Q), (d, sol)
+            if abs(d) >= 1e-13:
+                assert sol.regime is (above if d > 0.0 else Regime.POVM), (d, sol)
+
+    def test_an_overlap_just_past_eta1_is_projective_with_q1_one(self):
+        o = math.sqrt(2.0 / 3.0 + 1e-13)
+        sol = solve(ensemble_from_overlaps(o, o, 0.6, priors=(0.4, 0.3, 0.3)))
+        assert sol.regime is Regime.VN_LARGE_OVERLAP
+        assert sol.q1 == 1.0
+        assert sol.Q == 0.80000000000006
+
 
 class TestSolveInvariants:
     @given(st.integers(0, 10_000))

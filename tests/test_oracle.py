@@ -37,6 +37,56 @@ from conftest import (
 
 RT2 = math.sqrt(2.0)
 
+# float.hex of three_state_Q on fixed overlaps (o12, o13, o23) and priors,
+# recorded before the search's inner function g was rewritten for speed.
+# Next to random triples, some of which change bits when g sums its terms
+# in another order, and near-singular Gram matrices (least eigenvalue about
+# 2e-7 and 8e-7), the labels name the branch of g each row reaches: q1 = 0
+# (two-state limit), eta2 = 0 (d_ratio = inf), eta3 = 0, den = 1 - a13/q1
+# = 0, an infeasible x2 = 0, and the kinks of the symmetric family.
+Q_PRIME_BITS = [
+    ("random", (0.130509+0.073895j), (-0.222447+0.279062j), (0.633078+0.339868j), (0.182, 0.366, 0.452), "0x1.90fbfcf4f8750p-1"),
+    ("random", (-0.011379+0.049035j), (-0.280282-0.191998j), (-0.297249+0.425487j), (0.549, 0.338, 0.113), "0x1.82b94bbfe190ap-2"),
+    ("random", (0.074872+0.002898j), (-0.514633+0.22379j), (0.306782+0.26495j), (0.629, 0.175, 0.196), "0x1.32fb63c118542p-1"),
+    ("random", (-0.439013+0.062914j), (0.104092-0.741892j), (0.365225+0.263823j), (0.351, 0.466, 0.183), "0x1.b3de36bd22f75p-1"),
+    ("random", (-0.432899-0.265873j), (0.196952-0.261851j), (-0.603892-0.07064j), (0.694, 0.133, 0.173), "0x1.6d3b25a009358p-1"),
+    ("random", (0.163255-0.377488j), (-0.113049-0.348039j), (0.008554-0.172483j), (0.322, 0.212, 0.466), "0x1.dace0da7b9fc1p-2"),
+    ("random", (0.137523+0.410754j), (-0.33024-0.413658j), (0.00281-0.224271j), (0.593, 0.166, 0.241), "0x1.71378e978e422p-1"),
+    ("random", (0.593614+0.248233j), (-0.379949-0.177453j), (0.274711+0.310705j), (0.355, 0.163, 0.482), "0x1.dcf8912e5950ep-1"),
+    ("random", (0.381626-0.72211j), (0.659676-0.423066j), (0.564575+0.282165j), (0.21, 0.409, 0.381), "0x1.7c94304be3254p-1"),
+    ("random", (0.018489-0.014811j), (0.207742-0.437739j), (0.512238-0.614756j), (0.098, 0.653, 0.249), "0x1.c25a3d0148d2ep-1"),
+    ("random", (0.092943+0.21179j), (0.098745-0.335974j), (-0.404943+0.618427j), (0.765, 0.047, 0.188), "0x1.1cc10d8a37ff6p-1"),
+    ("random", (0.113497+0.868306j), (0.352147-0.061406j), (-0.093213+0.020448j), (0.3, 0.126, 0.574), "0x1.93a177eb9c9c4p-1"),
+    ("random", (-0.115814+0.360973j), (-0.123974+0.304259j), (0.445702-0.13272j), (0.86, 0.08, 0.06), "0x1.2f741e8cc0c10p-2"),
+    ("random", (0.105438+0.296958j), (0.018639-0.215631j), (-0.779591+0.20321j), (0.681, 0.025, 0.294), "0x1.b60ab60bc55f2p-2"),
+    ("random", (0.286773-0.188753j), (0.317891-0.161119j), (0.205006+0.641401j), (0.586, 0.11, 0.304), "0x1.337c8a26a333ep-1"),
+    ("random", (-0.442937-0.156087j), (-0.396308+0.238965j), (-0.031021-0.265486j), (0.385, 0.2, 0.415), "0x1.2efc6ca4577e1p-1"),
+    ("random", (-0.012103+0.065379j), (-0.405029+0.175603j), (0.086991+0.013256j), (0.322, 0.166, 0.512), "0x1.9755ef8e53e59p-2"),
+    ("random", (0.28408-0.134958j), (0.077436+0.065152j), (-0.00306+0.117103j), (0.39, 0.14, 0.47), "0x1.9b41a823fdb84p-3"),
+    ("near-singular", 0.7, 0.96846503539, 0.5, (0.4, 0.35, 0.25), "0x1.ffff42cf63fd6p-1"),
+    ("near-singular", 0.7, 0.76145235515, (0.3+0.4j), (0.4, 0.35, 0.25), "0x1.fffff79d7e0fcp-1"),
+    ("orthogonal", 0.0, 0.0, 0.0, (0.5, 0.3, 0.2), "0x0.0p+0"),
+    ("two-state POVM", 0.0, 0.0, 0.6, (0.2, 0.4, 0.4), "0x1.eb851eb851eb8p-2"),
+    ("two-state projective", 0.0, 0.0, 0.6, (0.3, 0.6, 0.1), "0x1.4395810624dd3p-2"),
+    ("two-state complex", 0.0, 0.0, (0.3-0.5j), (0.5, 0.25, 0.25), "0x1.2a8b73e294fb4p-2"),
+    ("eta2 = 0", 0.5, (0.4+0.2j), 0.3, (0.6, 0.0, 0.4), "0x1.ffae24c69e6f4p-2"),
+    ("eta2 = 0", 0.2j, 0.7, -0.4, (0.3, 0.0, 0.7), "0x1.8c44444444444p-1"),
+    ("eta3 = 0", 0.5, (0.4+0.2j), 0.3, (0.6, 0.4, 0.0), "0x1.10dcdb7997294p-1"),
+    ("eta3 = 0", 0.2j, 0.7, -0.4, (0.3, 0.7, 0.0), "0x1.2626262626262p-1"),
+    ("eta1 = 1", 0.5, (0.4+0.2j), 0.3, (1.0, 0.0, 0.0), "0x1.7357357357359p-2"),
+    ("den = 0", 0.30240000000000006, 0.54, 0.56, (0.25, 0.25, 0.5), "0x1.40d400eda30c8p-1"),
+    ("x2 = 0", 0.54, 0.30240000000000006, 0.56, (0.25, 0.25, 0.5), "0x1.eb367a0f9096cp-2"),
+    ("symmetric kink", 0.1, 0.1, 0.1, (0.5, 0.3, 0.2), "0x1.999999999999ap-4"),
+    ("symmetric kink", 0.2, 0.2, 0.2, (0.5, 0.3, 0.2), "0x1.999999999999ap-3"),
+    ("symmetric kink", 0.3, 0.3, 0.3, (0.5, 0.3, 0.2), "0x1.3333333333334p-2"),
+    ("symmetric kink", 0.4, 0.4, 0.4, (0.5, 0.3, 0.2), "0x1.999999999999ap-2"),
+    ("symmetric kink", 0.5, 0.5, 0.5, (0.5, 0.3, 0.2), "0x1.0000000000000p-1"),
+    ("symmetric kink", 0.6, 0.6, 0.6, (0.5, 0.3, 0.2), "0x1.3333333333334p-1"),
+    ("symmetric kink", 0.7, 0.7, 0.7, (0.5, 0.3, 0.2), "0x1.6666666666666p-1"),
+    ("symmetric kink", 0.8, 0.8, 0.8, (0.5, 0.3, 0.2), "0x1.999999999999ap-1"),
+    ("symmetric kink", 0.9, 0.9, 0.9, (0.5, 0.3, 0.2), "0x1.ccccccccccccdp-1"),
+]
+
 
 class TestBruteForce:
     def test_agrees_with_closed_form_on_the_symmetric_family(self):
@@ -166,6 +216,15 @@ class TestThreeStateIdentification:
                 assert abs(value - exact) <= 4 * math.ulp(exact), (s1, s2)
                 checked += 1
         assert checked == 41
+
+    @pytest.mark.parametrize(
+        "label, o12, o13, o23, priors, bits",
+        Q_PRIME_BITS,
+        ids=[f"{i}-{row[0]}" for i, row in enumerate(Q_PRIME_BITS)],
+    )
+    def test_keeps_its_bits(self, label, o12, o13, o23, priors, bits):
+        e = ensemble_from_overlaps(o12, o13, o23, priors=priors)
+        assert float.hex(three_state_Q(e)) == bits
 
     def test_takes_only_the_ensemble(self):
         # Q' is exact to a few ulps, so there is no step or tolerance to pass.

@@ -55,6 +55,16 @@ class TestStateVector:
         with pytest.raises(InvalidStateError):
             StateVector(np.array([1.0 + 1e-3, 0.0]))
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_norm_gate_sits_at_1e_6(self, sign):
+        inside = StateVector([1.0 + sign * 1e-6 * (1.0 - 1e-3), 0.0])
+        assert abs(inside.values[0]) == pytest.approx(1.0, abs=1e-15)
+        with pytest.raises(
+            InvalidStateError,
+            match=r"^state vector norm deviates from 1 by more than 1e-06 \(norm=",
+        ):
+            StateVector([1.0 + sign * 1e-6 * (1.0 + 1e-3), 0.0])
+
     def test_rejects_zero_vector(self):
         with pytest.raises(InvalidStateError):
             StateVector(np.zeros(3))
