@@ -20,13 +20,13 @@ The top level exports the stage functions, their value types and the
 errors.  Importing it does not import numpy: the closed forms, the design,
 the mesh, ``compare`` and ``sample`` run on Python scalars (``sample``
 draws from numpy's ``SeedSequence``/PCG64/multinomial stream reproduced on
-Python ints), and numpy is imported on first use only by
-``brute_force_filter``, ``recompose`` and the ndarray views of the value
-types (``StateVector.amplitudes``, ``MeasurementDesign.unitary``,
-``SimulationReport.counts``, ...).  The building blocks of the stages
-(``gram_matrix``, ``average_overlap_A``, ``failure_phases``,
-``embed_inputs``, ``complete_unitary``, ``embed_layer`` and the like) are
-imported from their modules.
+Python ints), and a state's ``amplitudes``, an ensemble's ``priors`` and
+``recompose``'s result are Python tuples and lists.  numpy is imported on
+first use only by ``brute_force_filter`` and the ndarray views of
+:class:`MeasurementDesign` and :class:`SimulationReport` (``unitary``,
+``counts``, ...).  The building blocks of the stages (``gram_matrix``,
+``average_overlap_A``, ``failure_phases``, ``embed_inputs``,
+``complete_unitary`` and the like) are imported from their modules.
 """
 
 from .designer import MeasurementDesign, design

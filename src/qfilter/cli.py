@@ -34,7 +34,7 @@ from typing import Any
 from .designer import MeasurementDesign, design
 from .errors import QFilterError
 from .filter_core import FilterSolution, solve
-from .multiport import _recomposed, _unitarity_residual, decompose
+from .multiport import _unitarity_residual, decompose, recompose
 from .oracle import compare as oracle_compare
 from .oracle import three_state_Q, two_state_Q
 from .simulator import MAX_TRIALS, port_probabilities, sample, von_neumann_baseline
@@ -64,14 +64,12 @@ def _sig15(value: float) -> float:
 
 
 def _jsonify(obj: Any) -> Any:
-    """Recursively convert numbers/arrays (read through ``tolist``) to
-    JSON-safe, 15-digit values."""
+    """Recursively convert numbers, lists, tuples and dicts to JSON-safe,
+    15-digit values."""
     if isinstance(obj, dict):
         return {key: _jsonify(val) for key, val in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(item) for item in obj]
-    if hasattr(obj, "tolist"):
-        return _jsonify(obj.tolist())
     if isinstance(obj, complex):
         return {"re": _sig15(float(obj.real)), "im": _sig15(float(obj.imag))}
     if isinstance(obj, float):
@@ -229,7 +227,7 @@ def _validate_solution(e: Ensemble, sol: FilterSolution, tol: float) -> str | No
     ):
         if abs(lhs - rhs) > tol:
             return f"zero-error constraint {name} violated by {abs(lhs - rhs):.3e}"
-    eta1, eta2, eta3 = e.etas
+    eta1, eta2, eta3 = e.priors
     weighted = 0.0 + eta1 * sol.q1 + eta2 * sol.q2 + eta3 * sol.q3
     if abs(weighted - sol.Q) > tol:
         return f"Q does not equal the weighted failure average (diff {abs(weighted - sol.Q):.3e})"
@@ -318,7 +316,7 @@ def _cmd_solve(args: argparse.Namespace) -> None:
     e, label, sol = _solved(args)
     payload = _header(SCHEMA_SOLUTION, label)
     payload.update(_solution_payload(e, sol))
-    payload["priors"] = list(e.etas)
+    payload["priors"] = list(e.priors)
     _emit_json(payload, args.output)
 
 
@@ -341,7 +339,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> None:
     _, label, dsn = _designed(args)
     program = decompose(dsn._unitary)
     residual = max(
-        abs(a - b) for ra, rb in zip(_recomposed(program), dsn._unitary) for a, b in zip(ra, rb)
+        abs(a - b) for ra, rb in zip(recompose(program), dsn._unitary) for a, b in zip(ra, rb)
     )
     if residual > max(args.tolerance, 1e-9):
         raise QFilterError(f"mesh recomposition residual {residual:.3e} exceeds 1e-9")
@@ -365,7 +363,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     expected_q = dsn.solution.Q
     exact, counts = report._exact_probabilities, report._counts
     weighted = 0.0
-    for eta, row in zip(e.etas, exact):
+    for eta, row in zip(e.priors, exact):
         weighted += eta * row[3]
     if abs(weighted - expected_q) > max(args.tolerance, 1e-10):
         raise QFilterError(

@@ -18,10 +18,12 @@ inner products of the success vectors: they must reproduce the Hermitian
 residual matrix L built in :func:`build_L`.  The remaining freedom — which
 mode hosts state 1's success amplitude, and sign flips of individual
 success vectors that leave L invariant — is a discrete gauge.  :func:`design`
-scores every gauge as a signed row permutation of one completed unitary and
-keeps the one that synthesizes into the simplest mesh: fewest beam-splitter
-layers first, then the largest real trace of the upper-left 3x3 block (the
-most "pass-through" network), with deterministic tie-breaks.  Layers are
+scores every gauge, on every input, as a signed row permutation of one
+completed unitary (a lone flip of vector 2 or 3 is a gauge only where it
+exchanges their two modes) and keeps the one that synthesizes into the
+simplest mesh: fewest beam-splitter layers first, then the largest real
+trace of the upper-left 3x3 block (the most "pass-through" network), with
+deterministic tie-breaks.  Layers are
 counted by the nulling kernel of :mod:`qfilter.multiport` on Python rows of
 that unitary; no mesh program is built for a candidate, and the winner is
 read off the same rows, so a design completes one unitary.
@@ -414,7 +416,7 @@ _INPUT_FRAMES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 def _input_frame(e: Ensemble) -> _InputFrame:
     """Padded inputs, Gram matrix, orthonormal basis and pivoted complement
-    of the inputs, which are read as rows straight off the states' ``values``."""
+    of the inputs, read as rows straight off the states' ``amplitudes``."""
     frame = _INPUT_FRAMES.get(e)
     if frame is None:
         if e.dim > NETWORK_DIM - 1:
@@ -423,7 +425,7 @@ def _input_frame(e: Ensemble) -> _InputFrame:
                 f"for failure; states of dimension {e.dim} do not fit"
             )
         pad = (0j,) * (NETWORK_DIM - e.dim)
-        ins = tuple([(*s.values, *pad) for s in e.states])
+        ins = tuple([(*s.amplitudes, *pad) for s in e.states])
         basis, kept = _orthonormal_basis(ins)
         frame = _InputFrame(ins, gram_matrix(e.states), basis, kept, _complement(basis))
         _INPUT_FRAMES[e] = frame
@@ -484,14 +486,15 @@ def complete_unitary(e: Ensemble, outputs) -> list[Row]:
     ]
 
 
-def _gauge_candidates(l23_free: bool):
+def _gauge_candidates(lone_flips: bool):
     """Yield ``(swap, sign_index, signs, perm, diag)`` in tie-break order.
 
     Gauge ``(swap, signs)`` has the standard-gauge outputs with rows in
-    order ``perm`` and rows 1-3 negated by ``diag``; a lone flip of vector 2
-    or 3 (only when L23 = 0, so theta = pi/4) swaps their shared modes.
+    order ``perm`` and rows 1-3 negated by ``diag``.  A lone flip of vector
+    2 or 3 is offered only where it is a mode exchange (``lone_flips``:
+    L23 = 0 and theta = pi/4), and swaps their shared modes.
     """
-    sign_opts = [s for s in product((1, -1), repeat=3) if l23_free or s[1] == s[2]]
+    sign_opts = [s for s in product((1, -1), repeat=3) if lone_flips or s[1] == s[2]]
     for swap in (False, True):
         modes = (1, 0, 2) if swap else (0, 1, 2)
         for sign_index, signs in enumerate(sign_opts):
@@ -514,67 +517,48 @@ def design(e: Ensemble, sol: FilterSolution | None = None) -> MeasurementDesign:
     on the three signal modes (largest real trace of the upper-left 3x3
     block), then the standard placement and unflipped signs.
 
-    One unitary U0 is completed in the standard gauge and each candidate
-    is scored as ``diag * U0[perm]`` (:func:`_gauge_candidates`) on Python
-    rows of it.  Diagonal phases leave the layer count unchanged, so layers
-    are counted once per permutation, by the nulling kernel that
+    One unitary U0 is completed in the standard gauge, for every input,
+    and each candidate is scored as ``diag * U0[perm]``
+    (:func:`_gauge_candidates`) on Python rows of it.  Diagonal phases
+    leave the layer count unchanged, so layers are counted once per
+    permutation, by the nulling kernel that
     :func:`qfilter.multiport.decompose` wraps (same layers, without its
     input checks or layer objects); the trace keys and the winner's unitary
     are read from the same rows.  The winner's column 4 (its input is e4)
     then has its phase fixed again, since the flips can leave its largest
     entry negative; up to rounding, that is the completion of the winner's
-    own outputs.  Inputs spanning fewer than 3 modes (whose pivoted
-    completion is not permutation-equivariant) and lone flips at theta !=
-    pi/4 complete and count every candidate.  Every completion of one
-    ensemble shares its input frame, which is computed once from the
-    states' ``values`` (see :func:`complete_unitary`); the rank test reads
-    it too, and ``embedded_inputs`` is the one padded copy of the inputs.
-    In the ``VN_SMALL_OVERLAP`` regime theta is exactly 0 or pi/2 (the
-    ``rank_one`` rule of :func:`success_vectors`).  When the standard gauge
-    wins, its success vectors are reused rather than built again.
+    own outputs whenever the inputs span 3 modes.  In the
+    ``VN_SMALL_OVERLAP`` regime theta is exactly 0 or pi/2 (the
+    ``rank_one`` rule of :func:`success_vectors`); no gauge changes it.
+    When the standard gauge wins, its success vectors are reused rather
+    than built again.
     """
     if sol is None:
         sol = solve(e)
     chi = failure_phases(e)
     fails = failure_vectors(sol, chi)
     L = build_L(e, sol, chi)
-    frame = _input_frame(e)
     q = sol.failure_probabilities
     rank_one = sol.regime is Regime.VN_SMALL_OVERLAP
-
-    def completed_rows(succ):
-        return complete_unitary(e, _sums(succ, fails))
-
-    base_succ, base_theta = success_vectors(L, q, False, (1, 1, 1), rank_one=rank_one)
-    l23_free = abs(L[1][2]) <= 1e-12
-    permutable = len(frame.kept) == 3 and (
-        not l23_free or abs(base_theta - math.pi / 4.0) <= 1e-12
-    )
-    base_rows = completed_rows(base_succ) if permutable else None
+    succ, theta = success_vectors(L, q, False, (1, 1, 1), rank_one=rank_one)
+    lone_flips = abs(L[1][2]) <= 1e-12 and abs(theta - math.pi / 4.0) <= 1e-12
+    base_rows = complete_unitary(e, _sums(succ, fails))
     layer_counts: dict = {}
-    scored, traces = [], []
-    for swap, sign_index, signs, perm, diag in _gauge_candidates(l23_free):
-        if permutable:
-            rows, layers_key = [base_rows[i] for i in perm], perm
-        else:
-            rows = completed_rows(success_vectors(L, q, swap, signs, rank_one=rank_one)[0])
-            layers_key, diag = (swap, sign_index), (1, 1, 1)
-        if layers_key not in layer_counts:
-            layer_counts[layers_key] = _layer_count(rows)
-        traces.append(sum(diag[i] * rows[i][i].real for i in range(3)))
-        scored.append((layer_counts[layers_key], int(swap), sign_index, signs, diag, rows))
-    _, _, swap, _, signs, diag, rows = min(
-        (layers, round(-trace, 9), swap, sign_index, signs, diag, rows)
-        for trace, (layers, swap, sign_index, signs, diag, rows) in zip(traces, scored)
-    )
+    keys = []
+    for swap, sign_index, signs, perm, diag in _gauge_candidates(lone_flips):
+        rows = [base_rows[i] for i in perm]
+        if perm not in layer_counts:
+            layer_counts[perm] = _layer_count(rows)
+        trace = sum(diag[i] * rows[i][i].real for i in range(3))
+        keys.append(
+            (layer_counts[perm], round(-trace, 9), int(swap), sign_index, signs, diag, rows)
+        )
+    _, _, swap, _, signs, diag, rows = min(keys)
     if swap or signs != (1, 1, 1):
-        succ, theta = success_vectors(L, q, swap, signs, rank_one=rank_one)
-    else:
-        succ, theta = base_succ, base_theta  # the standard gauge won
-    if permutable:
-        rows = [row if d > 0 else [-x for x in row] for d, row in zip(diag + (1,), rows)]
-        col = _phase_fixed([row[3] for row in rows])
-        rows = [row[:3] + [x] for row, x in zip(rows, col)]
+        succ = success_vectors(L, q, swap, signs, rank_one=rank_one)[0]
+    rows = [row if d > 0 else [-x for x in row] for d, row in zip(diag + (1,), rows)]
+    col = _phase_fixed([row[3] for row in rows])
+    rows = [row[:3] + [x] for row, x in zip(rows, col)]
     return MeasurementDesign(
         success_vectors=succ,
         failure_vectors=fails,
@@ -582,6 +566,6 @@ def design(e: Ensemble, sol: FilterSolution | None = None) -> MeasurementDesign:
         theta=theta,
         chi=chi,
         solution=sol,
-        embedded_inputs=frame.inputs,
+        embedded_inputs=_input_frame(e).inputs,
         state1_port=2 if swap else 1,
     )

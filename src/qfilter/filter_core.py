@@ -77,7 +77,7 @@ class FilterSolution:
 def average_overlap_A(e: Ensemble) -> float:
     """Weighted overlap A = eta2*|O12|^2 + eta3*|O13|^2 (lies in [0, 1])."""
     ov = overlaps(e)
-    _, eta2, eta3 = e.etas
+    _, eta2, eta3 = e.priors
     return eta2 * abs(ov.O12) ** 2 + eta3 * abs(ov.O13) ** 2
 
 
@@ -115,7 +115,7 @@ def solve(e: Ensemble) -> FilterSolution:
         If states 2 and 3 are numerically parallel.
     """
     ov = overlaps(e)
-    eta1, eta2, eta3 = e.etas
+    eta1, eta2, eta3 = e.priors
     if eta1 <= 0.0:
         raise DegeneratePriorError(
             "the filter target has zero prior probability; the optimal "

@@ -13,8 +13,8 @@ factors a unitary by triangular nulling (last column first, two-row updates
 on Python scalars) into at most N(N-1)/2 such layers plus residual phases in
 (-pi, pi] applied on the input side; :func:`recompose`, an independent
 check, multiplies back ``L_1 @ ... @ L_k @ diag(exp(i * phases))`` with
-two-column updates on Python scalars.  Only :func:`embed_layer` and the
-ndarray that :func:`recompose` returns import numpy.
+two-column updates on Python scalars, into rows.  Nothing here imports
+numpy.
 
 The nulling itself is one private kernel on Python rows.  :func:`decompose`
 wraps it with its input checks, layer objects and phases; the designer's
@@ -28,17 +28,13 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .errors import DomainError, InternalConsistencyError
-
-if TYPE_CHECKING:
-    import numpy as np
+from .states import _entries
 
 __all__ = [
     "BeamSplitterLayer",
     "MeshProgram",
-    "embed_layer",
     "decompose",
     "recompose",
 ]
@@ -122,28 +118,6 @@ class MeshProgram:
     def dim(self) -> int:
         """Number of optical modes."""
         return len(self.output_phases)
-
-
-def embed_layer(layer: BeamSplitterLayer, dim: int = 4) -> np.ndarray:
-    """Embed a two-mode layer into a `dim` x `dim` identity.
-
-    With phi = 0 the embedded block is the real rotation
-    ``[[t, r], [-r, t]]``.
-    """
-    import numpy as np
-
-    if layer.q > dim:
-        raise DomainError(
-            f"layer acts on mode {layer.q} but the embedding has {dim} modes"
-        )
-    mat = np.eye(dim, dtype=complex)
-    phase = np.exp(1j * layer.phi)
-    p, q = layer.p - 1, layer.q - 1
-    mat[p, p] = layer.t * phase
-    mat[p, q] = layer.r * phase
-    mat[q, p] = -layer.r
-    mat[q, q] = layer.t
-    return mat
 
 
 def _nulling_pairs(dim: int) -> list[tuple[int, int]]:
@@ -233,18 +207,19 @@ def decompose(unitary) -> MeshProgram:
     Raises
     ------
     DomainError
-        If the input is not square (N >= 2) or not unitary within 1e-9;
-        the message reports the unitarity residual.
+        If the input is not a square matrix of numbers (N >= 2) or not
+        unitary within 1e-9; the message reports the unitarity residual.
     """
     rows = unitary.tolist() if hasattr(unitary, "tolist") else unitary
-    try:
-        work = [list(map(complex, row)) for row in rows]
-    except TypeError:
-        work = []
+    if isinstance(rows, (str, bytes)) or not hasattr(rows, "__iter__"):
+        raise DomainError("expected a square matrix of size >= 2, got ()")
+    refusal = "matrix rows must be 1-D sequences of numbers"
+    work = [_entries(row, complex, refusal, DomainError) for row in rows]
     if len(work) < 2 or any(len(row) != len(work) for row in work):
-        import numpy as np
-
-        raise DomainError(f"expected a square matrix of size >= 2, got {np.shape(unitary)}")
+        lengths = [len(row) for row in work]
+        raise DomainError(
+            f"expected a square matrix of size >= 2, got rows of lengths {lengths}"
+        )
     residual = _unitarity_residual(work)
     if residual > UNITARITY_TOL:
         raise DomainError(
@@ -256,9 +231,12 @@ def decompose(unitary) -> MeshProgram:
     return MeshProgram(layers, tuple(-x if x == -math.pi else x for x in phases))
 
 
-def _recomposed(program: MeshProgram) -> list[list[complex]]:
-    """:func:`recompose` as rows: each layer updates two columns of the
-    running product, and the phases scale the columns last."""
+def recompose(program: MeshProgram) -> list[list[complex]]:
+    """Multiply a mesh program back into its unitary matrix, as rows.
+
+    Each layer updates two columns of the running product, and the phases
+    scale the columns last.
+    """
     dim = program.dim
     mat = [[complex(i == j) for j in range(dim)] for i in range(dim)]
     for layer in program.layers:
@@ -269,10 +247,3 @@ def _recomposed(program: MeshProgram) -> list[list[complex]]:
             row[p], row[q] = x * tp - y * layer.r, x * rp + y * layer.t
     phases = [cmath.exp(1j * phi) for phi in program.output_phases]
     return [[x * z for x, z in zip(row, phases)] for row in mat]
-
-
-def recompose(program: MeshProgram) -> np.ndarray:
-    """Multiply a mesh program back into its unitary matrix."""
-    import numpy as np
-
-    return np.array(_recomposed(program), dtype=complex)

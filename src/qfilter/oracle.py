@@ -110,7 +110,7 @@ def brute_force_filter(e: Ensemble, resolution: float = 1e-4) -> OracleResult:
     resolution = _check_resolution(resolution)
     ov = overlaps(e)
     a12, a13 = abs(ov.O12) ** 2, abs(ov.O13) ** 2
-    eta1, eta2, eta3 = e.etas
+    eta1, eta2, eta3 = e.priors
     try:
         lower = max(parallel_component_norm2(e), a12, a13)
     except DegenerateSubspaceError:
@@ -185,7 +185,7 @@ def _identity_residuals(
         )
     else:
         delta = 0.0
-    eta1, eta2, eta3 = e.etas
+    eta1, eta2, eta3 = e.priors
     stationarity = eta1 * q1 * q1 - eta2 * mag12**2 - eta3 * mag13**2
     eta23 = eta2 * eta3
     if eta23 > 0.0:
@@ -252,7 +252,7 @@ def three_state_Q(e: Ensemble) -> float:
     a12, a13, a23 = abs(ov.O12) ** 2, abs(ov.O13) ** 2, abs(ov.O23) ** 2
     if max(a12, a13, a23) < 1e-28:
         return 0.0
-    eta1, eta2, eta3 = e.etas
+    eta1, eta2, eta3 = e.priors
     o23, c = ov.O23, ov.O12.conjugate() * ov.O13
     sqrt, inf = math.sqrt, math.inf
     d_ratio = sqrt(eta3 / eta2) if eta2 > 0.0 else inf

@@ -113,6 +113,15 @@ def port_probabilities(design: MeasurementDesign, i: int) -> list[float]:
     return probs
 
 
+def _integer(value, name: str) -> int:
+    """``value`` read through ``operator.index``: an integral value (like
+    ``numpy.int64``) is accepted, a float or a string refused."""
+    try:
+        return int(operator.index(value))
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
 def sample(
     design: MeasurementDesign, e: Ensemble, trials: int, seed: int
 ) -> SimulationReport:
@@ -126,20 +135,21 @@ def sample(
     ints (see :mod:`qfilter._stream`), so the counts are those of
     ``numpy.random.default_rng(SeedSequence(seed).spawn(1)[0])`` without
     importing numpy.  Probabilities below ``ZERO_PROB_TOL`` are clamped to
-    exact zeros before sampling, and each row is renormalized.
+    exact zeros before sampling, and each row is renormalized.  ``trials``
+    and ``seed`` must be integers (anything with ``__index__``): a float
+    or a string is refused, not truncated.
     """
     from ._stream import spawned_stream
 
-    trials = int(trials)
+    trials, seed = _integer(trials, "trials"), _integer(seed, "seed")
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     if trials > MAX_TRIALS:
         raise DomainError(f"trials must not exceed {MAX_TRIALS:g}, got {trials}")
-    seed = int(operator.index(seed))
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     for given, built in zip(e.states, design._embedded_inputs):
-        amps = given.values + (0j,) * (len(built) - len(given.values))
+        amps = given.amplitudes + (0j,) * (len(built) - len(given.amplitudes))
         if len(amps) != len(built) or max(abs(a - b) for a, b in zip(amps, built)) > 1e-9:
             raise DomainError(
                 "the design was built for a different ensemble than the one "
@@ -157,7 +167,7 @@ def sample(
             )
         clean.append([p / total for p in kept])
     stream = spawned_stream(seed)
-    per_state = stream.multinomial(trials, e.etas)
+    per_state = stream.multinomial(trials, e.priors)
     counts = [
         stream.multinomial(n, row) if n else [0, 0, 0, 0]
         for n, row in zip(per_state, clean)
@@ -196,7 +206,7 @@ def von_neumann_baseline(e: Ensemble) -> float:
     A = average_overlap_A(e)
     if A == 0.0:
         return 0.0
-    eta1 = e.etas[0]
+    eta1 = e.priors[0]
     if A >= eta1:
         return eta1 + A
     w = parallel_component_norm2(e)

@@ -11,8 +11,9 @@ those scalars: on vectors this short numpy's per-call overhead costs more
 than the arithmetic.  Every sum runs left to right in a fixed order (never
 ``sum()``, whose float rounding changed in Python 3.12), so the bits do
 not depend on the Python version or on the BLAS kernel numpy selects.
-Only the ndarray views (``amplitudes``, ``priors``, ``padded``) and the
-refusal of an input that is not a flat sequence import numpy.
+Constructors take ndarrays or plain sequences and keep only those
+scalars; nothing here imports numpy but :func:`frozen_array`, the helper
+behind the ndarray views of the downstream value types.
 
 Conventions
 -----------
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -57,16 +58,14 @@ SUBSPACE_TOL = 1e-10
 
 class memo:
     """``functools.cached_property`` without the lock it takes before 3.12;
-    a raised error is not kept.  Read on the class it raises AttributeError,
-    so a dataclass field it backs has no default, and ``__post_init__``
-    finds the value given in the instance ``__dict__``."""
+    a raised error is not kept."""
 
     def __init__(self, func) -> None:
         self.func, self.name = func, func.__name__
 
     def __get__(self, obj, owner=None):
         if obj is None:
-            raise AttributeError(self.name)
+            return self
         value = obj.__dict__[self.name] = self.func(obj)
         return value
 
@@ -82,16 +81,15 @@ def frozen_array(values, dtype=complex) -> np.ndarray:
 
 def _entries(values, cast, refusal: str, error: type[Exception]) -> list:
     """``[cast(x) for x in values]`` of a flat sequence (an ndarray is read
-    through ``tolist``).  Anything else is refused with its shape, which
-    only this path imports numpy to compute."""
+    through ``tolist``).  Anything else, a string, a value that is not a
+    sequence or an entry ``cast`` refuses, is refused with ``error``."""
     entries = values.tolist() if hasattr(values, "tolist") else values
-    try:
-        return [cast(x) for x in entries]
-    except TypeError:
-        pass
-    import numpy as np
-
-    raise error(f"{refusal}, got shape {np.asarray(values, dtype=cast).shape}")
+    if not isinstance(entries, (str, bytes)):
+        try:
+            return [cast(x) for x in entries]
+        except (TypeError, ValueError):
+            pass
+    raise error(f"{refusal}, got {values!r}")
 
 
 def _vdot(a, b) -> complex:
@@ -151,18 +149,16 @@ class StateVector:
 
     The constructor accepts any flat sequence of (complex) numbers whose
     Euclidean norm is within ``NORM_REJECT_TOL`` of 1, renormalizes it
-    exactly, and keeps the result in ``values``, a tuple of Python
+    exactly, and keeps the result in ``amplitudes``, a tuple of Python
     ``complex``.  Zero vectors and badly normalized inputs are rejected
-    rather than silently rescaled.  ``amplitudes`` is the same vector as a
-    read-only ndarray, built from ``values`` on first access.
+    rather than silently rescaled.
     """
 
-    values: tuple[complex, ...]
+    amplitudes: tuple[complex, ...]
 
     def __init__(self, amplitudes) -> None:
-        values = _entries(
-            amplitudes, complex, "state amplitudes must form a 1-D sequence", InvalidStateError
-        )
+        refusal = "state amplitudes must form a 1-D sequence of numbers"
+        values = _entries(amplitudes, complex, refusal, InvalidStateError)
         # The squared real parts, then the squared imaginary parts, each
         # summed left to right.  The result is finite whenever every
         # amplitude is, unless it overflows, so only then are the amplitudes
@@ -190,17 +186,12 @@ class StateVector:
         # complex times a float is taken componentwise, which can change
         # the sign of a zero part.
         scale = complex(1.0 / norm, 0.0)
-        object.__setattr__(self, "values", tuple([x * scale for x in values]))
-
-    @memo
-    def amplitudes(self) -> np.ndarray:
-        """The normalized amplitudes as a read-only complex ndarray."""
-        return frozen_array(self.values)
+        object.__setattr__(self, "amplitudes", tuple([x * scale for x in values]))
 
     @property
     def dim(self) -> int:
         """Dimension of the underlying mode space."""
-        return len(self.values)
+        return len(self.amplitudes)
 
     def inner(self, other: "StateVector") -> complex:
         """Inner product with `other`, conjugating this vector's amplitudes.
@@ -208,19 +199,7 @@ class StateVector:
         The products ``conj(a_k) * b_k`` are added to ``0j`` one mode at a
         time, first mode first.
         """
-        return _vdot(self.values, other.values)
-
-    def padded(self, dim: int) -> np.ndarray:
-        """Return a writable copy embedded into `dim` modes (zero padding)."""
-        import numpy as np
-
-        if dim < self.dim:
-            raise InvalidStateError(
-                f"cannot pad a {self.dim}-dimensional state into {dim} modes"
-            )
-        out = np.zeros(dim, dtype=complex)
-        out[: self.dim] = self.values
-        return out
+        return _vdot(self.amplitudes, other.amplitudes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,17 +210,15 @@ class Ensemble:
     "target vs. {states[1], states[2]}" without error.  Priors must lie in
     [0, 1] and sum to 1 within 1e-12; all states must share one dimension.
 
-    The priors are kept in ``etas``, a tuple of Python floats that the
-    closed-form stages read; ``priors`` is a read-only ndarray copy of
-    them, built on first access.  Like the states, they never change after
-    construction, so the overlaps and parallel-component norm (see
-    :func:`overlaps` and :func:`parallel_component_norm2`) are computed at
-    most once per instance, on first use.
+    The priors are kept in ``priors`` as a tuple of Python floats.  Like
+    the states, they never change after construction, so the overlaps and
+    parallel-component norm (see :func:`overlaps` and
+    :func:`parallel_component_norm2`) are computed at most once per
+    instance, on first use.
     """
 
     states: tuple[StateVector, StateVector, StateVector]
-    priors: np.ndarray
-    etas: tuple[float, float, float] = field(init=False, repr=False)
+    priors: tuple[float, float, float]
 
     def __post_init__(self) -> None:
         states = tuple(
@@ -251,16 +228,16 @@ class Ensemble:
             raise InvalidEnsembleError(
                 f"an ensemble needs exactly 3 states, got {len(states)}"
             )
-        dims = {len(s.values) for s in states}
+        dims = {len(s.amplitudes) for s in states}
         if len(dims) != 1:
             raise InvalidEnsembleError(
                 f"all states must share one dimension, got sizes {sorted(dims)}"
             )
         # Read into floats: a copy, so the caller's sequence is left alone.
         refusal = "priors must be 3 real numbers"
-        values = _entries(self.__dict__.pop("priors"), float, refusal, InvalidEnsembleError)
+        values = _entries(self.priors, float, refusal, InvalidEnsembleError)
         if len(values) != 3:
-            raise InvalidEnsembleError(f"{refusal}, got shape {(len(values),)}")
+            raise InvalidEnsembleError(f"{refusal}, got {len(values)}")
         eta1, eta2, eta3 = values
         if not all(map(math.isfinite, values)):
             raise InvalidEnsembleError("priors must be finite")
@@ -272,12 +249,7 @@ class Ensemble:
                 f"priors must sum to 1 within 1e-12, got sum {total!r}"
             )
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "etas", (eta1, eta2, eta3))
-
-    @memo
-    def priors(self) -> np.ndarray:
-        """The priors as a read-only float ndarray."""
-        return frozen_array(self.etas, float)
+        object.__setattr__(self, "priors", (eta1, eta2, eta3))
 
     @property
     def dim(self) -> int:
@@ -350,7 +322,7 @@ def gram_matrix(vectors) -> list[list[complex]]:
     Accepts :class:`StateVector` instances or plain sequences of one
     length.  Each entry is the fixed-order sum of :meth:`StateVector.inner`.
     """
-    rows = [v.values if isinstance(v, StateVector) else v for v in vectors]
+    rows = [v.amplitudes if isinstance(v, StateVector) else v for v in vectors]
     return [[_vdot(a, b) for b in rows] for a in rows]
 
 

@@ -460,6 +460,11 @@ def exchange_cases() -> dict[str, list[Ensemble]]:
 # and the residual operator whose positivity decides feasibility of a q1.
 
 
+def embedded(e: Ensemble) -> list[np.ndarray]:
+    """The ensemble's states zero-padded into the 4-mode network, as ndarrays."""
+    return [np.array(s.amplitudes + (0j,) * (4 - s.dim)) for s in e.states]
+
+
 def swapped_23(e: Ensemble) -> Ensemble:
     """The ensemble with states/priors 2 and 3 interchanged."""
     return Ensemble(
@@ -476,8 +481,8 @@ def projector_23(e: Ensemble) -> np.ndarray:
     parallel.
     """
     ov = overlaps(e)
-    v2 = e.states[1].amplitudes
-    v3 = e.states[2].amplitudes
+    v2 = np.array(e.states[1].amplitudes)
+    v3 = np.array(e.states[2].amplitudes)
     tilde3 = (v3 - ov.O23 * v2) / np.sqrt(1.0 - abs(ov.O23) ** 2)
     return np.outer(v2, np.conj(v2)) + np.outer(tilde3, np.conj(tilde3))
 

@@ -34,6 +34,7 @@ from qfilter.states import gram_matrix
 
 from conftest import (
     EQUAL_PRIORS,
+    embedded,
     fifty_fifty_ensemble,
     fifty_fifty_expected_outputs,
     fifty_fifty_expected_unitary,
@@ -166,8 +167,7 @@ def test_unitary_and_mesh_pipeline():
         dsn = design(e)
         unitary = dsn.unitary
         assert np.abs(unitary.conj().T @ unitary - np.eye(4)).max() <= 1e-10
-        embedded = [s.padded(4) for s in e.states]
-        for vec, want in zip(embedded, expected_outputs):
+        for vec, want in zip(embedded(e), expected_outputs):
             got = unitary @ vec
             assert np.abs(got - want).max() <= 1e-9
         # Success columns are pinned exactly; the completion column is
@@ -208,8 +208,7 @@ def test_randomized_property_suite():
     for _ in range(15):
         e = random_ensemble(rng)
         dsn = design(e)
-        embedded = [s.padded(4) for s in e.states]
-        gram_in = gram_matrix([StateVector(v) for v in embedded])
+        gram_in = gram_matrix([StateVector(v) for v in embedded(e)])
         gram_out = gram_matrix([StateVector(v) for v in dsn.outputs])
         assert np.abs(np.array(gram_in) - np.array(gram_out)).max() <= 1e-9
 

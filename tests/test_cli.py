@@ -577,7 +577,7 @@ class TestStageFailures:
     CHECKS = {
         "_validate_solution": ("_validate_solution", lambda *args: "forced failure", "solve"),
         "_design_checks": ("_design_checks", lambda *args: "forced failure", "design"),
-        "recompose": ("_recomposed", lambda program: [[0j] * 4] * 4, "synthesize"),
+        "recompose": ("recompose", lambda program: [[0j] * 4] * 4, "synthesize"),
     }
     #: Which checks each command runs.
     RUNS = {

@@ -87,7 +87,8 @@ NUMPY_FREE = CASES
 
 #: Runs each (name, argv) of its first argument through the CLI in one
 #: process and prints {name: stdout} as JSON, plus under "numpy" whether
-#: numpy was imported, after ``import qfilter`` and after the runs.
+#: numpy was imported, after ``import qfilter`` (and any prelude) and after
+#: the runs.
 RUN_CASES = """
 import contextlib, io, json, sys
 import qfilter
@@ -132,10 +133,44 @@ def test_solve_and_compare_do_not_depend_on_the_blas_kernel(coretype):
     assert_golden(got, KERNEL_FREE)
 
 
+#: The library's stages on values built from lists, and the refusals of
+#: malformed input; ``.github/workflows/tests.yml`` runs the same chain.
+LIBRARY_CHAIN = """
+from qfilter import (
+    DomainError, Ensemble, InvalidEnsembleError, InvalidStateError, StateVector,
+    decompose, design, port_probabilities, recompose, sample, solve,
+)
+states = ([1.0, 0.0, 0.0], [0.6, 0.8, 0.0], [0.6, 0.0, 0.8])
+e = Ensemble(tuple(StateVector(s) for s in states), [0.5, 0.25, 0.25])
+sol = solve(e)
+dsn = design(e, sol)
+assert abs(port_probabilities(dsn, 1)[3] - sol.q2) <= 1e-12
+assert sample(dsn, e, 1000, 7).violations == 0
+rows = [[0.6, 0.8j], [0.8j, 0.6]]
+back = recompose(decompose(rows))
+assert max(abs(a - b) for r, s in zip(rows, back) for a, b in zip(r, s)) <= 1e-12
+refusals = [
+    (StateVector, [[1, 0], [0]], InvalidStateError),
+    (StateVector, 'ab', InvalidStateError),
+    (StateVector, [None, 1], InvalidStateError),
+    (lambda p: Ensemble(states, p), [[0.5], [0.5, 0]], InvalidEnsembleError),
+    (decompose, [[1, 0], [0]], DomainError),
+    (decompose, 'ab', DomainError),
+]
+for call, arg, error in refusals:
+    try:
+        call(arg)
+    except error:
+        continue
+    raise AssertionError(f'{arg!r} was not refused')
+"""
+
+
 def test_every_command_never_imports_numpy():
     """solve, design, synthesize, simulate and compare on each fixture, and
     every sweep (unequal priors included), reproduce their goldens in one
-    process that never imports numpy."""
-    got = run_cases(NUMPY_FREE)
+    process that never imports numpy; so does :data:`LIBRARY_CHAIN`, run
+    first in that process."""
+    got = run_cases(NUMPY_FREE, LIBRARY_CHAIN)
     assert got["numpy"] == [False, False]
     assert_golden(got, NUMPY_FREE)

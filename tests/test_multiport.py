@@ -17,7 +17,7 @@ from qfilter import (
     design,
     recompose,
 )
-from qfilter.multiport import _layer_count, embed_layer
+from qfilter.multiport import _layer_count
 
 from conftest import (
     fifty_fifty_ensemble,
@@ -30,6 +30,20 @@ RT2 = math.sqrt(2.0)
 DECOMPOSE_REFERENCE = (
     pathlib.Path(__file__).resolve().parent / "golden" / "decompose_reference.json"
 )
+
+
+def embed_layer(layer: BeamSplitterLayer, dim: int) -> np.ndarray:
+    """Reference for the layer convention: a two-mode layer embedded into a
+    `dim` x `dim` identity, with block ``[[t e^{i phi}, r e^{i phi}], [-r, t]]``
+    on rows and columns p, q."""
+    mat = np.eye(dim, dtype=complex)
+    phase = np.exp(1j * layer.phi)
+    p, q = layer.p - 1, layer.q - 1
+    mat[p, p] = layer.t * phase
+    mat[p, q] = layer.r * phase
+    mat[q, p] = -layer.r
+    mat[q, q] = layer.t
+    return mat
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -70,7 +84,7 @@ class TestBeamSplitterLayer:
 
     def test_embedding_structure(self):
         layer = BeamSplitterLayer(2, 4, t=0.6, r=0.8, phi=0.3)
-        mat = embed_layer(layer, dim=4)
+        mat = np.array(recompose(MeshProgram((layer,), (0.0,) * 4)))
         phase = np.exp(0.3j)
         assert mat[1, 1] == pytest.approx(0.6 * phase, abs=1e-15)
         assert mat[1, 3] == pytest.approx(0.8 * phase, abs=1e-15)
@@ -133,6 +147,23 @@ class TestDecompose:
             decompose(5)
         assert str(err.value) == "expected a square matrix of size >= 2, got ()"
 
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            (
+                [[1, 0], [0]],
+                "expected a square matrix of size >= 2, got rows of lengths [2, 1]",
+            ),
+            ("ab", "expected a square matrix of size >= 2, got ()"),
+            ([[1, 0], [0, "a"]], "matrix rows must be 1-D sequences of numbers, got [0, 'a']"),
+            ([1.0, 0.0], "matrix rows must be 1-D sequences of numbers, got 1.0"),
+        ],
+    )
+    def test_malformed_input_is_refused_as_a_domain_error(self, matrix, message):
+        with pytest.raises(DomainError) as err:
+            decompose(matrix)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("imag", [0.0, -0.0])
     def test_negative_real_diagonal_gives_plus_pi(self, imag):
         program = decompose(np.diag([complex(-1.0, imag), 1.0, 1j, -1j]))
@@ -164,9 +195,14 @@ class TestMeshPrograms:
         with pytest.raises(DomainError) as err:
             MeshProgram(layers=(), output_phases=(0.0,))
         assert str(err.value) == "a mesh program needs at least 2 modes"
-        with pytest.raises(DomainError) as err:
-            embed_layer(layer, dim=3)
-        assert str(err.value) == "layer acts on mode 4 but the embedding has 3 modes"
+
+    def test_recompose_returns_rows_of_python_complex(self):
+        rng = np.random.default_rng(29)
+        unitary = haar_unitary(4, rng)
+        rows = recompose(decompose(unitary))
+        assert type(rows) is list and all(type(row) is list for row in rows)
+        assert all(type(x) is complex for row in rows for x in row)
+        assert np.abs(np.array(rows) - unitary).max() <= 1e-14
 
 
 class TestReferenceMeshes:

@@ -112,6 +112,32 @@ class TestSampling:
         with pytest.raises(DomainError):
             sample(dsn, e, trials=10**9 + 1, seed=0)
 
+    @pytest.mark.parametrize(
+        "name, trials, seed",
+        [
+            ("trials", 2.7, 0),
+            ("trials", "100", 0),
+            ("trials", 1.0, 0),
+            ("seed", 100, 1.0),
+            ("seed", 100, "7"),
+        ],
+    )
+    def test_trials_and_seed_must_be_integers(self, name, trials, seed):
+        e = fifty_fifty_ensemble()
+        dsn = design(e)
+        with pytest.raises(DomainError) as err:
+            sample(dsn, e, trials, seed)
+        value = trials if name == "trials" else seed
+        assert str(err.value) == f"{name} must be an integer, got {value!r}"
+
+    def test_integral_trials_and_seed_are_accepted(self):
+        e = fifty_fifty_ensemble()
+        dsn = design(e)
+        report = sample(dsn, e, np.int64(100), np.uint64(7))
+        assert (report.trials, report.seed) == (100, 7)
+        assert type(report.trials) is int and type(report.seed) is int
+        assert report._counts == sample(dsn, e, 100, 7)._counts
+
     def test_design_and_ensemble_must_match(self):
         e = fifty_fifty_ensemble()
         other = symmetric_ensemble(0.5)

@@ -1,5 +1,6 @@
 """State containers, overlaps, and subspace geometry."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from qfilter import (
     Ensemble,
     InvalidEnsembleError,
     InvalidStateError,
+    OverlapSet,
     StateVector,
     compare,
     design,
@@ -58,7 +60,7 @@ class TestStateVector:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_norm_gate_sits_at_1e_6(self, sign):
         inside = StateVector([1.0 + sign * 1e-6 * (1.0 - 1e-3), 0.0])
-        assert abs(inside.values[0]) == pytest.approx(1.0, abs=1e-15)
+        assert abs(inside.amplitudes[0]) == pytest.approx(1.0, abs=1e-15)
         with pytest.raises(
             InvalidStateError,
             match=r"^state vector norm deviates from 1 by more than 1e-06 \(norm=",
@@ -83,20 +85,29 @@ class TestStateVector:
         with pytest.raises(InvalidStateError):
             StateVector(np.eye(2))
 
+    @pytest.mark.parametrize(
+        "amplitudes", [[[1, 0], [0]], "ab", "10", [None, 1], 5, [1, "a"]]
+    )
+    def test_malformed_input_is_refused_as_an_invalid_state(self, amplitudes):
+        with pytest.raises(InvalidStateError) as err:
+            StateVector(amplitudes)
+        assert str(err.value) == (
+            f"state amplitudes must form a 1-D sequence of numbers, got {amplitudes!r}"
+        )
+
     def test_amplitudes_are_immutable(self):
         v = StateVector(np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             v.amplitudes[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            v.amplitudes = (0j, 1 + 0j)
 
-    def test_amplitudes_are_a_read_only_array_of_the_stored_values(self):
+    def test_amplitudes_are_a_tuple_of_python_complex(self):
         v = StateVector(np.array([0.6, 0.8j, -0.0]))
-        assert isinstance(v.values, tuple)
-        assert all(type(x) is complex for x in v.values)
-        arr = v.amplitudes
-        assert isinstance(arr, np.ndarray) and arr.dtype == complex and arr.shape == (3,)
-        assert not arr.flags.writeable
-        assert list(map(complex_bits, arr.tolist())) == list(map(complex_bits, v.values))
-        assert v.amplitudes is arr
+        assert isinstance(v.amplitudes, tuple)
+        assert all(type(x) is complex for x in v.amplitudes)
+        want = [complex(0.6, 0.0), complex(0.0, 0.8), complex(-0.0, 0.0)]
+        assert list(map(complex_bits, v.amplitudes)) == list(map(complex_bits, want))
 
     def test_inner_is_a_fixed_order_scalar_sum(self):
         rng = np.random.default_rng(31)
@@ -111,7 +122,7 @@ class TestStateVector:
                 if u.dim != v.dim:
                     continue
                 acc = 0j
-                for a, b in zip(u.values, v.values):
+                for a, b in zip(u.amplitudes, v.amplitudes):
                     acc = complex(
                         acc.real + (a.real * b.real + a.imag * b.imag),
                         acc.imag + (a.real * b.imag - a.imag * b.real),
@@ -126,7 +137,7 @@ class TestStateVector:
         v = StateVector(y / np.linalg.norm(y))
         assert u.inner(v) == pytest.approx(np.conj(v.inner(u)), abs=1e-14)
         # Scaling the *first* argument by i must conjugate into -i.
-        w = StateVector(1j * u.amplitudes)
+        w = StateVector([1j * a for a in u.amplitudes])
         assert w.inner(v) == pytest.approx(-1j * u.inner(v), abs=1e-14)
 
     def test_accepts_strided_amplitudes(self):
@@ -141,13 +152,6 @@ class TestStateVector:
     def test_overflowing_norm_is_reported_as_a_norm_error(self):
         with pytest.raises(InvalidStateError, match="norm=inf"):
             StateVector(np.array([1e200, 1e200]))
-
-    def test_padded_extends_with_zeros(self):
-        v = StateVector(np.array([0.6, 0.8]))
-        padded = v.padded(4)
-        assert padded.shape == (4,)
-        assert padded[2] == padded[3] == 0.0
-        np.testing.assert_allclose(padded[:2], v.amplitudes)
 
 
 class TestEnsemble:
@@ -176,15 +180,29 @@ class TestEnsemble:
                 Ensemble((v1, v2, v3), [0.5, 0.5, bad])
             assert str(err.value) == "priors must be finite"
 
+    @pytest.mark.parametrize(
+        "priors, found",
+        [
+            ([[0.5], [0.5, 0]], "[[0.5], [0.5, 0]]"),
+            ("100", "'100'"),
+            ([0.5, None, 0.5], "[0.5, None, 0.5]"),
+            ([0.5, 0.5], "2"),
+        ],
+    )
+    def test_malformed_priors_are_refused_as_an_invalid_ensemble(self, priors, found):
+        with pytest.raises(InvalidEnsembleError) as err:
+            Ensemble(tuple(np.eye(3)), priors)
+        assert str(err.value) == f"priors must be 3 real numbers, got {found}"
+
     def test_priors_are_copied_not_frozen_in_place(self):
         priors = np.array([0.5, 0.3, 0.2])
         e = Ensemble(tuple(fifty_fifty_states()), priors)
-        assert priors.flags.writeable
-        assert not np.shares_memory(priors, e.priors)
-        assert not e.priors.flags.writeable
         e2 = ensemble_from_overlaps(0.3, 0.2, 0.1, priors)
         assert priors.flags.writeable
-        assert not np.shares_memory(priors, e2.priors)
+        priors[0] = 0.9
+        for ens in (e, e2):
+            assert ens.priors == (0.5, 0.3, 0.2)
+            assert all(type(p) is float for p in ens.priors)
 
     def test_coerces_raw_arrays_to_state_vectors(self):
         e = fifty_fifty_ensemble()
@@ -201,6 +219,21 @@ class TestEnsemble:
 
 
 class TestOverlaps:
+    @pytest.mark.parametrize("name", ["O12", "O13", "O23"])
+    def test_magnitude_gate_sits_at_1_plus_1e_12(self, name):
+        def overlap_set(value):
+            kwargs = {"O12": 0.5 + 0j, "O13": 0.5 + 0j, "O23": 0.5 + 0j, name: value}
+            return OverlapSet(alpha=0.0, **kwargs)
+
+        for value in (1.0 + 5e-13, complex(0.0, -(1.0 + 5e-13))):
+            assert getattr(overlap_set(value), name) == value
+        for value in (1.0 + 2e-12, complex(0.0, -(1.0 + 2e-12))):
+            with pytest.raises(InvalidEnsembleError) as err:
+                overlap_set(value)
+            assert str(err.value) == (
+                f"|{name}| exceeds 1 beyond tolerance: {abs(value)!r}"
+            )
+
     def test_worked_instance_values(self):
         ov = overlaps(fifty_fifty_ensemble())
         assert ov.O12 == pytest.approx(math.sqrt(2.0) / 3.0, abs=1e-15)
