@@ -39,9 +39,8 @@ from __future__ import annotations
 import cmath
 import math
 import weakref
-from dataclasses import dataclass
 from itertools import product
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import (
     DomainError,
@@ -51,10 +50,7 @@ from .errors import (
 )
 from .filter_core import FilterSolution, Regime, solve
 from .multiport import _layer_count
-from .states import Ensemble, _least_eigenvalue, frozen_array, gram_matrix, overlaps
-
-if TYPE_CHECKING:
-    import numpy as np
+from .states import Ensemble, Frozen, _least_eigenvalue, frozen_array, gram_matrix, overlaps
 
 __all__ = [
     "MeasurementDesign",
@@ -77,14 +73,14 @@ GRAM_TOL = 1e-8
 _VECTOR_FIELDS = ("success_vectors", "failure_vectors", "unitary", "embedded_inputs")
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementDesign:
+class MeasurementDesign(Frozen):
     """A complete, executable description of the optimal measurement.
 
     A vector field takes an ndarray or Python rows and keeps them as rows
     of Python ``complex`` under its name with a leading underscore, which
     the stages read; the field itself (like ``outputs``, success plus
     failure vectors) reads as a read-only ndarray built on first access.
+    Designs compare by identity.
 
     Attributes
     ----------
@@ -112,19 +108,19 @@ class MeasurementDesign:
         mesh).
     """
 
-    success_vectors: tuple[np.ndarray, np.ndarray, np.ndarray]
-    failure_vectors: tuple[np.ndarray, np.ndarray, np.ndarray]
-    unitary: np.ndarray
-    theta: float
-    chi: tuple[float, float, float]
-    solution: FilterSolution
-    embedded_inputs: tuple[np.ndarray, np.ndarray, np.ndarray]
-    state1_port: int
+    _fields = (
+        "success_vectors", "failure_vectors", "unitary", "theta", "chi", "solution",
+        "embedded_inputs", "state1_port",
+    )
 
-    def __post_init__(self) -> None:
-        for name in _VECTOR_FIELDS:
-            rows = self.__dict__.pop(name)
+    def __init__(
+        self, success_vectors, failure_vectors, unitary, theta, chi, solution,
+        embedded_inputs, state1_port,
+    ) -> None:
+        vectors = (success_vectors, failure_vectors, unitary, embedded_inputs)
+        for name, rows in zip(_VECTOR_FIELDS, vectors):
             self.__dict__["_" + name] = tuple([tuple(map(complex, row)) for row in rows])
+        self.__dict__.update(theta=theta, chi=chi, solution=solution, state1_port=state1_port)
 
     def __getattr__(self, name: str):
         """Build an ndarray view (a vector field or ``outputs``) on first read."""

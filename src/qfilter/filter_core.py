@@ -24,11 +24,10 @@ interior regime needs a genuine generalized measurement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DegeneratePriorError, InternalConsistencyError
-from .states import Ensemble, overlaps, parallel_component_norm2
+from .states import Ensemble, FrozenRecord, overlaps, parallel_component_norm2
 
 __all__ = ["Regime", "FilterSolution", "average_overlap_A", "solve"]
 
@@ -41,9 +40,8 @@ class Regime(str, Enum):
     VN_SMALL_OVERLAP = "VN_SMALL_OVERLAP"
 
 
-@dataclass(frozen=True)
-class FilterSolution:
-    """Optimal failure probabilities for one filtering instance.
+class FilterSolution(FrozenRecord):
+    """Optimal failure probabilities for one instance, compared by their fields.
 
     Attributes
     ----------
@@ -60,13 +58,10 @@ class FilterSolution:
         lower bound on q1.
     """
 
-    q1: float
-    q2: float
-    q3: float
-    Q: float
-    regime: Regime
-    A: float
-    parallel_norm2: float
+    _fields = ("q1", "q2", "q3", "Q", "regime", "A", "parallel_norm2")
+
+    def __init__(self, q1, q2, q3, Q, regime, A, parallel_norm2) -> None:
+        self._store(q1, q2, q3, Q, regime, A, parallel_norm2)
 
     @property
     def failure_probabilities(self) -> tuple[float, float, float]:

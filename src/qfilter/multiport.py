@@ -27,10 +27,9 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
 
 from .errors import DomainError, InternalConsistencyError
-from .states import _entries
+from .states import FrozenRecord, _entries
 
 __all__ = [
     "BeamSplitterLayer",
@@ -45,9 +44,8 @@ IDENTITY_DROP_TOL = 1e-12
 UNITARITY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class BeamSplitterLayer:
-    """One two-mode mixing layer of a mesh.
+class BeamSplitterLayer(FrozenRecord):
+    """One two-mode mixing layer of a mesh, compared and hashed by its fields.
 
     Attributes
     ----------
@@ -60,59 +58,60 @@ class BeamSplitterLayer:
         1e-12.  ``r`` may be negative; the sign convention keeps the layer
         phase inside (-pi/2, pi/2].
     phi:
-        Phase applied to the p-row of the mixing block, radians.
+        Phase applied to the p-row of the mixing block, radians.  ``t``,
+        ``r`` and ``phi`` are kept as Python floats; strings are refused.
     """
 
-    p: int
-    q: int
-    t: float
-    r: float
-    phi: float = 0.0
+    _fields = ("p", "q", "t", "r", "phi")
 
-    def __post_init__(self) -> None:
+    def __init__(self, p, q, t, r, phi=0.0) -> None:
         try:
-            p, q = int(operator.index(self.p)), int(operator.index(self.q))
+            p, q = int(operator.index(p)), int(operator.index(q))
         except TypeError:
             raise DomainError("mode indices must be integers") from None
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        if not 1 <= self.p < self.q:
-            raise DomainError(
-                f"mode indices must satisfy 1 <= p < q, got p={self.p}, q={self.q}"
-            )
-        closure = self.t * self.t + self.r * self.r
+        if not 1 <= p < q:
+            raise DomainError(f"mode indices must satisfy 1 <= p < q, got p={p}, q={q}")
+        try:
+            # ``+x`` refuses the strings ``float()`` would parse, as in _entries.
+            t, r, phi = float(+t), float(+r), float(+phi)
+        except (TypeError, ValueError):
+            raise DomainError(f"t, r and phi must be real numbers, got {(t, r, phi)!r}") from None
+        closure = t * t + r * r
         if abs(closure - 1.0) > 1e-12:
             raise DomainError(
                 f"a lossless layer needs t^2 + r^2 = 1 within 1e-12, got {closure!r}"
             )
+        self._store(p, q, t, r, phi)
 
 
-@dataclass(frozen=True)
-class MeshProgram:
-    """An ordered beam-splitter factorization of a unitary.
+class MeshProgram(FrozenRecord):
+    """An ordered beam-splitter factorization of a unitary, compared by its fields.
 
     ``recompose(program)`` multiplies the embedded layers in list order
     (so the *last* layer in the list acts on the input state first) and
     then applies ``diag(exp(i * output_phases))`` on the input side.
-    :func:`decompose` returns output phases in (-pi, pi].
+    :func:`decompose` returns output phases in (-pi, pi].  Layers that are
+    not :class:`BeamSplitterLayer` instances and phases that are not real
+    numbers are refused.
     """
 
-    layers: tuple[BeamSplitterLayer, ...]
-    output_phases: tuple[float, ...]
+    _fields = ("layers", "output_phases")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "layers", tuple(self.layers))
-        object.__setattr__(
-            self, "output_phases", tuple(float(p) for p in self.output_phases)
-        )
-        dim = len(self.output_phases)
+    def __init__(self, layers, output_phases) -> None:
+        refusal = "output phases must be real numbers"
+        phases = tuple(_entries(output_phases, float, refusal, DomainError))
+        layers = tuple(layers)
+        dim = len(phases)
         if dim < 2:
             raise DomainError("a mesh program needs at least 2 modes")
-        for layer in self.layers:
+        for layer in layers:
+            if not isinstance(layer, BeamSplitterLayer):
+                raise DomainError(f"layers must be BeamSplitterLayer instances, got {layer!r}")
             if layer.q > dim:
                 raise DomainError(
                     f"layer acts on mode {layer.q} but the program has {dim} modes"
                 )
+        self._store(layers, phases)
 
     @property
     def dim(self) -> int:

@@ -20,12 +20,11 @@ first use, for its vectorized grid); the rest runs on Python scalars.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DegenerateSubspaceError, DomainError, InfeasibleError
 from .filter_core import FilterSolution, solve
-from .states import Ensemble, _cholesky, _least_eigenvalue, _overlap_gram, overlaps
-from .states import parallel_component_norm2
+from .states import Ensemble, Frozen, FrozenRecord, _cholesky, _least_eigenvalue
+from .states import _overlap_gram, overlaps, parallel_component_norm2
 
 __all__ = [
     "OracleResult",
@@ -43,9 +42,8 @@ PSD_SLACK = 1e-10
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True, eq=False)
-class OracleResult:
-    """Outcome of the brute-force search.
+class OracleResult(Frozen):
+    """Outcome of the brute-force search, compared by identity.
 
     Attributes
     ----------
@@ -60,21 +58,19 @@ class OracleResult:
         minimizer (see :func:`appendix_residuals`).
     """
 
-    q1_star: float
-    Q_star: float
-    grid_resolution: float
-    residuals: dict[str, float]
+    _fields = ("q1_star", "Q_star", "grid_resolution", "residuals")
+
+    def __init__(self, q1_star, Q_star, grid_resolution, residuals) -> None:
+        self._store(q1_star, Q_star, grid_resolution, residuals)
 
 
-@dataclass(frozen=True)
-class ComparisonRecord:
-    """Filtering vs. identification failure probabilities for one instance."""
+class ComparisonRecord(FrozenRecord):
+    """Filtering vs. identification failure probabilities, compared by their fields."""
 
-    Q: float
-    Q_prime: float
-    Q_double_prime: float
-    ratio: float
-    resolution: float
+    _fields = ("Q", "Q_prime", "Q_double_prime", "ratio", "resolution")
+
+    def __init__(self, Q, Q_prime, Q_double_prime, ratio, resolution) -> None:
+        self._store(Q, Q_prime, Q_double_prime, ratio, resolution)
 
 
 def _check_resolution(resolution: float) -> float:

@@ -17,16 +17,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .designer import MeasurementDesign
 from .errors import DomainError
 from .filter_core import average_overlap_A
-from .states import Ensemble, frozen_array, parallel_component_norm2
-
-if TYPE_CHECKING:
-    import numpy as np
+from .states import Ensemble, Frozen, frozen_array, parallel_component_norm2
 
 __all__ = [
     "SimulationReport",
@@ -45,9 +40,8 @@ MAX_TRIALS = 10**9
 _ROW_FIELDS = {"exact_probabilities": float, "counts": int}
 
 
-@dataclass(frozen=True, eq=False)
-class SimulationReport:
-    """Outcome statistics of a Monte-Carlo run.
+class SimulationReport(Frozen):
+    """Outcome statistics of a Monte-Carlo run, compared by identity.
 
     ``exact_probabilities`` and ``counts`` take an ndarray or Python rows
     and keep them as rows of Python ``float`` and ``int`` under their names
@@ -73,17 +67,14 @@ class SimulationReport:
         Seed the run can be replayed with; a fixed seed gives fixed counts.
     """
 
-    exact_probabilities: np.ndarray
-    counts: np.ndarray
-    trials: int
-    violations: int
-    empirical_Q: float
-    seed: int
+    _fields = ("exact_probabilities", "counts", "trials", "violations", "empirical_Q", "seed")
 
-    def __post_init__(self) -> None:
-        for name, cast in _ROW_FIELDS.items():
-            rows = self.__dict__.pop(name)
+    def __init__(self, exact_probabilities, counts, trials, violations, empirical_Q, seed) -> None:
+        for (name, cast), rows in zip(_ROW_FIELDS.items(), (exact_probabilities, counts)):
             self.__dict__["_" + name] = tuple([tuple(map(cast, row)) for row in rows])
+        self.__dict__.update(
+            trials=trials, violations=violations, empirical_Q=empirical_Q, seed=seed
+        )
 
     def __getattr__(self, name: str):
         """Build the ndarray view of a row field on first read."""

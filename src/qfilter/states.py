@@ -1,9 +1,12 @@
 """Complex state-vector algebra for three-state filtering problems.
 
 This module defines the immutable value types (:class:`StateVector`,
-:class:`Ensemble`, :class:`OverlapSet`) and the geometric primitives the
+:class:`Ensemble`, :class:`OverlapSet`), the bases of every value type
+(:class:`Frozen`, :class:`FrozenRecord`), and the geometric primitives the
 rest of the package builds on: pairwise overlaps, Gram matrices, and the
-squared norm of the component of psi1 lying inside span{psi2, psi3}.
+squared norm of the component of psi1 lying inside span{psi2, psi3}.  The
+bases replace ``dataclasses``, whose import (with ``inspect``) took most of
+the time of ``import qfilter``.
 
 A state has a handful of amplitudes, so it stores them as a tuple of
 Python ``complex`` and the overlaps and that squared norm are formed on
@@ -28,7 +31,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -54,6 +56,43 @@ __all__ = [
 NORM_REJECT_TOL = 1e-6
 #: |O23| closer to 1 than this means states 2,3 span only one dimension.
 SUBSPACE_TOL = 1e-10
+
+
+class Frozen:
+    """Base of the value types compared by identity.  A subclass names its
+    fields, in constructor order, in the tuple ``_fields``; its ``__init__``
+    validates its arguments, then stores them through ``__dict__`` (as
+    :meth:`_store` does).  Setting or deleting an attribute raises
+    ``AttributeError``; the repr is ``Name(field=value, ...)``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _store(self, *values) -> None:
+        self.__dict__.update(zip(self._fields, values))
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FrozenRecord(Frozen):
+    """A :class:`Frozen` value compared and hashed as the tuple of its fields."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
 
 class memo:
@@ -82,11 +121,14 @@ def frozen_array(values, dtype=complex) -> np.ndarray:
 def _entries(values, cast, refusal: str, error: type[Exception]) -> list:
     """``[cast(x) for x in values]`` of a flat sequence (an ndarray is read
     through ``tolist``).  Anything else, a string, a value that is not a
-    sequence or an entry ``cast`` refuses, is refused with ``error``."""
+    sequence, an entry without unary plus (a string or bytes among them)
+    or one ``cast`` refuses, is refused with ``error``."""
     entries = values.tolist() if hasattr(values, "tolist") else values
     if not isinstance(entries, (str, bytes)):
         try:
-            return [cast(x) for x in entries]
+            # ``+x`` keeps a number's bits and raises TypeError for the
+            # strings and bytes that ``complex()`` and ``float()`` would parse.
+            return [cast(+x) for x in entries]
         except (TypeError, ValueError):
             pass
     raise error(f"{refusal}, got {values!r}")
@@ -143,9 +185,8 @@ def _least_eigenvalue(mat: list[list[complex]]) -> float:
     return lo
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class StateVector:
-    """A unit-norm complex vector of probability amplitudes.
+class StateVector(Frozen):
+    """A unit-norm complex vector of probability amplitudes, compared by identity.
 
     The constructor accepts any flat sequence of (complex) numbers whose
     Euclidean norm is within ``NORM_REJECT_TOL`` of 1, renormalizes it
@@ -154,7 +195,7 @@ class StateVector:
     rather than silently rescaled.
     """
 
-    amplitudes: tuple[complex, ...]
+    _fields = ("amplitudes",)
 
     def __init__(self, amplitudes) -> None:
         refusal = "state amplitudes must form a 1-D sequence of numbers"
@@ -186,7 +227,7 @@ class StateVector:
         # complex times a float is taken componentwise, which can change
         # the sign of a zero part.
         scale = complex(1.0 / norm, 0.0)
-        object.__setattr__(self, "amplitudes", tuple([x * scale for x in values]))
+        self.__dict__["amplitudes"] = tuple([x * scale for x in values])
 
     @property
     def dim(self) -> int:
@@ -202,8 +243,7 @@ class StateVector:
         return _vdot(self.amplitudes, other.amplitudes)
 
 
-@dataclass(frozen=True, eq=False)
-class Ensemble:
+class Ensemble(Frozen):
     """Three states with a-priori probabilities: one filtering instance.
 
     ``states[0]`` is the filter target; the task downstream is to decide
@@ -214,16 +254,13 @@ class Ensemble:
     the states, they never change after construction, so the overlaps and
     parallel-component norm (see :func:`overlaps` and
     :func:`parallel_component_norm2`) are computed at most once per
-    instance, on first use.
+    instance, on first use.  Ensembles compare and hash by identity.
     """
 
-    states: tuple[StateVector, StateVector, StateVector]
-    priors: tuple[float, float, float]
+    _fields = ("states", "priors")
 
-    def __post_init__(self) -> None:
-        states = tuple(
-            [s if isinstance(s, StateVector) else StateVector(s) for s in self.states]
-        )
+    def __init__(self, states, priors) -> None:
+        states = tuple([s if isinstance(s, StateVector) else StateVector(s) for s in states])
         if len(states) != 3:
             raise InvalidEnsembleError(
                 f"an ensemble needs exactly 3 states, got {len(states)}"
@@ -235,7 +272,7 @@ class Ensemble:
             )
         # Read into floats: a copy, so the caller's sequence is left alone.
         refusal = "priors must be 3 real numbers"
-        values = _entries(self.priors, float, refusal, InvalidEnsembleError)
+        values = _entries(priors, float, refusal, InvalidEnsembleError)
         if len(values) != 3:
             raise InvalidEnsembleError(f"{refusal}, got {len(values)}")
         eta1, eta2, eta3 = values
@@ -248,8 +285,7 @@ class Ensemble:
             raise InvalidEnsembleError(
                 f"priors must sum to 1 within 1e-12, got sum {total!r}"
             )
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "priors", (eta1, eta2, eta3))
+        self._store(states, (eta1, eta2, eta3))
 
     @property
     def dim(self) -> int:
@@ -285,25 +321,21 @@ class Ensemble:
         return min(max(val, 0.0), 1.0)
 
 
-@dataclass(frozen=True)
-class OverlapSet:
+class OverlapSet(FrozenRecord):
     """The three pairwise overlaps O_ij = <psi_i|psi_j> plus their phase alpha.
 
     ``alpha = -arg(O12 * conj(O13))`` is the relative phase that enters the
-    stationarity analysis of the optimal failure probabilities.
+    stationarity analysis of the optimal failure probabilities.  Overlap
+    sets compare and hash by their fields.
     """
 
-    O12: complex
-    O13: complex
-    O23: complex
-    alpha: float
+    _fields = ("O12", "O13", "O23", "alpha")
 
-    def __post_init__(self) -> None:
-        for name in ("O12", "O13", "O23"):
-            if abs(getattr(self, name)) > 1.0 + 1e-12:
-                raise InvalidEnsembleError(
-                    f"|{name}| exceeds 1 beyond tolerance: {abs(getattr(self, name))!r}"
-                )
+    def __init__(self, O12, O13, O23, alpha) -> None:
+        for name, o in (("O12", O12), ("O13", O13), ("O23", O23)):
+            if abs(o) > 1.0 + 1e-12:
+                raise InvalidEnsembleError(f"|{name}| exceeds 1 beyond tolerance: {abs(o)!r}")
+        self._store(O12, O13, O23, alpha)
 
 
 def overlaps(e: Ensemble) -> OverlapSet:

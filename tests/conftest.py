@@ -460,6 +460,13 @@ def exchange_cases() -> dict[str, list[Ensemble]]:
 # and the residual operator whose positivity decides feasibility of a q1.
 
 
+def rebuilt(value, **changes):
+    """A copy of the value-type instance `value` with `changes`, built by its
+    constructor from every field, by keyword."""
+    fields = {name: getattr(value, name) for name in type(value)._fields}
+    return type(value)(**{**fields, **changes})
+
+
 def embedded(e: Ensemble) -> list[np.ndarray]:
     """The ensemble's states zero-padded into the 4-mode network, as ndarrays."""
     return [np.array(s.amplitudes + (0j,) * (4 - s.dim)) for s in e.states]

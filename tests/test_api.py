@@ -9,9 +9,15 @@ noticing.
 """
 
 import ast
+import copy
+import gc
 import importlib
 import pathlib
+import pickle
 import re
+import weakref
+
+import pytest
 
 import qfilter
 
@@ -98,3 +104,77 @@ def test_star_import_binds_exactly_the_public_names():
     exec("from qfilter import *", namespace)
     namespace.pop("__builtins__")
     assert sorted(namespace) == sorted(PUBLIC)
+
+
+#: The ten value types and their fields, in constructor order.
+VALUE_FIELDS = {
+    "StateVector": ("amplitudes",),
+    "Ensemble": ("states", "priors"),
+    "OverlapSet": ("O12", "O13", "O23", "alpha"),
+    "FilterSolution": ("q1", "q2", "q3", "Q", "regime", "A", "parallel_norm2"),
+    "MeasurementDesign": (
+        "success_vectors", "failure_vectors", "unitary", "theta", "chi",
+        "solution", "embedded_inputs", "state1_port",
+    ),
+    "BeamSplitterLayer": ("p", "q", "t", "r", "phi"),
+    "MeshProgram": ("layers", "output_phases"),
+    "SimulationReport": (
+        "exact_probabilities", "counts", "trials", "violations", "empirical_Q", "seed",
+    ),
+    "OracleResult": ("q1_star", "Q_star", "grid_resolution", "residuals"),
+    "ComparisonRecord": ("Q", "Q_prime", "Q_double_prime", "ratio", "resolution"),
+}
+#: The types that compare and hash by their fields; the others by identity.
+BY_VALUE = {"OverlapSet", "FilterSolution", "BeamSplitterLayer", "MeshProgram", "ComparisonRecord"}
+
+
+def value_of(name: str):
+    """One instance of the value type `name`, from the stages."""
+    e = qfilter.ensemble_from_overlaps(0.3, 0.3, 0.3, (0.5, 0.25, 0.25))
+    sol = qfilter.solve(e)
+    dsn = qfilter.design(e, sol)
+    program = qfilter.decompose(dsn.unitary)
+    return {
+        "StateVector": lambda: e.states[1],
+        "Ensemble": lambda: e,
+        "OverlapSet": lambda: qfilter.overlaps(e),
+        "FilterSolution": lambda: sol,
+        "MeasurementDesign": lambda: dsn,
+        "BeamSplitterLayer": lambda: program.layers[0],
+        "MeshProgram": lambda: program,
+        "SimulationReport": lambda: qfilter.sample(dsn, e, 1000, 7),
+        "OracleResult": lambda: qfilter.brute_force_filter(e, 1e-3),
+        "ComparisonRecord": lambda: qfilter.compare(e),
+    }[name]()
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_FIELDS))
+def test_value_type_contract(name):
+    """Read-only fields, copies that keep every field, comparison by fields
+    or by identity, and a ``Name(field=value, ...)`` repr."""
+    obj, fields = value_of(name), VALUE_FIELDS[name]
+    assert type(obj) is getattr(qfilter, name)
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(obj, field, getattr(obj, field))
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+    for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+        assert type(twin) is type(obj)
+        for field in fields:
+            # pickled bytes: equal for ndarrays and identity-compared values alike
+            assert pickle.dumps(getattr(twin, field)) == pickle.dumps(getattr(obj, field))
+        if name in BY_VALUE:
+            assert twin == obj and hash(twin) == hash(obj)
+        else:
+            assert twin != obj
+    args = ", ".join(f"{field}={getattr(obj, field)!r}" for field in fields)
+    assert repr(obj) == f"{name}({args})"
+    if name == "Ensemble":
+        keys = weakref.WeakKeyDictionary()
+        twin = copy.copy(obj)
+        keys[obj], keys[twin] = "original", "copy"
+        assert keys[obj] == "original" and len(keys) == 2
+        del twin
+        gc.collect()
+        assert list(keys.items()) == [(obj, "original")]

@@ -1,6 +1,5 @@
 """End-to-end command-line behavior, artifact formats, and diagnostics."""
 
-import dataclasses
 import json
 import math
 import re
@@ -12,7 +11,7 @@ import pytest
 from qfilter import BeamSplitterLayer, cli, design
 from qfilter.cli import main
 
-from conftest import FIXTURES_DIR, fifty_fifty_ensemble
+from conftest import FIXTURES_DIR, fifty_fifty_ensemble, rebuilt
 
 RT2 = math.sqrt(2.0)
 
@@ -248,7 +247,7 @@ class TestDesignCommand:
         dsn = design(e)
         assert cli._design_checks(e, dsn, cli.DEFAULT_TOLERANCE) is None
         scale = 1.0 + excess
-        scaled = dataclasses.replace(
+        scaled = rebuilt(
             dsn,
             success_vectors=(scale * dsn.success_vectors[0],) + dsn.success_vectors[1:],
             failure_vectors=(scale * dsn.failure_vectors[0],) + dsn.failure_vectors[1:],
@@ -303,7 +302,7 @@ class TestSimulateCommand:
             # sigma on its failure port, whose band is the narrowest of all
             # entries).
             counts[1] = [counts[1, 0] - 70, 0, counts[1, 2] - 70, counts[1, 3] + 140]
-            reports.append(dataclasses.replace(report, counts=counts))
+            reports.append(rebuilt(report, counts=counts))
             return reports[-1]
 
         monkeypatch.setattr(cli, "sample", out_of_band)
@@ -612,59 +611,59 @@ class TestStageFailures:
     #: the edit, and the message printed after ``error: ``.
     EDITS = {
         "q_range": (
-            "solve", "solve", lambda sol: dataclasses.replace(sol, q1=1.5),
+            "solve", "solve", lambda sol: rebuilt(sol, q1=1.5),
             "solve: q1=1.5 outside [0, 1]",
         ),
         "zero_error": (
-            "solve", "solve", lambda sol: dataclasses.replace(sol, q2=0.5),
+            "solve", "solve", lambda sol: rebuilt(sol, q2=0.5),
             "solve: zero-error constraint q1*q2 = |O12|^2 violated by 1.111e-01",
         ),
         "weighted_Q": (
-            "solve", "solve", lambda sol: dataclasses.replace(sol, Q=0.5),
+            "solve", "solve", lambda sol: rebuilt(sol, Q=0.5),
             "solve: Q does not equal the weighted failure average (diff 5.556e-02)",
         ),
         "parallel_bound": (
-            "solve", "solve", lambda sol: dataclasses.replace(sol, parallel_norm2=0.9),
+            "solve", "solve", lambda sol: rebuilt(sol, parallel_norm2=0.9),
             "solve: q1=0.6666666666666666 below the parallel-component bound 0.9",
         ),
         "unitarity": (
             "design", "design",
-            lambda dsn: dataclasses.replace(dsn, unitary=np.multiply(dsn.unitary, 1.000001)),
+            lambda dsn: rebuilt(dsn, unitary=np.multiply(dsn.unitary, 1.000001)),
             "design: unitary deviates from unitarity by 2.000e-06",
         ),
         "leak": (
-            "design", "design", lambda dsn: dataclasses.replace(dsn, state1_port=2),
+            "design", "design", lambda dsn: rebuilt(dsn, state1_port=2),
             "design: input 1 leaks probability 3.333e-01 into a forbidden port",
         ),
         "failure_port": (
             "design", "design",
-            lambda dsn: dataclasses.replace(
-                dsn, solution=dataclasses.replace(dsn.solution, q1=0.5)
+            lambda dsn: rebuilt(
+                dsn, solution=rebuilt(dsn.solution, q1=0.5)
             ),
             "design: input 1 failure-port probability 0.6666666666666666 does not "
             "match q1=0.5",
         ),
         "layer_budget": (
             "synthesize", "decompose",
-            lambda program: dataclasses.replace(
+            lambda program: rebuilt(
                 program, layers=program.layers + (BeamSplitterLayer(1, 2, t=1.0, r=0.0),) * 5
             ),
             "synthesize: 7 layers exceed the 6-layer budget",
         ),
         "failure_average": (
             "simulate", "sample",
-            lambda report: dataclasses.replace(
+            lambda report: rebuilt(
                 report, exact_probabilities=report.exact_probabilities + [0.0, 0.0, 0.0, 0.01]
             ),
             "simulate: exact failure-port average 0.4544444444444445 does not match "
             "Q=0.4444444444444444",
         ),
         "violations": (
-            "simulate", "sample", lambda report: dataclasses.replace(report, violations=3),
+            "simulate", "sample", lambda report: rebuilt(report, violations=3),
             "simulate: 3 forbidden-port clicks in 1000 trials",
         ),
         "Q_above_Q_prime": (
-            "compare", "oracle_compare", lambda record: dataclasses.replace(record, Q_prime=0.4),
+            "compare", "oracle_compare", lambda record: rebuilt(record, Q_prime=0.4),
             "compare: filtering failure 0.4444444444444444 exceeds identification "
             "failure 0.4 by more than 1e-9",
         ),

@@ -1,7 +1,6 @@
 """Measurement design: success/failure vectors and the realizing unitary."""
 
 import cmath
-import dataclasses
 import gc
 import math
 import types
@@ -53,6 +52,7 @@ from conftest import (
     near_parallel_ensembles,
     orthogonal_ensemble,
     random_ensemble,
+    rebuilt,
     reference_complete_unitary,
     stratified_random_ensembles,
     symmetric_ensemble,
@@ -438,7 +438,7 @@ class TestDesignedMeasurement:
                 dsn.outputs, np.add(dsn.success_vectors, dsn.failure_vectors)
             )
             # Keyword construction from the views gives the same rows.
-            again = dataclasses.replace(dsn)
+            again = rebuilt(dsn)
             assert again._unitary == dsn._unitary
             assert again._success_vectors == dsn._success_vectors
             # Any other name is missing, so hasattr(dsn, "tolist") is False.

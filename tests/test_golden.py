@@ -85,21 +85,27 @@ KERNEL_FREE = CASES
 #: The artifacts of the commands that run without numpy: every one.
 NUMPY_FREE = CASES
 
+#: Modules no ``qfilter`` process should load: numpy, and ``dataclasses``
+#: with the ``inspect`` chain it imports (start-up cost).
+WATCHED = ("numpy", "dataclasses", "inspect")
+
 #: Runs each (name, argv) of its first argument through the CLI in one
-#: process and prints {name: stdout} as JSON, plus under "numpy" whether
-#: numpy was imported, after ``import qfilter`` (and any prelude) and after
-#: the runs.
+#: process and prints {name: stdout} as JSON, plus under each module of
+#: :data:`WATCHED` whether it was imported, after ``import qfilter`` (and
+#: any prelude) and after the runs.
 RUN_CASES = """
 import contextlib, io, json, sys
 import qfilter
 from qfilter.cli import main
-out = {"numpy": ["numpy" in sys.modules]}
+watched = json.loads(sys.argv[2])
+out = {module: [module in sys.modules] for module in watched}
 for name, argv in json.loads(sys.argv[1]):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(argv)
     out[name] = buf.getvalue() if code == 0 else f"exit {code}"
-out["numpy"].append("numpy" in sys.modules)
+for module in watched:
+    out[module].append(module in sys.modules)
 print(json.dumps(out))
 """
 
@@ -109,7 +115,7 @@ def run_cases(cases, prelude: str = "", **env) -> dict:
     src = str(pathlib.Path(qfilter.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", prelude + RUN_CASES, json.dumps(cases)],
+        [sys.executable, "-c", prelude + RUN_CASES, json.dumps(cases), json.dumps(WATCHED)],
         env=dict(os.environ, PYTHONPATH=path, **env),
         capture_output=True, text=True, check=True, timeout=300,
     )
@@ -154,8 +160,12 @@ refusals = [
     (StateVector, 'ab', InvalidStateError),
     (StateVector, [None, 1], InvalidStateError),
     (lambda p: Ensemble(states, p), [[0.5], [0.5, 0]], InvalidEnsembleError),
+    (StateVector, ['1', '0'], InvalidStateError),
+    (lambda p: Ensemble(states, p), ['0.5', '0.25', '0.25'], InvalidEnsembleError),
+    (lambda p: Ensemble(states, p), [b'0.5', 0.25, 0.25], InvalidEnsembleError),
     (decompose, [[1, 0], [0]], DomainError),
     (decompose, 'ab', DomainError),
+    (decompose, [['1', '0'], ['0', '1']], DomainError),
 ]
 for call, arg, error in refusals:
     try:
@@ -166,11 +176,13 @@ for call, arg, error in refusals:
 """
 
 
-def test_every_command_never_imports_numpy():
+def test_every_command_never_imports_numpy_dataclasses_or_inspect():
     """solve, design, synthesize, simulate and compare on each fixture, and
     every sweep (unequal priors included), reproduce their goldens in one
-    process that never imports numpy; so does :data:`LIBRARY_CHAIN`, run
-    first in that process."""
+    process that never imports numpy, ``dataclasses`` or ``inspect``; so
+    does :data:`LIBRARY_CHAIN`, run first in that process."""
     got = run_cases(NUMPY_FREE, LIBRARY_CHAIN)
-    assert got["numpy"] == [False, False]
+    assert {module: got[module] for module in WATCHED} == {
+        module: [False, False] for module in WATCHED
+    }
     assert_golden(got, NUMPY_FREE)

@@ -72,6 +72,19 @@ class TestBeamSplitterLayer:
             BeamSplitterLayer(p, q, t=1.0, r=0.0)
         assert str(err.value) == "mode indices must be integers"
 
+    @pytest.mark.parametrize(
+        "t, r, phi", [("1", 0.0, 0.0), (1.0, None, 0.0), (1.0, 0.0, "x"), (1.0, 0.0, b"0")]
+    )
+    def test_t_r_and_phi_must_be_real_numbers(self, t, r, phi):
+        with pytest.raises(DomainError) as err:
+            BeamSplitterLayer(1, 2, t, r, phi)
+        assert str(err.value) == f"t, r and phi must be real numbers, got {(t, r, phi)!r}"
+
+    def test_t_r_and_phi_are_kept_as_float(self):
+        layer = BeamSplitterLayer(1, 2, np.float64(0.6), 0.8, 0)
+        assert (layer.t, layer.r, layer.phi) == (0.6, 0.8, 0.0)
+        assert all(type(x) is float for x in (layer.t, layer.r, layer.phi))
+
     @pytest.mark.parametrize("p, q", [(1, 2), (1, np.int64(2)), (np.int64(3), np.int64(4))])
     def test_integral_mode_indices_are_kept_as_int(self, p, q):
         layer = BeamSplitterLayer(p, q, t=1.0, r=0.0)
@@ -157,6 +170,7 @@ class TestDecompose:
             ("ab", "expected a square matrix of size >= 2, got ()"),
             ([[1, 0], [0, "a"]], "matrix rows must be 1-D sequences of numbers, got [0, 'a']"),
             ([1.0, 0.0], "matrix rows must be 1-D sequences of numbers, got 1.0"),
+            ([["1", "0"], ["0", "1"]], "matrix rows must be 1-D sequences of numbers, got ['1', '0']"),
         ],
     )
     def test_malformed_input_is_refused_as_a_domain_error(self, matrix, message):
@@ -195,6 +209,22 @@ class TestMeshPrograms:
         with pytest.raises(DomainError) as err:
             MeshProgram(layers=(), output_phases=(0.0,))
         assert str(err.value) == "a mesh program needs at least 2 modes"
+
+    @pytest.mark.parametrize(
+        "layers, phases, message",
+        [
+            ([], ["0", "0"], "output phases must be real numbers, got ['0', '0']"),
+            ([], [0, None], "output phases must be real numbers, got [0, None]"),
+            (
+                [(1, 2, 1.0, 0.0, 0.0)], [0, 0],
+                "layers must be BeamSplitterLayer instances, got (1, 2, 1.0, 0.0, 0.0)",
+            ),
+        ],
+    )
+    def test_malformed_program_is_refused_as_a_domain_error(self, layers, phases, message):
+        with pytest.raises(DomainError) as err:
+            MeshProgram(layers, phases)
+        assert str(err.value) == message
 
     def test_recompose_returns_rows_of_python_complex(self):
         rng = np.random.default_rng(29)

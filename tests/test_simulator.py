@@ -1,6 +1,5 @@
 """Exact port statistics, Monte Carlo audit, and the projective baseline."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -27,6 +26,7 @@ from conftest import (
     fifty_fifty_ensemble,
     orthogonal_ensemble,
     random_ensemble,
+    rebuilt,
     symmetric_ensemble,
 )
 
@@ -148,7 +148,7 @@ class TestSampling:
     def test_port_rows_must_be_distributions(self):
         e = fifty_fifty_ensemble()
         dsn = design(e)
-        broken = dataclasses.replace(dsn, unitary=np.multiply(dsn.unitary, math.nan))
+        broken = rebuilt(dsn, unitary=np.multiply(dsn.unitary, math.nan))
         with pytest.raises(DomainError, match="port probabilities of state 1 sum to nan"):
             sample(broken, e, trials=100, seed=0)
 
