@@ -51,6 +51,8 @@ SCHEMA_SWEEP = "qfilter.sweep/1"
 
 #: Default validation tolerance; override per run with --tolerance.
 DEFAULT_TOLERANCE = 1e-10
+#: Most grid points a sweep computes; the grid is built as a list first.
+MAX_SWEEP_POINTS = 10**6
 
 
 # --------------------------------------------------------------------------
@@ -429,8 +431,8 @@ def _cmd_compare(args: argparse.Namespace) -> None:
 def _cmd_sweep(args: argparse.Namespace) -> None:
     """CSV over s of the family O12 = O13 = s, with O23 = s or O23 = --s2."""
     start, stop, step, s2 = args.start, args.stop, args.step, args.s2
-    if step <= 0.0:
-        raise QFilterError(f"step must be positive, got {step!r}")
+    if not 0.0 < step < math.inf:
+        raise QFilterError(f"--step must be finite and positive, got {step!r}")
     if not (0.0 < start <= stop < 1.0):
         raise QFilterError(
             f"range [{start!r}, {stop!r}] must satisfy 0 < start <= stop < 1"
@@ -447,7 +449,14 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
     equal_priors = all(abs(p - 1.0 / 3.0) <= 1e-12 + 1e-5 / 3.0 for p in priors)
     # np.arange(start, stop + step / 2, step): start, start + step, then
     # start + i * delta with delta the difference of those two.
-    count = math.ceil((stop + step / 2.0 - start) / step)
+    span = (stop + step / 2.0 - start) / step
+    if span > MAX_SWEEP_POINTS:
+        count = math.ceil(span) if span < math.inf else span
+        raise QFilterError(
+            f"--step {step!r} gives a grid of {count} points; "
+            f"at most {MAX_SWEEP_POINTS} are allowed"
+        )
+    count = math.ceil(span)
     delta = (start + step) - start
     grid = [start, start + step][:count] + [start + i * delta for i in range(2, count)]
     grid = [s for s in grid if 0.0 < s < 1.0]

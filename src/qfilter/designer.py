@@ -27,7 +27,6 @@ deterministic tie-breaks.  Layers are
 counted by the nulling kernel of :mod:`qfilter.multiport` on Python rows of
 that unitary; no mesh program is built for a candidate, and the winner is
 read off the same rows, so a design completes one unitary.
-:func:`complete_unitary` describes how a completion reuses its work.
 
 Every step runs on Python scalars, as :data:`Row` lists, and imports no
 numpy; the building blocks return rows, and only the ndarray views of a
@@ -38,9 +37,7 @@ from __future__ import annotations
 
 import cmath
 import math
-import weakref
 from itertools import product
-from typing import NamedTuple
 
 from .errors import (
     DomainError,
@@ -295,9 +292,16 @@ def embed_inputs(e: Ensemble) -> tuple[tuple[complex, ...], ...]:
     """The ensemble's states padded into the 4-mode network, as rows.
 
     The states may use at most 3 dimensions; mode 4 is reserved as the
-    failure direction and must start unoccupied.
+    failure direction and must start unoccupied.  :func:`complete_unitary`,
+    :func:`design` and :func:`qfilter.simulator.sample` all pad through this.
     """
-    return _input_frame(e).inputs
+    if e.dim > NETWORK_DIM - 1:
+        raise DomainError(
+            f"designs use {NETWORK_DIM} modes with mode {NETWORK_DIM} reserved "
+            f"for failure; states of dimension {e.dim} do not fit"
+        )
+    pad = (0j,) * (NETWORK_DIM - e.dim)
+    return tuple([(*s.amplitudes, *pad) for s in e.states])
 
 
 def _vdot(a: Row, b: Row) -> complex:
@@ -395,39 +399,6 @@ def _phase_fixed(col: Row) -> Row:
     return [x / (pivot / abs(pivot)) for x in col]
 
 
-class _InputFrame(NamedTuple):
-    """The half of :func:`complete_unitary` that depends only on the inputs."""
-
-    inputs: tuple[tuple[complex, ...], ...]
-    gram: list[list[complex]]
-    basis: list[Row]
-    kept: list[int]
-    complement: list[Row]
-
-
-#: One frame per ensemble, computed on first use.  Ensembles are immutable,
-#: so a frame never goes stale; weak keys free it with its ensemble.
-_INPUT_FRAMES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _input_frame(e: Ensemble) -> _InputFrame:
-    """Padded inputs, Gram matrix, orthonormal basis and pivoted complement
-    of the inputs, read as rows straight off the states' ``amplitudes``."""
-    frame = _INPUT_FRAMES.get(e)
-    if frame is None:
-        if e.dim > NETWORK_DIM - 1:
-            raise DomainError(
-                f"designs use {NETWORK_DIM} modes with mode {NETWORK_DIM} reserved "
-                f"for failure; states of dimension {e.dim} do not fit"
-            )
-        pad = (0j,) * (NETWORK_DIM - e.dim)
-        ins = tuple([(*s.amplitudes, *pad) for s in e.states])
-        basis, kept = _orthonormal_basis(ins)
-        frame = _InputFrame(ins, gram_matrix(e.states), basis, kept, _complement(basis))
-        _INPUT_FRAMES[e] = frame
-    return frame
-
-
 def complete_unitary(e: Ensemble, outputs) -> list[Row]:
     """The 4x4 unitary mapping each embedded input to the given output, as rows.
 
@@ -438,13 +409,11 @@ def complete_unitary(e: Ensemble, outputs) -> list[Row]:
     making its largest-magnitude entry real and positive, so the result is
     deterministic.
 
-    The Gram-Schmidt work runs on :data:`Row` lists.  The input side (Gram
-    matrix, orthonormal basis, pivoted complement) is computed once per
-    ensemble and reused by every later call; only the output side is
-    orthonormalized per call.  Both pivoted completions stop as soon as
-    their basis spans the 4 modes; each round projects out only the
-    coordinate directions whose residual norm, read off the basis, is within
-    rounding of the largest (see :func:`_complement`).
+    The Gram-Schmidt work runs on :data:`Row` lists, on the inputs of
+    :func:`embed_inputs` and on the outputs.  Both pivoted completions stop
+    as soon as their basis spans the 4 modes; each round projects out only
+    the coordinate directions whose residual norm, read off the basis, is
+    within rounding of the largest (see :func:`_complement`).
 
     Raises
     ------
@@ -452,14 +421,15 @@ def complete_unitary(e: Ensemble, outputs) -> list[Row]:
         If the Gram matrices differ beyond 1e-8; the message names the
         worst-offending state pair.
     """
-    frame = _input_frame(e)
+    ins = embed_inputs(e)
     try:
         outs = [[complex(x) for x in v] for v in outputs]
     except TypeError:
         outs = []
     if len(outs) != 3 or any(len(v) != NETWORK_DIM for v in outs):
         raise DomainError("outputs must be three 4-mode vectors")
-    diff = [abs(g - _vdot(a, b)) for row, a in zip(frame.gram, outs) for g, b in zip(row, outs)]
+    gram = gram_matrix(e.states)
+    diff = [abs(g - _vdot(a, b)) for row, a in zip(gram, outs) for g, b in zip(row, outs)]
     worst = max(diff)
     if worst > GRAM_TOL:
         i, j = divmod(diff.index(worst), 3)
@@ -468,14 +438,15 @@ def complete_unitary(e: Ensemble, outputs) -> list[Row]:
             f"of pair ({i + 1}, {j + 1}) differ by {worst:.3e} "
             f"(tolerance {GRAM_TOL:g})"
         )
+    in_basis, kept = _orthonormal_basis(ins)
     out_basis: list[Row] = []
-    for k in frame.kept:
+    for k in kept:
         w = _project_out(outs[k], out_basis)
         norm = _norm(w)
         out_basis.append([x * (1.0 / norm) for x in w])
     # U = sum_k |out_k><in_k| over both frames (each fills the 4 modes), summed from 0j.
     out_cols = out_basis + [_phase_fixed(w) for w in _complement(out_basis)]
-    in_cols = list(zip(*([x.conjugate() for x in u] for u in frame.basis + frame.complement)))
+    in_cols = list(zip(*([x.conjugate() for x in u] for u in in_basis + _complement(in_basis))))
     return [
         [0j + a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3 for b0, b1, b2, b3 in in_cols]
         for a0, a1, a2, a3 in zip(*out_cols)
@@ -562,6 +533,6 @@ def design(e: Ensemble, sol: FilterSolution | None = None) -> MeasurementDesign:
         theta=theta,
         chi=chi,
         solution=sol,
-        embedded_inputs=_input_frame(e).inputs,
+        embedded_inputs=embed_inputs(e),
         state1_port=2 if swap else 1,
     )

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import operator
 
-from .designer import MeasurementDesign
+from .designer import MeasurementDesign, embed_inputs
 from .errors import DomainError
 from .filter_core import average_overlap_A
 from .states import Ensemble, Frozen, frozen_array, parallel_component_norm2
@@ -128,7 +128,9 @@ def sample(
     importing numpy.  Probabilities below ``ZERO_PROB_TOL`` are clamped to
     exact zeros before sampling, and each row is renormalized.  ``trials``
     and ``seed`` must be integers (anything with ``__index__``): a float
-    or a string is refused, not truncated.
+    or a string is refused, not truncated.  ``e`` must be the design's
+    ensemble: its states, padded by :func:`qfilter.designer.embed_inputs`,
+    must match ``design.embedded_inputs`` within 1e-9.
     """
     from ._stream import spawned_stream
 
@@ -139,9 +141,8 @@ def sample(
         raise DomainError(f"trials must not exceed {MAX_TRIALS:g}, got {trials}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
-    for given, built in zip(e.states, design._embedded_inputs):
-        amps = given.amplitudes + (0j,) * (len(built) - len(given.amplitudes))
-        if len(amps) != len(built) or max(abs(a - b) for a, b in zip(amps, built)) > 1e-9:
+    for given, built in zip(embed_inputs(e), design._embedded_inputs):
+        if max(abs(a - b) for a, b in zip(given, built)) > 1e-9:
             raise DomainError(
                 "the design was built for a different ensemble than the one "
                 "being sampled"

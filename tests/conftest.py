@@ -286,9 +286,9 @@ def grid_three_state_Q(e: Ensemble, resolution: float = 1e-3) -> float:
 
 
 # complete_unitary and its Gram-Schmidt helpers as they stood before the
-# input side was memoized per ensemble and the work moved to Python rows:
-# every call orthonormalizes the inputs again in numpy, and each pivoted
-# completion runs one more round after its basis is full.  The reference
+# work moved to Python rows: every call orthonormalizes the inputs in numpy,
+# and each pivoted completion, unpruned, runs one more round after its basis
+# is full.  The reference
 # that complete_unitary() must match in accuracy and, within rounding, in
 # value, and the completion of exhaustive_design().
 

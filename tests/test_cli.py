@@ -503,8 +503,30 @@ class TestSweepCommand:
         assert main(
             ["sweep", "--family", "two_overlap", "--s2", "1.5"]
         ) == 1
+        assert main(["sweep", "--step", "nan"]) == 1
+        assert main(["sweep", "--step", "inf"]) == 1
+        # Refused before the grid of 980,000,001 points is built.
+        assert main(["sweep", "--step", "1e-9"]) == 1
+        # A subnormal step overflows the point count itself.
+        assert main(["sweep", "--step", "5e-324"]) == 1
         err = capsys.readouterr().err
-        assert err.count("error: sweep:") == 5
+        assert err.count("error: sweep:") == 9
+        assert "gives a grid of inf points" in err
+        assert err.count("--step must be finite and positive, got ") == 3
+        assert (
+            "error: sweep: --step 1e-09 gives a grid of 980000001 points; "
+            "at most 1000000 are allowed\n"
+        ) in err
+
+    def test_equal_priors_take_the_closed_form_where_three_state_Q_refuses(self, capsys):
+        # three_state_Q refuses this ensemble (Gram eigenvalue 1e-8, below its
+        # Cholesky shift); at equal priors Q' = s exactly on the symmetric family.
+        code = main(["sweep", "--start", "0.99999999", "--stop", "0.99999999"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        header, rows = self.parse_rows(captured.out)
+        assert header == "s,Q,Q_prime,Q_double_prime"
+        assert rows == [[0.99999999, 0.999999986666667, 0.99999999, 0.99999999]]
 
     @pytest.mark.parametrize("s2", ["0.5", "1.5"])
     def test_s2_is_refused_on_the_symmetric_family(self, capsys, s2):

@@ -1,10 +1,8 @@
 """Measurement design: success/failure vectors and the realizing unitary."""
 
 import cmath
-import gc
 import math
 import types
-import weakref
 
 import numpy as np
 import pytest
@@ -670,7 +668,7 @@ class TestReferenceCompletion:
             good,
         ]
         kinds = set()
-        for outs in cases + cases:  # the second round reads the memo
+        for outs in cases + cases:  # a second call on the ensemble, same outcome
             want = completion_outcome(reference_complete_unitary, e, outs)
             got = completion_outcome(complete_unitary, e, outs)
             if isinstance(want, np.ndarray):
@@ -728,7 +726,7 @@ class TestCompletionWork:
             design(e, sol)
             assert calls["complete_unitary"] == 1
 
-    def test_input_side_runs_once_per_ensemble(self, calls):
+    def test_input_side_runs_once_per_completion(self, calls):
         for e in stratified_random_ensembles(6, 9) + [fifty_fifty_ensemble()]:
             calls.update(complete_unitary=0, input_side=0, pivoted=0)
             dsn = design(e)
@@ -736,9 +734,11 @@ class TestCompletionWork:
             for outs in later:
                 complete_unitary(e, outs)
             completions = calls["complete_unitary"] + len(later)
-            assert calls["input_side"] == 1
-            # One pivoted completion of the inputs, one per output triple.
-            assert calls["pivoted"] == 1 + completions
+            assert completions == 4
+            # Each completion orthonormalizes the inputs once, and completes
+            # the input basis and the output basis once each.
+            assert calls["input_side"] == completions
+            assert calls["pivoted"] == 2 * completions
 
     def test_exact_pivot_ties_are_all_projected_out(self, monkeypatch):
         """2-D inputs leave e3 and e4 exactly tied; both are computed, e3 wins."""
@@ -761,19 +761,43 @@ class TestCompletionWork:
             assert rounds == [(2, 2), (2, 3), (3, 3)]
             assert np.array(complement).tobytes() == np.eye(4, dtype=complex)[2:].tobytes()
 
-    def test_memo_does_not_keep_the_ensemble_alive(self, monkeypatch):
-        frames = weakref.WeakKeyDictionary()
-        monkeypatch.setattr(designer, "_INPUT_FRAMES", frames)
-        e = random_ensemble(np.random.default_rng(41))
-        dsn = design(e)
-        assert len(frames) == 1
-        del e
-        gc.collect()
-        assert len(frames) == 0
-        four_modes = Ensemble(tuple(np.eye(4)[:3]), EQUAL_PRIORS)
-        with pytest.raises(DomainError):
-            complete_unitary(four_modes, dsn.outputs)
-        assert len(frames) == 0
+    def test_pruned_pivots_are_the_unpruned_rule(self):
+        """Bit for bit, on orthonormal bases of 1-3 rounded real 2-D and 3-D
+        inputs, whose coordinate masses tie exactly or within rounding."""
+        # Here coordinate masses tie exactly (first) or within an ulp
+        # (second), and the least mass is not the largest residual.
+        inputs = [[[0.3, 0.1, 0.1]], [[-1.5, -0.8, 0.7], [-0.5, 0.0, 0.5]]]
+        rng = np.random.default_rng(53)
+        for i in range(3000):
+            dim = 2 + i % 2
+            inputs.append(np.round(rng.normal(size=(1 + i // 2 % dim, dim)), 1).tolist())
+        compared = 0
+        for vectors in inputs:
+            rows = [[complex(x) for x in v] + [0j] * (4 - len(v)) for v in vectors]
+            basis = designer._orthonormal_basis(rows)[0]
+            if basis:
+                got = designer._complement(basis)
+                want = unpruned_complement(basis)
+                assert np.array(got).tobytes() == np.array(want).tobytes(), vectors
+                compared += 1
+        assert compared > 2900
+
+
+def unpruned_complement(basis):
+    """``designer._complement`` without the pruning: each round projects out
+    every remaining coordinate direction and keeps the largest residual, the
+    first on a tie."""
+    full = list(basis)
+    remaining = list(range(4))
+    while len(full) < 4:
+        units = [[complex(m == k) for m in range(4)] for k in remaining]
+        residuals = [designer._project_out(unit, full) for unit in units]
+        norms = [designer._norm(w) for w in residuals]
+        norm = max(norms)
+        pick = norms.index(norm)
+        full.append([x * (1.0 / norm) for x in residuals[pick]])
+        del remaining[pick]
+    return full[len(basis):]
 
 
 class TestGaugeScoringWork:

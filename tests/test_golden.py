@@ -140,7 +140,7 @@ def test_solve_and_compare_do_not_depend_on_the_blas_kernel(coretype):
 
 
 #: The library's stages on values built from lists, and the refusals of
-#: malformed input; ``.github/workflows/tests.yml`` runs the same chain.
+#: malformed input.
 LIBRARY_CHAIN = """
 from qfilter import (
     DomainError, Ensemble, InvalidEnsembleError, InvalidStateError, StateVector,
