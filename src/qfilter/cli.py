@@ -11,7 +11,12 @@ failures exit 1 and are reported on stderr as ``error: <stage>:
 field.  ``--tolerance`` (the four stage commands) must be a finite value
 >= 0, ``--resolution`` (compare) in (0, 1e-2], ``--seed`` an integer >= 0
 and ``--trials`` an integer from 1 to ``MAX_TRIALS``; any other value,
-like any bad argument, is a usage error (exit 2).
+like any bad argument, is a usage error: exit 2, with a usage line.
+
+:func:`_parse` reads the command line from the tables ``_COMMANDS`` and
+``_OPTIONS``, not with argparse, whose import and set-up cost more than
+``solve``: options in any order, as ``--name value`` or ``--name=value``
+under any unique prefix, and ``-h`` for a command's help.
 
 Floating-point values in artifacts are printed at 15 significant digits
 so that emitted files are stable enough to serve as regression fixtures.
@@ -25,10 +30,10 @@ failure-port average and the forbidden-click count pass their checks.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
+from types import SimpleNamespace
 from typing import Any
 
 from .designer import MeasurementDesign, design
@@ -38,7 +43,8 @@ from .multiport import _unitarity_residual, decompose, recompose
 from .oracle import compare as oracle_compare
 from .oracle import three_state_Q, two_state_Q
 from .simulator import MAX_TRIALS, port_probabilities, sample, von_neumann_baseline
-from .states import Ensemble, StateVector, ensemble_from_overlaps, gram_matrix, overlaps
+from .states import Ensemble, StateVector, checked_priors, ensemble_from_overlaps
+from .states import gram_matrix, overlaps
 
 __all__ = ["main", "load_ensemble"]
 
@@ -292,7 +298,7 @@ def _header(schema: str, label: str | None) -> dict[str, Any]:
     return payload
 
 
-def _solved(args: argparse.Namespace) -> tuple[Ensemble, str | None, FilterSolution]:
+def _solved(args: SimpleNamespace) -> tuple[Ensemble, str | None, FilterSolution]:
     """Load ``--input`` and solve it; raise if the solution fails validation."""
     e, label = load_ensemble(args.input)
     sol = solve(e)
@@ -302,9 +308,7 @@ def _solved(args: argparse.Namespace) -> tuple[Ensemble, str | None, FilterSolut
     return e, label, sol
 
 
-def _designed(
-    args: argparse.Namespace,
-) -> tuple[Ensemble, str | None, MeasurementDesign]:
+def _designed(args: SimpleNamespace) -> tuple[Ensemble, str | None, MeasurementDesign]:
     """:func:`_solved`, then design the measurement and validate it too."""
     e, label, sol = _solved(args)
     dsn = design(e, sol)
@@ -314,7 +318,7 @@ def _designed(
     return e, label, dsn
 
 
-def _cmd_solve(args: argparse.Namespace) -> None:
+def _cmd_solve(args: SimpleNamespace) -> None:
     e, label, sol = _solved(args)
     payload = _header(SCHEMA_SOLUTION, label)
     payload.update(_solution_payload(e, sol))
@@ -322,7 +326,7 @@ def _cmd_solve(args: argparse.Namespace) -> None:
     _emit_json(payload, args.output)
 
 
-def _cmd_design(args: argparse.Namespace) -> None:
+def _cmd_design(args: SimpleNamespace) -> None:
     e, label, dsn = _designed(args)
     payload = _header(SCHEMA_DESIGN, label)
     payload["solution"] = _solution_payload(e, dsn.solution)
@@ -337,7 +341,7 @@ def _cmd_design(args: argparse.Namespace) -> None:
     _emit_json(payload, args.output)
 
 
-def _cmd_synthesize(args: argparse.Namespace) -> None:
+def _cmd_synthesize(args: SimpleNamespace) -> None:
     _, label, dsn = _designed(args)
     program = decompose(dsn._unitary)
     residual = max(
@@ -359,7 +363,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> None:
     _emit_json(payload, args.output)
 
 
-def _cmd_simulate(args: argparse.Namespace) -> None:
+def _cmd_simulate(args: SimpleNamespace) -> None:
     e, label, dsn = _designed(args)
     report = sample(dsn, e, trials=args.trials, seed=args.seed)
     expected_q = dsn.solution.Q
@@ -411,7 +415,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         )
 
 
-def _cmd_compare(args: argparse.Namespace) -> None:
+def _cmd_compare(args: SimpleNamespace) -> None:
     e, label = load_ensemble(args.input)
     record = oracle_compare(e, resolution=args.resolution)
     if record.Q > record.Q_prime + 1e-9 and record.Q_prime > 1e-12:
@@ -428,7 +432,7 @@ def _cmd_compare(args: argparse.Namespace) -> None:
     _emit_json(payload, args.output)
 
 
-def _cmd_sweep(args: argparse.Namespace) -> None:
+def _cmd_sweep(args: SimpleNamespace) -> None:
     """CSV over s of the family O12 = O13 = s, with O23 = s or O23 = --s2."""
     start, stop, step, s2 = args.start, args.stop, args.step, args.s2
     if not 0.0 < step < math.inf:
@@ -444,7 +448,10 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
         s2 = 0.8 if s2 is None else s2
         if not 0.0 < s2 < 1.0:
             raise QFilterError(f"--s2 must lie in (0, 1), got {s2!r}")
-    priors = args.priors
+    try:
+        priors = checked_priors(args.priors)
+    except QFilterError as exc:
+        raise QFilterError(f"--priors: {exc}") from exc
     # np.allclose(priors, 1/3, atol=1e-12), whose default rtol is 1e-5.
     equal_priors = all(abs(p - 1.0 / 3.0) <= 1e-12 + 1e-5 / 3.0 for p in priors)
     # np.arange(start, stop + step / 2, step): start, start + step, then
@@ -497,24 +504,39 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
 # --------------------------------------------------------------------------
 
 
-def _ranged(parse, kind: str, ok, rule: str):
-    """An argparse type: ``parse`` the text as a ``kind`` value that ``ok`` accepts.
+class _UsageError(Exception):
+    """A refused command line, as (message, the command read so far or None)."""
 
-    Any other text is a usage error whose message says which ``rule`` it broke.
-    """
+
+def _ranged(parse, kind: str, ok=lambda value: True, rule: str = ""):
+    """An option converter: ``parse`` the text as a ``kind`` value that ``ok``
+    accepts; other text is a usage error that names the ``rule`` it broke."""
 
     def convert(text: str):
         try:
             value = parse(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid {kind} value: {text!r}") from None
+            raise _UsageError(f"invalid {kind} value: {text!r}") from None
         if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+            raise _UsageError(f"must be {rule}, got {text!r}")
         return value
 
     return convert
 
 
+def _choice(*words: str):
+    """An option converter that accepts only ``words``."""
+
+    def convert(text: str) -> str:
+        if text not in words:
+            listed = ", ".join(map(repr, words))
+            raise _UsageError(f"invalid choice: {text!r} (choose from {listed})")
+        return text
+
+    return convert
+
+
+_real = _ranged(float, "float")
 _tolerance = _ranged(
     float, "float", lambda v: math.isfinite(v) and v >= 0.0, "a finite value >= 0"
 )
@@ -523,98 +545,131 @@ _seed = _ranged(int, "int", lambda v: v >= 0, "an integer >= 0")
 _trials = _ranged(
     int, "int", lambda v: 1 <= v <= MAX_TRIALS, f"an integer from 1 to {MAX_TRIALS}"
 )
+_family = _choice("symmetric_s", "two_overlap")
+
+#: Each option: its converter, how many values it takes, its metavar and its help.
+_OPTIONS = {
+    "--input": (str, 1, "PATH", "ensemble JSON file"),
+    "--output": (str, 1, "PATH", "write the artifact here instead of stdout"),
+    "--tolerance": (_tolerance, 1, "T", f"validation tolerance (default {DEFAULT_TOLERANCE})"),
+    "--trials": (_trials, 1, "N", f"number of shots, 1 to {MAX_TRIALS} (default 100000)"),
+    "--seed": (_seed, 1, "N", "RNG seed, >= 0, recorded (default 0)"),
+    "--resolution": (_resolution, 1, "R", "in (0, 1e-2], recorded; changes no result"),
+    "--family": (_family, 1, "F", "symmetric_s (default) or two_overlap"),
+    "--start": (_real, 1, "S", "first s of the grid (default 0.01)"),
+    "--stop": (_real, 1, "S", "last s of the grid (default 0.99)"),
+    "--step": (_real, 1, "S", "grid spacing (default 0.01)"),
+    "--s2": (_real, 1, "S", "fixed O23 of the two_overlap family only (default 0.8)"),
+    "--priors": (_real, 3, "P1 P2 P3", "prior probabilities (default equal)"),
+}
+
+#: The options of the stage commands, with their defaults (``...``: required).
+_STAGE = {"--input": ..., "--output": None, "--tolerance": DEFAULT_TOLERANCE}
+
+#: Each subcommand: its handler, its one-line help and its options with their
+#: defaults, in the order its usage lists them.
+_COMMANDS = {
+    "solve": (_cmd_solve, "optimal failure probabilities and regime for an ensemble", _STAGE),
+    "design": (_cmd_design, "success/failure vectors and the 4x4 unitary", _STAGE),
+    "synthesize": (_cmd_synthesize, "beam-splitter layer decomposition of the unitary", _STAGE),
+    "simulate": (
+        _cmd_simulate, "Monte Carlo audit of the designed measurement",
+        {**_STAGE, "--trials": 100_000, "--seed": 0},
+    ),
+    "compare": (
+        _cmd_compare, "filtering vs full-identification failure probabilities",
+        {"--input": ..., "--output": None, "--resolution": 1e-3},
+    ),
+    "sweep": (
+        _cmd_sweep, "CSV of Q and comparison curves over an overlap family",
+        {"--output": None, "--family": "symmetric_s", "--start": 0.01, "--stop": 0.99,
+         "--step": 0.01, "--s2": None, "--priors": (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)},
+    ),
+}
 
 
-#: Each subcommand: its name, its handler and its one-line help.
-_COMMANDS = (
-    ("solve", _cmd_solve, "optimal failure probabilities and regime for an ensemble"),
-    ("design", _cmd_design, "success/failure vectors and the 4x4 unitary"),
-    ("synthesize", _cmd_synthesize, "beam-splitter layer decomposition of the unitary"),
-    ("simulate", _cmd_simulate, "Monte Carlo audit of the designed measurement"),
-    ("compare", _cmd_compare, "filtering vs full-identification failure probabilities"),
-    ("sweep", _cmd_sweep, "CSV of Q and comparison curves over an overlap family"),
-)
+def _help(command: str | None) -> str:
+    """The help of ``command`` (of the top level when None), usage line first."""
+    if command is None:
+        usage = f"qfilter [-h] {{{','.join(_COMMANDS)}}} ..."
+        rows = {name: entry[1] for name, entry in _COMMANDS.items()}
+    else:
+        defaults = _COMMANDS[command][2]
+        rows = {f"{flag} {_OPTIONS[flag][2]}": _OPTIONS[flag][3] for flag in defaults}
+        shown = [name if defaults[name.split()[0]] is ... else f"[{name}]" for name in rows]
+        usage = " ".join([f"qfilter {command} [-h]", *shown])
+    rows = {"-h, --help": "show this help and exit", **rows}
+    lines = [f"usage: {usage}", ""] + [f"  {name:<19} {text}" for name, text in rows.items()]
+    return "\n".join(lines) + "\n"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qfilter",
-        description=(
-            "Optimal unambiguous quantum-state filtering: solve for failure "
-            "probabilities, design the realizing four-mode unitary, "
-            "synthesize its beam-splitter mesh, and audit it by sampling."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
-    for name, func, help_text in _COMMANDS:
-        command = commands[name] = sub.add_parser(name, help=help_text)
-        command.set_defaults(func=func)
-        if name != "sweep":
-            command.add_argument(
-                "--input", required=True, metavar="PATH", help="ensemble JSON file"
-            )
-        command.add_argument(
-            "--output", metavar="PATH", help="write the artifact here instead of stdout"
-        )
-        if name not in ("compare", "sweep"):
-            command.add_argument(
-                "--tolerance",
-                type=_tolerance,
-                default=DEFAULT_TOLERANCE,
-                metavar="T",
-                help=f"validation tolerance, finite and >= 0 (default {DEFAULT_TOLERANCE})",
-            )
+def _is_value(token: str) -> bool:
+    """Not an option: no leading dash, a lone dash, or a negative number."""
+    return token[:1] != "-" or token == "-" or token[1:].lstrip(".")[:1].isdigit()
 
-    p_sim = commands["simulate"]
-    p_sim.add_argument(
-        "--trials",
-        type=_trials,
-        default=100_000,
-        metavar="N",
-        help=f"number of shots, 1 to {MAX_TRIALS} (default 100000)",
-    )
-    p_sim.add_argument(
-        "--seed", type=_seed, default=0, metavar="N", help="RNG seed, >= 0 (recorded)"
-    )
 
-    p_sweep = commands["sweep"]
-    p_sweep.add_argument(
-        "--family",
-        choices=("symmetric_s", "two_overlap"),
-        default="symmetric_s",
-        help="overlap family to sweep (default symmetric_s)",
-    )
-    p_sweep.add_argument("--start", type=float, default=0.01, metavar="S")
-    p_sweep.add_argument("--stop", type=float, default=0.99, metavar="S")
-    p_sweep.add_argument("--step", type=float, default=0.01, metavar="S")
-    p_sweep.add_argument(
-        "--s2",
-        type=float,
-        metavar="S",
-        help="fixed second overlap of the two_overlap family only (default 0.8)",
-    )
-    p_sweep.add_argument(
-        "--priors",
-        type=float,
-        nargs=3,
-        default=[1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0],
-        metavar=("P1", "P2", "P3"),
-        help="prior probabilities (default equal)",
-    )
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """Read ``argv`` as ``<command> [--option value ...]``.
 
-    commands["compare"].add_argument(
-        "--resolution",
-        type=_resolution,
-        default=1e-3,
-        metavar="R",
-        help="in (0, 1e-2], recorded in the artifact; changes no result (default 1e-3)",
-    )
-    return parser
+    Options come in any order, as ``--name value`` or ``--name=value``, under
+    any unique prefix of their name; the last of a repeated option wins.
+    ``-h``/``--help`` prints the help of the command read so far and exits 0.
+    """
+    rest, command, values, extras = list(argv), None, {}, []
+    while rest:
+        token = rest.pop(0)
+        if command is None and _is_value(token):
+            try:
+                command = _choice(*_COMMANDS)(token)
+            except _UsageError as exc:
+                raise _UsageError(f"argument command: {exc}", None) from None
+            values = dict(_COMMANDS[command][2])
+            continue
+        flag, eq, text = token.partition("=")
+        flag = "--help" if flag == "-h" else flag
+        known = (*values, "--help") if flag.startswith("--") and flag != "--" else ()
+        found = [name for name in known if name.startswith(flag)]
+        if len(found) > 1:
+            raise _UsageError(f"ambiguous option: {token} could match {', '.join(found)}", command)
+        if not found:
+            extras.append(token)
+            continue
+        if found == ["--help"]:
+            sys.stdout.write(_help(command))
+            raise SystemExit(0)
+        flag = found[0]
+        convert, count = _OPTIONS[flag][:2]
+        texts = [text] if eq else []
+        while not eq and len(texts) < count and rest and _is_value(rest[0]):
+            texts.append(rest.pop(0))
+        expected = "one argument" if count == 1 else f"{count} arguments"
+        try:
+            if len(texts) != count:
+                raise _UsageError(f"expected {expected}")
+            converted = [convert(text) for text in texts]
+        except _UsageError as exc:
+            raise _UsageError(f"argument {flag}: {exc}", command) from None
+        values[flag] = converted if count > 1 else converted[0]
+    if command is None:
+        raise _UsageError("the following arguments are required: command", None)
+    missing = ", ".join(flag for flag, value in values.items() if value is ...)
+    if missing:
+        raise _UsageError(f"the following arguments are required: {missing}", command)
+    if extras:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}", None)
+    options = {flag[2:]: value for flag, value in values.items()}
+    return SimpleNamespace(command=command, func=_COMMANDS[command][0], **options)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
+    except _UsageError as exc:
+        message, command = exc.args
+        prog = "qfilter" if command is None else f"qfilter {command}"
+        usage = _help(command).partition("\n")[0]
+        print(f"{usage}\n{prog}: error: {message}", file=sys.stderr)
+        raise SystemExit(2) from None
     try:
         args.func(args)
     except (QFilterError, ValueError, OverflowError) as exc:

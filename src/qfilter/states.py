@@ -243,6 +243,25 @@ class StateVector(Frozen):
         return _vdot(self.amplitudes, other.amplitudes)
 
 
+def checked_priors(priors) -> tuple[float, float, float]:
+    """``priors`` as 3 Python floats in [0, 1] that sum to 1 within 1e-12;
+    anything else is refused with :class:`InvalidEnsembleError`."""
+    # Read into floats: a copy, so the caller's sequence is left alone.
+    refusal = "priors must be 3 real numbers"
+    values = _entries(priors, float, refusal, InvalidEnsembleError)
+    if len(values) != 3:
+        raise InvalidEnsembleError(f"{refusal}, got {len(values)}")
+    eta1, eta2, eta3 = values
+    if not all(map(math.isfinite, values)):
+        raise InvalidEnsembleError("priors must be finite")
+    if min(values) < 0.0 or max(values) > 1.0:
+        raise InvalidEnsembleError(f"priors must lie in [0, 1], got {values}")
+    total = 0.0 + eta1 + eta2 + eta3  # the order of numpy's sum()
+    if abs(total - 1.0) > 1e-12:
+        raise InvalidEnsembleError(f"priors must sum to 1 within 1e-12, got sum {total!r}")
+    return eta1, eta2, eta3
+
+
 class Ensemble(Frozen):
     """Three states with a-priori probabilities: one filtering instance.
 
@@ -270,22 +289,7 @@ class Ensemble(Frozen):
             raise InvalidEnsembleError(
                 f"all states must share one dimension, got sizes {sorted(dims)}"
             )
-        # Read into floats: a copy, so the caller's sequence is left alone.
-        refusal = "priors must be 3 real numbers"
-        values = _entries(priors, float, refusal, InvalidEnsembleError)
-        if len(values) != 3:
-            raise InvalidEnsembleError(f"{refusal}, got {len(values)}")
-        eta1, eta2, eta3 = values
-        if not all(map(math.isfinite, values)):
-            raise InvalidEnsembleError("priors must be finite")
-        if min(values) < 0.0 or max(values) > 1.0:
-            raise InvalidEnsembleError(f"priors must lie in [0, 1], got {values}")
-        total = 0.0 + eta1 + eta2 + eta3  # the order of numpy's sum()
-        if abs(total - 1.0) > 1e-12:
-            raise InvalidEnsembleError(
-                f"priors must sum to 1 within 1e-12, got sum {total!r}"
-            )
-        self._store(states, (eta1, eta2, eta3))
+        self._store(states, checked_priors(priors))
 
     @property
     def dim(self) -> int:

@@ -19,6 +19,7 @@ FIFTY_FIFTY = str(FIXTURES_DIR / "fifty_fifty.json")
 SYM_030 = str(FIXTURES_DIR / "symmetric_s030.json")
 SYM_050 = str(FIXTURES_DIR / "symmetric_s050.json")
 ORTHOGONAL = str(FIXTURES_DIR / "orthogonal.json")
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def run_json(capsys, argv: list[str]) -> dict:
@@ -47,6 +48,108 @@ def all_floats(node):
             yield from all_floats(value)
     elif isinstance(node, float):
         yield node
+
+
+#: The options each command names in its ``--help``.
+PIPELINE_OPTIONS = ("--input", "--output", "--tolerance")
+COMMAND_OPTIONS = {
+    "solve": PIPELINE_OPTIONS,
+    "design": PIPELINE_OPTIONS,
+    "synthesize": PIPELINE_OPTIONS,
+    "simulate": PIPELINE_OPTIONS + ("--trials", "--seed"),
+    "compare": ("--input", "--output", "--resolution"),
+    "sweep": ("--output", "--family", "--start", "--stop", "--step", "--s2", "--priors"),
+}
+
+
+class TestCommandLine:
+    """The grammar of the command line, pinned independently of the parser."""
+
+    #: Each command line, its exit code and what it prints: for exit 2 and 1
+    #: the text after ``error: `` on stderr, for exit 0 the golden artifact
+    #: its stdout reproduces or the names its help lists.
+    CASES = [
+        ([], 2, "the following arguments are required: command"),
+        (
+            ["frob"], 2,
+            "argument command: invalid choice: 'frob' (choose from 'solve', 'design', "
+            "'synthesize', 'simulate', 'compare', 'sweep')",
+        ),
+        (["solve"], 2, "the following arguments are required: --input"),
+        (["solve", "--input"], 2, "argument --input: expected one argument"),
+        (["sweep", "--priors", "0.5", "0.3"], 2, "argument --priors: expected 3 arguments"),
+        (
+            ["sweep", "--family", "x"], 2,
+            "argument --family: invalid choice: 'x' (choose from 'symmetric_s', 'two_overlap')",
+        ),
+        (
+            ["simulate", "--input", FIFTY_FIFTY, "--trials", "1e6"], 2,
+            "argument --trials: invalid int value: '1e6'",
+        ),
+        (
+            ["simulate", "--input", FIFTY_FIFTY, "--trials", "0"], 2,
+            "argument --trials: must be an integer from 1 to 1000000000, got '0'",
+        ),
+        (
+            ["simulate", "--input", FIFTY_FIFTY, "--seed", "-1"], 2,
+            "argument --seed: must be an integer >= 0, got '-1'",
+        ),
+        (
+            ["solve", "--input", FIFTY_FIFTY, "--tolerance", "nan"], 2,
+            "argument --tolerance: must be a finite value >= 0, got 'nan'",
+        ),
+        (
+            ["compare", "--input", FIFTY_FIFTY, "--resolution", "0"], 2,
+            "argument --resolution: must be a value in (0, 1e-2], got '0'",
+        ),
+        (["solve", "--input", FIFTY_FIFTY, "extra"], 2, "unrecognized arguments: extra"),
+        (
+            ["sweep", "--s", "0.1"], 2,
+            "ambiguous option: --s could match --start, --stop, --step, --s2",
+        ),
+        (
+            ["sweep", "--start", "-1"], 1,
+            "sweep: range [-1.0, 0.99] must satisfy 0 < start <= stop < 1",
+        ),
+        (["solve", f"--inp={FIFTY_FIFTY}"], 0, "fifty_fifty.solve.json"),
+        (
+            ["solve", "--input", str(FIXTURES_DIR / "missing.json"), "--input", FIFTY_FIFTY],
+            0, "fifty_fifty.solve.json",
+        ),
+        (["-h"], 0, ("--help", *COMMAND_OPTIONS)),
+        (["--help"], 0, ("--help", *COMMAND_OPTIONS)),
+        *(
+            ([command, flag], 0, ("--help", *options))
+            for command, options in COMMAND_OPTIONS.items()
+            for flag in ("-h", "--help")
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, code, expected",
+        CASES,
+        ids=[" ".join(argv).replace(str(FIXTURES_DIR), "fixtures") for argv, _, _ in CASES],
+    )
+    def test_command_line(self, capsys, argv, code, expected):
+        try:
+            got = main(argv)
+        except SystemExit as exc:
+            got = exc.code
+        captured = capsys.readouterr()
+        assert got == code, captured.err
+        if code == 2:
+            assert captured.out == ""
+            assert captured.err.startswith("usage: qfilter")
+            assert captured.err.endswith(f": error: {expected}\n")
+        elif code == 1:
+            assert captured.out == ""
+            assert captured.err == f"error: {expected}\n"
+        elif isinstance(expected, str):
+            assert captured.out.encode("utf-8") == (GOLDEN_DIR / expected).read_bytes()
+        else:
+            assert captured.err == ""
+            for name in expected:
+                assert name in captured.out
 
 
 class TestSolveCommand:
@@ -509,8 +612,17 @@ class TestSweepCommand:
         assert main(["sweep", "--step", "1e-9"]) == 1
         # A subnormal step overflows the point count itself.
         assert main(["sweep", "--step", "5e-324"]) == 1
+        # Priors are checked once, before the grid, not blamed on its first point.
+        assert main(["sweep", "--priors", "nan", "0.5", "0.5"]) == 1
+        assert main(["sweep", "--priors", "1e308", "1e308", "1e308"]) == 1
         err = capsys.readouterr().err
-        assert err.count("error: sweep:") == 9
+        assert err.count("error: sweep:") == 11
+        assert "error: sweep: --priors: priors must be finite\n" in err
+        assert (
+            "error: sweep: --priors: priors must lie in [0, 1], "
+            "got [1e+308, 1e+308, 1e+308]\n"
+        ) in err
+        assert "s=0.01" not in err
         assert "gives a grid of inf points" in err
         assert err.count("--step must be finite and positive, got ") == 3
         assert (

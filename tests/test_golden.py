@@ -85,9 +85,10 @@ KERNEL_FREE = CASES
 #: The artifacts of the commands that run without numpy: every one.
 NUMPY_FREE = CASES
 
-#: Modules no ``qfilter`` process should load: numpy, and ``dataclasses``
-#: with the ``inspect`` chain it imports (start-up cost).
-WATCHED = ("numpy", "dataclasses", "inspect")
+#: Modules no ``qfilter`` process should load, for their start-up cost:
+#: numpy; ``dataclasses`` with the ``inspect`` chain it imports; and
+#: ``argparse`` with the ``gettext`` and ``locale`` it imports.
+WATCHED = ("numpy", "dataclasses", "inspect", "argparse", "gettext", "locale")
 
 #: Runs each (name, argv) of its first argument through the CLI in one
 #: process and prints {name: stdout} as JSON, plus under each module of
@@ -176,11 +177,11 @@ for call, arg, error in refusals:
 """
 
 
-def test_every_command_never_imports_numpy_dataclasses_or_inspect():
+def test_every_command_never_imports_a_watched_module():
     """solve, design, synthesize, simulate and compare on each fixture, and
     every sweep (unequal priors included), reproduce their goldens in one
-    process that never imports numpy, ``dataclasses`` or ``inspect``; so
-    does :data:`LIBRARY_CHAIN`, run first in that process."""
+    process that never imports a module of :data:`WATCHED`; so does
+    :data:`LIBRARY_CHAIN`, run first in that process."""
     got = run_cases(NUMPY_FREE, LIBRARY_CHAIN)
     assert {module: got[module] for module in WATCHED} == {
         module: [False, False] for module in WATCHED
