@@ -53,7 +53,8 @@ def _hash_constants(init: int, mult: int):
     """The (xor, multiplier) pair of each successive ``hashmix`` call.
 
     The running hash constant does not depend on the data it mixes, so
-    its sequence ``init * mult**k`` is the same for every seed.
+    its sequence ``init * mult**k`` is the same for every seed: the tables
+    below hold its prefixes.
     """
     h = init
     while True:
@@ -62,35 +63,39 @@ def _hash_constants(init: int, mult: int):
         h = nxt
 
 
+#: The constants of the pool's ``hashmix`` calls, 4 per entropy word: 20
+#: for a seed below 2**128 and its spawn key.  Extended by :func:`_seed_words`.
+_POOL_CONSTANTS = tuple(islice(_hash_constants(_INIT_A, _MULT_A), 20))
 #: The constants of ``generate_state``'s 8 words (4 of 64 bits).
 _STATE_CONSTANTS = tuple(islice(_hash_constants(_INIT_B, _MULT_B), 8))
 
 
-def _hashmix(value: int, consts) -> int:
-    x, h = next(consts)
-    value = ((value ^ x) * h) & _MASK32
-    return value ^ (value >> 16)
-
-
-def _mix(x: int, y: int) -> int:
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return result ^ (result >> 16)
-
-
 def _seed_words(seed: int, spawn_key: int) -> tuple[int, int, int, int]:
-    """``SeedSequence(seed, spawn_key=(spawn_key,)).generate_state(4, uint64)``."""
+    """``SeedSequence(seed, spawn_key=(spawn_key,)).generate_state(4, uint64)``,
+    with ``hashmix`` and ``mix`` inline.  Their constants are read off
+    :data:`_POOL_CONSTANTS`, first extended for entropy longer than before."""
+    global _POOL_CONSTANTS
     run = _words32(seed)
     # With a spawn key the run entropy is zero-padded to the pool size.
     entropy = run + [0] * (_POOL_SIZE - len(run)) + _words32(spawn_key)
-    consts = _hash_constants(_INIT_A, _MULT_A)
-    pool = [_hashmix(word, consts) for word in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
+    if len(_POOL_CONSTANTS) < 4 * len(entropy):
+        _POOL_CONSTANTS = tuple(islice(_hash_constants(_INIT_A, _MULT_A), 4 * len(entropy)))
+    consts = iter(_POOL_CONSTANTS)
+    pool = []
+    for word in entropy[:_POOL_SIZE]:
+        x, h = next(consts)
+        value = ((word ^ x) * h) & _MASK32
+        pool.append(value ^ (value >> 16))
+    # Each pool word, then each further entropy word, is mixed into every
+    # other pool word; the further words ride behind the pool, never mixed into.
+    pool += entropy[_POOL_SIZE:]
+    for src in range(len(pool)):
         for dst in range(_POOL_SIZE):
             if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(word, consts))
+                x, h = next(consts)
+                value = ((pool[src] ^ x) * h) & _MASK32
+                value = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * (value ^ (value >> 16))) & _MASK32
+                pool[dst] = value ^ (value >> 16)
     state = []
     for i, (x, h) in enumerate(_STATE_CONSTANTS):
         value = ((pool[i % _POOL_SIZE] ^ x) * h) & _MASK32

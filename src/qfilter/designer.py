@@ -23,10 +23,10 @@ completed unitary (a lone flip of vector 2 or 3 is a gauge only where it
 exchanges their two modes) and keeps the one that synthesizes into the
 simplest mesh: fewest beam-splitter layers first, then the largest real
 trace of the upper-left 3x3 block (the most "pass-through" network), with
-deterministic tie-breaks.  Layers are
-counted by the nulling kernel of :mod:`qfilter.multiport` on Python rows of
-that unitary; no mesh program is built for a candidate, and the winner is
-read off the same rows, so a design completes one unitary.
+deterministic tie-breaks.  Layers are counted once per row permutation,
+by the nulling kernel of :mod:`qfilter.multiport` on Python rows of that
+unitary; no mesh program is built for a candidate, and the winner is read
+off the same rows, so a design completes one unitary.
 
 Every step runs on Python scalars, as :data:`Row` lists, and imports no
 numpy; the building blocks return rows, and only the ndarray views of a
@@ -47,7 +47,7 @@ from .errors import (
 )
 from .filter_core import FilterSolution, Regime, solve
 from .multiport import _layer_count
-from .states import Ensemble, Frozen, _least_eigenvalue, frozen_array, gram_matrix, overlaps
+from .states import Ensemble, Frozen, _least_eigenvalue, frozen_array, overlaps
 
 __all__ = [
     "MeasurementDesign",
@@ -65,6 +65,8 @@ NETWORK_DIM = 4
 #: Gram matrices of inputs and outputs must agree within this for a
 #: connecting unitary to exist.
 GRAM_TOL = 1e-8
+#: The (i, j) of the Gram entries with i <= j, in row-major order.
+_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
 _VECTOR_FIELDS = ("success_vectors", "failure_vectors", "unitary", "embedded_inputs")
@@ -352,6 +354,8 @@ def _orthonormal_basis(vectors: list[Row]) -> tuple[list[Row], list[int]]:
 #: Not a tuning knob: any margin far above rounding picks the same pivots, and
 #: a larger one only prunes less.
 _PIVOT_MARGIN = 1e-8
+#: The coordinate directions e_1 ... e_4, as rows.
+_UNITS = tuple([complex(m == k) for m in range(NETWORK_DIM)] for k in range(NETWORK_DIM))
 
 
 def _complement(basis: list[Row]) -> list[Row]:
@@ -379,16 +383,15 @@ def _complement(basis: list[Row]) -> list[Row]:
     remaining = list(range(NETWORK_DIM))
     while len(full) < NETWORK_DIM:
         # sum() rounds differently across Python versions; the masses only prune.
-        mass = [sum(abs(x) ** 2 for x in col) for col in zip(*full)]
-        least = min(mass[k] for k in remaining)
+        mass = [sum([abs(x) ** 2 for x in col]) for col in zip(*full)]
+        least = min([mass[k] for k in remaining])
         pool = [k for k in remaining if mass[k] <= least + _PIVOT_MARGIN]
-        units = [[complex(m == k) for m in range(NETWORK_DIM)] for k in pool]
-        residuals = [(k, _project_out(unit, full)) for k, unit in zip(pool, units)]
-        norms = [_norm(w) for _, w in residuals]
+        residuals = [_project_out(_UNITS[k], full) for k in pool]
+        norms = [_norm(w) for w in residuals]
         norm = max(norms)
-        k, w = residuals[norms.index(norm)]
-        remaining.remove(k)
-        full.append([x * (1.0 / norm) for x in w])
+        pick = norms.index(norm)
+        remaining.remove(pool[pick])
+        full.append([x * (1.0 / norm) for x in residuals[pick]])
     return full[len(basis):]
 
 
@@ -428,11 +431,15 @@ def complete_unitary(e: Ensemble, outputs) -> list[Row]:
         outs = []
     if len(outs) != 3 or any(len(v) != NETWORK_DIM for v in outs):
         raise DomainError("outputs must be three 4-mode vectors")
-    gram = gram_matrix(e.states)
-    diff = [abs(g - _vdot(a, b)) for row, a in zip(gram, outs) for g, b in zip(row, outs)]
-    worst = max(diff)
-    if worst > GRAM_TOL:
-        i, j = divmod(diff.index(worst), 3)
+    ov, (n1, n2, n3) = overlaps(e), [_vdot(a, a) for a in ins]
+    # i <= j: a lower entry is the exact conjugate of its mirror, reached later.
+    gram = (n1, ov.O12, ov.O13, n2, ov.O23, n3)
+    diff = [abs(g - _vdot(outs[i], outs[j])) for g, (i, j) in zip(gram, _UPPER)]
+    bad = [k for k, d in enumerate(diff) if not d <= GRAM_TOL]
+    if bad:
+        # The first largest difference; a NaN only when no number is too large.
+        k = max(bad, key=lambda k: (diff[k] == diff[k], diff[k]))
+        (i, j), worst = _UPPER[k], diff[k]
         raise NoUnitaryError(
             "no unitary maps these inputs to these outputs: inner products "
             f"of pair ({i + 1}, {j + 1}) differ by {worst:.3e} "
@@ -453,14 +460,16 @@ def complete_unitary(e: Ensemble, outputs) -> list[Row]:
     ]
 
 
-def _gauge_candidates(lone_flips: bool):
-    """Yield ``(swap, sign_index, signs, perm, diag)`` in tie-break order.
+def _gauge_table(lone_flips: bool) -> tuple:
+    """``(perm, gauges)`` pairs: each gauge ``(swap, sign_index, signs, diag)``
+    grouped by ``perm``, both in tie-break order.
 
     Gauge ``(swap, signs)`` has the standard-gauge outputs with rows in
     order ``perm`` and rows 1-3 negated by ``diag``.  A lone flip of vector
     2 or 3 is offered only where it is a mode exchange (``lone_flips``:
     L23 = 0 and theta = pi/4), and swaps their shared modes.
     """
+    groups: dict = {}
     sign_opts = [s for s in product((1, -1), repeat=3) if lone_flips or s[1] == s[2]]
     for swap in (False, True):
         modes = (1, 0, 2) if swap else (0, 1, 2)
@@ -468,7 +477,12 @@ def _gauge_candidates(lone_flips: bool):
             rows = (0, 1, 2) if signs[1] == signs[2] else (0, 2, 1)
             perm = tuple(rows[m] for m in modes) + (3,)
             diag = tuple((signs[0], signs[1], signs[1])[m] for m in modes)
-            yield swap, sign_index, signs, perm, diag
+            groups.setdefault(perm, []).append((int(swap), sign_index, signs, diag))
+    return tuple((perm, tuple(gauges)) for perm, gauges in groups.items())
+
+
+#: :func:`_gauge_table` by ``lone_flips``: 2 or 4 permutations of 4 gauges.
+_GAUGES = {flips: _gauge_table(flips) for flips in (False, True)}
 
 
 def design(e: Ensemble, sol: FilterSolution | None = None) -> MeasurementDesign:
@@ -485,12 +499,13 @@ def design(e: Ensemble, sol: FilterSolution | None = None) -> MeasurementDesign:
     block), then the standard placement and unflipped signs.
 
     One unitary U0 is completed in the standard gauge, for every input,
-    and each candidate is scored as ``diag * U0[perm]``
-    (:func:`_gauge_candidates`) on Python rows of it.  Diagonal phases
-    leave the layer count unchanged, so layers are counted once per
-    permutation, by the nulling kernel that
+    and each candidate is scored as ``diag * U0[perm]`` on Python rows of
+    it.  Diagonal phases leave the layer count unchanged, and
+    :data:`_GAUGES` groups the candidates by ``perm``: layers are counted
+    once per permutation, by the nulling kernel that
     :func:`qfilter.multiport.decompose` wraps (same layers, without its
-    input checks or layer objects); the trace keys and the winner's unitary
+    input checks or layer objects), and a permutation that has already
+    lost on layers is not traced.  The trace keys and the winner's unitary
     are read from the same rows.  The winner's column 4 (its input is e4)
     then has its phase fixed again, since the flips can leave its largest
     entry negative; up to rounding, that is the completion of the winner's
@@ -510,17 +525,20 @@ def design(e: Ensemble, sol: FilterSolution | None = None) -> MeasurementDesign:
     succ, theta = success_vectors(L, q, False, (1, 1, 1), rank_one=rank_one)
     lone_flips = abs(L[1][2]) <= 1e-12 and abs(theta - math.pi / 4.0) <= 1e-12
     base_rows = complete_unitary(e, _sums(succ, fails))
-    layer_counts: dict = {}
-    keys = []
-    for swap, sign_index, signs, perm, diag in _gauge_candidates(lone_flips):
+    best = (math.inf,)
+    for perm, gauges in _GAUGES[lone_flips]:
         rows = [base_rows[i] for i in perm]
-        if perm not in layer_counts:
-            layer_counts[perm] = _layer_count(rows)
-        trace = sum(diag[i] * rows[i][i].real for i in range(3))
-        keys.append(
-            (layer_counts[perm], round(-trace, 9), int(swap), sign_index, signs, diag, rows)
-        )
-    _, _, swap, _, signs, diag, rows = min(keys)
+        layers = _layer_count(rows)
+        if layers > best[0]:
+            continue
+        r0, r1, r2 = rows[0][0].real, rows[1][1].real, rows[2][2].real
+        for swap, sign_index, signs, diag in gauges:
+            # Left to right from 0.0: sum() rounds differently from Python 3.12 on.
+            trace = 0.0 + diag[0] * r0 + diag[1] * r1 + diag[2] * r2
+            key = (layers, round(-trace, 9), swap, sign_index)
+            if key < best:
+                best, winner = key, (swap, signs, diag, rows)
+    swap, signs, diag, rows = winner
     if swap or signs != (1, 1, 1):
         succ = success_vectors(L, q, swap, signs, rank_one=rank_one)[0]
     rows = [row if d > 0 else [-x for x in row] for d, row in zip(diag + (1,), rows)]

@@ -77,7 +77,7 @@ class BeamSplitterLayer(FrozenRecord):
         except (TypeError, ValueError):
             raise DomainError(f"t, r and phi must be real numbers, got {(t, r, phi)!r}") from None
         closure = t * t + r * r
-        if abs(closure - 1.0) > 1e-12:
+        if not abs(closure - 1.0) <= 1e-12:  # a NaN is refused too
             raise DomainError(
                 f"a lossless layer needs t^2 + r^2 = 1 within 1e-12, got {closure!r}"
             )
@@ -119,9 +119,14 @@ class MeshProgram(FrozenRecord):
         return len(self.output_phases)
 
 
-def _nulling_pairs(dim: int) -> list[tuple[int, int]]:
-    """Triangular nulling order: clear the last column first, top-down pairs."""
-    return [(p, q) for q in range(dim, 1, -1) for p in range(q - 1, 0, -1)]
+def _nulling_pairs(dim: int) -> list[tuple[int, int, int, int]]:
+    """Triangular nulling order: clear the last column first, top-down pairs,
+    each as ``(p, q)`` 1-based and then 0-based."""
+    return [(p, q, p - 1, q - 1) for q in range(dim, 1, -1) for p in range(q - 1, 0, -1)]
+
+
+#: The nulling order of the 4-mode networks the designer builds.
+_NULLING_PAIRS_4 = _nulling_pairs(4)
 
 
 def _null(work: list[list[complex]]) -> list[tuple[int, int, float, float, float]]:
@@ -138,17 +143,19 @@ def _null(work: list[list[complex]]) -> list[tuple[int, int, float, float, float
     """
     dim = len(work)
     layers = []
-    for p, q in _nulling_pairs(dim):
-        a, b = work[p - 1][q - 1], work[q - 1][q - 1]
-        if abs(a) < 1e-15 and abs(b) < 1e-15:
-            continue
-        if abs(b) < 1e-15:
+    for p, q, i, j in _NULLING_PAIRS_4 if dim == 4 else _nulling_pairs(dim):
+        row_p, row_q = work[i], work[j]
+        a, b = row_p[j], row_q[j]
+        abs_a, abs_b = abs(a), abs(b)
+        if abs_b < 1e-15:
+            if abs_a < 1e-15:
+                continue
             t, r, phi = 0.0, 1.0, 0.0
         else:
-            phi0 = cmath.phase(a) - cmath.phase(b) if abs(a) > 0.0 else 0.0
+            phi0 = cmath.phase(a) - cmath.phase(b) if abs_a > 0.0 else 0.0
             phi0 = (phi0 + math.pi) % (2.0 * math.pi) - math.pi
-            scale = math.hypot(abs(a), abs(b))
-            t, r = abs(b) / scale, abs(a) / scale
+            scale = math.hypot(abs_a, abs_b)
+            t, r = abs_b / scale, abs_a / scale
             # Fold the phase into (-pi/2, pi/2] by flipping the sign of r.
             phi = phi0
             if not -math.pi / 2 < phi0 <= math.pi / 2:
@@ -156,12 +163,12 @@ def _null(work: list[list[complex]]) -> list[tuple[int, int, float, float, float
         if abs(r) < IDENTITY_DROP_TOL:
             continue
         layers.append((p, q, t, r, phi))
-        t_phase, r_phase = t * cmath.exp(-1j * phi), r * cmath.exp(-1j * phi)
-        row_p, row_q = work[p - 1], work[q - 1]
-        work[p - 1] = [t_phase * x - r * y for x, y in zip(row_p, row_q)]
-        work[q - 1] = [r_phase * x + t * y for x, y in zip(row_p, row_q)]
-    off_diag = max(abs(work[i][j]) for i in range(dim) for j in range(dim) if i != j)
-    if off_diag > UNITARITY_TOL:
+        phase = cmath.exp(-1j * phi)
+        t_phase, r_phase = t * phase, r * phase
+        work[i] = [t_phase * x - r * y for x, y in zip(row_p, row_q)]
+        work[j] = [r_phase * x + t * y for x, y in zip(row_p, row_q)]
+    off_diag = max([abs(x) for i, row in enumerate(work) for j, x in enumerate(row) if i != j])
+    if not off_diag <= UNITARITY_TOL:
         raise InternalConsistencyError(
             f"triangular nulling left off-diagonal residue {off_diag:.3e}"
         )
@@ -179,16 +186,17 @@ def _layer_count(rows: list[list[complex]]) -> int:
 
 def _unitarity_residual(rows: list[list[complex]]) -> float:
     """``max |(U^H U - I)[i][j]|`` of a square matrix given as rows; each
-    entry is summed from ``0j`` down the columns, first row first."""
+    entry is summed from ``0j`` down the columns, first row first.  A NaN
+    entry makes it NaN unless a number is above ``UNITARITY_TOL``."""
     cols = list(zip(*rows))
-    worst = 0.0
+    worst, nan = 0.0, False
     for i, a in enumerate(cols):
         for j in range(i, len(cols)):
             acc = -1.0 + 0j if i == j else 0j
             for x, y in zip(a, cols[j]):
                 acc += x.conjugate() * y
-            worst = max(worst, abs(acc))
-    return worst
+            worst, nan = max(worst, abs(acc)), nan or acc != acc
+    return math.nan if nan and worst <= UNITARITY_TOL else worst
 
 
 def decompose(unitary) -> MeshProgram:
@@ -220,7 +228,7 @@ def decompose(unitary) -> MeshProgram:
             f"expected a square matrix of size >= 2, got rows of lengths {lengths}"
         )
     residual = _unitarity_residual(work)
-    if residual > UNITARITY_TOL:
+    if not residual <= UNITARITY_TOL:
         raise DomainError(
             f"matrix is not unitary within {UNITARITY_TOL:g} "
             f"(unitarity residual {residual:.3e})"

@@ -95,13 +95,9 @@ def port_probabilities(design: MeasurementDesign, i: int) -> list[float]:
     """
     if i not in (0, 1, 2):
         raise DomainError(f"state index must be 0, 1 or 2, got {i!r}")
-    probs = []
-    for row in design._unitary:
-        amp = 0j
-        for u, x in zip(row, design._embedded_inputs[i]):
-            amp += u * x
-        probs.append(amp.real * amp.real + amp.imag * amp.imag)
-    return probs
+    x0, x1, x2, x3 = design._embedded_inputs[i]
+    amps = [0j + u0 * x0 + u1 * x1 + u2 * x2 + u3 * x3 for u0, u1, u2, u3 in design._unitary]
+    return [a.real * a.real + a.imag * a.imag for a in amps]
 
 
 def _integer(value, name: str) -> int:

@@ -331,6 +331,46 @@ class TestCompleteUnitary:
             complete_unitary(e, outputs)
         assert "(2, 3)" in str(err.value) or "(1, 3)" in str(err.value)
 
+    def test_gram_refusal_names_the_pair_of_a_full_scan(self):
+        """Only entries i <= j are compared; the pair and the message are
+        those of scanning all 9 entries in row-major order."""
+        rng = np.random.default_rng(29)
+        for k in range(60):
+            e = random_ensemble(rng)
+            outputs = [np.array(v) for v in design(e).outputs]
+            outputs[k % 3] = outputs[k % 3] + 1e-3 * (rng.normal(size=4) + 1j * rng.normal(size=4))
+            outs = [[complex(x) for x in v] for v in outputs]
+            diff = [
+                abs(g - designer._vdot(a, b))
+                for row, a in zip(gram_matrix(e.states), outs)
+                for g, b in zip(row, outs)
+            ]
+            i, j = divmod(diff.index(max(diff)), 3)
+            with pytest.raises(NoUnitaryError) as err:
+                complete_unitary(e, outputs)
+            assert str(err.value) == (
+                "no unitary maps these inputs to these outputs: inner products "
+                f"of pair ({i + 1}, {j + 1}) differ by {max(diff):.3e} (tolerance 1e-08)"
+            )
+
+    @pytest.mark.parametrize(
+        "bad", [math.nan, complex(0.0, math.nan), math.inf, complex(0.0, -math.inf)]
+    )
+    @pytest.mark.parametrize("vector", [0, 1, 2])
+    @pytest.mark.parametrize("mode", [0, 1, 2, 3])
+    def test_non_finite_output_entries_are_refused(self, bad, vector, mode):
+        """A NaN failed no ``x > tol`` gate; it is refused like a mismatch,
+        in every output vector, on the signal modes and the failure mode."""
+        outputs = [v.astype(complex) for v in fifty_fifty_expected_outputs()]
+        outputs[vector][mode] = bad
+        with pytest.raises(NoUnitaryError) as err:
+            complete_unitary(fifty_fifty_ensemble(), outputs)
+        pair = str(err.value).split("pair ")[1][:6]
+        assert str(vector + 1) in pair
+        assert str(err.value).endswith(
+            f"differ by {'nan' if cmath.isnan(bad) else 'inf'} (tolerance 1e-08)"
+        )
+
     @pytest.mark.parametrize("outputs", [5, [[1.0, 0.0]] * 3, [None] * 3])
     def test_outputs_that_are_not_three_4_vectors_are_refused(self, outputs):
         with pytest.raises(DomainError) as err:
@@ -816,3 +856,48 @@ class TestGaugeScoringWork:
         for e in oracle_instances(name)[:40]:
             design(e)
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "name, counts",
+        [("stratified", {2}), ("structured", {2, 4}), ("reference", {4}), ("near_boundary", {2})],
+    )
+    def test_layers_are_counted_once_per_row_permutation(self, monkeypatch, name, counts):
+        """2 row permutations on the sign-only path, 4 where lone flips are
+        gauges (L23 = 0 and theta = pi/4); near_boundary has L23 = 0 off
+        theta = pi/4, so it stays on the sign-only path."""
+        calls = []
+        layer_count = designer._layer_count
+        monkeypatch.setattr(
+            designer, "_layer_count", lambda rows: calls.append(1) or layer_count(rows)
+        )
+        seen = set()
+        for e in oracle_instances(name)[:40]:
+            sol = solve(e)
+            del calls[:]
+            theta = design(e, sol).theta
+            l23 = build_L(e, sol, failure_phases(e))[1][2]
+            lone_flips = abs(l23) <= 1e-12 and abs(theta - math.pi / 4.0) <= 1e-12
+            assert len(calls) == (4 if lone_flips else 2)
+            seen.add(len(calls))
+        assert seen == counts
+
+    @pytest.mark.parametrize("lone_flips", [False, True])
+    def test_gauge_table_is_in_tie_break_order(self, lone_flips):
+        """Every gauge once, grouped by row permutation; the groups in the
+        order of their first gauge, each in (swap, sign index) order."""
+        sign_opts = [
+            (1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
+            (-1, 1, 1), (-1, 1, -1), (-1, -1, 1), (-1, -1, -1),
+        ]
+        sign_opts = [s for s in sign_opts if lone_flips or s[1] == s[2]]
+        table = designer._GAUGES[lone_flips]
+        assert len(table) == (4 if lone_flips else 2)
+        gauges = [gauge[:3] for _, group in table for gauge in group]
+        assert sorted(gauges) == [
+            (swap, k, signs) for swap in (0, 1) for k, signs in enumerate(sign_opts)
+        ]
+        for perm, group in table:
+            assert len(group) == 4 and perm[3] == 3 and sorted(perm) == [0, 1, 2, 3]
+            assert [g[:2] for g in group] == sorted(g[:2] for g in group)
+        firsts = [group[0][:2] for _, group in table]
+        assert firsts == sorted(firsts)

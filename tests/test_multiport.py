@@ -1,5 +1,6 @@
 """Beam-splitter mesh synthesis and resynthesis."""
 
+import cmath
 import json
 import math
 import pathlib
@@ -57,6 +58,17 @@ class TestBeamSplitterLayer:
         BeamSplitterLayer(1, 2, t=0.6, r=0.8)
         with pytest.raises(DomainError):
             BeamSplitterLayer(1, 2, t=0.6, r=0.9)
+
+    @pytest.mark.parametrize(
+        "t, r", [(math.nan, 0.0), (1.0, math.nan), (math.inf, 0.0), (0.0, -math.inf)]
+    )
+    def test_non_finite_t_or_r_is_refused(self, t, r):
+        with pytest.raises(DomainError) as err:
+            BeamSplitterLayer(1, 2, t, r)
+        closure = "nan" if math.isnan(t + r) else "inf"
+        assert str(err.value) == (
+            f"a lossless layer needs t^2 + r^2 = 1 within 1e-12, got {closure}"
+        )
 
     def test_mode_ordering_is_enforced(self):
         with pytest.raises(DomainError):
@@ -149,6 +161,36 @@ class TestDecompose:
         for layer in program.layers:
             assert min(abs(layer.phi), abs(abs(layer.phi) - math.pi)) < 1e-12
         np.testing.assert_allclose(recompose(program), orth, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "bad", [math.nan, complex(0.0, math.nan), math.inf, complex(0.0, -math.inf)]
+    )
+    @pytest.mark.parametrize("i, j", [(0, 0), (3, 3), (0, 1), (1, 3), (1, 0), (3, 2)])
+    def test_non_finite_entries_are_refused(self, bad, i, j):
+        """On the diagonal, above it and below it: a NaN entry made every
+        residual it enters NaN, which the ``x > tol`` gate let through."""
+        unitary = haar_unitary(4, np.random.default_rng(61)).tolist()
+        unitary[i][j] = bad
+        with pytest.raises(DomainError) as err:
+            decompose(unitary)
+        residual = "nan" if cmath.isnan(bad) else "inf"
+        assert str(err.value) == (
+            f"matrix is not unitary within 1e-09 (unitarity residual {residual})"
+        )
+
+    @pytest.mark.parametrize(
+        "matrix, residual",
+        [
+            ([[math.nan, 0.0], [0.0, 1.0]], "nan"),
+            ([[1.0, math.nan], [0.0, 1.0]], "nan"),
+            # A number above the tolerance is reported ahead of a NaN.
+            ([[math.nan, 0.0], [0.0, 2.0]], "3.000e+00"),
+        ],
+    )
+    def test_nan_residual_is_reported_unless_a_number_fails(self, matrix, residual):
+        with pytest.raises(DomainError) as err:
+            decompose(matrix)
+        assert str(err.value).endswith(f"(unitarity residual {residual})")
 
     def test_non_unitary_input_is_rejected_with_residual(self):
         with pytest.raises(DomainError) as err:

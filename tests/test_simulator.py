@@ -17,7 +17,8 @@ from qfilter import (
     solve,
     von_neumann_baseline,
 )
-from qfilter._stream import spawned_stream
+from qfilter import _stream
+from qfilter._stream import _seed_words, spawned_stream
 from qfilter.filter_core import average_overlap_A
 from qfilter.simulator import MAX_TRIALS
 
@@ -193,6 +194,21 @@ class TestStream:
         ours, ref = spawned_stream(seed), numpy_stream(seed)
         for _ in range(3):
             assert ours.multinomial(n, pvals) == ref.multinomial(n, pvals).tolist()
+
+    @pytest.mark.parametrize(
+        "seed", [2**32 - 1, 2**32, 2**128 - 1, 2**128, 2**160 + 1, 2**1000]
+    )
+    def test_seed_words_match_numpy_across_the_constant_table(self, monkeypatch, seed):
+        """The table holds the 20 constants of a seed below 2**128; a larger
+        seed extends it.  Each run starts from that size, so both sides of
+        its edge, and the growth, are checked every time."""
+        monkeypatch.setattr(_stream, "_POOL_CONSTANTS", _stream._POOL_CONSTANTS[:20])
+        child = np.random.SeedSequence(seed).spawn(1)[0]
+        words = tuple(int(w) for w in child.generate_state(4, np.uint64))
+        assert _seed_words(seed, 0) == words
+        assert len(_stream._POOL_CONSTANTS) == max(20, 4 * (1 + -(-seed.bit_length() // 32)))
+        ours, ref = spawned_stream(seed), numpy_stream(seed)
+        assert [ours.next_double() for _ in range(8)] == ref.random(8).tolist()
 
     @pytest.mark.parametrize(
         "n, p", [(10**6, 0.3), (10**9, 0.5), (10**9, 0.97), (5000, 0.02)]
