@@ -355,7 +355,7 @@ def _orthonormal_basis(vectors: list[Row]) -> tuple[list[Row], list[int]]:
 #: a larger one only prunes less.
 _PIVOT_MARGIN = 1e-8
 #: The coordinate directions e_1 ... e_4, as rows.
-_UNITS = tuple([complex(m == k) for m in range(NETWORK_DIM)] for k in range(NETWORK_DIM))
+_UNITS = ((1 + 0j, 0j, 0j, 0j), (0j, 1 + 0j, 0j, 0j), (0j, 0j, 1 + 0j, 0j), (0j, 0j, 0j, 1 + 0j))
 
 
 def _complement(basis: list[Row]) -> list[Row]:
@@ -471,14 +471,14 @@ def _gauge_table(lone_flips: bool) -> tuple:
     """
     groups: dict = {}
     sign_opts = [s for s in product((1, -1), repeat=3) if lone_flips or s[1] == s[2]]
-    for swap in (False, True):
-        modes = (1, 0, 2) if swap else (0, 1, 2)
+    for swap in (0, 1):
         for sign_index, signs in enumerate(sign_opts):
-            rows = (0, 1, 2) if signs[1] == signs[2] else (0, 2, 1)
-            perm = tuple(rows[m] for m in modes) + (3,)
-            diag = tuple((signs[0], signs[1], signs[1])[m] for m in modes)
-            groups.setdefault(perm, []).append((int(swap), sign_index, signs, diag))
-    return tuple((perm, tuple(gauges)) for perm, gauges in groups.items())
+            s0, s1, s2 = signs
+            a, b, c = (0, 1, 2) if s1 == s2 else (0, 2, 1)
+            # The swapped placement exchanges the first two modes.
+            perm, diag = ((b, a, c, 3), (s1, s0, s1)) if swap else ((a, b, c, 3), (s0, s1, s1))
+            groups.setdefault(perm, []).append((swap, sign_index, signs, diag))
+    return tuple([(perm, tuple(gauges)) for perm, gauges in groups.items()])
 
 
 #: :func:`_gauge_table` by ``lone_flips``: 2 or 4 permutations of 4 gauges.
