@@ -79,6 +79,8 @@ class MeasurementDesign(Frozen):
     of Python ``complex`` under its name with a leading underscore, which
     the stages read; the field itself (like ``outputs``, success plus
     failure vectors) reads as a read-only ndarray built on first access.
+    Each vector field must hold 3 rows of 4 entries and ``unitary`` 4; any
+    other shape is refused with :class:`DomainError` naming the field.
     Designs compare by identity.
 
     Attributes
@@ -118,7 +120,12 @@ class MeasurementDesign(Frozen):
     ) -> None:
         vectors = (success_vectors, failure_vectors, unitary, embedded_inputs)
         for name, rows in zip(_VECTOR_FIELDS, vectors):
-            self.__dict__["_" + name] = tuple([tuple(map(complex, row)) for row in rows])
+            rows = tuple([tuple(map(complex, row)) for row in rows])
+            count = 4 if name == "unitary" else 3
+            if len(rows) != count or any(len(row) != 4 for row in rows):
+                lengths = [len(row) for row in rows]
+                raise DomainError(f"{name} must be {count} rows of 4 entries, got {lengths}")
+            self.__dict__["_" + name] = rows
         self.__dict__.update(theta=theta, chi=chi, solution=solution, state1_port=state1_port)
 
     def __getattr__(self, name: str):

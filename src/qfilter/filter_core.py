@@ -61,7 +61,9 @@ class FilterSolution(FrozenRecord):
     _fields = ("q1", "q2", "q3", "Q", "regime", "A", "parallel_norm2")
 
     def __init__(self, q1, q2, q3, Q, regime, A, parallel_norm2) -> None:
-        self._store(q1, q2, q3, Q, regime, A, parallel_norm2)
+        self.__dict__.update(
+            q1=q1, q2=q2, q3=q3, Q=Q, regime=regime, A=A, parallel_norm2=parallel_norm2
+        )
 
     @property
     def failure_probabilities(self) -> tuple[float, float, float]:
@@ -74,16 +76,6 @@ def average_overlap_A(e: Ensemble) -> float:
     ov = overlaps(e)
     _, eta2, eta3 = e.priors
     return eta2 * abs(ov.O12) ** 2 + eta3 * abs(ov.O13) ** 2
-
-
-def _classify(A: float, w: float, eta1: float) -> Regime:
-    # Exact comparisons, a tie going to POVM: the closed forms meet at both
-    # boundaries, and a slack would put q1 = sqrt(A/eta1) outside [w, 1].
-    if A > eta1:
-        return Regime.VN_LARGE_OVERLAP
-    if A < eta1 * w * w:
-        return Regime.VN_SMALL_OVERLAP
-    return Regime.POVM
 
 
 def solve(e: Ensemble) -> FilterSolution:
@@ -130,17 +122,13 @@ def solve(e: Ensemble) -> FilterSolution:
             )
         # Perfectly filterable: every state can be identified without failure.
         return FilterSolution(0.0, 0.0, 0.0, 0.0, Regime.POVM, 0.0, w)
-    regime = _classify(A, w, eta1)
-    if regime is Regime.POVM:
-        q1 = math.sqrt(A / eta1)
-        scale = math.sqrt(eta1 / A)
-        q2, q3 = scale * a12, scale * a13
-        Q = 2.0 * math.sqrt(eta1 * A)
-    elif regime is Regime.VN_LARGE_OVERLAP:
-        q1, q2, q3 = 1.0, a12, a13
-        Q = eta1 + A
-    else:
-        q1 = w
-        q2, q3 = a12 / w, a13 / w
+    # Exact comparisons, a tie going to POVM: the closed forms meet at both
+    # boundaries, and a slack would put q1 = sqrt(A/eta1) outside [w, 1].
+    if A > eta1:
+        return FilterSolution(1.0, a12, a13, eta1 + A, Regime.VN_LARGE_OVERLAP, A, w)
+    if A < eta1 * w * w:
         Q = eta1 * w + A / w
-    return FilterSolution(q1, q2, q3, Q, regime, A, w)
+        return FilterSolution(w, a12 / w, a13 / w, Q, Regime.VN_SMALL_OVERLAP, A, w)
+    scale = math.sqrt(eta1 / A)
+    Q = 2.0 * math.sqrt(eta1 * A)
+    return FilterSolution(math.sqrt(A / eta1), scale * a12, scale * a13, Q, Regime.POVM, A, w)

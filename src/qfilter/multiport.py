@@ -59,7 +59,8 @@ class BeamSplitterLayer(FrozenRecord):
         phase inside (-pi/2, pi/2].
     phi:
         Phase applied to the p-row of the mixing block, radians.  ``t``,
-        ``r`` and ``phi`` are kept as Python floats; strings are refused.
+        ``r`` and ``phi`` are kept as Python floats; strings and a
+        non-finite ``phi`` are refused.
     """
 
     _fields = ("p", "q", "t", "r", "phi")
@@ -81,7 +82,9 @@ class BeamSplitterLayer(FrozenRecord):
             raise DomainError(
                 f"a lossless layer needs t^2 + r^2 = 1 within 1e-12, got {closure!r}"
             )
-        self._store(p, q, t, r, phi)
+        if not math.isfinite(phi):
+            raise DomainError(f"phi must be finite, got {phi!r}")
+        self.__dict__.update(p=p, q=q, t=t, r=r, phi=phi)
 
 
 class MeshProgram(FrozenRecord):
@@ -91,8 +94,8 @@ class MeshProgram(FrozenRecord):
     (so the *last* layer in the list acts on the input state first) and
     then applies ``diag(exp(i * output_phases))`` on the input side.
     :func:`decompose` returns output phases in (-pi, pi].  Layers that are
-    not :class:`BeamSplitterLayer` instances and phases that are not real
-    numbers are refused.
+    not :class:`BeamSplitterLayer` instances and phases that are not finite
+    real numbers are refused.
     """
 
     _fields = ("layers", "output_phases")
@@ -111,7 +114,9 @@ class MeshProgram(FrozenRecord):
                 raise DomainError(
                     f"layer acts on mode {layer.q} but the program has {dim} modes"
                 )
-        self._store(layers, phases)
+        if not all(map(math.isfinite, phases)):
+            raise DomainError(f"output phases must be finite, got {phases!r}")
+        self.__dict__.update(layers=layers, output_phases=phases)
 
     @property
     def dim(self) -> int:

@@ -61,7 +61,9 @@ class OracleResult(Frozen):
     _fields = ("q1_star", "Q_star", "grid_resolution", "residuals")
 
     def __init__(self, q1_star, Q_star, grid_resolution, residuals) -> None:
-        self._store(q1_star, Q_star, grid_resolution, residuals)
+        self.__dict__.update(
+            q1_star=q1_star, Q_star=Q_star, grid_resolution=grid_resolution, residuals=residuals
+        )
 
 
 class ComparisonRecord(FrozenRecord):
@@ -70,7 +72,9 @@ class ComparisonRecord(FrozenRecord):
     _fields = ("Q", "Q_prime", "Q_double_prime", "ratio", "resolution")
 
     def __init__(self, Q, Q_prime, Q_double_prime, ratio, resolution) -> None:
-        self._store(Q, Q_prime, Q_double_prime, ratio, resolution)
+        self.__dict__.update(
+            Q=Q, Q_prime=Q_prime, Q_double_prime=Q_double_prime, ratio=ratio, resolution=resolution
+        )
 
 
 def _check_resolution(resolution: float) -> float:

@@ -13,7 +13,9 @@ Python ``complex`` and the overlaps and that squared norm are formed on
 those scalars: on vectors this short numpy's per-call overhead costs more
 than the arithmetic.  Every sum runs left to right in a fixed order (never
 ``sum()``, whose float rounding changed in Python 3.12), so the bits do
-not depend on the Python version or on the BLAS kernel numpy selects.
+not depend on the Python version or on the BLAS kernel numpy selects.  An
+ensemble forms its three overlaps in one pass over the modes, each added
+to ``0j`` in mode order exactly as :meth:`StateVector.inner` adds it.
 Constructors take ndarrays or plain sequences and keep only those
 scalars; nothing here imports numpy but :func:`frozen_array`, the helper
 behind the ndarray views of the downstream value types.
@@ -61,14 +63,11 @@ SUBSPACE_TOL = 1e-10
 class Frozen:
     """Base of the value types compared by identity.  A subclass names its
     fields, in constructor order, in the tuple ``_fields``; its ``__init__``
-    validates its arguments, then stores them through ``__dict__`` (as
-    :meth:`_store` does).  Setting or deleting an attribute raises
-    ``AttributeError``; the repr is ``Name(field=value, ...)``."""
+    validates its arguments, then writes them into ``__dict__`` by name
+    (``self.__dict__.update(field=value, ...)``).  Setting or deleting an
+    attribute raises ``AttributeError``; the repr is ``Name(field=value, ...)``."""
 
     _fields: tuple[str, ...] = ()
-
-    def _store(self, *values) -> None:
-        self.__dict__.update(zip(self._fields, values))
 
     def __setattr__(self, name: str, value=None) -> None:
         raise AttributeError(f"cannot assign to or delete field {name!r}")
@@ -252,9 +251,10 @@ def checked_priors(priors) -> tuple[float, float, float]:
     if len(values) != 3:
         raise InvalidEnsembleError(f"{refusal}, got {len(values)}")
     eta1, eta2, eta3 = values
-    if not all(map(math.isfinite, values)):
-        raise InvalidEnsembleError("priors must be finite")
-    if min(values) < 0.0 or max(values) > 1.0:
+    # A NaN fails the range test too; then the messages are picked in order.
+    if not (0.0 <= eta1 <= 1.0 and 0.0 <= eta2 <= 1.0 and 0.0 <= eta3 <= 1.0):
+        if not all(map(math.isfinite, values)):
+            raise InvalidEnsembleError("priors must be finite")
         raise InvalidEnsembleError(f"priors must lie in [0, 1], got {values}")
     total = 0.0 + eta1 + eta2 + eta3  # the order of numpy's sum()
     if abs(total - 1.0) > 1e-12:
@@ -284,12 +284,11 @@ class Ensemble(Frozen):
             raise InvalidEnsembleError(
                 f"an ensemble needs exactly 3 states, got {len(states)}"
             )
-        dims = {len(s.amplitudes) for s in states}
-        if len(dims) != 1:
-            raise InvalidEnsembleError(
-                f"all states must share one dimension, got sizes {sorted(dims)}"
-            )
-        self._store(states, checked_priors(priors))
+        s1, s2, s3 = states
+        if not len(s1.amplitudes) == len(s2.amplitudes) == len(s3.amplitudes):
+            dims = sorted({len(s.amplitudes) for s in states})
+            raise InvalidEnsembleError(f"all states must share one dimension, got sizes {dims}")
+        self.__dict__.update(states=states, priors=checked_priors(priors))
 
     @property
     def dim(self) -> int:
@@ -302,9 +301,12 @@ class Ensemble(Frozen):
     @memo
     def _overlaps(self) -> "OverlapSet":
         s1, s2, s3 = self.states
-        o12 = s1.inner(s2)
-        o13 = s1.inner(s3)
-        o23 = s2.inner(s3)
+        o12 = o13 = o23 = 0j
+        for x, y, z in zip(s1.amplitudes, s2.amplitudes, s3.amplitudes):
+            x = x.conjugate()
+            o12 += x * y
+            o13 += x * z
+            o23 += y.conjugate() * z
         return OverlapSet(o12, o13, o23, -cmath.phase(o12 * o13.conjugate()))
 
     @memo
@@ -336,18 +338,23 @@ class OverlapSet(FrozenRecord):
     _fields = ("O12", "O13", "O23", "alpha")
 
     def __init__(self, O12, O13, O23, alpha) -> None:
-        for name, o in (("O12", O12), ("O13", O13), ("O23", O23)):
-            if abs(o) > 1.0 + 1e-12:
-                raise InvalidEnsembleError(f"|{name}| exceeds 1 beyond tolerance: {abs(o)!r}")
-        self._store(O12, O13, O23, alpha)
+        limit = 1.0 + 1e-12
+        if abs(O12) > limit or abs(O13) > limit or abs(O23) > limit:
+            for name, o in (("O12", O12), ("O13", O13), ("O23", O23)):
+                if abs(o) > limit:
+                    raise InvalidEnsembleError(f"|{name}| exceeds 1 beyond tolerance: {abs(o)!r}")
+        self.__dict__.update(O12=O12, O13=O13, O23=O23, alpha=alpha)
 
 
 def overlaps(e: Ensemble) -> OverlapSet:
     """The pairwise overlaps of an ensemble.
 
     The inner product conjugates the first argument, so
-    ``O12 = sum(conj(psi1) * psi2)``.  They are computed once per ensemble
-    and then reused: the amplitudes they come from are read-only.
+    ``O12 = sum(conj(psi1) * psi2)``.  All three are accumulated in one
+    pass over the modes, each from ``0j`` in mode order, so each has the
+    bits of :meth:`StateVector.inner` of its pair.  They are computed once
+    per ensemble and then reused: the amplitudes they come from are
+    read-only.
     """
     return e._overlaps
 

@@ -46,7 +46,6 @@ from qfilter.designer import (
     failure_vectors,
     success_vectors,
 )
-from qfilter.filter_core import _classify
 from qfilter.states import SUBSPACE_TOL
 
 FIXTURES_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -545,6 +544,15 @@ def _reference_parallel_component_norm2(e: Ensemble) -> float:
     )
     val = num / (1.0 - abs(ov.O23) ** 2)
     return float(min(max(val, 0.0), 1.0))
+
+
+def _classify(A: float, w: float, eta1: float) -> Regime:
+    # Exact comparisons, a tie going to POVM, as in ``solve``.
+    if A > eta1:
+        return Regime.VN_LARGE_OVERLAP
+    if A < eta1 * w * w:
+        return Regime.VN_SMALL_OVERLAP
+    return Regime.POVM
 
 
 def _reference_solve_ordered(e: Ensemble) -> FilterSolution:

@@ -14,6 +14,7 @@ from qfilter import (
     FilterSolution,
     InconsistentSolutionError,
     InfeasibleError,
+    MeasurementDesign,
     NoUnitaryError,
     Regime,
     StateVector,
@@ -376,6 +377,47 @@ class TestCompleteUnitary:
         with pytest.raises(DomainError) as err:
             complete_unitary(fifty_fifty_ensemble(), outputs)
         assert str(err.value) == "outputs must be three 4-mode vectors"
+
+
+class TestDesignShapes:
+    """A design holds 3 rows of 4 entries per vector field and a 4x4 unitary."""
+
+    @pytest.fixture(scope="class")
+    def fields(self):
+        dsn = design(fifty_fifty_ensemble())
+        return {name: getattr(dsn, name) for name in type(dsn)._fields}
+
+    @pytest.mark.parametrize(
+        "name", ["success_vectors", "failure_vectors", "unitary", "embedded_inputs"]
+    )
+    @pytest.mark.parametrize("shape", ["short rows", "long rows", "one row fewer", "one row more"])
+    def test_other_shapes_are_refused_naming_the_field(self, fields, name, shape):
+        rows = [list(row) for row in fields[name]]
+        if shape == "short rows":
+            rows = [row[:3] for row in rows]
+        elif shape == "long rows":
+            rows[-1].append(0j)
+        elif shape == "one row fewer":
+            rows.pop()
+        else:
+            rows.append([0j] * 4)
+        count = 4 if name == "unitary" else 3
+        with pytest.raises(DomainError) as err:
+            MeasurementDesign(**{**fields, name: rows})
+        lengths = [len(row) for row in rows]
+        assert str(err.value) == f"{name} must be {count} rows of 4 entries, got {lengths}"
+
+    def test_embedded_inputs_of_3_entries_never_reach_port_probabilities(self, fields):
+        embedded_3 = [row[:3] for row in fields["embedded_inputs"]]
+        with pytest.raises(DomainError, match="^embedded_inputs must be 3 rows of 4 entries"):
+            MeasurementDesign(**{**fields, "embedded_inputs": embedded_3})
+
+    def test_the_designed_shapes_are_accepted_as_rows(self, fields):
+        rows = {name: [list(row) for row in fields[name]] for name in designer._VECTOR_FIELDS}
+        dsn = MeasurementDesign(**{**fields, **rows})
+        reference = design(fifty_fifty_ensemble())
+        for i in range(3):
+            assert port_probabilities(dsn, i) == port_probabilities(reference, i)
 
 
 class TestDesignedMeasurement:

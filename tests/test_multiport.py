@@ -70,6 +70,17 @@ class TestBeamSplitterLayer:
             f"a lossless layer needs t^2 + r^2 = 1 within 1e-12, got {closure}"
         )
 
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phi_is_refused(self, phi):
+        with pytest.raises(DomainError) as err:
+            BeamSplitterLayer(1, 2, 1.0, 0.0, phi)
+        assert str(err.value) == f"phi must be finite, got {phi!r}"
+
+    def test_closure_is_reported_before_phi(self):
+        with pytest.raises(DomainError) as err:
+            BeamSplitterLayer(1, 2, math.nan, 0.0, math.nan)
+        assert str(err.value) == "a lossless layer needs t^2 + r^2 = 1 within 1e-12, got nan"
+
     def test_mode_ordering_is_enforced(self):
         with pytest.raises(DomainError):
             BeamSplitterLayer(2, 1, t=1.0, r=0.0)
@@ -260,6 +271,18 @@ class TestMeshPrograms:
             (
                 [(1, 2, 1.0, 0.0, 0.0)], [0, 0],
                 "layers must be BeamSplitterLayer instances, got (1, 2, 1.0, 0.0, 0.0)",
+            ),
+            ([], [math.inf, 0.0], "output phases must be finite, got (inf, 0.0)"),
+            (
+                [BeamSplitterLayer(1, 2, 1.0, 0.0)], [math.nan, math.inf],
+                "output phases must be finite, got (nan, inf)",
+            ),
+            ([], [0.0, 0.0, -math.inf], "output phases must be finite, got (0.0, 0.0, -inf)"),
+            # Every earlier check keeps its message on a non-finite phase.
+            ([], [math.nan], "a mesh program needs at least 2 modes"),
+            (
+                [BeamSplitterLayer(2, 3, 1.0, 0.0)], [math.nan, 0.0],
+                "layer acts on mode 3 but the program has 2 modes",
             ),
         ],
     )
