@@ -119,9 +119,8 @@ class MeasurementDesign(Frozen):
         embedded_inputs, state1_port,
     ) -> None:
         vectors = (success_vectors, failure_vectors, unitary, embedded_inputs)
-        for name, rows in zip(_VECTOR_FIELDS, vectors):
+        for name, count, rows in zip(_VECTOR_FIELDS, (3, 3, 4, 3), vectors):
             rows = tuple([tuple(map(complex, row)) for row in rows])
-            count = 4 if name == "unitary" else 3
             if len(rows) != count or any(len(row) != 4 for row in rows):
                 lengths = [len(row) for row in rows]
                 raise DomainError(f"{name} must be {count} rows of 4 entries, got {lengths}")

@@ -19,7 +19,9 @@ numpy.
 The nulling itself is one private kernel on Python rows.  :func:`decompose`
 wraps it with its input checks, layer objects and phases; the designer's
 gauge search calls it through ``_layer_count``, which only counts the kept
-layers of a unitary it has just built.
+layers of a unitary it has just built.  It and the unitarity residual write
+out a 4x4 matrix (every network the designer builds) entry by entry and loop
+over any other size, with the same operations in the same order.
 """
 
 from __future__ import annotations
@@ -139,7 +141,8 @@ def _null(work: list[list[complex]]) -> list[tuple[int, int, float, float, float
 
     Each kept layer is ``(p, q, t, r, phi)``, in :class:`BeamSplitterLayer`
     field order.  ``work`` is left holding the phase diagonal: its entries
-    are rebound to new row lists, and no row list is mutated.
+    are rebound to new row lists, and no row list is mutated.  On 4 rows the
+    two-row update and the final check are written out; other sizes loop.
 
     Raises
     ------
@@ -170,9 +173,22 @@ def _null(work: list[list[complex]]) -> list[tuple[int, int, float, float, float
         layers.append((p, q, t, r, phi))
         phase = cmath.exp(-1j * phi)
         t_phase, r_phase = t * phase, r * phase
-        work[i] = [t_phase * x - r * y for x, y in zip(row_p, row_q)]
-        work[j] = [r_phase * x + t * y for x, y in zip(row_p, row_q)]
-    off_diag = max([abs(x) for i, row in enumerate(work) for j, x in enumerate(row) if i != j])
+        if dim == 4:
+            x0, x1, x2, x3 = row_p
+            y0, y1, y2, y3 = row_q
+            work[i] = [t_phase * x0 - r * y0, t_phase * x1 - r * y1,
+                       t_phase * x2 - r * y2, t_phase * x3 - r * y3]
+            work[j] = [r_phase * x0 + t * y0, r_phase * x1 + t * y1,
+                       r_phase * x2 + t * y2, r_phase * x3 + t * y3]
+        else:
+            work[i] = [t_phase * x - r * y for x, y in zip(row_p, row_q)]
+            work[j] = [r_phase * x + t * y for x, y in zip(row_p, row_q)]
+    if dim == 4:
+        (_, w01, w02, w03), (w10, _, w12, w13), (w20, w21, _, w23), (w30, w31, w32, _) = work
+        off_diag = max(abs(w01), abs(w02), abs(w03), abs(w10), abs(w12), abs(w13),
+                       abs(w20), abs(w21), abs(w23), abs(w30), abs(w31), abs(w32))
+    else:
+        off_diag = max([abs(x) for i, row in enumerate(work) for j, x in enumerate(row) if i != j])
     if not off_diag <= UNITARITY_TOL:
         raise InternalConsistencyError(
             f"triangular nulling left off-diagonal residue {off_diag:.3e}"
@@ -192,7 +208,28 @@ def _layer_count(rows: list[list[complex]]) -> int:
 def _unitarity_residual(rows: list[list[complex]]) -> float:
     """``max |(U^H U - I)[i][j]|`` of a square matrix given as rows; each
     entry is summed from ``0j`` down the columns, first row first.  A NaN
-    entry makes it NaN unless a number is above ``UNITARITY_TOL``."""
+    entry makes it NaN unless a number is above ``UNITARITY_TOL``.  On 4x4
+    the ten entries are written out, each ``U`` entry conjugated once."""
+    if len(rows) == 4:
+        (a0, b0, c0, d0), (a1, b1, c1, d1), (a2, b2, c2, d2), (a3, b3, c3, d3) = rows
+        A0, B0, C0, D0, A1, B1, C1, D1, A2, B2, C2, D2, A3, B3, C3, D3 = [
+            x.conjugate() for row in rows for x in row
+        ]
+        aa = -1.0 + 0j + A0 * a0 + A1 * a1 + A2 * a2 + A3 * a3
+        ab = 0j + A0 * b0 + A1 * b1 + A2 * b2 + A3 * b3
+        ac = 0j + A0 * c0 + A1 * c1 + A2 * c2 + A3 * c3
+        ad = 0j + A0 * d0 + A1 * d1 + A2 * d2 + A3 * d3
+        bb = -1.0 + 0j + B0 * b0 + B1 * b1 + B2 * b2 + B3 * b3
+        bc = 0j + B0 * c0 + B1 * c1 + B2 * c2 + B3 * c3
+        bd = 0j + B0 * d0 + B1 * d1 + B2 * d2 + B3 * d3
+        cc = -1.0 + 0j + C0 * c0 + C1 * c1 + C2 * c2 + C3 * c3
+        cd = 0j + C0 * d0 + C1 * d1 + C2 * d2 + C3 * d3
+        dd = -1.0 + 0j + D0 * d0 + D1 * d1 + D2 * d2 + D3 * d3
+        worst = max(0.0, abs(aa), abs(ab), abs(ac), abs(ad), abs(bb), abs(bc), abs(bd),
+                    abs(cc), abs(cd), abs(dd))
+        nan = (aa != aa or ab != ab or ac != ac or ad != ad or bb != bb or bc != bc
+               or bd != bd or cc != cc or cd != cd or dd != dd)
+        return math.nan if nan and worst <= UNITARITY_TOL else worst
     cols = list(zip(*rows))
     worst, nan = 0.0, False
     for i, a in enumerate(cols):

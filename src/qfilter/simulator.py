@@ -137,8 +137,8 @@ def sample(
         raise DomainError(f"trials must not exceed {MAX_TRIALS:g}, got {trials}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
-    for given, built in zip(embed_inputs(e), design._embedded_inputs):
-        if max(abs(a - b) for a, b in zip(given, built)) > 1e-9:
+    for (g0, g1, g2, g3), (b0, b1, b2, b3) in zip(embed_inputs(e), design._embedded_inputs):
+        if max(abs(g0 - b0), abs(g1 - b1), abs(g2 - b2), abs(g3 - b3)) > 1e-9:
             raise DomainError(
                 "the design was built for a different ensemble than the one "
                 "being sampled"
@@ -168,7 +168,7 @@ def sample(
         + counts[1][claim]
         + counts[2][claim]
     )
-    empirical_q = sum(row[3] for row in counts) / trials
+    empirical_q = (counts[0][3] + counts[1][3] + counts[2][3]) / trials
     return SimulationReport(
         exact_probabilities=exact,
         counts=counts,

@@ -332,17 +332,23 @@ class OverlapSet(FrozenRecord):
 
     ``alpha = -arg(O12 * conj(O13))`` is the relative phase that enters the
     stationarity analysis of the optimal failure probabilities.  Overlap
-    sets compare and hash by their fields.
+    sets compare and hash by their fields.  An overlap above 1 + 1e-12 in
+    magnitude, a NaN overlap and a NaN ``alpha`` are refused.
     """
 
     _fields = ("O12", "O13", "O23", "alpha")
 
     def __init__(self, O12, O13, O23, alpha) -> None:
         limit = 1.0 + 1e-12
-        if abs(O12) > limit or abs(O13) > limit or abs(O23) > limit:
-            for name, o in (("O12", O12), ("O13", O13), ("O23", O23)):
+        # `<=` and `==` are False for a NaN, so the one chain refuses it too.
+        if not (abs(O12) <= limit and abs(O13) <= limit and abs(O23) <= limit and alpha == alpha):
+            named = (("O12", O12), ("O13", O13), ("O23", O23))
+            for name, o in named:
                 if abs(o) > limit:
                     raise InvalidEnsembleError(f"|{name}| exceeds 1 beyond tolerance: {abs(o)!r}")
+            for name, x in named + (("alpha", alpha),):
+                if x != x:
+                    raise InvalidEnsembleError(f"{name} must not be NaN, got {x!r}")
         self.__dict__.update(O12=O12, O13=O13, O23=O23, alpha=alpha)
 
 

@@ -1,9 +1,12 @@
 """Beam-splitter mesh synthesis and resynthesis."""
 
 import cmath
+import importlib.util
+import itertools
 import json
 import math
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -13,12 +16,14 @@ from hypothesis import strategies as st
 from qfilter import (
     BeamSplitterLayer,
     DomainError,
+    Ensemble,
     MeshProgram,
+    QFilterError,
     decompose,
     design,
     recompose,
 )
-from qfilter.multiport import _layer_count
+from qfilter.multiport import UNITARITY_TOL, _layer_count, _unitarity_residual
 
 from conftest import (
     fifty_fifty_ensemble,
@@ -28,9 +33,8 @@ from conftest import (
 
 RT2 = math.sqrt(2.0)
 
-DECOMPOSE_REFERENCE = (
-    pathlib.Path(__file__).resolve().parent / "golden" / "decompose_reference.json"
-)
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DECOMPOSE_REFERENCE = ROOT / "tests" / "golden" / "decompose_reference.json"
 
 
 def embed_layer(layer: BeamSplitterLayer, dim: int) -> np.ndarray:
@@ -370,3 +374,92 @@ class TestLayerCount:
             assert _layer_count(rows) == len(decompose(unitary).layers), entry["label"]
             assert rows == unitary.tolist()
 
+
+
+def direct_sum_1(rows: list[list[complex]]) -> list[list[complex]]:
+    """``U (+) [1]``: the rows of a 4x4 U bordered by a fifth mode that U
+    leaves alone, so that ``decompose`` and ``_unitarity_residual`` take
+    their generic N-mode path."""
+    return [[*row, 0j] for row in rows] + [[0j] * len(rows) + [1 + 0j]]
+
+
+def decompose_bits(rows) -> tuple:
+    """``decompose(rows)`` as its layers and phases by ``float.hex``, or its
+    refusal as its class and message."""
+    try:
+        program = decompose(rows)
+    except QFilterError as exc:
+        return type(exc).__name__, str(exc)
+    layers = [(x.p, x.q, x.t.hex(), x.r.hex(), x.phi.hex()) for x in program.layers]
+    return layers, [x.hex() for x in program.output_phases]
+
+
+def assert_generic_path_agrees(rows: list[list[complex]]) -> None:
+    """The 4-mode path against the generic one, bit for bit.  Nulling the
+    fifth column of ``U (+) [1]`` keeps no layer, so the generic path must
+    return U's layers, and U's phases followed by ``0.0``."""
+    bordered = direct_sum_1(rows)
+    assert _unitarity_residual(bordered).hex() == _unitarity_residual(rows).hex()
+    four, five = decompose_bits(rows), decompose_bits(bordered)
+    if isinstance(four[0], str):
+        assert five == four
+    else:
+        assert five == (four[0], four[1] + [(0.0).hex()])
+
+
+def pipeline_pool(seed: int) -> list:
+    """The ``pipeline`` input pool of ``perfbench/inputs.py``, read from its file."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", ROOT / "perfbench" / "inputs.py"
+    )
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # its dataclasses look the module up
+    return module.pipeline_pool(seed)
+
+
+NON_FINITE = st.sampled_from(
+    [math.nan, -math.inf, math.inf, complex(math.nan, 0.0), complex(0.0, math.nan),
+     complex(0.0, -math.inf), complex(math.inf, math.nan)]
+)
+
+
+class TestFourModePath:
+    """``decompose`` and ``_unitarity_residual`` write a 4x4 matrix out entry
+    by entry; on any other size they run the generic loop, which is the
+    reference here."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_haar_unitaries(self, seed):
+        assert_generic_path_agrees(haar_unitary(4, np.random.default_rng(seed)).tolist())
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), exponent=st.floats(-13.0, -3.0))
+    def test_perturbed_unitaries_on_both_sides_of_the_tolerance(self, seed, exponent):
+        rng = np.random.default_rng(seed)
+        noise = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        unitary = haar_unitary(4, rng) + 10.0**exponent * noise
+        assert_generic_path_agrees(unitary.tolist())
+
+    @pytest.mark.parametrize("i, j", [(0, 0), (2, 2), (0, 3), (1, 2), (3, 0), (2, 1)])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), bad=NON_FINITE, other=NON_FINITE)
+    def test_non_finite_entries_on_above_and_below_the_diagonal(self, i, j, seed, bad, other):
+        rows = haar_unitary(4, np.random.default_rng(seed)).tolist()
+        rows[i][j] = bad
+        assert_generic_path_agrees(rows)
+        rows[3 - i][3 - j] = other
+        assert_generic_path_agrees(rows)
+
+    def test_residuals_within_the_tolerance_are_compared_too(self):
+        rows = np.diag([1.0 + 4e-10, 1.0, 1j, -1.0]).tolist()
+        assert 0.0 < _unitarity_residual(rows) <= UNITARITY_TOL
+        assert_generic_path_agrees(rows)
+
+    def test_pipeline_pool_designs_in_every_gauge_order(self):
+        """The design unitaries of the benchmark's pipeline pool, and the
+        signal-row orders in which the gauge search counts their layers."""
+        for item in pipeline_pool(1):
+            rows = design(Ensemble(tuple(item.states), item.priors))._unitary
+            for perm in itertools.permutations(range(3)):
+                assert_generic_path_agrees([list(rows[k]) for k in perm + (3,)])

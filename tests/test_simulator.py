@@ -153,6 +153,25 @@ class TestSampling:
         with pytest.raises(DomainError, match="port probabilities of state 1 sum to nan"):
             sample(broken, e, trials=100, seed=0)
 
+    @pytest.mark.parametrize("state1_port", [1, 2])
+    @pytest.mark.parametrize("swap_24", [False, True])
+    def test_a_leaking_design_counts_its_violations(self, state1_port, swap_24):
+        """A design whose unitary passes the inputs through, or exchanges
+        modes 2 and 4, sends state 1 to a "not target" port and, with the
+        swapped placement, states 2 and 3 to the target's port."""
+        e = fifty_fifty_ensemble()
+        order = (0, 3, 2, 1) if swap_24 else (0, 1, 2, 3)
+        unitary = [[complex(k == m) for m in range(4)] for k in order]
+        leaky = rebuilt(design(e), unitary=unitary, state1_port=state1_port)
+        report = sample(leaky, e, trials=20_000, seed=9)
+        counts = report.counts.tolist()
+        claim = state1_port - 1
+        not_target = [m for m in (0, 1, 2) if m != claim]
+        forbidden = sum(counts[0][m] for m in not_target) + counts[1][claim] + counts[2][claim]
+        assert report.violations == forbidden > 0
+        assert report.empirical_Q == sum(row[3] for row in counts) / 20_000
+        assert (report.empirical_Q > 0.0) is swap_24
+
     def test_orthogonal_triple_never_hits_the_failure_port(self):
         e = orthogonal_ensemble()
         dsn = design(e)

@@ -347,6 +347,35 @@ FRONT_END_REFUSALS = {
         lambda: _overlap_set(O12=1.5, O23=LARGE), InvalidEnsembleError,
         "|O12| exceeds 1 beyond tolerance: 1.5",
     ),
+    "nan O12": (
+        lambda: _overlap_set(O12=NAN), InvalidEnsembleError, "O12 must not be NaN, got nan",
+    ),
+    "complex nan O12": (
+        lambda: _overlap_set(O12=complex(NAN, 0.0)), InvalidEnsembleError,
+        "O12 must not be NaN, got (nan+0j)",
+    ),
+    "nan imaginary part of O13": (
+        lambda: _overlap_set(O13=complex(0.5, NAN)), InvalidEnsembleError,
+        "O13 must not be NaN, got (0.5+nanj)",
+    ),
+    "nan O23": (
+        lambda: _overlap_set(O23=NAN), InvalidEnsembleError, "O23 must not be NaN, got nan",
+    ),
+    "nan alpha": (
+        lambda: _overlap_set(alpha=NAN), InvalidEnsembleError, "alpha must not be NaN, got nan",
+    ),
+    "magnitude before nan": (
+        lambda: _overlap_set(O12=NAN, O23=LARGE), InvalidEnsembleError,
+        "|O23| exceeds 1 beyond tolerance: 1.000000000002",
+    ),
+    "infinite part before nan": (
+        lambda: _overlap_set(O12=complex(NAN, INF), alpha=NAN), InvalidEnsembleError,
+        "|O12| exceeds 1 beyond tolerance: inf",
+    ),
+    "nan O13 before nan alpha": (
+        lambda: _overlap_set(O13=NAN, alpha=NAN), InvalidEnsembleError,
+        "O13 must not be NaN, got nan",
+    ),
 }
 
 
