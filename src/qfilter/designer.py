@@ -79,9 +79,9 @@ class MeasurementDesign(Frozen):
     of Python ``complex`` under its name with a leading underscore, which
     the stages read; the field itself (like ``outputs``, success plus
     failure vectors) reads as a read-only ndarray built on first access.
-    Each vector field must hold 3 rows of 4 entries and ``unitary`` 4; any
-    other shape is refused with :class:`DomainError` naming the field.
-    Designs compare by identity.
+    Each vector field must hold 3 rows of 4 entries and ``unitary`` 4, and
+    ``state1_port`` must be the int 1 or 2; anything else is refused with
+    :class:`DomainError` naming the field.  Designs compare by identity.
 
     Attributes
     ----------
@@ -125,6 +125,8 @@ class MeasurementDesign(Frozen):
                 lengths = [len(row) for row in rows]
                 raise DomainError(f"{name} must be {count} rows of 4 entries, got {lengths}")
             self.__dict__["_" + name] = rows
+        if type(state1_port) is not int or state1_port not in (1, 2):
+            raise DomainError(f"state1_port must be the int 1 or 2, got {state1_port!r}")
         self.__dict__.update(theta=theta, chi=chi, solution=solution, state1_port=state1_port)
 
     def __getattr__(self, name: str):

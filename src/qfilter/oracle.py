@@ -11,10 +11,11 @@ interior optimum (:func:`appendix_residuals`), and two comparison
 quantities: the optimal failure probability of *fully identifying* which
 of the three states was sent (:func:`three_state_Q`, exact to a few ulps
 by a 1-D convex reduction of the positive-semidefiniteness constraint),
-and the two-state bound |O12| (:func:`two_state_Q`).  Filtering asks
-strictly less than identification, so its failure probability should
-never exceed either.  Only :func:`brute_force_filter` imports numpy (on
-first use, for its vectorized grid); the rest runs on Python scalars.
+and the two-state failure |O12| (:func:`two_state_Q`), which bounds
+neither optimum.  Filtering asks strictly less than identification, so
+its failure probability should never exceed the latter.  Only
+:func:`brute_force_filter` imports numpy (on first use, for its vectorized
+grid); the rest runs on Python scalars.
 """
 
 from __future__ import annotations
@@ -230,11 +231,19 @@ def three_state_Q(e: Ensemble) -> float:
     form: with d = q1*q2 - |O12|^2 and K = |q1*O23 - conj(O12)*O13|^2,
     F >= 0 reduces to q1*q3 - |O13|^2 >= K/d, and the best d is
     sqrt(eta3*K/eta2) clamped to the box q2, q3 <= 1.  The outer convex
-    problem over q1 in [|P psi1|^2, 1] (P projecting onto span(psi2,
-    psi3), below which F cannot be PSD) is solved by golden-section search
-    (Kiefer 1953) until the next point is not strictly inside the bracket
-    in floating point; the least value evaluated, ends included, is exact
-    to a few ulps, also on a kink.  Orthogonal triples return exactly 0.
+    problem g(q1) over q1 in [a, 1], a = |P psi1|^2 (P projecting onto
+    span(psi2, psi3), below which F cannot be PSD), has a kink at
+    q0 = conj(O12)*O13/O23, where K = 0.  If q0 is real and a < q0 < 1, no
+    clamp binds near q0, so there g = eta1*q1 + A'/q1 + 2*sqrt(eta2*eta3)*
+    |O23|*|q1 - q0|/q1 with A' = eta2*|O12|^2 + eta3*|O13|^2, and its
+    one-sided slopes at q0 are eta1 - A'/q0^2 -/+ 2*sqrt(eta2*eta3)*|O23|/q0.
+    If they strictly bracket zero, q0 is a local, hence (g convex) global,
+    minimum; rounding can put the least float value of g an ulp or two off
+    q0, so the least g over q0 and the two floats on each side of it in
+    [a, 1] is returned.  Otherwise golden-section search (Kiefer 1953) runs
+    until the next point is not strictly inside the bracket in floating
+    point; the least value evaluated, ends included, is exact to a few
+    ulps, also on a kink.  Orthogonal triples return exactly 0.
 
     Raises
     ------
@@ -285,6 +294,13 @@ def three_state_Q(e: Ensemble) -> float:
     a, b = min(max(lo, a12, a13), 1.0), 1.0
     if a == 0.0:  # O12 = O13 = 0, so g(q1) = eta1*q1 + g(0)
         return g(a)
+    q0 = c / o23 if o23 else 0j
+    if not q0.imag and a < q0.real < 1.0:  # so q0 > a >= a12, a13 as well
+        q0 = q0.real
+        slope = eta1 - a_term / (q0 * q0)
+        if abs(slope) < 2.0 * sqrt(eta2 * eta3) * abs(o23) / q0:
+            down, up = math.nextafter(q0, a), math.nextafter(q0, 1.0)
+            return min(map(g, (math.nextafter(down, a), down, q0, up, math.nextafter(up, 1.0))))
     x, y = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
     gx, gy = g(x), g(y)
     best = min(g(a), g(b), gx, gy)
@@ -317,11 +333,12 @@ def compare(e: Ensemble, resolution: float = 1e-3) -> ComparisonRecord:
     """Filtering vs. identification vs. pairwise discrimination.
 
     Returns the filtering optimum Q, the three-way identification optimum
-    Q' (exact to a few ulps), the two-state bound Q'', and the ratio Q/Q'.
-    Filtering is never harder than identification, so the ratio is at most
-    1 up to rounding; for a perfectly distinguishable (orthogonal) triple
-    all quantities vanish and the ratio is defined as 1.  `resolution`
-    changes no value: it is checked to lie in (0, 1e-2] and recorded.
+    Q' (exact to a few ulps), the two-state failure Q'' = |O12| (no bound
+    on Q or Q'), and the ratio Q/Q'.  Filtering is never harder than
+    identification, so the ratio is at most 1 up to rounding; for a
+    perfectly distinguishable (orthogonal) triple all quantities vanish
+    and the ratio is defined as 1.  `resolution` changes no value: it is
+    checked to lie in (0, 1e-2] and recorded.
     """
     resolution = _check_resolution(resolution)
     q_filter = solve(e).Q

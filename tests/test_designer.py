@@ -380,7 +380,8 @@ class TestCompleteUnitary:
 
 
 class TestDesignShapes:
-    """A design holds 3 rows of 4 entries per vector field and a 4x4 unitary."""
+    """A design holds 3 rows of 4 entries per vector field, a 4x4 unitary and
+    state 1 on port 1 or 2."""
 
     @pytest.fixture(scope="class")
     def fields(self):
@@ -406,6 +407,18 @@ class TestDesignShapes:
             MeasurementDesign(**{**fields, name: rows})
         lengths = [len(row) for row in rows]
         assert str(err.value) == f"{name} must be {count} rows of 4 entries, got {lengths}"
+
+    @pytest.mark.parametrize("port", [0, 3, 4, -1, 1.0, 2.0, "x", None, True])
+    def test_other_state1_ports_are_refused_naming_the_field(self, fields, port):
+        # sample would miscount violations for 0, 3 or 4, and fail with a
+        # bare TypeError for 1.0 or "x".
+        with pytest.raises(DomainError) as err:
+            MeasurementDesign(**{**fields, "state1_port": port})
+        assert str(err.value) == f"state1_port must be the int 1 or 2, got {port!r}"
+
+    @pytest.mark.parametrize("port", [1, 2])
+    def test_ports_1_and_2_are_accepted(self, fields, port):
+        assert MeasurementDesign(**{**fields, "state1_port": port}).state1_port == port
 
     def test_embedded_inputs_of_3_entries_never_reach_port_probabilities(self, fields):
         embedded_3 = [row[:3] for row in fields["embedded_inputs"]]

@@ -5,6 +5,7 @@ import math
 import re
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,11 +14,13 @@ from qfilter import (
     DomainError,
     Ensemble,
     InfeasibleError,
+    InvalidEnsembleError,
     Regime,
     appendix_residuals,
     brute_force_filter,
     compare,
     ensemble_from_overlaps,
+    overlaps,
     parallel_component_norm2,
     solve,
     three_state_Q,
@@ -43,7 +46,12 @@ RT2 = math.sqrt(2.0)
 # in another order, and near-singular Gram matrices (least eigenvalue about
 # 2e-7 and 8e-7), the labels name the branch of g each row reaches: q1 = 0
 # (two-state limit), eta2 = 0 (d_ratio = inf), eta3 = 0, den = 1 - a13/q1
-# = 0, an infeasible x2 = 0, and the kinks of the symmetric family.
+# = 0, an infeasible x2 = 0, and the kinks of the symmetric family.  The
+# kink rows are read off q0 = conj(O12)*O13/O23 without a search; s = 0.6
+# changed there from 0x1.3333333333334p-1 (1.2e-16 from the 50-digit value)
+# to 0x1.3333333333333p-1 (8.6e-18).  The last three rows, recorded before
+# that rule, are real families it must leave to the search: the minimum
+# off the kink, and q0 above 1 or below 0.
 Q_PRIME_BITS = [
     ("random", (0.130509+0.073895j), (-0.222447+0.279062j), (0.633078+0.339868j), (0.182, 0.366, 0.452), "0x1.90fbfcf4f8750p-1"),
     ("random", (-0.011379+0.049035j), (-0.280282-0.191998j), (-0.297249+0.425487j), (0.549, 0.338, 0.113), "0x1.82b94bbfe190ap-2"),
@@ -81,11 +89,41 @@ Q_PRIME_BITS = [
     ("symmetric kink", 0.3, 0.3, 0.3, (0.5, 0.3, 0.2), "0x1.3333333333334p-2"),
     ("symmetric kink", 0.4, 0.4, 0.4, (0.5, 0.3, 0.2), "0x1.999999999999ap-2"),
     ("symmetric kink", 0.5, 0.5, 0.5, (0.5, 0.3, 0.2), "0x1.0000000000000p-1"),
-    ("symmetric kink", 0.6, 0.6, 0.6, (0.5, 0.3, 0.2), "0x1.3333333333334p-1"),
+    ("symmetric kink", 0.6, 0.6, 0.6, (0.5, 0.3, 0.2), "0x1.3333333333333p-1"),
     ("symmetric kink", 0.7, 0.7, 0.7, (0.5, 0.3, 0.2), "0x1.6666666666666p-1"),
     ("symmetric kink", 0.8, 0.8, 0.8, (0.5, 0.3, 0.2), "0x1.999999999999ap-1"),
     ("symmetric kink", 0.9, 0.9, 0.9, (0.5, 0.3, 0.2), "0x1.ccccccccccccdp-1"),
+    ("off the kink", 0.5, 0.5, 0.5, (0.8, 0.1, 0.1), "0x1.dcdca3d985faep-2"),
+    ("q0 = 1.2", 0.6, 0.6, 0.3, (0.5, 0.3, 0.2), "0x1.64ff84396ed8ep-1"),
+    ("q0 < 0", 0.5, 0.5, -0.3, (0.5, 0.3, 0.2), "0x1.b6028062f6259p-1"),
 ]
+
+
+def kink_minimum_50_digits(e):
+    """g(q0) at 50 digits, or None unless q0 = conj(O12)*O13/O23 is real, lies
+    in (max(|P psi1|^2, |O12|^2, |O13|^2), 1), and the one-sided slopes of g
+    there bracket zero (see :func:`three_state_Q`).  The float overlaps that
+    three_state_Q receives are taken as exact, so that the rounding of
+    :func:`overlaps` itself (a few ulps of O23 on some inputs) is not charged
+    to three_state_Q."""
+    ov = overlaps(e)
+    with mpmath.workdps(50):
+        o12, o13, o23 = (mpmath.mpc(z.real, z.imag) for z in (ov.O12, ov.O13, ov.O23))
+        eta1, eta2, eta3 = (mpmath.mpf(p) for p in e.priors)
+        c = mpmath.conj(o12) * o13
+        q0 = c / o23
+        if q0.imag:
+            return None
+        q0 = q0.real
+        a12, a13 = abs(o12) ** 2, abs(o13) ** 2
+        lo = (a12 + a13 - 2 * (o23 * mpmath.conj(c)).real) / (1 - abs(o23) ** 2)
+        if not max(lo, a12, a13) < q0 < 1:
+            return None
+        a_term = eta2 * a12 + eta3 * a13
+        slope = eta1 - a_term / q0**2
+        if not abs(slope) < 2 * mpmath.sqrt(eta2 * eta3) * abs(o23) / q0:
+            return None
+        return eta1 * q0 + a_term / q0
 
 
 class TestBruteForce:
@@ -225,6 +263,28 @@ class TestThreeStateIdentification:
     def test_keeps_its_bits(self, label, o12, o13, o23, priors, bits):
         e = ensemble_from_overlaps(o12, o13, o23, priors=priors)
         assert float.hex(three_state_Q(e)) == bits
+
+    def test_kink_minima_are_within_2_ulp_of_50_digits(self):
+        # Real symmetric and two-overlap families at equal and Dirichlet
+        # priors.  Where the 50-digit one-sided slopes of g at q0 bracket
+        # zero, Q' = g(q0) = eta1*q0 + A'/q0.
+        rng = np.random.default_rng(54)
+        checked = kinks = 0
+        while checked < 240:
+            s1 = float(rng.uniform(0.05, 0.95))
+            s2 = s1 if checked % 2 else float(rng.uniform(0.3, 0.9))
+            priors = EQUAL_PRIORS if checked % 4 < 2 else tuple(rng.dirichlet([1.0] * 3))
+            try:
+                e = ensemble_from_overlaps(s1, s1, s2, priors=priors)
+                q_prime = three_state_Q(e)
+            except (InvalidEnsembleError, DomainError):
+                continue
+            checked += 1
+            exact = kink_minimum_50_digits(e)
+            if exact is not None:
+                kinks += 1
+                assert abs(q_prime - exact) <= 2 * math.ulp(float(exact)), (s1, s2, priors)
+        assert kinks >= 120
 
     def test_takes_only_the_ensemble(self):
         # Q' is exact to a few ulps, so there is no step or tolerance to pass.
