@@ -46,12 +46,11 @@ RT2 = math.sqrt(2.0)
 # in another order, and near-singular Gram matrices (least eigenvalue about
 # 2e-7 and 8e-7), the labels name the branch of g each row reaches: q1 = 0
 # (two-state limit), eta2 = 0 (d_ratio = inf), eta3 = 0, den = 1 - a13/q1
-# = 0, an infeasible x2 = 0, and the kinks of the symmetric family.  The
-# kink rows are read off q0 = conj(O12)*O13/O23 without a search; s = 0.6
-# changed there from 0x1.3333333333334p-1 (1.2e-16 from the 50-digit value)
-# to 0x1.3333333333333p-1 (8.6e-18).  The last three rows, recorded before
-# that rule, are real families it must leave to the search: the minimum
-# off the kink, and q0 above 1 or below 0.
+# = 0, an infeasible x2 = 0, and the kinks of the symmetric family, which
+# are read off q0 = conj(O12)*O13/O23 without a search (s = 0.6 lies 8.6e-18
+# from the 50-digit value).  The last three rows are real families that the
+# kink rule must leave to the search: the minimum off the kink, and q0
+# above 1 or below 0.
 Q_PRIME_BITS = [
     ("random", (0.130509+0.073895j), (-0.222447+0.279062j), (0.633078+0.339868j), (0.182, 0.366, 0.452), "0x1.90fbfcf4f8750p-1"),
     ("random", (-0.011379+0.049035j), (-0.280282-0.191998j), (-0.297249+0.425487j), (0.549, 0.338, 0.113), "0x1.82b94bbfe190ap-2"),
@@ -104,8 +103,8 @@ def kink_minimum_50_digits(e):
     in (max(|P psi1|^2, |O12|^2, |O13|^2), 1), and the one-sided slopes of g
     there bracket zero (see :func:`three_state_Q`).  The float overlaps that
     three_state_Q receives are taken as exact, so that the rounding of
-    :func:`overlaps` itself (a few ulps of O23 on some inputs) is not charged
-    to three_state_Q."""
+    :func:`overlaps` itself (an ulp or two of O23 on some inputs) is not
+    charged to three_state_Q."""
     ov = overlaps(e)
     with mpmath.workdps(50):
         o12, o13, o23 = (mpmath.mpc(z.real, z.imag) for z in (ov.O12, ov.O13, ov.O23))
