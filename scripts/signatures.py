@@ -16,8 +16,10 @@ bits and the same refusals on every item.  Run from the repository root::
 
 ``--src`` names the ``src`` directory whose ``qfilter`` is run (default:
 this repository's); the pools always come from this repository's
-``perfbench/``, which the script only reads.  The last line of output is
-the digest; the lines before it count the items and refusals per workload.
+``perfbench/``, which the script only reads.  Each workload's line counts
+its items and refusals and ends with the digest of that workload alone, so
+two trees can agree on one workload and differ on another; the last line
+is the digest over all of them.
 """
 
 from __future__ import annotations
@@ -99,6 +101,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     digest = hashlib.sha256()
     for name, (pool, op) in workloads.items():
+        own = hashlib.sha256()
         items = refused = 0
         for seed in args.seeds:
             for idx, item in enumerate(pool(seed)):
@@ -108,9 +111,11 @@ def main(argv: list[str] | None = None) -> int:
                 except qf.QFilterError as exc:
                     text = f"{type(exc).__name__}: {exc}"
                     refused += 1
-                digest.update(f"{name} {seed} {idx} {text}\n".encode())
+                line = f"{name} {seed} {idx} {text}\n".encode()
+                digest.update(line)
+                own.update(line)
                 items += 1
-        print(f"{name}: {items} items, {refused} refused")
+        print(f"{name}: {items} items, {refused} refused, {own.hexdigest()}")
     print(digest.hexdigest())
     return 0
 

@@ -19,8 +19,8 @@ end to end, the question "is the system in state 1, or in the set
 The top level exports the stage functions, their value types and the
 errors.  Importing it does not import numpy: the closed forms, the design,
 the mesh, ``compare`` and ``sample`` run on Python scalars (``sample``
-draws from numpy's ``SeedSequence``/PCG64/multinomial stream reproduced on
-Python ints), and a state's ``amplitudes``, an ensemble's ``priors`` and
+draws from ``random.Random(seed)`` through the geometric and BTRS binomials
+of :mod:`qfilter._stream`), and a state's ``amplitudes``, an ensemble's ``priors`` and
 ``recompose``'s result are Python tuples and lists.  numpy is imported on
 first use only by ``brute_force_filter`` and the ndarray views of
 :class:`MeasurementDesign` and :class:`SimulationReport` (``unitary``,

@@ -23,8 +23,8 @@ so that emitted files are stable enough to serve as regression fixtures.
 Every artifact carries a ``schema`` version field and re-parses as JSON.
 
 Every command runs on Python scalars and none imports numpy: ``simulate``
-draws from numpy's ``SeedSequence``/PCG64/multinomial stream reproduced on
-Python ints.  ``simulate`` writes its artifact only after the exact
+draws from ``random.Random(seed)`` through the geometric and BTRS binomials
+of :mod:`qfilter._stream`.  ``simulate`` writes its artifact only after the exact
 failure-port average and the forbidden-click count pass their checks.
 """
 

@@ -7,10 +7,9 @@ and ports from the exact distributions, counting clicks per (state, port)
 and auditing the zero-error property: the target state must never click on
 the "not target" ports and vice versa.  Port 4 is the inconclusive
 outcome, so the port-4 fraction estimates the average failure probability.
-:func:`sample` does not import numpy: it draws from numpy's
-``SeedSequence``/PCG64/multinomial stream reproduced on Python ints (see
-:mod:`qfilter._stream`).  Only the ndarray views of
-:class:`SimulationReport` import numpy, on first read.
+:func:`sample` does not import numpy: it draws from ``random.Random(seed)``
+through the geometric and BTRS binomials of :mod:`qfilter._stream`.  Only
+the ndarray views of :class:`SimulationReport` import numpy, on first read.
 """
 
 from __future__ import annotations
@@ -115,20 +114,21 @@ def sample(
     """Draw `trials` photons and tabulate clicks, failures, and violations.
 
     Each trial draws an input state from the priors and an output port
-    from that state's exact port distribution.  The draws come from the
-    first stream spawned from ``SeedSequence(seed)``, so a fixed seed
-    reproduces the run exactly.  That stream is numpy's: ``SeedSequence``,
-    PCG64 and ``Generator.multinomial`` reproduced bit for bit on Python
-    ints (see :mod:`qfilter._stream`), so the counts are those of
-    ``numpy.random.default_rng(SeedSequence(seed).spawn(1)[0])`` without
-    importing numpy.  Probabilities below ``ZERO_PROB_TOL`` are clamped to
-    exact zeros before sampling, and each row is renormalized.  ``trials``
+    from that state's exact port distribution.  The draws come from
+    ``random.Random(seed)``, whose stream Python keeps fixed for an int
+    seed, so a fixed seed reproduces the run exactly.  Each multinomial is
+    a chain of binomials, drawn by Devroye's geometric method or by BTRS
+    (see :mod:`qfilter._stream`).  Probabilities below ``ZERO_PROB_TOL``
+    are clamped to exact zeros before sampling, and each row is
+    renormalized; a zero entry never gets a count.  ``trials``
     and ``seed`` must be integers (anything with ``__index__``): a float
     or a string is refused, not truncated.  ``e`` must be the design's
     ensemble: its states, padded by :func:`qfilter.designer.embed_inputs`,
     must match ``design.embedded_inputs`` within 1e-9.
     """
-    from ._stream import spawned_stream
+    import random
+
+    from ._stream import multinomial
 
     trials, seed = _integer(trials, "trials"), _integer(seed, "seed")
     if trials < 1:
@@ -147,17 +147,17 @@ def sample(
     clean = []
     for i, row in enumerate(exact):
         kept = [0.0 if p < ZERO_PROB_TOL else p for p in row]
-        total = 0.0 + kept[0] + kept[1] + kept[2] + kept[3]  # numpy's row sum
+        total = 0.0 + kept[0] + kept[1] + kept[2] + kept[3]  # in port order
         if not 0.0 < total < math.inf:
             raise DomainError(
                 f"the port probabilities of state {i + 1} sum to {total!r}, "
                 "not to a positive finite number"
             )
         clean.append([p / total for p in kept])
-    stream = spawned_stream(seed)
-    per_state = stream.multinomial(trials, e.priors)
+    rnd = random.Random(seed).random
+    per_state = multinomial(rnd, trials, e.priors)
     counts = [
-        stream.multinomial(n, row) if n else [0, 0, 0, 0]
+        multinomial(rnd, n, row) if n else [0, 0, 0, 0]
         for n, row in zip(per_state, clean)
     ]
     claim = design.state1_port - 1

@@ -28,8 +28,8 @@ scalars, and so is the identification search of ``compare`` and of the
 sweeps.  All 23 artifacts read the same under ``OPENBLAS_CORETYPE=Haswell``
 and ``Prescott`` (before, 1 and 6 of them differed); the kernel test below
 checks that.  No command imports numpy, ``simulate`` included: its counts
-come from numpy's ``SeedSequence``/PCG64/multinomial stream reproduced on
-Python ints, and the last test checks that all 23 artifacts come out of one
+come from ``random.Random(seed)`` through the binomials of
+``qfilter._stream``, and the last test checks that all 23 artifacts come out of one
 process that never imports numpy.
 """
 

@@ -1,7 +1,13 @@
 """Exact port statistics, Monte Carlo audit, and the projective baseline."""
 
+import collections
+import inspect
+import itertools
 import math
+import random
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +24,7 @@ from qfilter import (
     von_neumann_baseline,
 )
 from qfilter import _stream
-from qfilter._stream import _seed_words, spawned_stream
+from qfilter._stream import binomial, multinomial
 from qfilter.filter_core import average_overlap_A
 from qfilter.simulator import MAX_TRIALS
 
@@ -181,18 +187,160 @@ class TestSampling:
         assert report.violations == 0
 
 
-def numpy_stream(seed: int) -> np.random.Generator:
-    """The reference: numpy's generator of the first stream spawned from `seed`."""
-    return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-
-
 #: Weights of a probability row: exact zeros, tiny entries (n*p far below
-#: 30 at any n) and entries of order one.
+#: 10 at any n) and entries of order one.
 WEIGHT = st.one_of(st.just(0.0), st.floats(1e-12, 1e-6), st.floats(1e-3, 1.0))
 
 
+def scripted(*draws):
+    """A stand-in for ``random.Random(seed).random`` that returns `draws` in
+    order, and the iterator, to check afterwards that all were used."""
+    it = iter(draws)
+    return it.__next__, it
+
+
+def binomial_steps(run) -> set:
+    """Run ``run()`` under a line tracer and return the steps taken in
+    frames of ``_stream.binomial``: (line, next line, whether p < 0 on
+    reaching it), each line as its stripped source text."""
+    lines, first = inspect.getsourcelines(_stream.binomial)
+    text = {first + i: line.strip() for i, line in enumerate(lines)}
+    steps = set()
+
+    def trace(frame, event, arg):
+        if frame.f_code is not _stream.binomial.__code__:
+            return None
+        prev = None
+
+        def step(frame, event, arg):
+            nonlocal prev
+            if event == "line":
+                line = text[frame.f_lineno]
+                steps.add((prev, line, frame.f_locals["p"] < 0.0))
+                prev = line
+            return step
+
+        return step
+
+    old = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        run()
+    finally:
+        sys.settrace(old)
+    return steps
+
+
+def chi_square_pvalue(observed: dict, pmf: dict, draws: int) -> float:
+    """The upper tail of Pearson's chi-square of `observed` counts against
+    `draws` times `pmf`, with outcomes in order pooled until each bin
+    expects at least 5 draws (the last bin takes the remainder)."""
+    bins = [[0, 0.0]]
+    for outcome in sorted(pmf):
+        if bins[-1][1] >= 5.0:
+            bins.append([0, 0.0])
+        bins[-1][0] += observed.get(outcome, 0)
+        bins[-1][1] += draws * pmf[outcome]
+    if len(bins) > 1 and bins[-1][1] < 5.0:
+        obs, exp = bins.pop()
+        bins[-1][0] += obs
+        bins[-1][1] += exp
+    assert sum(observed.values()) == draws and set(observed) <= set(pmf)
+    stat = sum((obs - exp) ** 2 / exp for obs, exp in bins)
+    return float(mpmath.gammainc((len(bins) - 1) / 2, stat / 2, mpmath.inf, regularized=True))
+
+
 class TestStream:
-    """The Python-int stream of ``sample`` is numpy's, bit for bit."""
+    """``sample``'s binomials and multinomials over ``random.Random(seed)``."""
+
+    #: (seed, n, pvals) -> counts, recorded on this stream: MT19937 for an
+    #: int seed, the geometric method and BTRS.
+    PINNED = [
+        (7, 10**6, [0.5, 0.25, 0.25], [499743, 250283, 249974]),
+        (7, 333_333, [1 / 3, 0.0, 0.0, 2 / 3], [110971, 0, 0, 222362]),
+        (2**130 + 5, 10**9, [0.05, 0.6, 0.0, 0.35], [49994116, 599993582, 0, 350012302]),
+        (12345, 40, [0.9, 0.1], [34, 6]),
+        (0, 1, [0.25, 0.25, 0.25, 0.25], [0, 0, 1, 0]),
+    ]
+
+    @pytest.mark.parametrize("seed, n, pvals, counts", PINNED)
+    def test_pinned_counts(self, seed, n, pvals, counts):
+        assert multinomial(random.Random(seed).random, n, pvals) == counts
+
+    #: (n, p): n*p = 6 (geometric), 10 (BTRS at its edge), 16 and 300
+    #: (BTRS); p > 1/2 reflected to n*(1 - p) = 7.5 (geometric) and 60 (BTRS).
+    BINOMIAL_CASES = [(30, 0.2), (25, 0.4), (40, 0.4), (1000, 0.3), (50, 0.85), (200, 0.7)]
+    #: Seeds fixed in advance; every case is run on each.
+    CHI_SQUARE_SEEDS = [1, 2, 3]
+    #: Each case passes when its chi-square p-value is at least this level.
+    #: 21 cases at 1e-4: an exact sampler fails one by chance with
+    #: probability about 2e-3, and for the fixed seeds the outcome is fixed.
+    LEVEL = 1e-4
+    DRAWS = 20_000
+
+    @pytest.mark.parametrize("seed", CHI_SQUARE_SEEDS)
+    @pytest.mark.parametrize("n, p", BINOMIAL_CASES)
+    def test_binomial_draws_follow_the_exact_pmf(self, n, p, seed):
+        rnd = random.Random(seed).random
+        observed = collections.Counter(binomial(rnd, n, p) for _ in range(self.DRAWS))
+        pmf = {k: math.comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(n + 1)}
+        assert chi_square_pvalue(observed, pmf, self.DRAWS) >= self.LEVEL
+
+    @pytest.mark.parametrize("seed", CHI_SQUARE_SEEDS)
+    def test_multinomial_draws_follow_the_exact_pmf(self, seed):
+        """The chain of conditional binomials, over a row with a zero weight."""
+        n, pvals = 4, [0.5, 0.0, 0.3, 0.2]
+        rnd = random.Random(seed).random
+        observed = collections.Counter(
+            tuple(multinomial(rnd, n, pvals)) for _ in range(self.DRAWS)
+        )
+        pmf = {}
+        for a, c in itertools.product(range(n + 1), repeat=2):
+            if a + c <= n:
+                d = n - a - c
+                ways = math.factorial(n) // (math.factorial(a) * math.factorial(c) * math.factorial(d))
+                pmf[(a, 0, c, d)] = ways * 0.5**a * 0.3**c * 0.2**d
+        assert chi_square_pvalue(observed, pmf, self.DRAWS) >= self.LEVEL
+
+    def test_every_branch_is_reached(self):
+        def run():
+            rnd = random.Random(1).random
+            for n, p in [(30, 0.2), (20, 0.5), (10**6, 0.3), (1000, 0.7)]:
+                for _ in range(300):
+                    binomial(rnd, n, p)
+            # 0.4 / (1 - 0.3 - 0.3) rounds above 1, so its reflection is
+            # below 0 and the 0.4 takes every draw left.
+            assert multinomial(rnd, 10**6, [0.3, 0.3, 0.4, 1e-17])[3] == 0
+
+        steps = binomial_steps(run)
+        arcs = {(prev, line) for prev, line, _ in steps}
+        log_test = next(line for _, line in arcs if line.startswith("if math.log(v)"))
+        assert ("if p > 0.5:", "return n - binomial(rnd, n, 1.0 - p)") in arcs  # reflection
+        assert ("if p <= 0.0:", "return 0", True) in steps  # a chain ratio above 1
+        assert ("if n * p < 10.0:", "rate = math.log1p(-p)") in arcs  # geometric method
+        assert ("if k < 0 or k > n:", "continue") in arcs  # BTRS: out of range
+        assert ("if us >= 0.07 and v <= vr:", "return k") in arcs  # squeeze acceptance
+        assert (log_test, "return k") in arcs  # log acceptance
+        assert any(prev == log_test and line != "return k" for prev, line in arcs)  # log rejection
+
+    def test_a_zero_draw_is_never_divided_by_nor_its_log_taken(self):
+        # Geometric method: log(1 - 0.0) = 0 is a gap of one trial.
+        rnd, rest = scripted(0.0, 0.0, 0.5)
+        assert binomial(rnd, 5, 0.2) == 2
+        assert next(rest, None) is None
+        # BTRS: u = 0.0 is rejected; then 0.0 as v at us = 0.03 < 0.07, then
+        # the mode by the squeeze.
+        rnd, rest = scripted(0.0, 0.03, 0.0, 0.5, 0.5)
+        assert binomial(rnd, 100, 0.5) == 50
+        assert next(rest, None) is None
+
+    def test_the_geometric_rate_is_log1p(self):
+        """At p = 1e-14 a first gap of log(1 - u) / log1p(-p) = 999,600.4
+        trials fits in n = 10**6, and the second of 6.9e13 does not: one
+        count.  log(1 - p) is 0.08% short, so the first gap would not fit."""
+        rnd, rest = scripted(1.0 - math.exp(-9.996e-9), 0.5)
+        assert binomial(rnd, 10**6, 1e-14) == 1
+        assert next(rest, None) is None
 
     @given(
         seed=st.one_of(st.integers(0, 2**32), st.integers(0, 2**160)),
@@ -201,64 +349,21 @@ class TestStream:
     )
     # An entry above 0.5, and a zero row tail behind it.
     @example(seed=2**128, n=MAX_TRIALS, weights=[0.2, 0.0, 0.7, 0.1, 0.0])
-    # n*p on both sides of 30 in one row, seed beyond 2^128.
+    # n*p on both sides of 10 in one row, seed beyond 2^128.
     @example(seed=2**128 + 1, n=10**6, weights=[1e-5, 0.6, 2e-5, 0.4])
     @example(seed=0, n=1, weights=[0.0, 1.0])
-    # The third conditional probability rounds above 1: 0.4 / (1 - 0.3 - 0.3).
+    # 0.4 / (1 - 0.3 - 0.3) rounds above 1.
     @example(seed=3, n=10**6, weights=[0.3, 0.3, 0.4, 0.0])
+    @example(seed=3, n=10**6, weights=[0.3, 0.3, 0.4, 1e-17])
     @settings(max_examples=300, deadline=None)
-    def test_multinomial_matches_numpy(self, seed, n, weights):
+    def test_counts_sum_to_n_and_zero_weights_are_never_drawn(self, seed, n, weights):
         total = sum(weights)
         pvals = [w / total for w in weights]
-        ours, ref = spawned_stream(seed), numpy_stream(seed)
+        rnd = random.Random(seed).random
         for _ in range(3):
-            assert ours.multinomial(n, pvals) == ref.multinomial(n, pvals).tolist()
-
-    @pytest.mark.parametrize(
-        "seed", [2**32 - 1, 2**32, 2**128 - 1, 2**128, 2**160 + 1, 2**1000]
-    )
-    def test_seed_words_match_numpy_across_the_constant_table(self, monkeypatch, seed):
-        """The table holds the 20 constants of a seed below 2**128; a larger
-        seed extends it.  Each run starts from that size, so both sides of
-        its edge, and the growth, are checked every time."""
-        monkeypatch.setattr(_stream, "_POOL_CONSTANTS", _stream._POOL_CONSTANTS[:20])
-        child = np.random.SeedSequence(seed).spawn(1)[0]
-        words = tuple(int(w) for w in child.generate_state(4, np.uint64))
-        assert _seed_words(seed, 0) == words
-        assert len(_stream._POOL_CONSTANTS) == max(20, 4 * (1 + -(-seed.bit_length() // 32)))
-        ours, ref = spawned_stream(seed), numpy_stream(seed)
-        assert [ours.next_double() for _ in range(8)] == ref.random(8).tolist()
-
-    @pytest.mark.parametrize(
-        "n, p", [(10**6, 0.3), (10**9, 0.5), (10**9, 0.97), (5000, 0.02)]
-    )
-    def test_binomial_matches_numpy_into_the_btpe_tails(self, n, p):
-        """500 BTPE draws each.  Draws outside [xl, xr] come from the
-        exponential tails with |y - m| > 20, which go through the squeeze
-        and, when it is inconclusive, the Stirling bound."""
-        ours, ref = spawned_stream(n), numpy_stream(n)
-        drawn = [ours.binomial(n, p) for _ in range(500)]
-        assert drawn == ref.binomial(n, p, size=500).tolist()
-        r = min(p, 1.0 - p)
-        m = math.floor(n * r + r)
-        p1 = math.floor(2.195 * math.sqrt(n * r * (1.0 - r)) - 4.6 * (1.0 - r)) + 0.5
-        # numpy draws B(n, 1 - p) for p > 1/2 and returns n minus it.
-        ys = [y if p <= 0.5 else n - y for y in drawn]
-        assert any(abs(y - m) > max(p1 + 1, 20) for y in ys)
-
-    #: (seed, n, pvals) -> counts, as numpy 2.4 draws them: the stream stays
-    #: fixed even if a later numpy changes its Generator algorithms.
-    PINNED = [
-        (7, 10**6, [0.5, 0.25, 0.25], [499365, 250252, 250383]),
-        (7, 333_333, [1 / 3, 0.0, 0.0, 2 / 3], [110768, 0, 0, 222565]),
-        (2**130 + 5, 10**9, [0.05, 0.6, 0.0, 0.35], [49983375, 600011158, 0, 350005467]),
-        (12345, 40, [0.9, 0.1], [34, 6]),
-        (0, 1, [0.25, 0.25, 0.25, 0.25], [1, 0, 0, 0]),
-    ]
-
-    @pytest.mark.parametrize("seed, n, pvals, counts", PINNED)
-    def test_pinned_counts(self, seed, n, pvals, counts):
-        assert spawned_stream(seed).multinomial(n, pvals) == counts
+            counts = multinomial(rnd, n, pvals)
+            assert sum(counts) == n and min(counts) >= 0
+            assert all(k == 0 for k, p in zip(counts, pvals) if p == 0.0)
 
 
 class TestProjectiveBaseline:
