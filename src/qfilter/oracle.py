@@ -10,7 +10,8 @@ The module also evaluates the stationarity identities that characterize an
 interior optimum (:func:`appendix_residuals`), and two comparison
 quantities: the optimal failure probability of *fully identifying* which
 of the three states was sent (:func:`three_state_Q`, exact to a few ulps
-by a 1-D convex reduction of the positive-semidefiniteness constraint),
+by a 1-D convex reduction of the positive-semidefiniteness constraint,
+read off its kink or found by a bracketed search on its slope),
 and the two-state failure |O12| (:func:`two_state_Q`), which bounds
 neither optimum.  Filtering asks strictly less than identification, so
 its failure probability should never exceed the latter.  Only
@@ -39,8 +40,6 @@ __all__ = [
 
 #: Feasibility slack on the smallest eigenvalue of the residual operator.
 PSD_SLACK = 1e-10
-#: Golden-section ratio (sqrt(5) - 1) / 2 of the identification search.
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class OracleResult(Frozen):
@@ -240,10 +239,14 @@ def three_state_Q(e: Ensemble) -> float:
     If they strictly bracket zero, q0 is a local, hence (g convex) global,
     minimum; rounding can put the least float value of g an ulp or two off
     q0, so the least g over q0 and the two floats on each side of it in
-    [a, 1] is returned.  Otherwise golden-section search (Kiefer 1953) runs
-    until the next point is not strictly inside the bracket in floating
-    point; the least value evaluated, ends included, is exact to a few
-    ulps, also on a kink.  Orthogonal triples return exactly 0.
+    [a, 1] is returned.  Otherwise the minimum is where the nondecreasing
+    right derivative g'(q1), evaluated with g, changes sign: at a if
+    g'(a) >= 0, at 1 if g'(1) <= 0, else it is bracketed in (a, 1) and
+    found by regula falsi with the Illinois modification (superlinear;
+    Dowell & Jarratt 1971), bisecting where g'(a) is undefined because
+    g(a) = inf, until the next point is not strictly inside the bracket in
+    floating point.  The least value evaluated, ends included, is exact to
+    a few ulps.  Orthogonal triples return exactly 0.
 
     Raises
     ------
@@ -266,65 +269,73 @@ def three_state_Q(e: Ensemble) -> float:
     sqrt, inf = math.sqrt, math.inf
     d_ratio = sqrt(eta3 / eta2) if eta2 > 0.0 else inf
     a_term = eta2 * a12 + eta3 * a13
+    kink_slope, cr2, ci2 = 2.0 * sqrt(eta2 * eta3) * abs(c), 2.0 * c.real, 2.0 * c.imag
 
-    def g(q1: float) -> float:
+    def g(q1: float) -> tuple[float, float]:
         # In units of q1 (x2 = d/q1, k2 = K/q1^2), so that q1 = 0, reachable
         # only when O12 = O13 = 0 and hence c = 0, is the two-state limit.
         # A clip bound of k2/0 is +inf, and x2 = 0 (d = 0 < K) is infeasible.
         # x2 = min(max(d_ratio*k, k2/den), 1 - a12/q1) with the ties of the
         # builtins, written out: each call costs more than the arithmetic.
+        # Returns g(q1) and its right derivative on the clamp that binds just
+        # above q1, chosen by the unclamped x2: at q1 = a both bounds meet.
         inv = 1.0 / q1 if q1 > 0.0 else 0.0
-        k = abs(o23 - c * inv)
-        k2, inner = k * k, 0.0
+        w = o23 - c * inv
+        k = abs(w)
+        k2, s = k * k, inv * inv
         if k2 > 0.0:
-            den = 1.0 - a13 * inv
-            x2 = inf
-            if den:
-                x2, clip = d_ratio * sqrt(k2), k2 / den
-                if clip > x2:
-                    x2 = clip
-            cap = 1.0 - a12 * inv
+            dk2 = (w.real * cr2 + w.imag * ci2) * s  # d(k2)/dq1
+            den, free, cap = 1.0 - a13 * inv, d_ratio * sqrt(k2), 1.0 - a12 * inv
+            clip = k2 / den if den else inf
+            x2 = clip if clip > free else free
             if cap < x2:
                 x2 = cap
-            inner = eta2 * x2 + eta3 * k2 / x2 if x2 else inf
-        return eta1 * q1 + a_term * inv + inner
+            if not x2:  # no slope: a NaN makes the search bisect
+                return inf, math.nan
+            inner = eta2 * x2 + eta3 * k2 / x2
+            if free >= cap:
+                d_inner = eta2 * a12 * s + eta3 * (dk2 - k2 / x2 * a12 * s) / x2
+            elif free <= clip < inf:
+                d_inner = eta2 * (dk2 - clip * a13 * s) / den + eta3 * a13 * s
+            else:  # free: d(inner)/dx2 = 0
+                d_inner = eta3 * dk2 / x2
+        else:  # at the kink k grows as |c|*(q1' - q1)/q1^2 on the free branch
+            inner, d_inner = 0.0, kink_slope * s
+        return eta1 * q1 + a_term * inv + inner, eta1 - a_term * s + d_inner
 
     # (q1 - |O12|^2)(q1 - |O13|^2) >= K holds exactly for q1 >= |P psi1|^2.
     lo = (a12 + a13 - 2.0 * (o23 * c.conjugate()).real) / (1.0 - a23)
     a, b = min(max(lo, a12, a13), 1.0), 1.0
     if a == 0.0:  # O12 = O13 = 0, so g(q1) = eta1*q1 + g(0)
-        return g(a)
+        return g(a)[0]
     q0 = c / o23 if o23 else 0j
     if not q0.imag and a < q0.real < 1.0:  # so q0 > a >= a12, a13 as well
         q0 = q0.real
         slope = eta1 - a_term / (q0 * q0)
         if abs(slope) < 2.0 * sqrt(eta2 * eta3) * abs(o23) / q0:
             down, up = math.nextafter(q0, a), math.nextafter(q0, 1.0)
-            return min(map(g, (math.nextafter(down, a), down, q0, up, math.nextafter(up, 1.0))))
-    x, y = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
-    gx, gy = g(x), g(y)
-    best = min(g(a), g(b), gx, gy)
-    while a < x < y < b:
-        if gx <= gy:  # convex: the minimum lies in [a, y]
-            b, y, gy = y, x, gx
-            x = b - _INV_PHI * (b - a)
-            gx = g(x)
-            if gx < best:
-                best = gx
-        else:
-            a, x, gx = x, y, gy
-            y = a + _INV_PHI * (b - a)
-            gy = g(y)
-            if gy < best:
-                best = gy
+            points = (math.nextafter(down, a), down, q0, up, math.nextafter(up, 1.0))
+            return min(map(g, points))[0]
+    (ga, fa), (gb, fb) = g(a), g(b)
+    best, side = min(ga, gb), 0
+    x = a if fa >= 0.0 or fb <= 0.0 else b - fb * (b - a) / (fb - fa)
+    while a < x < b or (x != x and a < (x := 0.5 * (a + b)) < b):
+        gx, fx = g(x)
+        best = min(best, gx)
+        if fx >= 0.0:  # at fx = 0 the next point is b, which ends the search
+            b, fb, fa, side = x, fx, 0.5 * fa if side > 0 else fa, 1
+        else:  # negative, or NaN where g(x) = inf
+            a, fa, fb, side = x, fx, 0.5 * fb if side < 0 else fb, -1
+        x = b - fb * (b - a) / (fb - fa)
     return best
 
 
 def two_state_Q(e: Ensemble) -> float:
     """Optimal two-state discrimination failure probability |O12|.
 
-    The equal-prior bound for unambiguously telling psi1 from psi2 alone;
-    used as the second comparison baseline.
+    The failure of unambiguously telling psi1 from psi2 alone at equal
+    priors; used as the second comparison baseline.  It bounds neither the
+    filtering nor the identification optimum.
     """
     return float(abs(overlaps(e).O12))
 

@@ -142,25 +142,28 @@ def _vdot(a, b) -> complex:
 
 
 def _cholesky(g, shift: float = 0.0) -> list[list[complex]] | None:
-    """Lower Cholesky factor of ``g - shift*I``, g Hermitian rows (None if it
-    is not positive definite), column by column as LAPACK's ``potf2``."""
-    n = len(g)
-    low = [[0j] * n for _ in range(n)]
-    for j in range(n):
-        left, sq = low[j][:j], 0.0
-        for x in left:
-            sq += x.real * x.real + x.imag * x.imag
-        pivot = g[j][j].real - shift - sq
-        if not pivot > 0.0:
-            return None
-        low[j][j] = complex(math.sqrt(pivot), 0.0)
-        scale = complex(1.0 / low[j][j].real, 0.0)
-        for i in range(j + 1, n):
-            acc = complex(g[i][j])
-            for x, y in zip(low[i], left):
-                acc -= x * y.conjugate()
-            low[i][j] = acc * scale
-    return low
+    """Lower Cholesky factor of ``g - shift*I``, g Hermitian 3x3 rows (None if
+    it is not positive definite): LAPACK's ``potf2`` written out for n = 3,
+    column by column, in its order of operations and with its ``complex(1/l_jj,
+    0)`` scale, so that every factor and every decision keeps potf2's bits."""
+    (g00, _, _), (g10, g11, _), (g20, g21, g22) = g
+    pivot = g00.real - shift
+    if not pivot > 0.0:
+        return None
+    l00 = math.sqrt(pivot)
+    scale = complex(1.0 / l00, 0.0)
+    l10, l20 = complex(g10) * scale, complex(g20) * scale
+    pivot = g11.real - shift - (l10.real * l10.real + l10.imag * l10.imag)
+    if not pivot > 0.0:
+        return None
+    l11 = math.sqrt(pivot)
+    l21 = (complex(g21) - l20 * l10.conjugate()) * complex(1.0 / l11, 0.0)
+    sq = l20.real * l20.real + l20.imag * l20.imag + (l21.real * l21.real + l21.imag * l21.imag)
+    pivot = g22.real - shift - sq
+    if not pivot > 0.0:
+        return None
+    l22 = complex(math.sqrt(pivot), 0.0)
+    return [[complex(l00, 0.0), 0j, 0j], [l10, complex(l11, 0.0), 0j], [l20, l21, l22]]
 
 
 def _least_eigenvalue(mat: list[list[complex]]) -> float:

@@ -15,6 +15,8 @@ the repository root::
       > tests/golden/sweep_two_overlap.csv
     qfilter sweep --priors 0.5 0.3 0.2 --start 0.1 --stop 0.9 --step 0.1 \\
       > tests/golden/sweep_priors.csv
+    qfilter sweep --family two_overlap --priors 0.5 0.3 0.2 --stop 0.9 \\
+      > tests/golden/sweep_two_overlap_priors.csv
 
 A change that alters an artifact on purpose regenerates the affected files
 with the same commands and says why in its change record.
@@ -25,11 +27,11 @@ kernels; ``OPENBLAS_VERBOSE=2 python -c "import numpy"`` prints the kernel
 overlaps, w, the Cholesky factor of ``ensemble_from_overlaps``, the design,
 the port probabilities and the mesh recomposition are all formed on Python
 scalars, and so is the identification search of ``compare`` and of the
-sweeps.  All 23 artifacts read the same under ``OPENBLAS_CORETYPE=Haswell``
+sweeps.  All 24 artifacts read the same under ``OPENBLAS_CORETYPE=Haswell``
 and ``Prescott`` (before, 1 and 6 of them differed); the kernel test below
 checks that.  No command imports numpy, ``simulate`` included: its counts
 come from ``random.Random(seed)`` through the binomials of
-``qfilter._stream``, and the last test checks that all 23 artifacts come out of one
+``qfilter._stream``, and the last test checks that all 24 artifacts come out of one
 process that never imports numpy.
 """
 
@@ -67,6 +69,10 @@ CASES = [
         "sweep_priors.csv",
         ["sweep", "--priors", "0.5", "0.3", "0.2"]
         + ["--start", "0.1", "--stop", "0.9", "--step", "0.1"],
+    ),
+    (
+        "sweep_two_overlap_priors.csv",
+        ["sweep", "--family", "two_overlap", "--priors", "0.5", "0.3", "0.2", "--stop", "0.9"],
     ),
 ]
 

@@ -3,6 +3,7 @@
 import inspect
 import math
 import re
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -42,6 +43,8 @@ RT2 = math.sqrt(2.0)
 
 # float.hex of three_state_Q on fixed overlaps (o12, o13, o23) and priors,
 # recorded before the search's inner function g was rewritten for speed.
+# Rows 5, 15, 24 and 41 were re-recorded when a bracketed search on the slope
+# of g replaced golden section: each moved 1 ulp, toward its 50-digit value.
 # Next to random triples, some of which change bits when g sums its terms
 # in another order, and near-singular Gram matrices (least eigenvalue about
 # 2e-7 and 8e-7), the labels name the branch of g each row reaches: q1 = 0
@@ -57,7 +60,7 @@ Q_PRIME_BITS = [
     ("random", (0.074872+0.002898j), (-0.514633+0.22379j), (0.306782+0.26495j), (0.629, 0.175, 0.196), "0x1.32fb63c118542p-1"),
     ("random", (-0.439013+0.062914j), (0.104092-0.741892j), (0.365225+0.263823j), (0.351, 0.466, 0.183), "0x1.b3de36bd22f75p-1"),
     ("random", (-0.432899-0.265873j), (0.196952-0.261851j), (-0.603892-0.07064j), (0.694, 0.133, 0.173), "0x1.6d3b25a009358p-1"),
-    ("random", (0.163255-0.377488j), (-0.113049-0.348039j), (0.008554-0.172483j), (0.322, 0.212, 0.466), "0x1.dace0da7b9fc1p-2"),
+    ("random", (0.163255-0.377488j), (-0.113049-0.348039j), (0.008554-0.172483j), (0.322, 0.212, 0.466), "0x1.dace0da7b9fc2p-2"),
     ("random", (0.137523+0.410754j), (-0.33024-0.413658j), (0.00281-0.224271j), (0.593, 0.166, 0.241), "0x1.71378e978e422p-1"),
     ("random", (0.593614+0.248233j), (-0.379949-0.177453j), (0.274711+0.310705j), (0.355, 0.163, 0.482), "0x1.dcf8912e5950ep-1"),
     ("random", (0.381626-0.72211j), (0.659676-0.423066j), (0.564575+0.282165j), (0.21, 0.409, 0.381), "0x1.7c94304be3254p-1"),
@@ -67,7 +70,7 @@ Q_PRIME_BITS = [
     ("random", (-0.115814+0.360973j), (-0.123974+0.304259j), (0.445702-0.13272j), (0.86, 0.08, 0.06), "0x1.2f741e8cc0c10p-2"),
     ("random", (0.105438+0.296958j), (0.018639-0.215631j), (-0.779591+0.20321j), (0.681, 0.025, 0.294), "0x1.b60ab60bc55f2p-2"),
     ("random", (0.286773-0.188753j), (0.317891-0.161119j), (0.205006+0.641401j), (0.586, 0.11, 0.304), "0x1.337c8a26a333ep-1"),
-    ("random", (-0.442937-0.156087j), (-0.396308+0.238965j), (-0.031021-0.265486j), (0.385, 0.2, 0.415), "0x1.2efc6ca4577e1p-1"),
+    ("random", (-0.442937-0.156087j), (-0.396308+0.238965j), (-0.031021-0.265486j), (0.385, 0.2, 0.415), "0x1.2efc6ca4577e2p-1"),
     ("random", (-0.012103+0.065379j), (-0.405029+0.175603j), (0.086991+0.013256j), (0.322, 0.166, 0.512), "0x1.9755ef8e53e59p-2"),
     ("random", (0.28408-0.134958j), (0.077436+0.065152j), (-0.00306+0.117103j), (0.39, 0.14, 0.47), "0x1.9b41a823fdb84p-3"),
     ("near-singular", 0.7, 0.96846503539, 0.5, (0.4, 0.35, 0.25), "0x1.ffff42cf63fd6p-1"),
@@ -76,7 +79,7 @@ Q_PRIME_BITS = [
     ("two-state POVM", 0.0, 0.0, 0.6, (0.2, 0.4, 0.4), "0x1.eb851eb851eb8p-2"),
     ("two-state projective", 0.0, 0.0, 0.6, (0.3, 0.6, 0.1), "0x1.4395810624dd3p-2"),
     ("two-state complex", 0.0, 0.0, (0.3-0.5j), (0.5, 0.25, 0.25), "0x1.2a8b73e294fb4p-2"),
-    ("eta2 = 0", 0.5, (0.4+0.2j), 0.3, (0.6, 0.0, 0.4), "0x1.ffae24c69e6f4p-2"),
+    ("eta2 = 0", 0.5, (0.4+0.2j), 0.3, (0.6, 0.0, 0.4), "0x1.ffae24c69e6f5p-2"),
     ("eta2 = 0", 0.2j, 0.7, -0.4, (0.3, 0.0, 0.7), "0x1.8c44444444444p-1"),
     ("eta3 = 0", 0.5, (0.4+0.2j), 0.3, (0.6, 0.4, 0.0), "0x1.10dcdb7997294p-1"),
     ("eta3 = 0", 0.2j, 0.7, -0.4, (0.3, 0.7, 0.0), "0x1.2626262626262p-1"),
@@ -93,7 +96,7 @@ Q_PRIME_BITS = [
     ("symmetric kink", 0.8, 0.8, 0.8, (0.5, 0.3, 0.2), "0x1.999999999999ap-1"),
     ("symmetric kink", 0.9, 0.9, 0.9, (0.5, 0.3, 0.2), "0x1.ccccccccccccdp-1"),
     ("off the kink", 0.5, 0.5, 0.5, (0.8, 0.1, 0.1), "0x1.dcdca3d985faep-2"),
-    ("q0 = 1.2", 0.6, 0.6, 0.3, (0.5, 0.3, 0.2), "0x1.64ff84396ed8ep-1"),
+    ("q0 = 1.2", 0.6, 0.6, 0.3, (0.5, 0.3, 0.2), "0x1.64ff84396ed8fp-1"),
     ("q0 < 0", 0.5, 0.5, -0.3, (0.5, 0.3, 0.2), "0x1.b6028062f6259p-1"),
 ]
 
@@ -124,6 +127,52 @@ def kink_minimum_50_digits(e):
             return None
         return eta1 * q0 + a_term / q0
 
+
+
+def minimum_50_digits(e):
+    """(min g, where) at 50 digits: g(q1) of :func:`three_state_Q` minimized
+    over [max(|P psi1|^2, |O12|^2, |O13|^2), 1] by golden section down to a
+    bracket of 1e-30, which moves the value by far less than an ulp of Q'.
+    ``where`` is "a" or "1" when the bracket never left that end, else
+    "inside".  The float overlaps are taken as exact (see
+    :func:`kink_minimum_50_digits`); the optimal x2 = d/q1 at fixed q1 is
+    sqrt(eta3/eta2)*k clamped to [k^2/(1 - |O13|^2/q1), 1 - |O12|^2/q1]."""
+    ov = overlaps(e)
+    with mpmath.workdps(50):
+        o12, o13, o23 = (mpmath.mpc(z.real, z.imag) for z in (ov.O12, ov.O13, ov.O23))
+        eta1, eta2, eta3 = (mpmath.mpf(p) for p in e.priors)
+        c = mpmath.conj(o12) * o13
+        a12, a13 = abs(o12) ** 2, abs(o13) ** 2
+        d_ratio = mpmath.sqrt(eta3 / eta2) if eta2 else mpmath.inf
+        a_term = eta2 * a12 + eta3 * a13
+
+        def g(q1):
+            k2 = abs(o23 - c / q1) ** 2
+            if not k2:
+                return eta1 * q1 + a_term / q1
+            den, cap = 1 - a13 / q1, 1 - a12 / q1
+            clip = k2 / den if den > 0 else mpmath.inf
+            x2 = min(max(d_ratio * mpmath.sqrt(k2), clip), cap)
+            inner = eta2 * x2 + eta3 * k2 / x2 if x2 > 0 else mpmath.inf
+            return eta1 * q1 + a_term / q1 + inner
+
+        lo = (a12 + a13 - 2 * (o23 * mpmath.conj(c)).real) / (1 - abs(o23) ** 2)
+        a, b = min(max(lo, a12, a13), 1), mpmath.mpf(1)
+        ends = (a, b)
+        ratio = (mpmath.sqrt(5) - 1) / 2
+        x, y = b - ratio * (b - a), a + ratio * (b - a)
+        gx, gy = g(x), g(y)
+        while b - a > mpmath.mpf(10) ** -30:
+            if gx <= gy:
+                b, y, gy = y, x, gx
+                x = b - ratio * (b - a)
+                gx = g(x)
+            else:
+                a, x, gx = x, y, gy
+                y = a + ratio * (b - a)
+                gy = g(y)
+        where = "a" if a == ends[0] else "1" if b == ends[1] else "inside"
+        return min(gx, gy, g(a), g(b)), where
 
 class TestBruteForce:
     def test_agrees_with_closed_form_on_the_symmetric_family(self):
@@ -284,6 +333,66 @@ class TestThreeStateIdentification:
                 kinks += 1
                 assert abs(q_prime - exact) <= 2 * math.ulp(float(exact)), (s1, s2, priors)
         assert kinks >= 120
+
+    @staticmethod
+    def off_kink_cases():
+        """Seeded ensembles that the kink rule leaves to the search: unequal-
+        prior symmetric, two-overlap and complex (q0 not real) ones, 12 each;
+        then the minimum just above a, where the slope at a must follow the
+        clip, not the cap; then the branch rows of Q_PRIME_BITS, also at
+        priors that send them off the kink (x2 = 0 there makes g(a) = inf)."""
+        rng = np.random.default_rng(58)
+        cases, families = [], [0, 0, 0]
+        while min(families) < 12:
+            family = len(cases) % 3
+            priors = tuple(rng.dirichlet([5.0, 3.0, 2.0]))
+            s1, s2 = (float(x) for x in rng.uniform(0.05, 0.95, size=2))
+            o13 = s1 * complex(math.cos(s2 * 7.0), math.sin(s2 * 7.0)) if family == 2 else s1
+            try:
+                e = ensemble_from_overlaps(s1, o13, s1 if family == 0 else s2, priors=priors)
+                three_state_Q(e)
+            except (InvalidEnsembleError, DomainError):
+                continue
+            if kink_minimum_50_digits(e) is None and families[family] < 12:
+                cases.append(e)
+                families[family] += 1
+        cases.append(ensemble_from_overlaps(0.9135, 0.9135, 0.9135, priors=(0.708, 0.177, 0.115)))
+        for label, o12, o13, o23, priors, _ in Q_PRIME_BITS:
+            if label in ("den = 0", "x2 = 0", "eta2 = 0", "eta3 = 0"):
+                for p in (priors, (0.05, 0.05, 0.9), (0.05, 0.9, 0.05)):
+                    cases.append(ensemble_from_overlaps(o12, o13, o23, priors=p))
+        return cases
+
+    def test_off_kink_minima_are_within_2_ulp_of_50_digits(self):
+        # Each value, and the number of evaluations of g: 5 on the kink, 2
+        # when the slopes at a and 1 put the minimum at an end, and a
+        # superlinear number otherwise (the seeded cases average 14).
+        calls = []
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "g":
+                calls[-1] += frame.f_code.co_filename == three_state_Q.__code__.co_filename
+
+        def counted(e):
+            calls.append(0)
+            sys.setprofile(count)
+            try:
+                return three_state_Q(e)
+            finally:
+                sys.setprofile(None)
+
+        ends = set()
+        for e in self.off_kink_cases():
+            exact, where = minimum_50_digits(e)
+            ends.add(where)
+            assert abs(counted(e) - exact) <= 2 * math.ulp(float(exact)), (overlaps(e), e.priors)
+            assert where == "inside" or calls[-1] == 2, (overlaps(e), e.priors)
+        assert ends == {"a", "1", "inside"}
+        assert sum(calls[:36]) <= 15 * 36
+        for label, o12, o13, o23, priors, _ in Q_PRIME_BITS:
+            if label == "symmetric kink":
+                counted(ensemble_from_overlaps(o12, o13, o23, priors=priors))
+                assert calls[-1] == 5
 
     def test_takes_only_the_ensemble(self):
         # Q' is exact to a few ulps, so there is no step or tolerance to pass.

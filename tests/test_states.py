@@ -23,10 +23,12 @@ from qfilter import (
     solve,
     von_neumann_baseline,
 )
-from qfilter.states import gram_matrix
+from qfilter import states
+from qfilter.states import _cholesky, _overlap_gram, gram_matrix
 
 from conftest import (
     EQUAL_PRIORS,
+    coplanar_ensemble,
     exchange_cases,
     fifty_fifty_ensemble,
     fifty_fifty_states,
@@ -564,3 +566,80 @@ class TestEnsembleFromOverlaps:
     def test_rejects_impossible_gram(self):
         with pytest.raises(InvalidEnsembleError):
             ensemble_from_overlaps(0.99, 0.99, -0.9)
+
+
+def generic_cholesky(g, shift=0.0):
+    """The n x n ``_cholesky`` that the written-out 3x3 one replaced: LAPACK's
+    ``potf2``, column by column."""
+    n = len(g)
+    low = [[0j] * n for _ in range(n)]
+    for j in range(n):
+        left, sq = low[j][:j], 0.0
+        for x in left:
+            sq += x.real * x.real + x.imag * x.imag
+        pivot = g[j][j].real - shift - sq
+        if not pivot > 0.0:
+            return None
+        low[j][j] = complex(math.sqrt(pivot), 0.0)
+        scale = complex(1.0 / low[j][j].real, 0.0)
+        for i in range(j + 1, n):
+            acc = complex(g[i][j])
+            for x, y in zip(low[i], left):
+                acc -= x * y.conjugate()
+            low[i][j] = acc * scale
+    return low
+
+
+class TestCholesky:
+    @staticmethod
+    def matrices(rng):
+        """Seeded Hermitian 3x3 rows: unit-diagonal Gram matrices (complex,
+        and the real ones of ``_overlap_gram`` with float entries), general
+        diagonals as in ``designer.build_L`` (first-row off-diagonals large,
+        tiny or zero), and near-singular Gram matrices of coplanar states."""
+        out = []
+        for k in range(120):
+            out.append(gram_matrix(random_ensemble(rng).states))
+            o = rng.uniform(-0.7, 0.7, size=3)
+            out.append(_overlap_gram(*(float(x) for x in o)))
+            diag = rng.uniform(0.0, 1.0, size=3)
+            z = rng.normal(size=3) + 1j * rng.normal(size=3)
+            z[:2] *= (1.0, 1e-14, 0.0)[k % 3]
+            l12, l13, l23 = (complex(x) for x in 0.4 * z)
+            out.append([
+                [complex(1.0 - diag[0], 0.0), l12, l13],
+                [l12.conjugate(), complex(1.0 - diag[1], 0.0), l23],
+                [l13.conjugate(), l23.conjugate(), complex(1.0 - diag[2], 0.0)],
+            ])
+            out.append(gram_matrix(coplanar_ensemble(rng, k % 2 == 0).states))
+        # Pivots of exactly 0 (at each column, or after a shift) and NaN.
+        for o in ((1.0, 0.3, 0.3), (0.6, 0.6, 1.0), (0.5, 0.5, 0.25), (0.0, 0.0, 0.0), (math.nan, 0.0, 0.0)):
+            out.append(_overlap_gram(*o))
+        return out
+
+    def test_written_out_factor_is_the_generic_loop(self, monkeypatch):
+        """Bit for bit, signed zeros included, at shifts 0 and 1e-8 and at
+        every midpoint of ``_least_eigenvalue``'s bisection."""
+        calls = []
+        recorded = states._cholesky
+
+        def recording(mat, shift=0.0):
+            calls.append((mat, shift))
+            return recorded(mat, shift)
+
+        mats = self.matrices(np.random.default_rng(57))
+        monkeypatch.setattr(states, "_cholesky", recording)
+        for mat in mats:
+            calls += [(mat, 0.0), (mat, 1e-8), (mat, 1.0)]
+            states._least_eigenvalue(mat)
+        outcomes = set()
+        for mat, shift in calls:
+            got, want = _cholesky(mat, shift), generic_cholesky(mat, shift)
+            outcomes.add(got is None)
+            if want is None:
+                assert got is None, (mat, shift)
+                continue
+            assert [complex_bits(x) for row in got for x in row] == [
+                complex_bits(x) for row in want for x in row
+            ], (mat, shift)
+        assert outcomes == {True, False} and len(calls) > 20 * len(mats)
