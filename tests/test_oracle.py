@@ -342,8 +342,8 @@ class TestThreeStateIdentification:
         clip, not the cap; then the branch rows of Q_PRIME_BITS, also at
         priors that send them off the kink (x2 = 0 there makes g(a) = inf)."""
         rng = np.random.default_rng(58)
-        cases, families = [], [0, 0, 0]
-        while min(families) < 12:
+        cases = []
+        while len(cases) < 36:
             family = len(cases) % 3
             priors = tuple(rng.dirichlet([5.0, 3.0, 2.0]))
             s1, s2 = (float(x) for x in rng.uniform(0.05, 0.95, size=2))
@@ -353,9 +353,8 @@ class TestThreeStateIdentification:
                 three_state_Q(e)
             except (InvalidEnsembleError, DomainError):
                 continue
-            if kink_minimum_50_digits(e) is None and families[family] < 12:
+            if kink_minimum_50_digits(e) is None:
                 cases.append(e)
-                families[family] += 1
         cases.append(ensemble_from_overlaps(0.9135, 0.9135, 0.9135, priors=(0.708, 0.177, 0.115)))
         for label, o12, o13, o23, priors, _ in Q_PRIME_BITS:
             if label in ("den = 0", "x2 = 0", "eta2 = 0", "eta3 = 0"):
