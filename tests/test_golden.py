@@ -17,6 +17,8 @@ the repository root::
       > tests/golden/sweep_priors.csv
     qfilter sweep --family two_overlap --priors 0.5 0.3 0.2 --stop 0.9 \\
       > tests/golden/sweep_two_overlap_priors.csv
+    qfilter sweep --family two_overlap --priors 0.2 0.5 0.3 --stop 0.9 \\
+      > tests/golden/sweep_two_overlap_straddle.csv
 
 A change that alters an artifact on purpose regenerates the affected files
 with the same commands and says why in its change record.
@@ -27,11 +29,11 @@ kernels; ``OPENBLAS_VERBOSE=2 python -c "import numpy"`` prints the kernel
 overlaps, w, the Cholesky factor of ``ensemble_from_overlaps``, the design,
 the port probabilities and the mesh recomposition are all formed on Python
 scalars, and so is the identification search of ``compare`` and of the
-sweeps.  All 24 artifacts read the same under ``OPENBLAS_CORETYPE=Haswell``
+sweeps.  All 25 artifacts read the same under ``OPENBLAS_CORETYPE=Haswell``
 and ``Prescott`` (before, 1 and 6 of them differed); the kernel test below
 checks that.  No command imports numpy, ``simulate`` included: its counts
 come from ``random.Random(seed)`` through the binomials of
-``qfilter._stream``, and the last test checks that all 24 artifacts come out of one
+``qfilter._stream``, and the last test checks that all 25 artifacts come out of one
 process that never imports numpy.
 """
 
@@ -73,6 +75,10 @@ CASES = [
     (
         "sweep_two_overlap_priors.csv",
         ["sweep", "--family", "two_overlap", "--priors", "0.5", "0.3", "0.2", "--stop", "0.9"],
+    ),
+    (
+        "sweep_two_overlap_straddle.csv",
+        ["sweep", "--family", "two_overlap", "--priors", "0.2", "0.5", "0.3", "--stop", "0.9"],
     ),
 ]
 
