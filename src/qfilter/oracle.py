@@ -9,14 +9,15 @@ with :func:`qfilter.filter_core.solve` is genuine cross-validation.
 The module also evaluates the stationarity identities that characterize an
 interior optimum (:func:`appendix_residuals`), and two comparison
 quantities: the optimal failure probability of *fully identifying* which
-of the three states was sent (:func:`three_state_Q`, exact to a few ulps
-by a 1-D convex reduction of the positive-semidefiniteness constraint,
-read off its kink or found by a bracketed search on its slope),
-and the two-state failure |O12| (:func:`two_state_Q`), which bounds
-neither optimum.  Filtering asks strictly less than identification, so
-its failure probability should never exceed the latter.  Only
-:func:`brute_force_filter` imports numpy (on first use, for its vectorized
-grid); the rest runs on Python scalars.
+of the three states was sent (:func:`three_state_Q`: gated on LDL pivots,
+exact to a few ulps by a 1-D convex reduction of the positive-
+semidefiniteness constraint, read off its kink by value or found by a
+bracketed search on its slope that stops at the kink), and the two-state
+failure |O12| (:func:`two_state_Q`), which bounds neither optimum.
+Filtering asks strictly less than identification, so its failure
+probability should never exceed the latter.  Only :func:`brute_force_filter`
+imports numpy (on first use, for its vectorized grid); the rest runs on
+Python scalars.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import math
 
 from .errors import DegenerateSubspaceError, DomainError, InfeasibleError
 from .filter_core import FilterSolution, solve
-from .states import Ensemble, Frozen, FrozenRecord, _cholesky, _least_eigenvalue
-from .states import _overlap_gram, overlaps, parallel_component_norm2
+from .states import Ensemble, Frozen, FrozenRecord, _least_eigenvalue, _overlap_gram
+from .states import overlaps, parallel_component_norm2
 
 __all__ = [
     "OracleResult",
@@ -238,85 +239,101 @@ def three_state_Q(e: Ensemble) -> float:
     one-sided slopes at q0 are eta1 - A'/q0^2 -/+ 2*sqrt(eta2*eta3)*|O23|/q0.
     If they strictly bracket zero, q0 is a local, hence (g convex) global,
     minimum; rounding can put the least float value of g an ulp or two off
-    q0, so the least g over q0 and the two floats on each side of it in
-    [a, 1] is returned.  Otherwise the minimum is where the nondecreasing
-    right derivative g'(q1), evaluated with g, changes sign: at a if
-    g'(a) >= 0, at 1 if g'(1) <= 0, else it is bracketed in (a, 1) and
-    found by regula falsi with the Illinois modification (superlinear;
-    Dowell & Jarratt 1971), bisecting where g'(a) is undefined because
-    g(a) = inf, until the next point is not strictly inside the bracket in
-    floating point.  The least value evaluated, ends included, is exact to
-    a few ulps.  Orthogonal triples return exactly 0.
+    q0, so the least g, valued without its slope, over q0 and the two
+    floats on each side of it in [a, 1] is returned.  Otherwise the minimum
+    lies in [a, q0] if both slopes are positive, in [q0, 1] if both are
+    negative (g' has no jump there, and at q0, where float K is dust, they
+    stand in for g's), else in [a, 1].  It is where the nondecreasing right
+    derivative g'(q1), evaluated with g, changes sign: at the left end if
+    g' >= 0 there, at the right end if g' <= 0 there, else inside, found
+    by regula falsi with the Illinois modification (superlinear; Dowell &
+    Jarratt 1971), bisecting where g' is undefined because g(a) = inf,
+    until the next point is not strictly inside the bracket in floating
+    point.  The least value evaluated, ends included, is exact to a few
+    ulps.  Orthogonal triples return exactly 0.
 
     Raises
     ------
     DomainError
-        If the states are linearly dependent (Gram matrix G - 1e-8*I not
-        positive definite).
+        If the states are linearly dependent: an LDL pivot of G - 1e-8*I, G
+        the Gram matrix, is not positive (pivots decide definiteness with a
+        backward error of order u*||G||, unlike a determinant; Higham 2002).
     """
     ov = overlaps(e)
-    gram = _overlap_gram(ov.O12, ov.O13, ov.O23)
-    if _cholesky(gram, 1e-8) is None:
+    a12, a13, a23 = abs(ov.O12) ** 2, abs(ov.O13) ** 2, abs(ov.O23) ** 2
+    o23, c = ov.O23, ov.O12.conjugate() * ov.O13
+    p1 = 1.0 - 1e-8  # the first LDL pivot of G - 1e-8*I; the other two follow
+    p2 = p1 - a12 / p1
+    if not (p2 > 0.0 and p1 - a13 / p1 - abs(o23 - c / p1) ** 2 / p2 > 0.0):
         raise DomainError(
             "states are linearly dependent (Gram matrix eigenvalue "
-            f"{_least_eigenvalue(gram):.3e}); exact identification of all three is impossible"
+            f"{_least_eigenvalue(_overlap_gram(ov.O12, ov.O13, o23)):.3e}); "
+            "exact identification of all three is impossible"
         )
-    a12, a13, a23 = abs(ov.O12) ** 2, abs(ov.O13) ** 2, abs(ov.O23) ** 2
     if max(a12, a13, a23) < 1e-28:
         return 0.0
     eta1, eta2, eta3 = e.priors
-    o23, c = ov.O23, ov.O12.conjugate() * ov.O13
     sqrt, inf = math.sqrt, math.inf
     d_ratio = sqrt(eta3 / eta2) if eta2 > 0.0 else inf
     a_term = eta2 * a12 + eta3 * a13
     kink_slope, cr2, ci2 = 2.0 * sqrt(eta2 * eta3) * abs(c), 2.0 * c.real, 2.0 * c.imag
 
-    def g(q1: float) -> tuple[float, float]:
+    def g(q1: float, slope: bool = True):
         # In units of q1 (x2 = d/q1, k2 = K/q1^2), so that q1 = 0, reachable
         # only when O12 = O13 = 0 and hence c = 0, is the two-state limit.
         # A clip bound of k2/0 is +inf, and x2 = 0 (d = 0 < K) is infeasible.
         # x2 = min(max(d_ratio*k, k2/den), 1 - a12/q1) with the ties of the
         # builtins, written out: each call costs more than the arithmetic.
-        # Returns g(q1) and its right derivative on the clamp that binds just
-        # above q1, chosen by the unclamped x2: at q1 = a both bounds meet.
+        # Returns g(q1) and, if `slope`, its right derivative on the clamp that
+        # binds just above q1, chosen by the unclamped x2: at q1 = a both bounds meet.
         inv = 1.0 / q1 if q1 > 0.0 else 0.0
         w = o23 - c * inv
         k = abs(w)
-        k2, s = k * k, inv * inv
+        k2, s, inner = k * k, inv * inv, 0.0
         if k2 > 0.0:
-            dk2 = (w.real * cr2 + w.imag * ci2) * s  # d(k2)/dq1
             den, free, cap = 1.0 - a13 * inv, d_ratio * sqrt(k2), 1.0 - a12 * inv
             clip = k2 / den if den else inf
             x2 = clip if clip > free else free
             if cap < x2:
                 x2 = cap
-            if not x2:  # no slope: a NaN makes the search bisect
-                return inf, math.nan
-            inner = eta2 * x2 + eta3 * k2 / x2
-            if free >= cap:
-                d_inner = eta2 * a12 * s + eta3 * (dk2 - k2 / x2 * a12 * s) / x2
-            elif free <= clip < inf:
-                d_inner = eta2 * (dk2 - clip * a13 * s) / den + eta3 * a13 * s
-            else:  # free: d(inner)/dx2 = 0
-                d_inner = eta3 * dk2 / x2
-        else:  # at the kink k grows as |c|*(q1' - q1)/q1^2 on the free branch
-            inner, d_inner = 0.0, kink_slope * s
-        return eta1 * q1 + a_term * inv + inner, eta1 - a_term * s + d_inner
+            inner = eta2 * x2 + eta3 * k2 / x2 if x2 else inf
+        value = eta1 * q1 + a_term * inv + inner
+        if not slope:
+            return value
+        dk2 = (w.real * cr2 + w.imag * ci2) * s  # d(k2)/dq1
+        if not k2:  # at the kink k grows as |c|*(q1' - q1)/q1^2 on the free branch
+            d_inner = kink_slope * s
+        elif not x2:  # no slope: a NaN makes the search bisect
+            d_inner = math.nan
+        elif free >= cap:
+            d_inner = eta2 * a12 * s + eta3 * (dk2 - k2 / x2 * a12 * s) / x2
+        elif free <= clip < inf:
+            d_inner = eta2 * (dk2 - clip * a13 * s) / den + eta3 * a13 * s
+        else:  # free: d(inner)/dx2 = 0
+            d_inner = eta3 * dk2 / x2
+        return value, eta1 - a_term * s + d_inner
 
     # (q1 - |O12|^2)(q1 - |O13|^2) >= K holds exactly for q1 >= |P psi1|^2.
     lo = (a12 + a13 - 2.0 * (o23 * c.conjugate()).real) / (1.0 - a23)
     a, b = min(max(lo, a12, a13), 1.0), 1.0
     if a == 0.0:  # O12 = O13 = 0, so g(q1) = eta1*q1 + g(0)
-        return g(a)[0]
+        return g(a, False)
     q0 = c / o23 if o23 else 0j
     if not q0.imag and a < q0.real < 1.0:  # so q0 > a >= a12, a13 as well
         q0 = q0.real
-        slope = eta1 - a_term / (q0 * q0)
-        if abs(slope) < 2.0 * sqrt(eta2 * eta3) * abs(o23) / q0:
+        slope, jump = eta1 - a_term / (q0 * q0), 2.0 * sqrt(eta2 * eta3) * abs(o23) / q0
+        if abs(slope) < jump:
             down, up = math.nextafter(q0, a), math.nextafter(q0, 1.0)
             points = (math.nextafter(down, a), down, q0, up, math.nextafter(up, 1.0))
-            return min(map(g, points))[0]
-    (ga, fa), (gb, fb) = g(a), g(b)
+            return min(g(q1, False) for q1 in points)
+        # Both one-sided slopes have one sign: search the side where g' has
+        # no jump, with q0's slope from the closed form (K is dust there).
+        if slope > 0.0:
+            (ga, fa), gb, fb, b = g(a), g(q0, False), slope - jump, q0
+        else:
+            ga, fa, (gb, fb), a = g(q0, False), slope + jump, g(b), q0
+    else:
+        (ga, fa), (gb, fb) = g(a), g(b)
     best, side = min(ga, gb), 0
     x = a if fa >= 0.0 or fb <= 0.0 else b - fb * (b - a) / (fb - fa)
     while a < x < b or (x != x and a < (x := 0.5 * (a + b)) < b):
