@@ -381,8 +381,8 @@ class TestThreeStateIdentification:
     def test_off_kink_minima_are_within_2_ulp_of_50_digits(self):
         # Each value, and the number of evaluations of g: 5 on the kink, 2
         # when the slopes at the bracket's ends put the minimum at one of
-        # them, and a superlinear number otherwise.  The seeded cases average
-        # 12.5 (14.0 while a bracket could contain the kink).
+        # them, and a superlinear number otherwise (the seeded cases average
+        # 12.5, since no bracket holds the kink's jump in slope).
         calls = []
 
         def count(frame, event, arg):
