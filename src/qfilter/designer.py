@@ -120,7 +120,10 @@ class MeasurementDesign(Frozen):
     ) -> None:
         vectors = (success_vectors, failure_vectors, unitary, embedded_inputs)
         for name, count, rows in zip(_VECTOR_FIELDS, (3, 3, 4, 3), vectors):
-            rows = tuple([tuple(map(complex, row)) for row in rows])
+            try:  # ``+x`` refuses the strings and bytes that ``complex()`` would parse.
+                rows = tuple([tuple([complex(+x) for x in row]) for row in rows])
+            except (TypeError, ValueError):
+                raise DomainError(f"{name} must be {count} rows of 4 numbers, got {rows!r}") from None
             if len(rows) != count or any(len(row) != 4 for row in rows):
                 lengths = [len(row) for row in rows]
                 raise DomainError(f"{name} must be {count} rows of 4 entries, got {lengths}")
@@ -255,7 +258,7 @@ def success_vectors(
     exactly 0, or pi/2 when a real L23 is negative (Bergou, Herzog &
     Hillery, PRA 71, 042314, 2005).  Read off the rounded ratio instead,
     arccos would turn a 1-ulp error into theta ~ 1e-8, and the mesh would
-    need two more beam splitters.
+    need two more beam splitters.  The gauge-free part is :func:`_geometry`.
 
     Raises
     ------
@@ -263,6 +266,11 @@ def success_vectors(
         If |L23| exceeds sqrt(p2*p3) beyond 1e-10 (impossible for an L
         that passed :func:`build_L`).
     """
+    return _placed(_geometry(L, q, rank_one), swap, signs)
+
+
+def _geometry(L: list[Row], q: tuple[float, ...], rank_one: bool) -> tuple:
+    """What no gauge changes: theta, sqrt(p1), sqrt(p2) and sqrt(p3) times cos and sin theta, L23's phase."""
     p = [max(1.0 - q_i, 0.0) for q_i in q]
     l23 = complex(L[1][2])
     p23 = p[1] * p[2]
@@ -287,14 +295,20 @@ def success_vectors(
         cos2theta, phase3 = 0.0, 1.0 + 0.0j
     theta = 0.5 * math.acos(cos2theta)
     cos, sin = math.cos(theta), math.sin(theta)
-    mode1, mode_a, mode_b = (1, 0, 2) if swap else (0, 1, 2)
     r1, r2, r3 = (math.sqrt(p_i) for p_i in p)
+    return theta, r1, r2 * cos, r2 * sin, r3 * cos, r3 * sin, phase3
+
+
+def _placed(geometry: tuple, swap: bool, signs: tuple[int, ...]) -> tuple[list[Row], float]:
+    """:func:`success_vectors` of gauge (swap, signs); ``s * (r * cos)`` is ``(s * r) * cos``."""
+    theta, r1, c2, s2, c3, s3, phase3 = geometry
+    mode1, mode_a, mode_b = (1, 0, 2) if swap else (0, 1, 2)
     v1, v2, v3 = ([0j] * NETWORK_DIM for _ in range(3))
     v1[mode1] = complex(signs[0] * r1, 0.0)
-    v2[mode_a] = complex(signs[1] * r2 * cos, 0.0)
-    v2[mode_b] = complex(signs[1] * r2 * sin, 0.0)
-    v3[mode_a] = _scaled(signs[2] * r3 * cos, phase3)
-    v3[mode_b] = _scaled(-signs[2] * r3 * sin, phase3)
+    v2[mode_a] = complex(signs[1] * c2, 0.0)
+    v2[mode_b] = complex(signs[1] * s2, 0.0)
+    v3[mode_a] = _scaled(signs[2] * c3, phase3)
+    v3[mode_b] = _scaled(-signs[2] * s3, phase3)
     return [v1, v2, v3], theta
 
 
@@ -385,16 +399,19 @@ def _complement(basis: list[Row]) -> list[Row]:
     ``_PIVOT_MARGIN`` therefore computes a residual strictly smaller than
     the least-mass candidate's, so it can neither be the largest nor tie with
     it.  Only the candidates within the margin are projected out, and the
-    pick among them is the unpruned rule's.
+    pick among them is the unpruned rule's.  A first one 0 in every vector so
+    far (e4 of the inputs) is that pick unprojected: its own residual, norm 1.0.
     """
     full = list(basis)
     remaining = list(range(NETWORK_DIM))
     while len(full) < NETWORK_DIM:
-        # sum() rounds differently across Python versions; the masses only prune.
-        mass = [sum([abs(x) ** 2 for x in col]) for col in zip(*full)]
+        mass = [0.0] * NETWORK_DIM
+        for a, b, c, d in full:  # left to right from 0.0, on every Python version
+            mass = [mass[0] + abs(a) ** 2, mass[1] + abs(b) ** 2, mass[2] + abs(c) ** 2, mass[3] + abs(d) ** 2]
         least = min([mass[k] for k in remaining])
         pool = [k for k in remaining if mass[k] <= least + _PIVOT_MARGIN]
-        residuals = [_project_out(_UNITS[k], full) for k in pool]
+        empty = not any([v[pool[0]] for v in full])  # the entries: an m_k can underflow to 0.0
+        residuals = [list(_UNITS[pool[0]])] if empty else [_project_out(_UNITS[k], full) for k in pool]
         norms = [_norm(w) for w in residuals]
         norm = max(norms)
         pick = norms.index(norm)
@@ -420,11 +437,11 @@ def complete_unitary(e: Ensemble, outputs) -> list[Row]:
     making its largest-magnitude entry real and positive, so the result is
     deterministic.
 
-    The Gram-Schmidt work runs on :data:`Row` lists, on the inputs of
-    :func:`embed_inputs` and on the outputs.  Both pivoted completions stop
-    as soon as their basis spans the 4 modes; each round projects out only
-    the coordinate directions whose residual norm, read off the basis, is
-    within rounding of the largest (see :func:`_complement`).
+    The Gram-Schmidt work runs on :data:`Row` lists, each basis completed by
+    :func:`_complement`.  Mode 4 is empty at the input, so one input frame
+    vector is e4 and the others are exactly 0 there: U's column 4 is ``0j +``
+    its paired output vector, and the other columns sum over the other three.
+    The terms left out are exact zeros, which leave a sum from ``0j`` as it is.
 
     Raises
     ------
@@ -433,9 +450,9 @@ def complete_unitary(e: Ensemble, outputs) -> list[Row]:
         worst-offending state pair.
     """
     ins = embed_inputs(e)
-    try:
-        outs = [[complex(x) for x in v] for v in outputs]
-    except TypeError:
+    try:  # ``+x`` refuses the strings and bytes that ``complex()`` would parse.
+        outs = [[complex(+x) for x in v] for v in outputs]
+    except (TypeError, ValueError):
         outs = []
     if len(outs) != 3 or any(len(v) != NETWORK_DIM for v in outs):
         raise DomainError("outputs must be three 4-mode vectors")
@@ -461,10 +478,13 @@ def complete_unitary(e: Ensemble, outputs) -> list[Row]:
         out_basis.append([x * (1.0 / norm) for x in w])
     # U = sum_k |out_k><in_k| over both frames (each fills the 4 modes), summed from 0j.
     out_cols = out_basis + [_phase_fixed(w) for w in _complement(out_basis)]
-    in_cols = list(zip(*([x.conjugate() for x in u] for u in in_basis + _complement(in_basis))))
+    frame = in_basis + _complement(in_basis)  # the input frame; e4 is one of these
+    out4 = out_cols.pop([u[3] for u in frame].index(1))
+    (b0, b1, b2, _), (c0, c1, c2, _), (d0, d1, d2, _) = ([x.conjugate() for x in u] for u in frame if u[3] != 1)
     return [
-        [0j + a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3 for b0, b1, b2, b3 in in_cols]
-        for a0, a1, a2, a3 in zip(*out_cols)
+        [0j + a0 * b0 + a1 * c0 + a2 * d0, 0j + a0 * b1 + a1 * c1 + a2 * d1,
+         0j + a0 * b2 + a1 * c2 + a2 * d2, 0j + x]
+        for (a0, a1, a2), x in zip(zip(*out_cols), out4)
     ]
 
 
@@ -520,19 +540,16 @@ def design(e: Ensemble, sol: FilterSolution | None = None) -> MeasurementDesign:
     own outputs whenever the inputs span 3 modes.  In the
     ``VN_SMALL_OVERLAP`` regime theta is exactly 0 or pi/2 (the
     ``rank_one`` rule of :func:`success_vectors`); no gauge changes it.
-    When the standard gauge wins, its success vectors are reused rather
-    than built again.
+    Each gauge's success vectors are placed from one :func:`_geometry`.
     """
     if sol is None:
         sol = solve(e)
     chi = failure_phases(e)
     fails = failure_vectors(sol, chi)
     L = build_L(e, sol, chi)
-    q = sol.failure_probabilities
-    rank_one = sol.regime is Regime.VN_SMALL_OVERLAP
-    succ, theta = success_vectors(L, q, False, (1, 1, 1), rank_one=rank_one)
-    lone_flips = abs(L[1][2]) <= 1e-12 and abs(theta - math.pi / 4.0) <= 1e-12
-    base_rows = complete_unitary(e, _sums(succ, fails))
+    geometry = _geometry(L, sol.failure_probabilities, sol.regime is Regime.VN_SMALL_OVERLAP)
+    lone_flips = abs(L[1][2]) <= 1e-12 and abs(geometry[0] - math.pi / 4.0) <= 1e-12
+    base_rows = complete_unitary(e, _sums(_placed(geometry, False, (1, 1, 1))[0], fails))
     best = (math.inf,)
     for perm, gauges in _GAUGES[lone_flips]:
         rows = [base_rows[i] for i in perm]
@@ -547,16 +564,14 @@ def design(e: Ensemble, sol: FilterSolution | None = None) -> MeasurementDesign:
             if key < best:
                 best, winner = key, (swap, signs, diag, rows)
     swap, signs, diag, rows = winner
-    if swap or signs != (1, 1, 1):
-        succ = success_vectors(L, q, swap, signs, rank_one=rank_one)[0]
     rows = [row if d > 0 else [-x for x in row] for d, row in zip(diag + (1,), rows)]
     col = _phase_fixed([row[3] for row in rows])
     rows = [row[:3] + [x] for row, x in zip(rows, col)]
     return MeasurementDesign(
-        success_vectors=succ,
+        success_vectors=_placed(geometry, swap, signs)[0],
         failure_vectors=fails,
         unitary=rows,
-        theta=theta,
+        theta=geometry[0],
         chi=chi,
         solution=sol,
         embedded_inputs=embed_inputs(e),

@@ -1,6 +1,7 @@
 """Measurement design: success/failure vectors and the realizing unitary."""
 
 import cmath
+import itertools
 import math
 import types
 
@@ -283,6 +284,78 @@ class TestSuccessVectors:
             success_vectors(L_fake, bogus.failure_probabilities, False, (1, 1, 1))
 
 
+def unsplit_success_vectors(L, q, swap, signs, rank_one):
+    """``success_vectors`` as one function, each entry formed as ``(sign * r)
+    * cos``: the order of operations before the geometry was shared."""
+    p = [max(1.0 - q_i, 0.0) for q_i in q]
+    l23, p23 = complex(L[1][2]), p[1] * p[2]
+    cos2theta, phase3 = 0.0, 1.0 + 0.0j
+    if p23 > 1e-24:
+        bound = math.sqrt(p23)
+        if abs(l23.imag) <= 1e-12 * max(1.0, abs(l23)):
+            cos2theta = min(max(l23.real / bound, -1.0), 1.0)
+        else:
+            cos2theta = min(abs(l23) / bound, 1.0)
+            phase3 = cmath.exp(1j * cmath.phase(l23))
+        if rank_one:
+            cos2theta = -1.0 if cos2theta < 0.0 else 1.0
+    theta = 0.5 * math.acos(cos2theta)
+    cos, sin = math.cos(theta), math.sin(theta)
+    mode1, mode_a, mode_b = (1, 0, 2) if swap else (0, 1, 2)
+    r1, r2, r3 = (math.sqrt(p_i) for p_i in p)
+    v1, v2, v3 = ([0j] * 4 for _ in range(3))
+    v1[mode1] = complex(signs[0] * r1, 0.0)
+    v2[mode_a] = complex(signs[1] * r2 * cos, 0.0)
+    v2[mode_b] = complex(signs[1] * r2 * sin, 0.0)
+    v3[mode_a] = complex(signs[2] * r3 * cos, 0.0) * phase3
+    v3[mode_b] = complex(-signs[2] * r3 * sin, 0.0) * phase3
+    return [v1, v2, v3], theta
+
+
+class TestSharedGeometry:
+    """``design`` builds the success-vector geometry once and places every
+    gauge from it, with the bits of :func:`success_vectors`."""
+
+    @pytest.mark.parametrize("name", ["stratified", "fixtures", "near_boundary", "random_2d"])
+    def test_design_builds_the_geometry_once(self, monkeypatch, name):
+        calls = {"_geometry": 0, "success_vectors": 0}
+        for func_name in calls:
+            func = getattr(designer, func_name)
+
+            def counting(*args, _func=func, _name=func_name, **kwargs):
+                calls[_name] += 1
+                return _func(*args, **kwargs)
+            monkeypatch.setattr(designer, func_name, counting)
+        for e in oracle_instances(name):
+            sol = solve(e)
+            calls.update(_geometry=0, success_vectors=0)
+            design(e, sol)
+            assert calls == {"_geometry": 1, "success_vectors": 0}
+
+    @pytest.mark.parametrize(
+        "name", ["stratified", "structured", "near_boundary", "random_2d", "rank_2"]
+    )
+    def test_every_gauge_is_placed_with_the_bits_of_success_vectors(self, name):
+        """All 16 ``(swap, signs)``: ``sign * (r * cos)`` is ``(sign * r) * cos``."""
+        seen = set()
+        for e in oracle_instances(name)[:100]:
+            sol = solve(e)
+            L = build_L(e, sol, failure_phases(e))
+            q = sol.failure_probabilities
+            rank_one = sol.regime is Regime.VN_SMALL_OVERLAP
+            geometry = designer._geometry(L, q, rank_one)
+            for swap in (False, True):
+                for signs in itertools.product((1, -1), repeat=3):
+                    got, theta = success_vectors(L, q, swap, signs, rank_one=rank_one)
+                    placed, placed_theta = designer._placed(geometry, swap, signs)
+                    want, want_theta = unsplit_success_vectors(L, q, swap, signs, rank_one)
+                    bits = {np.array(v, dtype=complex).tobytes() for v in (got, placed, want)}
+                    assert len(bits) == 1
+                    assert theta == placed_theta == want_theta == geometry[0]
+                    seen.add((swap, signs))
+        assert len(seen) == 16
+
+
 class TestEmbedding:
     def test_three_dimensional_states_gain_a_fourth_zero_mode(self):
         e = fifty_fifty_ensemble()
@@ -309,6 +382,11 @@ class TestEmbedding:
         e = Ensemble(vecs, EQUAL_PRIORS)
         with pytest.raises(DomainError):
             embed_inputs(e)
+
+
+#: Entries that ``complex()`` parses or refuses with a bare error, and that
+#: ``StateVector`` and ``decompose`` refuse as not numbers.
+NOT_NUMBERS = [None, "1", "1+0j", b"1", "abc"]
 
 
 class TestCompleteUnitary:
@@ -378,6 +456,17 @@ class TestCompleteUnitary:
             complete_unitary(fifty_fifty_ensemble(), outputs)
         assert str(err.value) == "outputs must be three 4-mode vectors"
 
+    @pytest.mark.parametrize("bad", NOT_NUMBERS)
+    @pytest.mark.parametrize("vector, mode", [(0, 0), (1, 2), (2, 3)])
+    def test_entries_that_are_not_numbers_are_refused(self, bad, vector, mode):
+        """``complex()`` alone parses "1" and "1+0j", and raises a bare
+        ValueError for "abc"; a string is not a number here."""
+        outputs = [list(v.astype(complex)) for v in fifty_fifty_expected_outputs()]
+        outputs[vector][mode] = bad
+        with pytest.raises(DomainError) as err:
+            complete_unitary(fifty_fifty_ensemble(), outputs)
+        assert str(err.value) == "outputs must be three 4-mode vectors"
+
 
 class TestDesignShapes:
     """A design holds 3 rows of 4 entries per vector field, a 4x4 unitary and
@@ -407,6 +496,19 @@ class TestDesignShapes:
             MeasurementDesign(**{**fields, name: rows})
         lengths = [len(row) for row in rows]
         assert str(err.value) == f"{name} must be {count} rows of 4 entries, got {lengths}"
+
+    @pytest.mark.parametrize(
+        "name", ["success_vectors", "failure_vectors", "unitary", "embedded_inputs"]
+    )
+    @pytest.mark.parametrize("bad", NOT_NUMBERS)
+    def test_entries_that_are_not_numbers_are_refused_naming_the_field(self, fields, name, bad):
+        """Strings were parsed as numbers, and None raised a bare TypeError."""
+        rows = [list(row) for row in fields[name]]
+        rows[-1][1] = bad
+        count = 4 if name == "unitary" else 3
+        with pytest.raises(DomainError) as err:
+            MeasurementDesign(**{**fields, name: rows})
+        assert str(err.value) == f"{name} must be {count} rows of 4 numbers, got {rows!r}"
 
     @pytest.mark.parametrize("port", [0, 3, 4, -1, 1.0, 2.0, "x", None, True])
     def test_other_state1_ports_are_refused_naming_the_field(self, fields, port):
@@ -803,14 +905,22 @@ class TestCompletionWork:
         return calls
 
     def test_project_out_calls_per_design(self, calls):
+        """3 input vectors, 3 output vectors and the output completion; the
+        input completion, e4, is read off.  So is the output completion where
+        the outputs leave a mode exactly empty (theta = 0 or q1 = 1)."""
+        counts = set()
         for e in stratified_random_ensembles(40, 8) + oracle_instances("fixtures"):
             sol = solve(e)
             calls.update(_project_out=0, complete_unitary=0)
-            design(e, sol)
+            dsn = design(e, sol)
             # Permutable: one completion, the winner read off its rows.
             assert calls["complete_unitary"] == 1
-            # 12 when the winner was completed again, 23 before the memo
-            assert calls["_project_out"] <= 8
+            empty = any(not any(out[k] for out in dsn._outputs) for k in range(4))
+            # 12 when the winner was completed again, 23 before the memo, 8
+            # while e4 was projected out
+            assert calls["_project_out"] == (6 if empty else 7)
+            counts.add(calls["_project_out"])
+        assert counts == {6, 7}
 
     @pytest.mark.parametrize("name", ["random_2d", "rank_2", "near_boundary"])
     def test_every_design_completes_one_unitary(self, calls, name):
@@ -835,8 +945,9 @@ class TestCompletionWork:
             assert calls["input_side"] == completions
             assert calls["pivoted"] == 2 * completions
 
-    def test_exact_pivot_ties_are_all_projected_out(self, monkeypatch):
-        """2-D inputs leave e3 and e4 exactly tied; both are computed, e3 wins."""
+    @pytest.fixture
+    def rounds(self, monkeypatch):
+        """``(len(basis), mode)`` of each coordinate direction projected out."""
         rounds: list[tuple[int, int]] = []
         project_out = designer._project_out
 
@@ -844,17 +955,43 @@ class TestCompletionWork:
             rounds.append((len(basis), int(np.argmax(np.abs(vec)))))
             return project_out(vec, basis)
 
+        monkeypatch.setattr(designer, "_project_out", recording)
+        return rounds
+
+    def test_empty_modes_are_read_off_without_projecting(self, rounds):
+        """2-D inputs leave e3 and e4 exactly empty: both are read off."""
         rng = np.random.default_rng(43)
         inputs = [[v.tolist() for v in embedded(random_ensemble(rng, dim=2))] for _ in range(10)]
-        bases = [designer._orthonormal_basis(ins)[0] for ins in inputs]
-        monkeypatch.setattr(designer, "_project_out", recording)
-        for basis in bases:
+        for ins in inputs:
+            basis = designer._orthonormal_basis(ins)[0]
             assert len(basis) == 2
             rounds.clear()
             complement = designer._complement(basis)
-            # Round one keeps both tied candidates, round two only e4.
-            assert rounds == [(2, 2), (2, 3), (3, 3)]
+            assert rounds == []
             assert np.array(complement).tobytes() == np.eye(4, dtype=complex)[2:].tobytes()
+            assert np.array(complement).tobytes() == np.array(unpruned_complement(basis)).tobytes()
+
+    @pytest.mark.parametrize("dust", [1e-5, 3e-5])
+    def test_an_empty_mode_behind_a_dusty_one_is_projected_out(self, rounds, dust):
+        """e1's mass is within ``_PIVOT_MARGIN`` of e4's exact 0, so e1 comes
+        first in the pool: both are projected out, as the unpruned rule does."""
+        rows = [[dust, 1.0, 0.2, 0.0], [0.5 * dust, -0.3, 1.0, 0.0]]
+        basis = designer._orthonormal_basis([[complex(x) for x in v] for v in rows])[0]
+        assert sum(abs(b[0]) ** 2 for b in basis) <= designer._PIVOT_MARGIN
+        rounds.clear()
+        complement = designer._complement(basis)
+        assert rounds[:2] == [(2, 0), (2, 3)]
+        assert np.array(complement).tobytes() == np.array(unpruned_complement(basis)).tobytes()
+
+    def test_entries_whose_mass_underflows_are_projected_out(self, rounds):
+        """An entry of 1e-170 has squared mass 0.0, as an empty mode has; the
+        entries, not the masses, decide, so e3 is projected out and keeps it."""
+        basis = [[1 + 0j, 0j, 1e-170 + 0j, 0j], [0j, 1 + 0j, 0j, 0j]]
+        assert sum(abs(b[2]) ** 2 for b in basis) == 0.0
+        complement = designer._complement(basis)
+        assert rounds[:2] == [(2, 2), (2, 3)]
+        assert complement[0][0] == -1e-170 and complement[0][2] == 1.0
+        assert np.array(complement).tobytes() == np.array(unpruned_complement(basis)).tobytes()
 
     def test_pruned_pivots_are_the_unpruned_rule(self):
         """Bit for bit, on orthonormal bases of 1-3 rounded real 2-D and 3-D
