@@ -75,13 +75,14 @@ _VECTOR_FIELDS = ("success_vectors", "failure_vectors", "unitary", "embedded_inp
 class MeasurementDesign(Frozen):
     """A complete, executable description of the optimal measurement.
 
-    A vector field takes an ndarray or Python rows and keeps them as rows
-    of Python ``complex`` under its name with a leading underscore, which
-    the stages read; the field itself (like ``outputs``, success plus
-    failure vectors) reads as a read-only ndarray built on first access.
-    Each vector field must hold 3 rows of 4 entries and ``unitary`` 4, and
-    ``state1_port`` must be the int 1 or 2; anything else is refused with
-    :class:`DomainError` naming the field.  Designs compare by identity.
+    The constructor validates: a vector field takes an ndarray or Python
+    rows, 3 rows of 4 numbers (``unitary`` 4), kept as tuples of Python
+    ``complex`` under its name with a leading underscore, which the stages
+    read; ``state1_port`` must be the int 1 or 2.  Anything else is refused
+    with :class:`DomainError` naming the field.  The field itself (like
+    ``outputs``, success plus failure vectors) reads as a read-only ndarray
+    built on first access.  :func:`design` builds its record directly from
+    the rows it computed.  Designs compare by identity.
 
     Attributes
     ----------
@@ -122,7 +123,7 @@ class MeasurementDesign(Frozen):
         for name, count, rows in zip(_VECTOR_FIELDS, (3, 3, 4, 3), vectors):
             try:  # ``+x`` refuses the strings and bytes that ``complex()`` would parse.
                 rows = tuple([tuple([complex(+x) for x in row]) for row in rows])
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise DomainError(f"{name} must be {count} rows of 4 numbers, got {rows!r}") from None
             if len(rows) != count or any(len(row) != 4 for row in rows):
                 lengths = [len(row) for row in rows]
@@ -452,7 +453,7 @@ def complete_unitary(e: Ensemble, outputs) -> list[Row]:
     ins = embed_inputs(e)
     try:  # ``+x`` refuses the strings and bytes that ``complex()`` would parse.
         outs = [[complex(+x) for x in v] for v in outputs]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         outs = []
     if len(outs) != 3 or any(len(v) != NETWORK_DIM for v in outs):
         raise DomainError("outputs must be three 4-mode vectors")
@@ -566,14 +567,13 @@ def design(e: Ensemble, sol: FilterSolution | None = None) -> MeasurementDesign:
     swap, signs, diag, rows = winner
     rows = [row if d > 0 else [-x for x in row] for d, row in zip(diag + (1,), rows)]
     col = _phase_fixed([row[3] for row in rows])
-    rows = [row[:3] + [x] for row, x in zip(rows, col)]
-    return MeasurementDesign(
-        success_vectors=_placed(geometry, swap, signs)[0],
-        failure_vectors=fails,
-        unitary=rows,
+    return MeasurementDesign._built(
+        _success_vectors=tuple(map(tuple, _placed(geometry, swap, signs)[0])),
+        _failure_vectors=tuple(map(tuple, fails)),
+        _unitary=tuple([(*row[:3], x) for row, x in zip(rows, col)]),
         theta=geometry[0],
         chi=chi,
         solution=sol,
-        embedded_inputs=embed_inputs(e),
+        _embedded_inputs=embed_inputs(e),
         state1_port=2 if swap else 1,
     )

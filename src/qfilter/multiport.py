@@ -77,7 +77,7 @@ class BeamSplitterLayer(FrozenRecord):
         try:
             # ``+x`` refuses the strings ``float()`` would parse, as in _entries.
             t, r, phi = float(+t), float(+r), float(+phi)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise DomainError(f"t, r and phi must be real numbers, got {(t, r, phi)!r}") from None
         closure = t * t + r * r
         if not abs(closure - 1.0) <= 1e-12:  # a NaN is refused too
@@ -251,7 +251,8 @@ def decompose(unitary) -> MeshProgram:
     off in (-pi, pi] whatever the sign of a zero imaginary part.  Layers that
     are numerically the identity (|r| < 1e-12) are omitted, so the result has
     at most N(N-1)/2 layers and ``recompose`` reproduces the input within 1e-9.
-    Its shape and unitarity are checked on the same Python scalars.
+    Its shape and unitarity are checked on the same Python scalars; the layers
+    and program are built directly from the values the nulling computed.
 
     Raises
     ------
@@ -275,9 +276,9 @@ def decompose(unitary) -> MeshProgram:
             f"matrix is not unitary within {UNITARITY_TOL:g} "
             f"(unitarity residual {residual:.3e})"
         )
-    layers = tuple(BeamSplitterLayer(*layer) for layer in _null(work))
+    layers = tuple([BeamSplitterLayer._built(p=p, q=q, t=t, r=r, phi=phi) for p, q, t, r, phi in _null(work)])
     phases = (cmath.phase(work[i][i]) for i in range(len(work)))
-    return MeshProgram(layers, tuple(-x if x == -math.pi else x for x in phases))
+    return MeshProgram._built(layers=layers, output_phases=tuple(-x if x == -math.pi else x for x in phases))
 
 
 def recompose(program: MeshProgram) -> list[list[complex]]:

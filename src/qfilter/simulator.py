@@ -42,9 +42,9 @@ _ROW_FIELDS = {"exact_probabilities": float, "counts": int}
 class SimulationReport(Frozen):
     """Outcome statistics of a Monte-Carlo run, compared by identity.
 
-    ``exact_probabilities`` and ``counts`` take an ndarray or Python rows
-    and keep them as rows of Python ``float`` and ``int`` under their names
-    with a leading underscore, which the command-line tool reads; the
+    The constructor casts ``exact_probabilities`` and ``counts``, an ndarray
+    or Python rows, to rows of Python ``float`` and ``int`` under their names
+    with a leading underscore (:func:`sample` builds them directly); the
     fields themselves read as read-only ndarrays built on first access.
 
     Attributes
@@ -124,7 +124,8 @@ def sample(
     and ``seed`` must be integers (anything with ``__index__``): a float
     or a string is refused, not truncated.  ``e`` must be the design's
     ensemble: its states, padded by :func:`qfilter.designer.embed_inputs`,
-    must match ``design.embedded_inputs`` within 1e-9.
+    must match ``design.embedded_inputs`` within 1e-9.  The report is built
+    directly from the float and int rows computed here.
     """
     import random
 
@@ -169,9 +170,9 @@ def sample(
         + counts[2][claim]
     )
     empirical_q = (counts[0][3] + counts[1][3] + counts[2][3]) / trials
-    return SimulationReport(
-        exact_probabilities=exact,
-        counts=counts,
+    return SimulationReport._built(
+        _exact_probabilities=tuple(map(tuple, exact)),
+        _counts=tuple(map(tuple, counts)),
         trials=trials,
         violations=violations,
         empirical_Q=empirical_q,

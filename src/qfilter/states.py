@@ -62,12 +62,20 @@ SUBSPACE_TOL = 1e-10
 
 class Frozen:
     """Base of the value types compared by identity.  A subclass names its
-    fields, in constructor order, in the tuple ``_fields``; its ``__init__``
-    validates its arguments, then writes them into ``__dict__`` by name
-    (``self.__dict__.update(field=value, ...)``).  Setting or deleting an
-    attribute raises ``AttributeError``; the repr is ``Name(field=value, ...)``."""
+    fields, in constructor order, in the tuple ``_fields``; its ``__init__``,
+    the boundary for values from outside, validates them and writes them
+    into ``__dict__`` by name, and the stages build records of values they
+    have just computed with :meth:`_built`.  Setting or deleting an attribute
+    raises ``AttributeError``; the repr is ``Name(field=value, ...)``."""
 
     _fields: tuple[str, ...] = ()
+
+    @classmethod
+    def _built(cls, **fields):
+        """A record of ``fields``, stored as the constructor stores them, unchecked."""
+        self = object.__new__(cls)
+        self.__dict__.update(fields)
+        return self
 
     def __setattr__(self, name: str, value=None) -> None:
         raise AttributeError(f"cannot assign to or delete field {name!r}")
@@ -121,14 +129,14 @@ def _entries(values, cast, refusal: str, error: type[Exception]) -> list:
     """``[cast(x) for x in values]`` of a flat sequence (an ndarray is read
     through ``tolist``).  Anything else, a string, a value that is not a
     sequence, an entry without unary plus (a string or bytes among them)
-    or one ``cast`` refuses, is refused with ``error``."""
+    or one ``cast`` refuses (an int past the float range), raises ``error``."""
     entries = values.tolist() if hasattr(values, "tolist") else values
     if not isinstance(entries, (str, bytes)):
         try:
             # ``+x`` keeps a number's bits and raises TypeError for the
             # strings and bytes that ``complex()`` and ``float()`` would parse.
             return [cast(+x) for x in entries]
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             pass
     raise error(f"{refusal}, got {values!r}")
 
