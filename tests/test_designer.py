@@ -3,27 +3,34 @@
 import cmath
 import itertools
 import math
+import re
 import types
 
 import numpy as np
 import pytest
 
 from qfilter import (
+    BeamSplitterLayer,
     DegenerateSubspaceError,
     DomainError,
     Ensemble,
     FilterSolution,
     InconsistentSolutionError,
     InfeasibleError,
+    InvalidEnsembleError,
+    InvalidStateError,
     MeasurementDesign,
+    MeshProgram,
     NoUnitaryError,
     Regime,
+    SimulationReport,
     StateVector,
     decompose,
     design,
     ensemble_from_overlaps,
     overlaps,
     port_probabilities,
+    sample,
     solve,
 )
 import qfilter
@@ -1093,3 +1100,91 @@ class TestGaugeScoringWork:
             assert [g[:2] for g in group] == sorted(g[:2] for g in group)
         firsts = [group[0][:2] for _, group in table]
         assert firsts == sorted(firsts)
+
+
+def exact(value):
+    """``value`` with every type and bit spelled out: containers by type and
+    items (a dict by sorted key), numbers by type and ``float.hex``."""
+    if isinstance(value, dict):
+        return {k: exact(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return (type(value).__name__, *map(exact, value))
+    if isinstance(value, complex):
+        return (type(value).__name__, value.real.hex(), value.imag.hex())
+    if isinstance(value, float):
+        return (type(value).__name__, value.hex())
+    if isinstance(value, int):
+        return (type(value).__name__, value)
+    return value
+
+
+def rebuilt_through_the_constructor(record):
+    """``record`` built again by its public constructor from its public fields."""
+    return type(record)(*[getattr(record, name) for name in record._fields])
+
+
+class TestBuiltRecords:
+    """``design``, ``decompose`` and ``sample`` build their records directly
+    from the values they computed.  Each record stores what the public
+    constructor stores given its public fields: the same names, exact types
+    (tuples of Python ``complex``, ``float`` and ``int``) and bits."""
+
+    @pytest.mark.parametrize("name", ["stratified", "fixtures", "near_boundary", "random_2d"])
+    def test_direct_records_are_what_the_constructors_build(self, name):
+        for k, e in enumerate(oracle_instances(name)):
+            dsn = design(e, solve(e))
+            report = sample(dsn, e, 10**6, k)
+            # Read before the ndarray views land in the records' __dict__.
+            stored = [exact(r.__dict__) for r in (dsn, report)]
+            program = decompose(dsn.unitary)
+            records = [dsn, report, program, *program.layers]
+            stored += [exact(r.__dict__) for r in records[2:]]
+            for record, fields in zip(records, stored):
+                again = rebuilt_through_the_constructor(record)
+                assert exact(again.__dict__) == fields, type(record).__name__
+                with pytest.raises(AttributeError):
+                    setattr(record, record._fields[0], None)
+            assert type(dsn.state1_port) is int
+            assert all(type(x) is complex for row in dsn._unitary for x in row)
+            for layer in program.layers:
+                assert BeamSplitterLayer(layer.p, layer.q, layer.t, layer.r, layer.phi) == layer
+                assert type(layer.p) is type(layer.q) is int
+                assert type(layer.t) is type(layer.r) is type(layer.phi) is float
+            assert MeshProgram(program.layers, program.output_phases) == program
+            assert all(type(x) is float for row in report._exact_probabilities for x in row)
+            assert all(type(x) is int for row in report._counts for x in row)
+
+
+#: Each public call that reads a number, as a function of an ensemble, its
+#: design and the number, with the error and the message it refuses it with.
+PAST_THE_FLOAT_RANGE = {
+    "StateVector": (lambda e, dsn, x: StateVector([x, 0, 0]), InvalidStateError,
+                    "state amplitudes must form a 1-D sequence of numbers"),
+    "Ensemble": (lambda e, dsn, x: Ensemble(e.states, [x, 0, 0]), InvalidEnsembleError,
+                 "priors must be 3 real numbers"),
+    "decompose": (lambda e, dsn, x: decompose([[x, 0, 0, 0], *dsn._unitary[1:]]), DomainError,
+                  "matrix rows must be 1-D sequences of numbers"),
+    "complete_unitary": (lambda e, dsn, x: complete_unitary(e, [[x, 0, 0, 0]] * 3), DomainError,
+                         "outputs must be three 4-mode vectors"),
+    "MeasurementDesign": (
+        lambda e, dsn, x: MeasurementDesign(
+            *[[[x, 0, 0, 0]] * 4 if n == "unitary" else getattr(dsn, n) for n in dsn._fields]
+        ),
+        DomainError, "unitary must be 4 rows of 4 numbers",
+    ),
+    "BeamSplitterLayer": (lambda e, dsn, x: BeamSplitterLayer(1, 2, x, 0), DomainError,
+                          "t, r and phi must be real numbers"),
+    "MeshProgram": (lambda e, dsn, x: MeshProgram([], [x, 0]), DomainError,
+                    "output phases must be real numbers"),
+}
+
+
+@pytest.mark.parametrize("call", list(PAST_THE_FLOAT_RANGE))
+def test_an_int_past_the_float_range_is_refused_naming_the_field(call):
+    """``10**400`` has no float: ``complex()`` and ``float()`` raise
+    ``OverflowError``, which each parse refuses with its own message."""
+    run, error, message = PAST_THE_FLOAT_RANGE[call]
+    e = fifty_fifty_ensemble()
+    with pytest.raises(error, match=re.escape(message)) as info:
+        run(e, design(e), 10**400)
+    assert not isinstance(info.value, OverflowError)
