@@ -1104,7 +1104,7 @@ class TestGaugeScoringWork:
 
 def exact(value):
     """``value`` with every type and bit spelled out: containers by type and
-    items (a dict by sorted key), numbers by type and ``float.hex``."""
+    items (a dict key by key), numbers by type and ``float.hex``."""
     if isinstance(value, dict):
         return {k: exact(v) for k, v in value.items()}
     if isinstance(value, (tuple, list)):
@@ -1116,11 +1116,6 @@ def exact(value):
     if isinstance(value, int):
         return (type(value).__name__, value)
     return value
-
-
-def rebuilt_through_the_constructor(record):
-    """``record`` built again by its public constructor from its public fields."""
-    return type(record)(*[getattr(record, name) for name in record._fields])
 
 
 class TestBuiltRecords:
@@ -1140,7 +1135,7 @@ class TestBuiltRecords:
             records = [dsn, report, program, *program.layers]
             stored += [exact(r.__dict__) for r in records[2:]]
             for record, fields in zip(records, stored):
-                again = rebuilt_through_the_constructor(record)
+                again = rebuilt(record)
                 assert exact(again.__dict__) == fields, type(record).__name__
                 with pytest.raises(AttributeError):
                     setattr(record, record._fields[0], None)
@@ -1166,12 +1161,8 @@ PAST_THE_FLOAT_RANGE = {
                   "matrix rows must be 1-D sequences of numbers"),
     "complete_unitary": (lambda e, dsn, x: complete_unitary(e, [[x, 0, 0, 0]] * 3), DomainError,
                          "outputs must be three 4-mode vectors"),
-    "MeasurementDesign": (
-        lambda e, dsn, x: MeasurementDesign(
-            *[[[x, 0, 0, 0]] * 4 if n == "unitary" else getattr(dsn, n) for n in dsn._fields]
-        ),
-        DomainError, "unitary must be 4 rows of 4 numbers",
-    ),
+    "MeasurementDesign": (lambda e, dsn, x: rebuilt(dsn, unitary=[[x, 0, 0, 0]] * 4), DomainError,
+                          "unitary must be 4 rows of 4 numbers"),
     "BeamSplitterLayer": (lambda e, dsn, x: BeamSplitterLayer(1, 2, x, 0), DomainError,
                           "t, r and phi must be real numbers"),
     "MeshProgram": (lambda e, dsn, x: MeshProgram([], [x, 0]), DomainError,
