@@ -24,9 +24,9 @@ exchanges their two modes) and keeps the one that synthesizes into the
 simplest mesh: fewest beam-splitter layers first, then the largest real
 trace of the upper-left 3x3 block (the most "pass-through" network), with
 deterministic tie-breaks.  Layers are counted once per row permutation,
-by the nulling kernel of :mod:`qfilter.multiport` on Python rows of that
-unitary; no mesh program is built for a candidate, and the winner is read
-off the same rows, so a design completes one unitary.
+as :mod:`qfilter.multiport`'s nulling kernel keeps them, on Python rows of
+that unitary; no mesh program is built for a candidate, and the winner is
+read off the same rows, so a design completes one unitary.
 
 Every step runs on Python scalars, as :data:`Row` lists, and imports no
 numpy; the building blocks return rows, and only the ndarray views of a
@@ -43,10 +43,11 @@ from .errors import (
     DomainError,
     InconsistentSolutionError,
     InfeasibleError,
+    InternalConsistencyError,
     NoUnitaryError,
 )
 from .filter_core import FilterSolution, Regime, solve
-from .multiport import _layer_count
+from .multiport import UNITARITY_TOL, _layer_count, _route, _unitarity_residual
 from .states import Ensemble, Frozen, _least_eigenvalue, frozen_array, overlaps
 
 __all__ = [
@@ -400,9 +401,13 @@ def _complement(basis: list[Row]) -> list[Row]:
     ``_PIVOT_MARGIN`` therefore computes a residual strictly smaller than
     the least-mass candidate's, so it can neither be the largest nor tie with
     it.  Only the candidates within the margin are projected out, and the
-    pick among them is the unpruned rule's.  A first one 0 in every vector so
-    far (e4 of the inputs) is that pick unprojected: its own residual, norm 1.0.
+    pick among them is the unpruned rule's.  A basis that leaves as many modes
+    exactly empty (by the entries: a mass can underflow) as it lacks spans the
+    rest, so each pick is the next empty e_k, its own residual: read off at entry.
     """
+    empty = [k for k, col in enumerate(zip(*basis)) if not any(col)]
+    if len(empty) == NETWORK_DIM - len(basis):
+        return [list(_UNITS[k]) for k in empty]
     full = list(basis)
     remaining = list(range(NETWORK_DIM))
     while len(full) < NETWORK_DIM:
@@ -411,8 +416,7 @@ def _complement(basis: list[Row]) -> list[Row]:
             mass = [mass[0] + abs(a) ** 2, mass[1] + abs(b) ** 2, mass[2] + abs(c) ** 2, mass[3] + abs(d) ** 2]
         least = min([mass[k] for k in remaining])
         pool = [k for k in remaining if mass[k] <= least + _PIVOT_MARGIN]
-        empty = not any([v[pool[0]] for v in full])  # the entries: an m_k can underflow to 0.0
-        residuals = [list(_UNITS[pool[0]])] if empty else [_project_out(_UNITS[k], full) for k in pool]
+        residuals = [_project_out(_UNITS[k], full) for k in pool]
         norms = [_norm(w) for w in residuals]
         norm = max(norms)
         pick = norms.index(norm)
@@ -531,14 +535,15 @@ def design(e: Ensemble, sol: FilterSolution | None = None) -> MeasurementDesign:
     and each candidate is scored as ``diag * U0[perm]`` on Python rows of
     it.  Diagonal phases leave the layer count unchanged, and
     :data:`_GAUGES` groups the candidates by ``perm``: layers are counted
-    once per permutation, by the nulling kernel that
-    :func:`qfilter.multiport.decompose` wraps (same layers, without its
-    input checks or layer objects), and a permutation that has already
-    lost on layers is not traced.  The trace keys and the winner's unitary
-    are read from the same rows.  The winner's column 4 (its input is e4)
-    then has its phase fixed again, since the flips can leave its largest
-    entry negative; up to rounding, that is the completion of the winner's
-    own outputs whenever the inputs span 3 modes.  In the
+    once per permutation, as :func:`qfilter.multiport.decompose` would
+    count them (without its input checks or layer objects), and a
+    permutation that has already lost on layers is not traced.  No row
+    order of a routed U0 (mostly, in the projective regimes) is nulled, so
+    its unitarity is checked once here.  The trace keys and the winner's
+    unitary are read from the same rows.  The winner's column 4 (its input
+    is e4) then has its phase fixed again, since the flips can leave its
+    largest entry negative; up to rounding, that is the completion of the
+    winner's own outputs whenever the inputs span 3 modes.  In the
     ``VN_SMALL_OVERLAP`` regime theta is exactly 0 or pi/2 (the
     ``rank_one`` rule of :func:`success_vectors`); no gauge changes it.
     Each gauge's success vectors are placed from one :func:`_geometry`.
@@ -551,6 +556,8 @@ def design(e: Ensemble, sol: FilterSolution | None = None) -> MeasurementDesign:
     geometry = _geometry(L, sol.failure_probabilities, sol.regime is Regime.VN_SMALL_OVERLAP)
     lone_flips = abs(L[1][2]) <= 1e-12 and abs(geometry[0] - math.pi / 4.0) <= 1e-12
     base_rows = complete_unitary(e, _sums(_placed(geometry, False, (1, 1, 1))[0], fails))
+    if _route(base_rows) >= 0 and not (residual := _unitarity_residual(base_rows)) <= UNITARITY_TOL:
+        raise InternalConsistencyError(f"the completed unitary has unitarity residual {residual:.3e}")
     best = (math.inf,)
     for perm, gauges in _GAUGES[lone_flips]:
         rows = [base_rows[i] for i in perm]

@@ -17,6 +17,7 @@ from qfilter import (
     FilterSolution,
     InconsistentSolutionError,
     InfeasibleError,
+    InternalConsistencyError,
     InvalidEnsembleError,
     InvalidStateError,
     MeasurementDesign,
@@ -978,6 +979,20 @@ class TestCompletionWork:
             assert np.array(complement).tobytes() == np.eye(4, dtype=complex)[2:].tobytes()
             assert np.array(complement).tobytes() == np.array(unpruned_complement(basis)).tobytes()
 
+    def test_empty_modes_of_routed_outputs_are_read_off_without_projecting(self, rounds):
+        """The 3-D output basis of a routed design leaves its one exactly empty
+        mode e_k, which is read off at entry."""
+        bases = [designer._orthonormal_basis(design(e)._outputs)[0] for e in routed_ensembles()]
+        assert len(bases) >= 10
+        for basis in bases:
+            empty = [k for k in range(4) if not any(b[k] for b in basis)]
+            assert len(basis) == 3 and len(empty) == 1
+            rounds.clear()
+            complement = designer._complement(basis)
+            assert rounds == []
+            assert np.array(complement).tobytes() == np.eye(4, dtype=complex)[empty].tobytes()
+            assert np.array(complement).tobytes() == np.array(unpruned_complement(basis)).tobytes()
+
     @pytest.mark.parametrize("dust", [1e-5, 3e-5])
     def test_an_empty_mode_behind_a_dusty_one_is_projected_out(self, rounds, dust):
         """e1's mass is within ``_PIVOT_MARGIN`` of e4's exact 0, so e1 comes
@@ -1020,6 +1035,12 @@ class TestCompletionWork:
                 assert np.array(got).tobytes() == np.array(want).tobytes(), vectors
                 compared += 1
         assert compared > 2900
+
+
+def routed_ensembles() -> list[Ensemble]:
+    """Stratified ensembles whose design unitary is routed: column 4 is
+    exactly e_k and row k exactly e4^T, for a signal mode k."""
+    return [e for e in oracle_instances("stratified")[:60] if multiport._route(design(e)._unitary) >= 0]
 
 
 def unpruned_complement(basis):
@@ -1079,6 +1100,31 @@ class TestGaugeScoringWork:
             assert len(calls) == (4 if lone_flips else 2)
             seen.add(len(calls))
         assert seen == counts
+
+    @pytest.mark.parametrize("size, refused", [(1e-6, True), (1e-12, False)])
+    def test_a_routed_unitary_is_checked_for_unitarity(self, monkeypatch, size, refused):
+        """A routed U's layers are counted without nulling, so ``design``
+        checks its unitarity once: a block off by 1e-6 is refused, as the
+        nulling's residue check refused it, and one off by 1e-12 designs."""
+        instances = routed_ensembles()[:5]
+        complete = designer.complete_unitary
+
+        def perturbed(e, outputs):
+            rows = complete(e, outputs)
+            k = multiport._route(rows)
+            assert k >= 0
+            rows[(k + 1) % 3] = [x + size for x in rows[(k + 1) % 3][:3]] + [0j]
+            assert multiport._route(rows) == k
+            return rows
+
+        monkeypatch.setattr(designer, "complete_unitary", perturbed)
+        assert instances
+        for e in instances:
+            if refused:
+                with pytest.raises(InternalConsistencyError):
+                    design(e)
+            else:
+                assert design(e).state1_port in (1, 2)
 
     @pytest.mark.parametrize("lone_flips", [False, True])
     def test_gauge_table_is_in_tie_break_order(self, lone_flips):

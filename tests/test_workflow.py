@@ -2,8 +2,8 @@
 
 ``.github/workflows/tests.yml`` is read as text, without a YAML parser:
 the paths it names under ``fixtures/`` and ``tests/golden/`` must exist,
-its ``cmp`` loop must compare every golden artifact, and each inline
-``python -c`` script must compile.  Shell ``for`` loops are expanded, so
+its ``cmp`` loop must compare every golden artifact, each inline
+``python -c`` script must compile, and every job must set a timeout.  Shell ``for`` loops are expanded, so
 ``tests/golden/$f.$c.json`` stands for every fixture x command pair.
 """
 
@@ -63,3 +63,13 @@ def test_inline_python_scripts_compile():
     assert scripts
     for script in scripts:
         compile(textwrap.dedent(script), "<tests.yml>", "exec")
+
+
+def test_every_job_sets_a_timeout():
+    """GitHub's default job timeout is 6 hours."""
+    jobs = WORKFLOW.split("\njobs:\n", 1)[1]
+    blocks = re.split(r"\n(?=  [\w-]+:\n)", "\n" + jobs)[1:]
+    names = [block.split(":", 1)[0].strip() for block in blocks]
+    assert names == ["tier1", "benchmark-selftest"]
+    for name, block in zip(names, blocks):
+        assert re.search(r"^    timeout-minutes: [1-9]\d*$", block, re.MULTILINE), name
