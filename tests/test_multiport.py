@@ -465,8 +465,6 @@ class TestLayerCount:
         assert _layer_count(rows) == len(decompose(rows).layers)
 
 
-
-
 def direct_sum_1(rows: list[list[complex]]) -> list[list[complex]]:
     """``U (+) [1]``: the rows of a 4x4 U bordered by a fifth mode that U
     leaves alone, so that ``decompose`` and ``_unitarity_residual`` take
