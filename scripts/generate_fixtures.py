@@ -61,6 +61,24 @@ def main() -> None:
             symmetric_states(0.5),
             [third, third, third],
         ),
+        "vn_large_overlap.json": _payload(
+            "large overlaps, rare target: a projective filter on which state 1 always fails",
+            [
+                [0.9, 0.3, math.sqrt(0.1)],
+                [0.8, 0.6, 0.0],
+                [0.8, 0.0, 0.6j],
+            ],
+            [0.2, 0.4, 0.4],
+        ),
+        "vn_small_overlap.json": _payload(
+            "small overlaps, frequent target: a projective filter with q1 = w",
+            [
+                [0.4, -0.2j, math.sqrt(0.8)],
+                [1.0, 0.0, 0.0],
+                [0.6, 0.8j, 0.0],
+            ],
+            [0.8, 0.1, 0.1],
+        ),
         "orthogonal.json": _payload(
             "mutually orthogonal triple (trivially filterable)",
             [

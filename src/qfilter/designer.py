@@ -11,22 +11,16 @@ where ``failure_i = sqrt(q_i) * e^{i chi_i} * e4`` all point along mode 4
 occupies one dedicated mode, and the success parts of states 2 and 3 share
 the remaining two modes.  A click on state 1's mode certifies "target", a
 click on the shared modes certifies "not target"; zero-error operation is
-built in because the forbidden amplitudes vanish exactly.
+built in because the forbidden amplitudes vanish.
 
-Such a unitary exists iff the Gram matrix is preserved, which pins all
-inner products of the success vectors: they must reproduce the Hermitian
-residual matrix L built in :func:`build_L`.  The remaining freedom — which
-mode hosts state 1's success amplitude, and sign flips of individual
-success vectors that leave L invariant — is a discrete gauge.  :func:`design`
-scores every gauge, on every input, as a signed row permutation of one
-completed unitary (a lone flip of vector 2 or 3 is a gauge only where it
-exchanges their two modes) and keeps the one that synthesizes into the
-simplest mesh: fewest beam-splitter layers first, then the largest real
-trace of the upper-left 3x3 block (the most "pass-through" network), with
-deterministic tie-breaks.  Layers are counted once per row permutation,
-as :mod:`qfilter.multiport`'s nulling kernel keeps them, on Python rows of
-that unitary; no mesh program is built for a candidate, and the winner is
-read off the same rows, so a design completes one unitary.
+In the two projective regimes the optimal filter is a projective
+measurement (Bergou, Herzog & Hillery, PRA 71, 042314, 2005), so the
+unitary is written down from the basis it measures in, one row per port.
+In the POVM regime a unitary exists iff the Gram matrix is preserved: the
+success vectors must reproduce the residual matrix L of :func:`build_L`.
+Which mode hosts state 1's success amplitude, and sign flips that leave L
+invariant, form a discrete gauge; :func:`design` keeps the gauge whose
+unitary factors into the fewest beam-splitter layers.
 
 Every step runs on Python scalars, as :data:`Row` lists, and imports no
 numpy; the building blocks return rows, and only the ndarray views of a
@@ -47,7 +41,7 @@ from .errors import (
     NoUnitaryError,
 )
 from .filter_core import FilterSolution, Regime, solve
-from .multiport import UNITARITY_TOL, _layer_count, _route, _unitarity_residual
+from .multiport import UNITARITY_TOL, _layer_count, _unitarity_residual
 from .states import Ensemble, Frozen, _least_eigenvalue, frozen_array, overlaps
 
 __all__ = [
@@ -98,7 +92,9 @@ class MeasurementDesign(Frozen):
         4x4 unitary mapping each embedded input onto
         ``success_vectors[i] + failure_vectors[i]``.
     theta:
-        Mixing angle of success vectors 2 and 3 on their shared mode pair.
+        Mixing angle of success vectors 2 and 3 on their shared mode pair:
+        ``cos(2 theta)`` is ``<v2|v3> / (|v2| |v3|)``, by modulus where it is
+        complex.  Exactly 0 in ``VN_SMALL_OVERLAP``, where they share a mode.
     chi:
         Failure-amplitude phases (chi_1 = 0 by gauge choice).
     solution:
@@ -106,9 +102,9 @@ class MeasurementDesign(Frozen):
     embedded_inputs:
         The input states padded into the 4-mode network.
     state1_port:
-        1-based mode whose click certifies the target state (1 for the
-        standard placement, 2 when the swapped placement gives a simpler
-        mesh).
+        1-based mode whose click certifies the target state: 1 for the
+        standard placement and in the projective regimes, 2 when the swapped
+        placement gives a simpler mesh.
     """
 
     _fields = (
@@ -233,12 +229,7 @@ def build_L(
 
 
 def success_vectors(
-    L: list[Row],
-    q: tuple[float, ...],
-    swap: bool,
-    signs: tuple[int, ...],
-    *,
-    rank_one: bool = False,
+    L: list[Row], q: tuple[float, ...], swap: bool, signs: tuple[int, ...]
 ) -> tuple[list[Row], float]:
     """Success vectors for one gauge choice, as rows; returns (vectors, theta).
 
@@ -251,16 +242,8 @@ def success_vectors(
     joint flips of vectors 2 and 3 always preserve L, while a lone flip of
     vector 2 or 3 is only admissible when L23 = 0.  When q1 = 1 the first
     vector is the zero vector: the target never produces a conclusive
-    click, which is the correct boundary design.
-
-    ``rank_one`` declares the ``VN_SMALL_OVERLAP`` regime.  There q1 = w,
-    so the projector onto psi1's orthogonal complement has rank one, and
-    the projector certifying the set, orthogonal to both, has rank one
-    too: the success vectors of states 2 and 3 are parallel, and theta is
-    exactly 0, or pi/2 when a real L23 is negative (Bergou, Herzog &
-    Hillery, PRA 71, 042314, 2005).  Read off the rounded ratio instead,
-    arccos would turn a 1-ulp error into theta ~ 1e-8, and the mesh would
-    need two more beam splitters.  The gauge-free part is :func:`_geometry`.
+    click, which is the correct boundary design.  Only POVM-regime designs
+    are placed this way.  The gauge-free part is :func:`_geometry`.
 
     Raises
     ------
@@ -268,33 +251,30 @@ def success_vectors(
         If |L23| exceeds sqrt(p2*p3) beyond 1e-10 (impossible for an L
         that passed :func:`build_L`).
     """
-    return _placed(_geometry(L, q, rank_one), swap, signs)
+    return _placed(_geometry(L, q), swap, signs)
 
 
-def _geometry(L: list[Row], q: tuple[float, ...], rank_one: bool) -> tuple:
+def _cos2theta(l23: complex, p23: float) -> tuple[float, complex]:
+    """cos(2 theta) and the phase carried on vector 3, from ``L23 = <v2|v3>``
+    and ``p2 * p3`` (theta = pi/4 where either vector vanishes)."""
+    if not p23 > 1e-24:
+        return 0.0, 1.0 + 0.0j
+    bound = math.sqrt(p23)
+    if abs(l23) > bound + 1e-10:
+        raise InfeasibleError(
+            f"|L23| = {abs(l23):.12g} exceeds sqrt(p2*p3) = {bound:.12g}; "
+            "no pair of success vectors can realize this overlap"
+        )
+    if abs(l23.imag) <= 1e-12 * max(1.0, abs(l23)):
+        return min(max(l23.real / bound, -1.0), 1.0), 1.0 + 0.0j
+    # Complex: its phase rides on vector 3 as a whole, the angle on its modulus.
+    return min(abs(l23) / bound, 1.0), cmath.exp(1j * cmath.phase(l23))
+
+
+def _geometry(L: list[Row], q: tuple[float, ...]) -> tuple:
     """What no gauge changes: theta, sqrt(p1), sqrt(p2) and sqrt(p3) times cos and sin theta, L23's phase."""
     p = [max(1.0 - q_i, 0.0) for q_i in q]
-    l23 = complex(L[1][2])
-    p23 = p[1] * p[2]
-    if p23 > 1e-24:
-        bound = math.sqrt(p23)
-        if abs(l23) > bound + 1e-10:
-            raise InfeasibleError(
-                f"|L23| = {abs(l23):.12g} exceeds sqrt(p2*p3) = {bound:.12g}; "
-                "no pair of success vectors can realize this overlap"
-            )
-        if abs(l23.imag) <= 1e-12 * max(1.0, abs(l23)):
-            cos2theta = min(max(l23.real / bound, -1.0), 1.0)
-            phase3 = 1.0 + 0.0j
-        else:
-            # Complex overlap: carry its phase on vector 3 as a whole and
-            # set the mixing angle from the magnitude.
-            cos2theta = min(abs(l23) / bound, 1.0)
-            phase3 = cmath.exp(1j * cmath.phase(l23))
-        if rank_one:
-            cos2theta = -1.0 if cos2theta < 0.0 else 1.0
-    else:
-        cos2theta, phase3 = 0.0, 1.0 + 0.0j
+    cos2theta, phase3 = _cos2theta(complex(L[1][2]), p[1] * p[2])
     theta = 0.5 * math.acos(cos2theta)
     cos, sin = math.cos(theta), math.sin(theta)
     r1, r2, r3 = (math.sqrt(p_i) for p_i in p)
@@ -518,69 +498,118 @@ def _gauge_table(lone_flips: bool) -> tuple:
 _GAUGES = {flips: _gauge_table(flips) for flips in (False, True)}
 
 
+def _cross(u: Row, v: Row) -> Row:
+    """``u x v`` over the first three modes, padded: its conjugate is orthogonal to u and v."""
+    u0, u1, u2, _ = u
+    v0, v1, v2, _ = v
+    return [u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0, 0j]
+
+
+def _projective_unitary(ins, regime: Regime) -> list[Row]:
+    """The unitary of a projective regime, as rows: row k is conj(b_k), where
+    port k projects onto b_k.  With psi1 = (a, b, c), the b_k are
+
+    * ``VN_LARGE_OVERLAP``: e4, m1 = (b*, -a*, 0)/|.| (e1 where a = b = 0),
+      m2 = conj(psi1 x m1) and psi1; state 1 always fails;
+    * ``VN_SMALL_OVERLAP``: n = conj(psi2 x psi3)/|.|, m = conj(n x f), e4
+      and f = P psi1/|P psi1|, where P psi1 is psi1 with n projected out.
+    """
+    psi1, psi2, psi3 = ins
+    if regime is Regime.VN_LARGE_OVERLAP:
+        a, b = psi1[0], psi1[1]
+        h = math.hypot(abs(a), abs(b))
+        m1 = [b.conjugate() * (1.0 / h), -a.conjugate() * (1.0 / h), 0j, 0j] if h else list(_UNITS[0])
+        return [list(_UNITS[3]), [x.conjugate() for x in m1], _cross(psi1, m1), [x.conjugate() for x in psi1]]
+    c = _cross(psi2, psi3)
+    n_row = [x * (1.0 / _norm(c)) for x in c]
+    n = [x.conjugate() for x in n_row]
+    p = _project_out(psi1, [n])
+    f = [x * (1.0 / _norm(p)) for x in p]
+    return [n_row, _cross(n, f), list(_UNITS[3]), [x.conjugate() for x in f]]
+
+
 def design(e: Ensemble, sol: FilterSolution | None = None) -> MeasurementDesign:
     """Build the full measurement design for an ensemble.
 
-    Solves for the optimal failure probabilities (unless a solution is
-    supplied), constructs failure and success vectors, and completes the
-    4x4 unitary.  Among the discrete gauge choices that all realize the
-    same optimum — placement of state 1's success mode, and sign flips
-    that leave the residual Gram matrix invariant — the design whose
-    unitary factors into the fewest beam-splitter layers is selected;
-    remaining ties prefer the unitary acting most nearly as a pass-through
-    on the three signal modes (largest real trace of the upper-left 3x3
-    block), then the standard placement and unflipped signs.
+    Solves for the optimal failure probabilities unless a solution is
+    supplied.  In the projective regimes the unitary is
+    :func:`_projective_unitary`'s; the success and failure vectors are the
+    signal part and the mode-4 part of U times each input (summed from
+    ``0j`` in mode order, as :func:`qfilter.simulator.port_probabilities`
+    sums them), and theta is read off ``<v2|v3>``.
 
-    One unitary U0 is completed in the standard gauge, for every input,
-    and each candidate is scored as ``diag * U0[perm]`` on Python rows of
-    it.  Diagonal phases leave the layer count unchanged, and
-    :data:`_GAUGES` groups the candidates by ``perm``: layers are counted
-    once per permutation, as :func:`qfilter.multiport.decompose` would
-    count them (without its input checks or layer objects), and a
-    permutation that has already lost on layers is not traced.  No row
-    order of a routed U0 (mostly, in the projective regimes) is nulled, so
-    its unitarity is checked once here.  The trace keys and the winner's
-    unitary are read from the same rows.  The winner's column 4 (its input
-    is e4) then has its phase fixed again, since the flips can leave its
-    largest entry negative; up to rounding, that is the completion of the
-    winner's own outputs whenever the inputs span 3 modes.  In the
-    ``VN_SMALL_OVERLAP`` regime theta is exactly 0 or pi/2 (the
-    ``rank_one`` rule of :func:`success_vectors`); no gauge changes it.
-    Each gauge's success vectors are placed from one :func:`_geometry`.
+    In the POVM regime one unitary U0 is completed in the standard gauge,
+    and each gauge candidate is scored as ``diag * U0[perm]``: diagonal
+    phases leave the layer count unchanged, so :data:`_GAUGES` groups the
+    candidates by ``perm``, layers are counted once per permutation (as
+    :func:`qfilter.multiport.decompose` counts them) and a permutation that
+    has already lost on layers is not traced.  Ties go to the largest real
+    trace of the upper-left 3x3 block, then the standard placement and
+    unflipped signs.  The winner's column 4 has its phase fixed again, since
+    the flips can leave its largest entry negative.
+
+    Raises
+    ------
+    InconsistentSolutionError
+        If a supplied solution does not fit the ensemble: :func:`build_L`
+        refuses it, or a projective port-4 probability is off q by more
+        than ``GRAM_TOL`` or, in ``VN_SMALL_OVERLAP``, than
+        ``1e-14 / (1 - |O23|^2)`` where that is larger.
+    InternalConsistencyError
+        If a projective unitary is off unitarity by more than ``UNITARITY_TOL``.
     """
     if sol is None:
         sol = solve(e)
-    chi = failure_phases(e)
-    fails = failure_vectors(sol, chi)
-    L = build_L(e, sol, chi)
-    geometry = _geometry(L, sol.failure_probabilities, sol.regime is Regime.VN_SMALL_OVERLAP)
-    lone_flips = abs(L[1][2]) <= 1e-12 and abs(geometry[0] - math.pi / 4.0) <= 1e-12
-    base_rows = complete_unitary(e, _sums(_placed(geometry, False, (1, 1, 1))[0], fails))
-    if _route(base_rows) >= 0 and not (residual := _unitarity_residual(base_rows)) <= UNITARITY_TOL:
-        raise InternalConsistencyError(f"the completed unitary has unitarity residual {residual:.3e}")
-    best = (math.inf,)
-    for perm, gauges in _GAUGES[lone_flips]:
-        rows = [base_rows[i] for i in perm]
-        layers = _layer_count(rows)
-        if layers > best[0]:
-            continue
-        r0, r1, r2 = rows[0][0].real, rows[1][1].real, rows[2][2].real
-        for swap, sign_index, signs, diag in gauges:
-            # Left to right from 0.0: sum() rounds differently from Python 3.12 on.
-            trace = 0.0 + diag[0] * r0 + diag[1] * r1 + diag[2] * r2
-            key = (layers, round(-trace, 9), swap, sign_index)
-            if key < best:
-                best, winner = key, (swap, signs, diag, rows)
-    swap, signs, diag, rows = winner
-    rows = [row if d > 0 else [-x for x in row] for d, row in zip(diag + (1,), rows)]
-    col = _phase_fixed([row[3] for row in rows])
+    chi, ins = failure_phases(e), embed_inputs(e)
+    if sol.regime is not Regime.POVM:
+        small = sol.regime is Regime.VN_SMALL_OVERLAP  # v2 and v3 share port 2: theta is exactly 0
+        try:
+            unitary = _projective_unitary(ins, sol.regime)
+            # solve's closed-form w, which VN_SMALL_OVERLAP's q carry, is off by up to ~2u / (1 - |O23|^2).
+            tol = max(GRAM_TOL, 1e-14 / (1.0 - abs(overlaps(e).O23) ** 2)) if small else GRAM_TOL
+        except ZeroDivisionError:  # psi2 parallel to psi3, or psi1 orthogonal to both
+            raise InconsistentSolutionError(f"no {sol.regime.value} measurement fits this ensemble") from None
+        if not (residual := _unitarity_residual(unitary)) <= UNITARITY_TOL:
+            raise InternalConsistencyError(f"the projective unitary has unitarity residual {residual:.3e}")
+        outs = [[0j + u0 * x0 + u1 * x1 + u2 * x2 + u3 * x3 for u0, u1, u2, u3 in unitary] for x0, x1, x2, x3 in ins]
+        gaps = [abs(out[3].real ** 2 + out[3].imag ** 2 - q) for out, q in zip(outs, sol.failure_probabilities)]
+        if not all([gap <= tol for gap in gaps]):
+            raise InconsistentSolutionError(f"failure-port probabilities are off q by up to {max(gaps):.3e} "
+                                            f"(tolerance {tol:.3g}); the solution does not fit this ensemble")
+        succ, fails, swap = [out[:3] + [0j] for out in outs], [[0j, 0j, 0j, out[3]] for out in outs], 0
+        _, v2, v3 = succ
+        theta = 0.5 * math.acos(1.0 if small else _cos2theta(_vdot(v2, v3), _vdot(v2, v2).real * _vdot(v3, v3).real)[0])
+    else:
+        fails = failure_vectors(sol, chi)
+        L = build_L(e, sol, chi)
+        geometry = _geometry(L, sol.failure_probabilities)
+        lone_flips = abs(L[1][2]) <= 1e-12 and abs(geometry[0] - math.pi / 4.0) <= 1e-12
+        base_rows = complete_unitary(e, _sums(_placed(geometry, False, (1, 1, 1))[0], fails))
+        best = (math.inf,)
+        for perm, gauges in _GAUGES[lone_flips]:
+            rows = [base_rows[i] for i in perm]
+            layers = _layer_count(rows)
+            if layers > best[0]:
+                continue
+            r0, r1, r2 = rows[0][0].real, rows[1][1].real, rows[2][2].real
+            for swap, sign_index, signs, diag in gauges:
+                # Left to right from 0.0: sum() rounds differently from Python 3.12 on.
+                trace = 0.0 + diag[0] * r0 + diag[1] * r1 + diag[2] * r2
+                key = (layers, round(-trace, 9), swap, sign_index)
+                if key < best:
+                    best, winner = key, (swap, signs, diag, rows)
+        swap, signs, diag, rows = winner
+        rows = [row if d > 0 else [-x for x in row] for d, row in zip(diag + (1,), rows)]
+        col = _phase_fixed([row[3] for row in rows])
+        unitary = [(*row[:3], x) for row, x in zip(rows, col)]
+        succ, theta = _placed(geometry, swap, signs)
     return MeasurementDesign._built(
-        _success_vectors=tuple(map(tuple, _placed(geometry, swap, signs)[0])),
+        _success_vectors=tuple(map(tuple, succ)),
         _failure_vectors=tuple(map(tuple, fails)),
-        _unitary=tuple([(*row[:3], x) for row, x in zip(rows, col)]),
-        theta=geometry[0],
+        _unitary=tuple(map(tuple, unitary)),
+        theta=theta,
         chi=chi,
         solution=sol,
-        _embedded_inputs=embed_inputs(e),
+        _embedded_inputs=ins,
         state1_port=2 if swap else 1,
     )

@@ -18,11 +18,11 @@ numpy.
 
 The nulling itself is one private kernel on Python rows.  :func:`decompose`
 wraps it with its input checks, layer objects and phases; the designer's
-gauge search counts the kept layers of a unitary it has just built through
-``_layer_count``, which reads those of a routed one (an exact swap to an
-empty mode plus a 3x3 block) off the block.  The kernel and the unitarity
-residual write out a 4x4 matrix (every network the designer builds) entry by
-entry and loop over any other size, with the same operations in the same order.
+gauge search, which only POVM-regime designs run, counts the kept layers of
+a unitary it has just built through ``_layer_count``.  The kernel and the
+unitarity residual write out a 4x4 matrix (every network the designer builds)
+entry by entry and loop over any other size, with the same operations in the
+same order.
 """
 
 from __future__ import annotations
@@ -197,41 +197,10 @@ def _null(work: list[list[complex]]) -> list[tuple[int, int, float, float, float
     return layers
 
 
-_ROUTES = {(1, 0, 0, 0): 0, (0, 1, 0, 0): 1, (0, 0, 1, 0): 2}
-
-
-def _route(rows: list[list[complex]]) -> int:
-    """``k`` if column 4 of 4x4 ``rows`` is exactly e_k and row k exactly e4^T, for a k < 3; else -1."""
-    k = _ROUTES.get(tuple([row[3] for row in rows]), -1)  # 0j == 0 and hash(0j) == hash(0)
-    return -1 if k < 0 or any(rows[k][:3]) else k
-
-
 def _layer_count(rows: list[list[complex]]) -> int:
-    """``len(decompose(U).layers)`` for a unitary given as Python rows.
-
-    Skips :func:`decompose`'s input checks, layer objects and phases; the
-    caller vouches that ``rows`` is unitary.  ``rows`` is not modified.
-
-    A routed U (:func:`_route`) keeps one exact swap on column 4; its block W
-    (0-based: rows 0-2, row k replaced by -row 3) is read off.  With h =
-    hypot(|W12|, |W22|), L23's r is |W12| / h, L13's |W02|, and L12's
-    |W01| (h + |W02|^2 / h) = |W01| / h, since column 1 is orthogonal to
-    column 2 (|W21| where h = 0 and L13 is an exact swap).  Rounding and what
-    L23 leaves behind move each r far less than the guard band: a ratio in
-    (1e-14, 1e-10), an h in (0, 1e-3) or a W22 in (0, 1e-15) nulls W instead.
-    """
-    k = _route(rows) if len(rows) == 4 else -1
-    if k < 0:
-        return len(_null(list(rows)))
-    w = list(rows[:3])
-    w[k] = [-x for x in rows[3]]
-    (_, w01, w02, _), (_, _, w12, _), (_, w21, w22, _) = w
-    a12, a22 = abs(w12), abs(w22)
-    h = math.hypot(a12, a22)
-    ratios = (a12 / h, abs(w02), abs(w01) / h) if h else (a12, abs(w02), abs(w21))
-    if (h >= 1e-3 or h == 0.0) and not 0.0 < a22 < 1e-15 and all([x <= 1e-14 or x >= 1e-10 for x in ratios]):
-        return 1 + sum([x >= IDENTITY_DROP_TOL for x in ratios])
-    return 1 + len(_null([row[:3] for row in w]))
+    """``len(decompose(U).layers)`` of a unitary the caller vouches for, as Python
+    rows (left as they are), without :func:`decompose`'s checks, layers or phases."""
+    return len(_null(list(rows)))
 
 
 def _unitarity_residual(rows: list[list[complex]]) -> float:

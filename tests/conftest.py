@@ -17,8 +17,10 @@ rather than against the code under test.
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import pathlib
+import sys
 
 import numpy as np
 
@@ -49,6 +51,16 @@ from qfilter.designer import (
 from qfilter.states import SUBSPACE_TOL
 
 FIXTURES_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def perfbench_module(name: str):
+    """``perfbench/<name>.py`` (the benchmark's inputs or its 50-digit
+    reference), loaded from its file."""
+    path = FIXTURES_DIR.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # its dataclasses look the module up
+    return module
 
 EQUAL_PRIORS = np.array([1.0, 1.0, 1.0]) / 3.0
 
@@ -364,15 +376,12 @@ def gauge_candidates(e: Ensemble, sol: FilterSolution):
 
     The 8 gauge candidates are 2 placements x 4 sign patterns that leave L
     invariant, or 16 when L23 vanishes and lone flips of vector 2 or 3 are
-    allowed too; they come in tie-break order.  In the VN_SMALL_OVERLAP
-    regime the success vectors of states 2 and 3 are parallel, so theta is
-    taken as exactly 0 or pi/2 (``rank_one``), as ``design`` takes it.
+    allowed too; they come in tie-break order.
     """
     q = (sol.q1, sol.q2, sol.q3)
     chi = failure_phases(e)
     fail_vecs = failure_vectors(sol, chi)
     residual_gram = build_L(e, sol, chi)
-    rank_one = sol.regime is Regime.VN_SMALL_OVERLAP
     if abs(residual_gram[1][2]) <= 1e-12:
         sign_opts = [
             (1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
@@ -382,7 +391,7 @@ def gauge_candidates(e: Ensemble, sol: FilterSolution):
         sign_opts = [(1, 1, 1), (1, -1, -1), (-1, 1, 1), (-1, -1, -1)]
     for swap in (False, True):
         for sign_index, signs in enumerate(sign_opts):
-            succ, theta = success_vectors(residual_gram, q, swap, signs, rank_one=rank_one)
+            succ, theta = success_vectors(residual_gram, q, swap, signs)
             yield swap, sign_index, succ, theta, [np.add(s, f) for s, f in zip(succ, fail_vecs)]
 
 

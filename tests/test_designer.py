@@ -2,6 +2,7 @@
 
 import cmath
 import itertools
+import json
 import math
 import re
 import types
@@ -45,7 +46,7 @@ from qfilter.designer import (
     success_vectors,
 )
 from qfilter.states import _least_eigenvalue, gram_matrix
-from qfilter.cli import load_ensemble
+from qfilter.cli import _design_checks, load_ensemble, main as cli_main
 
 from conftest import (
     EQUAL_PRIORS,
@@ -59,6 +60,7 @@ from conftest import (
     gauge_candidates,
     near_parallel_ensembles,
     orthogonal_ensemble,
+    perfbench_module,
     random_ensemble,
     rebuilt,
     reference_complete_unitary,
@@ -111,14 +113,22 @@ class TestFailureSide:
             return phases(e)
 
         monkeypatch.setattr(designer, "failure_phases", counting_phases)
+        seen = set()
         for e in stratified_random_ensembles(12, 4):
             sol = solve(e)
             calls["failure_phases"] = 0
             dsn = design(e, sol)
             assert calls["failure_phases"] == 1
             assert dsn.chi == phases(e)
+            seen.add(sol.regime)
+            if sol.regime is not Regime.POVM:
+                # Read off U's outputs: the phases agree within rounding.
+                for got, chi in zip(dsn.failure_vectors, dsn.chi):
+                    assert abs(cmath.phase(got[3] * cmath.exp(-1j * chi))) <= 1e-12
+                continue
             for got, want in zip(dsn.failure_vectors, failure_vectors(sol, phases(e))):
                 assert got.tobytes() == np.array(want).tobytes()
+        assert seen == set(Regime)
         # Real overlaps and a real L23: arg O12 and arg O13 are the only angles.
         phase = cmath.phase
 
@@ -292,7 +302,7 @@ class TestSuccessVectors:
             success_vectors(L_fake, bogus.failure_probabilities, False, (1, 1, 1))
 
 
-def unsplit_success_vectors(L, q, swap, signs, rank_one):
+def unsplit_success_vectors(L, q, swap, signs):
     """``success_vectors`` as one function, each entry formed as ``(sign * r)
     * cos``: the order of operations before the geometry was shared."""
     p = [max(1.0 - q_i, 0.0) for q_i in q]
@@ -305,8 +315,6 @@ def unsplit_success_vectors(L, q, swap, signs, rank_one):
         else:
             cos2theta = min(abs(l23) / bound, 1.0)
             phase3 = cmath.exp(1j * cmath.phase(l23))
-        if rank_one:
-            cos2theta = -1.0 if cos2theta < 0.0 else 1.0
     theta = 0.5 * math.acos(cos2theta)
     cos, sin = math.cos(theta), math.sin(theta)
     mode1, mode_a, mode_b = (1, 0, 2) if swap else (0, 1, 2)
@@ -321,10 +329,11 @@ def unsplit_success_vectors(L, q, swap, signs, rank_one):
 
 
 class TestSharedGeometry:
-    """``design`` builds the success-vector geometry once and places every
-    gauge from it, with the bits of :func:`success_vectors`."""
+    """``design`` builds the success-vector geometry once per POVM-regime
+    design, and none in the projective regimes, and places every gauge from
+    it, with the bits of :func:`success_vectors` (on any residual matrix)."""
 
-    @pytest.mark.parametrize("name", ["stratified", "fixtures", "near_boundary", "random_2d"])
+    @pytest.mark.parametrize("name", ["stratified", "fixtures", "random_2d"])
     def test_design_builds_the_geometry_once(self, monkeypatch, name):
         calls = {"_geometry": 0, "success_vectors": 0}
         for func_name in calls:
@@ -334,11 +343,15 @@ class TestSharedGeometry:
                 calls[_name] += 1
                 return _func(*args, **kwargs)
             monkeypatch.setattr(designer, func_name, counting)
+        povm = 0
         for e in oracle_instances(name):
             sol = solve(e)
             calls.update(_geometry=0, success_vectors=0)
             design(e, sol)
-            assert calls == {"_geometry": 1, "success_vectors": 0}
+            povm += sol.regime is Regime.POVM
+            assert calls == {"_geometry": int(sol.regime is Regime.POVM), "success_vectors": 0}
+        # Inputs spanning 2 modes have w = 1, so they are never POVM.
+        assert (povm > 0) == (name != "random_2d")
 
     @pytest.mark.parametrize(
         "name", ["stratified", "structured", "near_boundary", "random_2d", "rank_2"]
@@ -350,13 +363,12 @@ class TestSharedGeometry:
             sol = solve(e)
             L = build_L(e, sol, failure_phases(e))
             q = sol.failure_probabilities
-            rank_one = sol.regime is Regime.VN_SMALL_OVERLAP
-            geometry = designer._geometry(L, q, rank_one)
+            geometry = designer._geometry(L, q)
             for swap in (False, True):
                 for signs in itertools.product((1, -1), repeat=3):
-                    got, theta = success_vectors(L, q, swap, signs, rank_one=rank_one)
+                    got, theta = success_vectors(L, q, swap, signs)
                     placed, placed_theta = designer._placed(geometry, swap, signs)
-                    want, want_theta = unsplit_success_vectors(L, q, swap, signs, rank_one)
+                    want, want_theta = unsplit_success_vectors(L, q, swap, signs)
                     bits = {np.array(v, dtype=complex).tobytes() for v in (got, placed, want)}
                     assert len(bits) == 1
                     assert theta == placed_theta == want_theta == geometry[0]
@@ -652,8 +664,7 @@ class TestDesignedMeasurement:
 
 #: (c, d, priors): psi1 = (c, 0, sqrt(1 - c^2)), psi2 = e1, psi3 at angle d
 #: from psi2 in the (1, 2) plane.  psi1's in-span part lies along psi2, so
-#: q2 sits ~1e-13 below 1 and L23 vanishes while theta is not pi/4: lone
-#: sign flips are then not mode exchanges.
+#: the exact q2 is 1, and ``solve``'s sits ~1e-13 below it.
 NEAR_BOUNDARY = [
     (0.36124918817329643, 0.0015538715153622853,
      (0.9931442590823166, 0.005197694402083313, 0.0016580465155999731)),
@@ -708,31 +719,23 @@ def oracle_instances(name: str) -> list[Ensemble]:
 
 
 class TestGaugeSearch:
+    """POVM-regime designs are the exhaustive search's winner; the projective
+    regimes take no gauge search (``TestProjectiveRoute``)."""
+
     @pytest.mark.parametrize(
-        "name",
-        [
-            "stratified", "symmetric", "structured", "reference",
-            "random_3d", "random_2d", "rank_2", "near_boundary",
-        ],
+        "name", ["stratified", "symmetric", "structured", "reference", "random_3d", "fixtures"]
     )
     def test_matches_the_exhaustive_search(self, name):
+        povm = 0
         for e in oracle_instances(name):
             sol = solve(e)
+            if sol.regime is not Regime.POVM:
+                continue
+            povm += 1
             got, want = design(e, sol), exhaustive_design(e, sol)
             assert len(decompose(got.unitary).layers) == len(
                 decompose(want.unitary).layers
             )
-            if name in ("random_2d", "rank_2"):
-                # Inputs spanning 2 modes: every candidate is still read off
-                # the one standard-gauge completion, whose complement is not
-                # the one a candidate's own outputs would get.  So a tie on
-                # layers may go to another gauge; it must still be exact.
-                for i, q_i in enumerate(sol.failure_probabilities):
-                    probs = port_probabilities(got, i)
-                    ports = [got.state1_port - 1] if i else [p - 1 for p in got.set_ports]
-                    assert sum(probs[p] for p in ports) <= 1e-12
-                    assert probs[3] == pytest.approx(q_i, abs=1e-12)
-                continue
             assert got.state1_port == want.state1_port
             assert got.theta == want.theta
             for a, b in zip(got.success_vectors, want.success_vectors):
@@ -740,21 +743,43 @@ class TestGaugeSearch:
             # The same winner, completed in another rounding order (and, on
             # the permutable path, read off the standard-gauge unitary).
             assert np.abs(got.unitary - want.unitary).max() <= 1e-13
+        assert povm
 
-    def test_near_boundary_set_offers_lone_flips_off_pi_over_4(self):
+
+class TestNearBoundary:
+    """The six ``NEAR_BOUNDARY`` ensembles are ``VN_SMALL_OVERLAP`` with q2
+    a rounding error below its exact value 1 (psi2 = e1 lies in the plane of
+    psi2 and psi3).  Their designs come straight from the measurement basis,
+    so p4 is not rebuilt from p2 = 1 - q2, and every check passes."""
+
+    def test_the_cli_design_checks_pass(self):
         for args in NEAR_BOUNDARY:
             e = near_boundary_ensemble(*args)
             sol = solve(e)
-            assert abs(build_L(e, sol, failure_phases(e))[1][2]) <= 1e-12
-            assert abs(design(e, sol).theta - math.pi / 4.0) > 1e-12
+            assert sol.regime is Regime.VN_SMALL_OVERLAP and 0.0 < 1.0 - sol.q2 < 1e-12
+            dsn = design(e, sol)
+            assert dsn.theta == 0.0
+            assert _design_checks(e, dsn, 1e-10) is None
+            for i, q_i in enumerate(sol.failure_probabilities):
+                assert abs(port_probabilities(dsn, i)[3] - q_i) <= 1e-12
+
+    def test_qfilter_design_answers(self, tmp_path, capsys):
+        c, d, priors = NEAR_BOUNDARY[0]
+        states = [[c, 0.0, math.sqrt(1.0 - c * c)], [1.0, 0.0, 0.0], [math.cos(d), math.sin(d), 0.0]]
+        path = tmp_path / "near_boundary.json"
+        path.write_text(json.dumps({
+            "schema": "qfilter.ensemble/1",
+            "label": "near boundary",
+            "states": [[{"re": x, "im": 0.0} for x in state] for state in states],
+            "priors": list(priors),
+        }))
+        assert cli_main(["design", "--input", str(path)]) == 0, capsys.readouterr().err
+        assert json.loads(capsys.readouterr().out)["solution"]["regime"] == "VN_SMALL_OVERLAP"
 
 
 def vn_small_cases(name: str) -> list[tuple[Ensemble, FilterSolution]]:
-    """The VN_SMALL_OVERLAP instances of a stratified, near-parallel or real set.
-
-    The real set (real states, half of them nearly coplanar, first prior
-    dominant) is where a negative L23 makes theta pi/2.
-    """
+    """The VN_SMALL_OVERLAP instances of a stratified, near-parallel or real set
+    (real states, half of them nearly coplanar, first prior dominant)."""
     if name == "stratified":
         ensembles = stratified_random_ensembles(300, 20260816)
     elif name == "near_parallel":
@@ -779,18 +804,20 @@ def vn_small_cases(name: str) -> list[tuple[Ensemble, FilterSolution]]:
     return cases
 
 
-class TestRankOneTheta:
-    """q1 = w makes the success vectors of states 2 and 3 parallel."""
+class TestSmallOverlapTheta:
+    """q1 = w: the success vectors of states 2 and 3 share port 2."""
 
     @pytest.mark.parametrize("name", ["stratified", "near_parallel", "real"])
-    def test_theta_is_exactly_0_or_pi_over_2(self, name):
+    def test_theta_is_exactly_0(self, name):
+        """Each port-4 probability is within 1e-10 of the 50-digit optimum,
+        measured on the basis: on near-parallel inputs ``solve``'s q, which
+        carry its closed-form w, are up to ~1e-7 off that optimum."""
+        optimum = perfbench_module("reference").optimum
         cases = vn_small_cases(name)
         assert len(cases) >= 15
-        thetas = set()
         for e, sol in cases:
             dsn = design(e, sol)
-            assert dsn.theta in (0.0, math.pi / 2.0)
-            thetas.add(dsn.theta)
+            assert dsn.theta == 0.0
             unitary = dsn.unitary
             np.testing.assert_allclose(unitary.conj().T @ unitary, np.eye(4), atol=1e-10)
             probs = [np.abs(unitary @ v) ** 2 for v in embedded(e)]
@@ -798,13 +825,102 @@ class TestRankOneTheta:
             others = [p - 1 for p in dsn.set_ports]
             assert probs[0][others].sum() < 1e-10
             assert max(probs[1][claim], probs[2][claim]) < 1e-10
-            for p, q_i in zip(probs, sol.failure_probabilities):
-                assert p[3] == pytest.approx(q_i, abs=1e-9)
+            ref = optimum([s.amplitudes for s in e.states], e.priors)[:3]
+            for p, r_i in zip(probs, ref):
+                assert p[3] == pytest.approx(r_i, abs=1e-10)
             np.testing.assert_allclose(
                 gram_matrix(embedded(e)), gram_matrix(dsn.outputs), atol=1e-9
             )
-        if name == "real":
-            assert thetas == {0.0, math.pi / 2.0}
+
+    def test_the_gate_absorbs_the_error_of_w_on_near_parallel_states(self):
+        """``solve``'s w is off by up to ~2u / (1 - |O23|^2), so the gate
+        allows ``1e-14 / (1 - |O23|^2)`` where that exceeds ``GRAM_TOL``: a
+        q1 moved by half that designs, one moved by twice that is refused."""
+        optimum = perfbench_module("reference").optimum
+        wide = 0
+        for e, sol in vn_small_cases("near_parallel"):
+            tol = max(designer.GRAM_TOL, 1e-14 / (1.0 - abs(overlaps(e).O23) ** 2))
+            ref = optimum([s.amplitudes for s in e.states], e.priors)[:3]
+            off = max(abs(q_i - r_i) for q_i, r_i in zip(sol.failure_probabilities, ref))
+            assert off <= 0.1 * tol
+            wide += off > designer.GRAM_TOL
+            design(e, rebuilt(sol, q1=sol.q1 + 0.5 * tol))
+            with pytest.raises(InconsistentSolutionError):
+                design(e, rebuilt(sol, q1=sol.q1 + 2.0 * tol))
+        assert wide >= 5
+
+
+def projective_cases(name: str) -> list[tuple[Ensemble, FilterSolution]]:
+    """The projective-regime instances of a set; ``pool`` is the benchmark's
+    ``large_overlap`` and ``coplanar_dominant`` pipeline items of seed 1."""
+    if name == "pool":
+        items = perfbench_module("inputs").pipeline_pool(1)
+        ensembles = [
+            Ensemble(tuple(it.states), it.priors)
+            for it in items if it.stratum in ("large_overlap", "coplanar_dominant")
+        ]
+    else:
+        ensembles = oracle_instances(name)
+    cases = [(e, solve(e)) for e in ensembles]
+    return [(e, sol) for e, sol in cases if sol.regime is not Regime.POVM]
+
+
+class TestProjectiveRoute:
+    """Projective-regime designs come straight from the measurement basis."""
+
+    @pytest.mark.parametrize("name", ["random_3d", "random_2d", "rank_2", "stratified", "pool"])
+    def test_exact_zero_error_with_q_on_port_4(self, name):
+        regimes = set()
+        for e, sol in projective_cases(name)[:80]:
+            dsn = design(e, sol)
+            regimes.add(sol.regime)
+            assert dsn.state1_port == 1
+            assert multiport._unitarity_residual(dsn._unitary) <= 1e-14
+            for i, q_i in enumerate(sol.failure_probabilities):
+                probs = port_probabilities(dsn, i)
+                forbidden = probs[1] + probs[2] if i == 0 else probs[0]
+                assert forbidden <= 1e-20
+                assert abs(probs[3] - q_i) <= 1e-9
+                # U times the input, summed as port_probabilities sums it.
+                x = dsn._embedded_inputs[i]
+                amps = [0j + u[0] * x[0] + u[1] * x[1] + u[2] * x[2] + u[3] * x[3] for u in dsn._unitary]
+                assert amps == list(dsn._outputs[i])
+                assert dsn._success_vectors[i][3] == 0 and dsn._failure_vectors[i][:3] == (0j,) * 3
+            want = exhaustive_design(e, sol)
+            assert len(decompose(dsn.unitary).layers) <= len(decompose(want.unitary).layers)
+        assert regimes == {Regime.VN_LARGE_OVERLAP, Regime.VN_SMALL_OVERLAP}
+
+    def test_large_overlap_rows_are_the_measurement_basis(self):
+        """Port 1 is e4^T, port 4 conj(psi1), and port 2 leaves mode 3 alone."""
+        for e, sol in projective_cases("stratified"):
+            if sol.regime is Regime.VN_LARGE_OVERLAP:
+                rows = design(e, sol)._unitary
+                assert rows[0] == (0j, 0j, 0j, 1 + 0j)
+                assert rows[3] == tuple(x.conjugate() for x in embed_inputs(e)[0])
+                assert rows[1][2] == rows[1][3] == 0
+
+    def test_small_overlap_port_1_is_orthogonal_to_states_2_and_3(self):
+        """Port 3 is e4^T; port 1 certifies state 1 with probability 1 - w."""
+        for e, sol in projective_cases("stratified"):
+            if sol.regime is Regime.VN_SMALL_OVERLAP:
+                dsn = design(e, sol)
+                assert dsn._unitary[2] == (0j, 0j, 0j, 1 + 0j)
+                assert port_probabilities(dsn, 0)[0] == pytest.approx(1.0 - sol.q1, abs=1e-9)
+
+    @pytest.mark.parametrize("regime", [Regime.VN_LARGE_OVERLAP, Regime.VN_SMALL_OVERLAP])
+    @pytest.mark.parametrize("factor", [0.5, 0.999, 1.001])
+    def test_an_inconsistent_solution_is_refused(self, regime, factor):
+        e, sol = next(case for case in projective_cases("stratified") if case[1].regime is regime)
+        bogus = rebuilt(sol, q2=factor * sol.q2)
+        with pytest.raises(InconsistentSolutionError, match="off q by up to"):
+            design(e, bogus)
+        design(e, rebuilt(sol, q2=sol.q2 + 0.5 * designer.GRAM_TOL))
+
+    def test_a_small_overlap_solution_for_parallel_states_is_refused(self):
+        e = Ensemble(((0.6, 0.0, 0.8), (1.0, 0.0, 0.0), (1.0, 0.0, 0.0)), (0.9, 0.05, 0.05))
+        sol = FilterSolution(0.36, 1.0, 1.0, 0.424, Regime.VN_SMALL_OVERLAP, 0.036, 0.36)
+        with pytest.raises(InconsistentSolutionError, match="no VN_SMALL_OVERLAP measurement fits"):
+            design(e, sol)
 
 
 def completion_outcome(complete, e, outputs):
@@ -913,14 +1029,21 @@ class TestCompletionWork:
         return calls
 
     def test_project_out_calls_per_design(self, calls):
-        """3 input vectors, 3 output vectors and the output completion; the
-        input completion, e4, is read off.  So is the output completion where
-        the outputs leave a mode exactly empty (theta = 0 or q1 = 1)."""
+        """POVM: 3 input vectors, 3 output vectors and the output completion;
+        the input completion, e4, is read off.  So is the output completion
+        where the outputs leave a mode exactly empty (q = 0 here).  The
+        projective regimes complete nothing: ``VN_SMALL_OVERLAP`` projects
+        psi1 out of one direction, ``VN_LARGE_OVERLAP`` nothing."""
         counts = set()
         for e in stratified_random_ensembles(40, 8) + oracle_instances("fixtures"):
             sol = solve(e)
             calls.update(_project_out=0, complete_unitary=0)
             dsn = design(e, sol)
+            if sol.regime is not Regime.POVM:
+                assert calls["complete_unitary"] == 0
+                assert calls["_project_out"] == int(sol.regime is Regime.VN_SMALL_OVERLAP)
+                counts.add((sol.regime, calls["_project_out"]))
+                continue
             # Permutable: one completion, the winner read off its rows.
             assert calls["complete_unitary"] == 1
             empty = any(not any(out[k] for out in dsn._outputs) for k in range(4))
@@ -928,16 +1051,17 @@ class TestCompletionWork:
             # while e4 was projected out
             assert calls["_project_out"] == (6 if empty else 7)
             counts.add(calls["_project_out"])
-        assert counts == {6, 7}
+        assert counts == {6, 7, (Regime.VN_SMALL_OVERLAP, 1), (Regime.VN_LARGE_OVERLAP, 0)}
 
-    @pytest.mark.parametrize("name", ["random_2d", "rank_2", "near_boundary"])
-    def test_every_design_completes_one_unitary(self, calls, name):
-        """Inputs spanning 2 modes, and L23 = 0 off theta = pi/4, included."""
+    @pytest.mark.parametrize("name", ["stratified", "random_2d", "rank_2", "near_boundary"])
+    def test_every_design_completes_at_most_one_unitary(self, calls, name):
+        """One for a POVM-regime design, none for a projective one; inputs
+        spanning 2 modes, and near q2 = 1, included."""
         for e in oracle_instances(name)[:20]:
             sol = solve(e)
             calls.update(complete_unitary=0)
             design(e, sol)
-            assert calls["complete_unitary"] == 1
+            assert calls["complete_unitary"] == int(sol.regime is Regime.POVM)
 
     def test_input_side_runs_once_per_completion(self, calls):
         for e in stratified_random_ensembles(6, 9) + [fifty_fifty_ensemble()]:
@@ -947,7 +1071,7 @@ class TestCompletionWork:
             for outs in later:
                 complete_unitary(e, outs)
             completions = calls["complete_unitary"] + len(later)
-            assert completions == 4
+            assert completions == 3 + (dsn.solution.regime is Regime.POVM)
             # Each completion orthonormalizes the inputs once, and completes
             # the input basis and the output basis once each.
             assert calls["input_side"] == completions
@@ -979,10 +1103,10 @@ class TestCompletionWork:
             assert np.array(complement).tobytes() == np.eye(4, dtype=complex)[2:].tobytes()
             assert np.array(complement).tobytes() == np.array(unpruned_complement(basis)).tobytes()
 
-    def test_empty_modes_of_routed_outputs_are_read_off_without_projecting(self, rounds):
-        """The 3-D output basis of a routed design leaves its one exactly empty
-        mode e_k, which is read off at entry."""
-        bases = [designer._orthonormal_basis(design(e)._outputs)[0] for e in routed_ensembles()]
+    def test_empty_modes_of_projective_outputs_are_read_off_without_projecting(self, rounds):
+        """A projective design's outputs span 3 modes and leave one exactly
+        empty, port 1 or 3 (its row is e4^T): that e_k is read off at entry."""
+        bases = [designer._orthonormal_basis(design(e)._outputs)[0] for e in projective_ensembles()]
         assert len(bases) >= 10
         for basis in bases:
             empty = [k for k in range(4) if not any(b[k] for b in basis)]
@@ -1037,10 +1161,9 @@ class TestCompletionWork:
         assert compared > 2900
 
 
-def routed_ensembles() -> list[Ensemble]:
-    """Stratified ensembles whose design unitary is routed: column 4 is
-    exactly e_k and row k exactly e4^T, for a signal mode k."""
-    return [e for e in oracle_instances("stratified")[:60] if multiport._route(design(e)._unitary) >= 0]
+def projective_ensembles() -> list[Ensemble]:
+    """Stratified ensembles in a projective regime."""
+    return [e for e in oracle_instances("stratified")[:60] if solve(e).regime is not Regime.POVM]
 
 
 def unpruned_complement(basis):
@@ -1078,13 +1201,11 @@ class TestGaugeScoringWork:
         assert calls == []
 
     @pytest.mark.parametrize(
-        "name, counts",
-        [("stratified", {2}), ("structured", {2, 4}), ("reference", {4}), ("near_boundary", {2})],
+        "name, counts", [("stratified", {0, 2}), ("structured", {0, 4}), ("reference", {4})]
     )
     def test_layers_are_counted_once_per_row_permutation(self, monkeypatch, name, counts):
         """2 row permutations on the sign-only path, 4 where lone flips are
-        gauges (L23 = 0 and theta = pi/4); near_boundary has L23 = 0 off
-        theta = pi/4, so it stays on the sign-only path."""
+        gauges (L23 = 0 and theta = pi/4), none in the projective regimes."""
         calls = []
         layer_count = designer._layer_count
         monkeypatch.setattr(
@@ -1097,34 +1218,31 @@ class TestGaugeScoringWork:
             theta = design(e, sol).theta
             l23 = build_L(e, sol, failure_phases(e))[1][2]
             lone_flips = abs(l23) <= 1e-12 and abs(theta - math.pi / 4.0) <= 1e-12
-            assert len(calls) == (4 if lone_flips else 2)
+            want = 0 if sol.regime is not Regime.POVM else 4 if lone_flips else 2
+            assert len(calls) == want
             seen.add(len(calls))
         assert seen == counts
 
     @pytest.mark.parametrize("size, refused", [(1e-6, True), (1e-12, False)])
-    def test_a_routed_unitary_is_checked_for_unitarity(self, monkeypatch, size, refused):
-        """A routed U's layers are counted without nulling, so ``design``
-        checks its unitarity once: a block off by 1e-6 is refused, as the
-        nulling's residue check refused it, and one off by 1e-12 designs."""
-        instances = routed_ensembles()[:5]
-        complete = designer.complete_unitary
+    def test_a_projective_unitary_is_checked_for_unitarity(self, monkeypatch, size, refused):
+        """No projective unitary is nulled, so ``design`` checks its unitarity
+        once: a row off by 1e-6 is refused, and one off by 1e-12 designs."""
+        instances = projective_ensembles()
+        projective = designer._projective_unitary
 
-        def perturbed(e, outputs):
-            rows = complete(e, outputs)
-            k = multiport._route(rows)
-            assert k >= 0
-            rows[(k + 1) % 3] = [x + size for x in rows[(k + 1) % 3][:3]] + [0j]
-            assert multiport._route(rows) == k
+        def perturbed(ins, regime):
+            rows = projective(ins, regime)
+            rows[1] = [x + size for x in rows[1]]
             return rows
 
-        monkeypatch.setattr(designer, "complete_unitary", perturbed)
-        assert instances
+        monkeypatch.setattr(designer, "_projective_unitary", perturbed)
+        assert {solve(e).regime for e in instances} == {Regime.VN_LARGE_OVERLAP, Regime.VN_SMALL_OVERLAP}
         for e in instances:
             if refused:
-                with pytest.raises(InternalConsistencyError):
+                with pytest.raises(InternalConsistencyError, match="unitarity residual"):
                     design(e)
             else:
-                assert design(e).state1_port in (1, 2)
+                assert design(e).state1_port == 1
 
     @pytest.mark.parametrize("lone_flips", [False, True])
     def test_gauge_table_is_in_tie_break_order(self, lone_flips):

@@ -3,7 +3,8 @@
 The files in ``tests/golden/`` are the stdout of these commands, run from
 the repository root::
 
-    for f in fifty_fifty orthogonal symmetric_s030 symmetric_s050; do
+    for f in fifty_fifty orthogonal symmetric_s030 symmetric_s050 \\
+        vn_large_overlap vn_small_overlap; do
       for c in solve design synthesize compare; do
         qfilter $c --input fixtures/$f.json > tests/golden/$f.$c.json
       done
@@ -29,11 +30,11 @@ kernels; ``OPENBLAS_VERBOSE=2 python -c "import numpy"`` prints the kernel
 overlaps, w, the Cholesky factor of ``ensemble_from_overlaps``, the design,
 the port probabilities and the mesh recomposition are all formed on Python
 scalars, and so is the identification search of ``compare`` and of the
-sweeps.  All 25 artifacts read the same under ``OPENBLAS_CORETYPE=Haswell``
-and ``Prescott`` (before, 1 and 6 of them differed); the kernel test below
-checks that.  No command imports numpy, ``simulate`` included: its counts
+sweeps.  Every artifact reads the same under ``OPENBLAS_CORETYPE=Haswell``
+and ``Prescott`` (before, 1 and 6 of the then 25 differed); the kernel test
+below checks that.  No command imports numpy, ``simulate`` included: its counts
 come from ``random.Random(seed)`` through the binomials of
-``qfilter._stream``, and the last test checks that all 25 artifacts come out of one
+``qfilter._stream``, and the last test checks that all 35 artifacts come out of one
 process that never imports numpy.
 """
 
@@ -52,7 +53,10 @@ from conftest import FIXTURES_DIR
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
-FIXTURES = ["fifty_fifty", "orthogonal", "symmetric_s030", "symmetric_s050"]
+FIXTURES = [
+    "fifty_fifty", "orthogonal", "symmetric_s030", "symmetric_s050",
+    "vn_large_overlap", "vn_small_overlap",
+]
 
 SIMULATE_ARGS = ["--trials", "1000000", "--seed", "7"]
 

@@ -1,12 +1,10 @@
 """Beam-splitter mesh synthesis and resynthesis."""
 
 import cmath
-import importlib.util
 import itertools
 import json
 import math
 import pathlib
-import sys
 
 import numpy as np
 import pytest
@@ -23,12 +21,12 @@ from qfilter import (
     design,
     recompose,
 )
-from qfilter import multiport
-from qfilter.multiport import UNITARITY_TOL, _layer_count, _route, _unitarity_residual
+from qfilter.multiport import UNITARITY_TOL, _layer_count, _unitarity_residual
 
 from conftest import (
     fifty_fifty_ensemble,
     fifty_fifty_expected_unitary,
+    perfbench_module,
     symmetric_expected_unitary,
 )
 
@@ -361,51 +359,6 @@ class TestDecomposeReference:
             assert np.max(np.abs(recompose(program) - unitary)) <= 1e-14, entry["label"]
 
 
-#: Givens angles at the nulling's 1e-12 drop, its 1e-15 swap branch, the guard
-#: band's edges and exact 0 and pi/2.
-ADVERSARIAL_ANGLES = (
-    0.0, math.pi / 2, 1e-15, 1e-13, 8e-13, 1e-12, 1.2e-12, 1e-8, 1e-4, math.pi / 2 - 1e-9,
-)
-
-
-def givens_block(order, angles, phases) -> list[list[complex]]:
-    """A 3x3 unitary as rows: the product of Givens rotations on the mode
-    pairs of `order`, the first acting first, ``[[c e^{i phi}, -s], [s e^{i phi}, c]]``."""
-    w = np.eye(3, dtype=complex)
-    for (i, j), theta, phi in zip(order, angles, phases):
-        g = np.eye(3, dtype=complex)
-        c, s, phase = math.cos(theta), math.sin(theta), cmath.exp(1j * phi)
-        g[i, i], g[i, j], g[j, i], g[j, j] = c * phase, -s, s * phase, c
-        w = g @ w
-    return w.tolist()
-
-
-def signed_row_permutation(w: list[list[complex]], n: int) -> list[list[complex]]:
-    """`w` with its rows in the (n mod 6)-th order, row i negated where bit i of n // 6 is set."""
-    perm = list(itertools.permutations(range(3)))[n % 6]
-    return [[-x for x in w[p]] if n // 6 >> i & 1 else w[p] for i, p in enumerate(perm)]
-
-
-def swap_branch_block(h: float, w22: float, ratio: float, phase: complex) -> list[list[complex]]:
-    """A 3x3 unitary with |W12|^2 + |W22|^2 = h^2, W22 = `w22` below the
-    nulling's 1e-15 swap branch, and |W01| / h = `ratio`, tilted by `phase`.
-    The swap leaves W22 behind, which moves L12's r by up to W22 / h."""
-    col2 = np.array([math.sqrt(1.0 - h * h - w22 * w22), h, w22], dtype=complex)
-    col1 = np.array([0.0, -w22, h], dtype=complex) / math.hypot(h, w22)
-    third = np.cross(col2.conj(), col1.conj())
-    col1 = col1 * math.sqrt(1.0 - ratio**2) + phase * ratio * third / np.linalg.norm(third)  # |third[0]| = h
-    col0 = np.cross(col2.conj(), col1.conj())
-    return np.stack([col0 / np.linalg.norm(col0), col1, col2], axis=1).tolist()
-
-
-def routed(w: list[list[complex]], k: int) -> list[list[complex]]:
-    """The 4x4 rows with column 4 e_k, row k e4^T and the block `w`: rows 1-3
-    with row k replaced by -row 4."""
-    rows = [[*row, 0j] for row in w] + [[-x for x in w[k]] + [0j]]
-    rows[k] = [0j, 0j, 0j, 1 + 0j]
-    return rows
-
-
 class TestLayerCount:
     """``_layer_count`` is the layer count of ``decompose``, from Python rows."""
 
@@ -419,50 +372,6 @@ class TestLayerCount:
             rows = unitary.tolist()
             assert _layer_count(rows) == len(decompose(unitary).layers), entry["label"]
             assert rows == unitary.tolist()
-
-    def test_routed_counts_match_decompose_on_adversarial_blocks(self, monkeypatch):
-        """Every product of three Givens rotations with angles from
-        ``ADVERSARIAL_ANGLES``, in two orders, under a signed row permutation,
-        routed at k = 0, 1 and 2; and every 4x4 permutation matrix.  The set
-        reaches the full-swap branch (W12 = W22 = 0), the closed form and the
-        guard band's fallback to nulling the block."""
-        blocks = []
-        null = multiport._null
-        monkeypatch.setattr(multiport, "_null", lambda work: blocks.append(len(work)) or null(work))
-        full_swaps = 0
-        orders = [((0, 1), (0, 2), (1, 2)), ((1, 2), (0, 2), (0, 1))]
-        cases = itertools.product(orders, itertools.product(ADVERSARIAL_ANGLES, repeat=3))
-        for n, (order, angles) in enumerate(cases):
-            phases = [0.0, 0.0, 0.0] if n % 4 == 0 else [0.7 * n, -1.3 * n, 2.9 * n]
-            w = signed_row_permutation(givens_block(order, angles, phases), n)
-            full_swaps += w[1][2] == w[2][2] == 0
-            for k in range(3):
-                rows = routed(w, k)
-                assert _route(rows) == k
-                assert _layer_count(rows) == len(decompose(rows).layers), (order, angles, n, k)
-        routed_permutations = 0
-        for perm in itertools.permutations(range(4)):
-            rows = np.eye(4, dtype=complex)[list(perm)].tolist()
-            routed_permutations += _route(rows) >= 0
-            assert _layer_count(rows) == len(decompose(rows).layers), perm
-        for phase in (1, -1, 1j, -1j):
-            rows = routed(swap_branch_block(1e-3, 9.99e-16, 0.9e-14, phase), 0)
-            assert _layer_count(rows) == len(decompose(rows).layers), phase
-        assert full_swaps and routed_permutations
-        # Nulled blocks are the fallbacks: some, but not every routed case.
-        assert 0 < blocks.count(3) < 3 * (n + 1) + routed_permutations
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        angles=st.lists(st.sampled_from(ADVERSARIAL_ANGLES) | st.floats(0.0, math.pi), min_size=3, max_size=3),
-        phases=st.lists(st.floats(-math.pi, math.pi), min_size=3, max_size=3),
-        order=st.permutations([(0, 1), (0, 2), (1, 2)]),
-        n=st.integers(0, 47),
-        k=st.integers(0, 2),
-    )
-    def test_routed_counts_match_decompose(self, angles, phases, order, n, k):
-        rows = routed(signed_row_permutation(givens_block(order, angles, phases), n), k)
-        assert _layer_count(rows) == len(decompose(rows).layers)
 
 
 def direct_sum_1(rows: list[list[complex]]) -> list[list[complex]]:
@@ -497,13 +406,8 @@ def assert_generic_path_agrees(rows: list[list[complex]]) -> None:
 
 
 def pipeline_pool(seed: int) -> list:
-    """The ``pipeline`` input pool of ``perfbench/inputs.py``, read from its file."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_inputs", ROOT / "perfbench" / "inputs.py"
-    )
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)  # its dataclasses look the module up
-    return module.pipeline_pool(seed)
+    """The ``pipeline`` input pool of ``perfbench/inputs.py``."""
+    return perfbench_module("inputs").pipeline_pool(seed)
 
 
 NON_FINITE = st.sampled_from(
