@@ -21,6 +21,8 @@ RECORDS = sorted(ROOT.glob("BENCH_*.json"))
 #: metrics that the change must leave identical in every pair.
 CLAIMS = {
     "BENCH_32.json": ("pipeline", "throughput_ops_s", ("answered_ratio", "max_abs_err", "mesh_layers_mean")),
+    # The projective designs take fewer layers there, so mesh_layers_mean moves by design.
+    "BENCH_33.json": ("pipeline", "throughput_ops_s", ("answered_ratio", "max_abs_err")),
 }
 
 

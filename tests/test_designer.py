@@ -908,13 +908,14 @@ class TestProjectiveRoute:
                 assert port_probabilities(dsn, 0)[0] == pytest.approx(1.0 - sol.q1, abs=1e-9)
 
     @pytest.mark.parametrize("regime", [Regime.VN_LARGE_OVERLAP, Regime.VN_SMALL_OVERLAP])
-    @pytest.mark.parametrize("factor", [0.5, 0.999, 1.001])
-    def test_an_inconsistent_solution_is_refused(self, regime, factor):
+    @pytest.mark.parametrize("shift", [-2.0, 2.0, 1e5])
+    def test_an_inconsistent_solution_is_refused(self, regime, shift):
+        """On both sides of ``GRAM_TOL``: q2 moved by 2 (or 1e5) times it is
+        refused, and moved by half of it designs."""
         e, sol = next(case for case in projective_cases("stratified") if case[1].regime is regime)
-        bogus = rebuilt(sol, q2=factor * sol.q2)
         with pytest.raises(InconsistentSolutionError, match="off q by up to"):
-            design(e, bogus)
-        design(e, rebuilt(sol, q2=sol.q2 + 0.5 * designer.GRAM_TOL))
+            design(e, rebuilt(sol, q2=sol.q2 + shift * designer.GRAM_TOL))
+        design(e, rebuilt(sol, q2=sol.q2 + math.copysign(0.5, shift) * designer.GRAM_TOL))
 
     def test_a_small_overlap_solution_for_parallel_states_is_refused(self):
         e = Ensemble(((0.6, 0.0, 0.8), (1.0, 0.0, 0.0), (1.0, 0.0, 0.0)), (0.9, 0.05, 0.05))
@@ -1106,7 +1107,7 @@ class TestCompletionWork:
     def test_empty_modes_of_projective_outputs_are_read_off_without_projecting(self, rounds):
         """A projective design's outputs span 3 modes and leave one exactly
         empty, port 1 or 3 (its row is e4^T): that e_k is read off at entry."""
-        bases = [designer._orthonormal_basis(design(e)._outputs)[0] for e in projective_ensembles()]
+        bases = [designer._orthonormal_basis(design(e)._outputs)[0] for e, _ in projective_cases("stratified")[:40]]
         assert len(bases) >= 10
         for basis in bases:
             empty = [k for k in range(4) if not any(b[k] for b in basis)]
@@ -1159,11 +1160,6 @@ class TestCompletionWork:
                 assert np.array(got).tobytes() == np.array(want).tobytes(), vectors
                 compared += 1
         assert compared > 2900
-
-
-def projective_ensembles() -> list[Ensemble]:
-    """Stratified ensembles in a projective regime."""
-    return [e for e in oracle_instances("stratified")[:60] if solve(e).regime is not Regime.POVM]
 
 
 def unpruned_complement(basis):
@@ -1227,7 +1223,7 @@ class TestGaugeScoringWork:
     def test_a_projective_unitary_is_checked_for_unitarity(self, monkeypatch, size, refused):
         """No projective unitary is nulled, so ``design`` checks its unitarity
         once: a row off by 1e-6 is refused, and one off by 1e-12 designs."""
-        instances = projective_ensembles()
+        instances = [e for e, _ in projective_cases("stratified")[:40]]
         projective = designer._projective_unitary
 
         def perturbed(ins, regime):
