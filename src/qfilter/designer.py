@@ -553,8 +553,7 @@ def design(e: Ensemble, sol: FilterSolution | None = None) -> MeasurementDesign:
     InconsistentSolutionError
         If a supplied solution does not fit the ensemble: :func:`build_L`
         refuses it, or a projective port-4 probability is off q by more
-        than ``GRAM_TOL`` or, in ``VN_SMALL_OVERLAP``, than
-        ``1e-14 / (1 - |O23|^2)`` where that is larger.
+        than ``GRAM_TOL``.
     InternalConsistencyError
         If a projective unitary is off unitarity by more than ``UNITARITY_TOL``.
     """
@@ -565,17 +564,15 @@ def design(e: Ensemble, sol: FilterSolution | None = None) -> MeasurementDesign:
         small = sol.regime is Regime.VN_SMALL_OVERLAP  # v2 and v3 share port 2: theta is exactly 0
         try:
             unitary = _projective_unitary(ins, sol.regime)
-            # solve's closed-form w, which VN_SMALL_OVERLAP's q carry, is off by up to ~2u / (1 - |O23|^2).
-            tol = max(GRAM_TOL, 1e-14 / (1.0 - abs(overlaps(e).O23) ** 2)) if small else GRAM_TOL
         except ZeroDivisionError:  # psi2 parallel to psi3, or psi1 orthogonal to both
             raise InconsistentSolutionError(f"no {sol.regime.value} measurement fits this ensemble") from None
         if not (residual := _unitarity_residual(unitary)) <= UNITARITY_TOL:
             raise InternalConsistencyError(f"the projective unitary has unitarity residual {residual:.3e}")
         outs = [[0j + u0 * x0 + u1 * x1 + u2 * x2 + u3 * x3 for u0, u1, u2, u3 in unitary] for x0, x1, x2, x3 in ins]
         gaps = [abs(out[3].real ** 2 + out[3].imag ** 2 - q) for out, q in zip(outs, sol.failure_probabilities)]
-        if not all([gap <= tol for gap in gaps]):
+        if not all([gap <= GRAM_TOL for gap in gaps]):
             raise InconsistentSolutionError(f"failure-port probabilities are off q by up to {max(gaps):.3e} "
-                                            f"(tolerance {tol:.3g}); the solution does not fit this ensemble")
+                                            f"(tolerance {GRAM_TOL:g}); the solution does not fit this ensemble")
         succ, fails, swap = [out[:3] + [0j] for out in outs], [[0j, 0j, 0j, out[3]] for out in outs], 0
         _, v2, v3 = succ
         theta = 0.5 * math.acos(1.0 if small else _cos2theta(_vdot(v2, v3), _vdot(v2, v2).real * _vdot(v3, v3).real)[0])

@@ -329,12 +329,16 @@ class Ensemble(Frozen):
                 f"states 2 and 3 are numerically parallel (|O23|={abs(o23):.12g}); "
                 "the parallel-component formula is singular"
             )
-        # Evaluated with the larger of |O12|, |O13| first, so the bits do not
-        # depend on which of states 2 and 3 comes first.
+        s2, s3 = self.states[1].amplitudes, self.states[2].amplitudes
+        # The state of larger overlap with psi1 spans first, so the bits do not
+        # depend on which of states 2 and 3 comes first; then ||u||^2, u = psi3 - O23 psi2.
         if abs(o13) > abs(o12):
-            o12, o13, o23 = o13, o12, o23.conjugate()
-        num = abs(o12) ** 2 + abs(o13) ** 2 - 2.0 * (o12 * o23 * o13.conjugate()).real
-        val = num / (1.0 - abs(o23) ** 2)
+            o12, o13, o23, s2, s3 = o13, o12, o23.conjugate(), s3, s2
+        norm2 = 0.0
+        for x, y in zip(s2, s3):
+            r = abs(y - o23 * x)
+            norm2 += r * r
+        val = abs(o12) ** 2 + abs(o13 - o23 * o12) ** 2 / norm2  # <psi1|u> = O13 - O23 O12
         return min(max(val, 0.0), 1.0)
 
 
@@ -398,15 +402,16 @@ def _overlap_gram(o12, o13, o23) -> list[list[complex]]:
 def parallel_component_norm2(e: Ensemble) -> float:
     """Squared norm of the component of psi1 inside span{psi2, psi3}.
 
-    Evaluates the closed form
+    Read off the Gram-Schmidt frame of (psi2, psi3): with
+    ``u = psi3 - O23 psi2``, formed on the amplitudes,
 
-    ``(|O12|^2 + |O13|^2 - 2 Re(O12 O23 conj(O13))) / (1 - |O23|^2)``
+    ``w = |O12|^2 + |O13 - O23 O12|^2 / ||u||^2``.
 
-    which agrees with ``|| P @ psi1 ||^2``, P the orthogonal projector onto
-    span{psi2, psi3}, to within 1e-10.  When |O13| > |O12| it is evaluated
-    on ``(O13, O12, conj(O23))``, the overlaps with states 2 and 3
-    exchanged, so exchanging (psi2, eta2) and (psi3, eta3) leaves the bits
-    unchanged whenever |O12| != |O13|.  The result is clipped into [0, 1]
+    ``||u||^2`` is 1 - |O23|^2 without its cancellation, so the error of w
+    grows as u / ||u|| (unit roundoff u), not as u / (1 - |O23|^2).  When
+    |O13| > |O12| it is evaluated with states 2 and 3 exchanged, so
+    exchanging (psi2, eta2) and (psi3, eta3) leaves the bits unchanged
+    whenever |O12| != |O13|.  The result is clipped into [0, 1]
     (floating dust only).  Like :func:`overlaps` it is computed once per
     ensemble, which is read-only, and then reused; ``solve`` returns
     this same value as ``FilterSolution.parallel_norm2``.

@@ -524,8 +524,8 @@ def m_matrix(e: Ensemble, q1: float) -> np.ndarray:
 
 # The closed-form route as it stood before overlaps were memoized on the
 # Ensemble: every call recomputes the overlaps, and solve() takes the 2<->3
-# exchange by building swapped_23(e).  Kept verbatim as a bit-for-bit
-# reference for solve().  The von_neumann_baseline() reference reads the w
+# exchange by building swapped_23(e).  Kept as a bit-for-bit reference for
+# solve(), with w formed in the Gram-Schmidt frame of (psi2, psi3).  The von_neumann_baseline() reference reads the w
 # of that solve route, which is the w of the exchanged order when
 # |O13| > |O12|, and falls back to eta1 + A only when w is exactly 0.
 
@@ -546,12 +546,12 @@ def _reference_parallel_component_norm2(e: Ensemble) -> float:
             f"states 2 and 3 are numerically parallel (|O23|={abs(ov.O23):.12g}); "
             "the parallel-component formula is singular"
         )
-    num = (
-        abs(ov.O12) ** 2
-        + abs(ov.O13) ** 2
-        - 2.0 * (ov.O12 * ov.O23 * np.conj(ov.O13)).real
-    )
-    val = num / (1.0 - abs(ov.O23) ** 2)
+    # Gram-Schmidt: psi1's coefficients on psi2 and on u = psi3 - O23 psi2.
+    u = [y - ov.O23 * x for x, y in zip(e.states[1].amplitudes, e.states[2].amplitudes)]
+    norm2 = 0.0
+    for r in map(abs, u):
+        norm2 += r * r
+    val = abs(ov.O12) ** 2 + abs(ov.O13 - ov.O23 * ov.O12) ** 2 / norm2
     return float(min(max(val, 0.0), 1.0))
 
 

@@ -373,6 +373,27 @@ class TestLayerCount:
             assert _layer_count(rows) == len(decompose(unitary).layers), entry["label"]
             assert rows == unitary.tolist()
 
+    @pytest.mark.xfail(strict=True, reason="the nulling's swap branch leaves W22 behind")
+    def test_the_swap_branch_keeps_no_layer_an_exact_nulling_drops(self):
+        """On this block L12's true ratio |W01| / h is 9e-15, below
+        ``IDENTITY_DROP_TOL``, but the swap at L23 (|W22| < 1e-15) exchanges
+        the rows without rotating W22 away, and L12 is kept at r = -1.008e-12."""
+        rows = [[*row, 0j] for row in swap_branch_block(1e-3, 9.99e-16, 0.9e-14, 1)]
+        rows.append([0j, 0j, 0j, 1 + 0j])
+        assert [layer[:2] for layer in decompose(rows).layers] == [(2, 3), (1, 3)]
+
+
+def swap_branch_block(h: float, w22: float, ratio: float, phase: complex) -> list[list[complex]]:
+    """A 3x3 unitary with |W12|^2 + |W22|^2 = h^2, W22 = `w22` below the
+    nulling's 1e-15 swap branch, and |W01| / h = `ratio`, tilted by `phase`.
+    The swap leaves W22 behind, which moves L12's r by up to W22 / h."""
+    col2 = np.array([math.sqrt(1.0 - h * h - w22 * w22), h, w22], dtype=complex)
+    col1 = np.array([0.0, -w22, h], dtype=complex) / math.hypot(h, w22)
+    third = np.cross(col2.conj(), col1.conj())
+    col1 = col1 * math.sqrt(1.0 - ratio**2) + phase * ratio * third / np.linalg.norm(third)  # |third[0]| = h
+    col0 = np.cross(col2.conj(), col1.conj())
+    return np.stack([col0 / np.linalg.norm(col0), col1, col2], axis=1).tolist()
+
 
 def direct_sum_1(rows: list[list[complex]]) -> list[list[complex]]:
     """``U (+) [1]``: the rows of a 4x4 U bordered by a fifth mode that U

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -530,6 +531,45 @@ class TestProjector23:
         psi1 = np.array([1.0, 2.0, 0.0]) / math.sqrt(5.0)
         e = Ensemble((psi1, psi2, psi3), EQUAL_PRIORS)
         assert parallel_component_norm2(e) == pytest.approx(1.0, abs=1e-12)
+
+
+def fifty_digit_w(e: Ensemble) -> mpmath.mpf:
+    """w of the ensemble's amplitudes at 50 digits, by twice-iterated Gram-Schmidt."""
+    with mpmath.workdps(50):
+        psi1, *others = [[mpmath.mpc(x.real, x.imag) for x in s.amplitudes] for s in e.states]
+        basis = []
+        for v in others:
+            for _ in range(2):
+                for b in basis:
+                    c = mpmath.fsum(mpmath.conj(x) * y for x, y in zip(b, v))
+                    v = [y - c * x for x, y in zip(b, v)]
+            norm = mpmath.sqrt(mpmath.fsum(abs(x) ** 2 for x in v))
+            basis.append([x / norm for x in v])
+        return mpmath.fsum(abs(mpmath.fsum(mpmath.conj(x) * y for x, y in zip(b, psi1))) ** 2 for b in basis)
+
+
+class TestParallelNormAccuracy:
+    """w is formed in the Gram-Schmidt frame of (psi2, psi3), so its error
+    grows as u / eps with eps = ||psi3 - O23 psi2||, not as u / eps^2: the
+    closed form over 1 - |O23|^2 was off by up to 2.3e-7 on the
+    near-parallel set, and by 4.8e-14 on the stratified one."""
+
+    @pytest.mark.parametrize("name", ["stratified", "near_parallel"])
+    def test_w_is_within_2e_15_over_eps_of_50_digits(self, name):
+        if name == "stratified":
+            ensembles = stratified_random_ensembles(300, 20260816)
+        else:
+            ensembles = near_parallel_ensembles(40, 20011203)
+        answered = 0
+        for e in ensembles:
+            try:
+                w = parallel_component_norm2(e)
+            except DegenerateSubspaceError:
+                continue
+            answered += 1
+            eps = math.sqrt(1.0 - abs(overlaps(e).O23) ** 2)
+            assert abs(w - fifty_digit_w(e)) <= 2e-15 / eps
+        assert answered >= 80
 
 
 class TestParallelNormExchange:
