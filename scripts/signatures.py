@@ -18,8 +18,10 @@ bits and the same refusals on every item.  Run from the repository root::
 this repository's); the pools always come from this repository's
 ``perfbench/``, which the script only reads.  Each workload's line counts
 its items and refusals and ends with the digest of that workload alone, so
-two trees can agree on one workload and differ on another; the last line
-is the digest over all of them.
+two trees can agree on one workload and differ on another.  The next line
+gives the mean mesh layers (``decompose`` of each ``pipeline`` design) per
+regime and over all answered ``pipeline`` items, each with its count; the
+last line is the digest over all workloads.
 """
 
 from __future__ import annotations
@@ -100,6 +102,7 @@ def main(argv: list[str] | None = None) -> int:
         "compare": (inputs.compare_pool, compare_op),
     }
     digest = hashlib.sha256()
+    layers: dict[str, list[int]] = {}
     for name, (pool, op) in workloads.items():
         own = hashlib.sha256()
         items = refused = 0
@@ -107,7 +110,10 @@ def main(argv: list[str] | None = None) -> int:
             for idx, item in enumerate(pool(seed)):
                 try:
                     e = qf.Ensemble(tuple(item.states), item.priors)
-                    text = canonical(op(qf, e, seed, idx))
+                    result = op(qf, e, seed, idx)
+                    text = canonical(result)
+                    if name == "pipeline":
+                        layers.setdefault(result[0][4].value, []).append(len(result[8]))
                 except qf.QFilterError as exc:
                     text = f"{type(exc).__name__}: {exc}"
                     refused += 1
@@ -116,6 +122,9 @@ def main(argv: list[str] | None = None) -> int:
                 own.update(line)
                 items += 1
         print(f"{name}: {items} items, {refused} refused, {own.hexdigest()}")
+    layers["all"] = [n for counts in layers.values() for n in counts]
+    means = [f"{regime} {sum(n) / len(n):.4f} ({len(n)})" for regime, n in sorted(layers.items())]
+    print("pipeline mesh layers:", ", ".join(means))
     print(digest.hexdigest())
     return 0
 

@@ -18,9 +18,12 @@ measurement (Bergou, Herzog & Hillery, PRA 71, 042314, 2005), so the
 unitary is written down from the basis it measures in, one row per port.
 In the POVM regime a unitary exists iff the Gram matrix is preserved: the
 success vectors must reproduce the residual matrix L of :func:`build_L`.
-Which mode hosts state 1's success amplitude, and sign flips that leave L
-invariant, form a discrete gauge; :func:`design` keeps the gauge whose
-unitary factors into the fewest beam-splitter layers.
+Any unitary on the two set ports keeps a design zero-error with the same
+q, and so does the port that hosts state 1's success amplitude.
+:func:`design` completes one unitary and scores two placements of it, each
+with a set-port rotation that zeroes one column-4 entry (the first entries
+a triangular mesh clears, as in Reck et al., PRL 73, 58, 1994), and keeps
+the one that factors into fewer beam-splitter layers.
 
 Every step runs on Python scalars, as :data:`Row` lists, and imports no
 numpy; the building blocks return rows, and only the ndarray views of a
@@ -31,7 +34,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import product
 
 from .errors import (
     DomainError,
@@ -102,9 +104,9 @@ class MeasurementDesign(Frozen):
     embedded_inputs:
         The input states padded into the 4-mode network.
     state1_port:
-        1-based mode whose click certifies the target state: 1 for the
-        standard placement and in the projective regimes, 2 when the swapped
-        placement gives a simpler mesh.
+        1-based mode whose click certifies the target state: 1 in the
+        projective regimes and for placement A of a POVM-regime design, 2
+        where placement B factors into fewer layers.
     """
 
     _fields = (
@@ -228,22 +230,17 @@ def build_L(
     return mat
 
 
-def success_vectors(
-    L: list[Row], q: tuple[float, ...], swap: bool, signs: tuple[int, ...]
-) -> tuple[list[Row], float]:
-    """Success vectors for one gauge choice, as rows; returns (vectors, theta).
+def success_vectors(L: list[Row], q: tuple[float, ...]) -> tuple[list[Row], float]:
+    """Success vectors in the standard placement, as rows; returns (vectors, theta).
 
-    Placement: state 1's success amplitude sits alone on one mode (mode 1,
-    or mode 2 when ``swap``), states 2 and 3 share the remaining two of
-    the first three modes as ``sqrt(p_i) * (cos theta, +/- sin theta)``
-    with ``p_i = 1 - q_i`` and ``theta = arccos(L23 / sqrt(p2*p3)) / 2``
-    (a complex L23 enters by its modulus, its phase carried on vector 3).
-    ``signs`` multiplies each vector by +/-1; flips of vector 1 alone and
-    joint flips of vectors 2 and 3 always preserve L, while a lone flip of
-    vector 2 or 3 is only admissible when L23 = 0.  When q1 = 1 the first
-    vector is the zero vector: the target never produces a conclusive
-    click, which is the correct boundary design.  Only POVM-regime designs
-    are placed this way.  The gauge-free part is :func:`_geometry`.
+    State 1's success amplitude sits alone on mode 1, and states 2 and 3
+    share modes 2 and 3 as ``sqrt(p_i) * (cos theta, +/- sin theta)`` with
+    ``p_i = 1 - q_i`` and ``theta = arccos(L23 / sqrt(p2*p3)) / 2`` (a
+    complex L23 enters by its modulus, its phase carried on vector 3).  When
+    q1 = 1 the first vector is the zero vector: the target never produces a
+    conclusive click, which is the correct boundary design.  Only POVM-regime
+    designs are placed this way; :func:`design` moves the shared modes by a
+    unitary on the set ports, which keeps every inner product.
 
     Raises
     ------
@@ -251,7 +248,15 @@ def success_vectors(
         If |L23| exceeds sqrt(p2*p3) beyond 1e-10 (impossible for an L
         that passed :func:`build_L`).
     """
-    return _placed(_geometry(L, q), swap, signs)
+    p = [max(1.0 - q_i, 0.0) for q_i in q]
+    cos2theta, phase3 = _cos2theta(complex(L[1][2]), p[1] * p[2])
+    theta = 0.5 * math.acos(cos2theta)
+    cos, sin = math.cos(theta), math.sin(theta)
+    r1, r2, r3 = (math.sqrt(p_i) for p_i in p)
+    v1 = [complex(r1, 0.0), 0j, 0j, 0j]
+    v2 = [0j, complex(r2 * cos, 0.0), complex(r2 * sin, 0.0), 0j]
+    v3 = [0j, _scaled(r3 * cos, phase3), _scaled(-(r3 * sin), phase3), 0j]
+    return [v1, v2, v3], theta
 
 
 def _cos2theta(l23: complex, p23: float) -> tuple[float, complex]:
@@ -269,29 +274,6 @@ def _cos2theta(l23: complex, p23: float) -> tuple[float, complex]:
         return min(max(l23.real / bound, -1.0), 1.0), 1.0 + 0.0j
     # Complex: its phase rides on vector 3 as a whole, the angle on its modulus.
     return min(abs(l23) / bound, 1.0), cmath.exp(1j * cmath.phase(l23))
-
-
-def _geometry(L: list[Row], q: tuple[float, ...]) -> tuple:
-    """What no gauge changes: theta, sqrt(p1), sqrt(p2) and sqrt(p3) times cos and sin theta, L23's phase."""
-    p = [max(1.0 - q_i, 0.0) for q_i in q]
-    cos2theta, phase3 = _cos2theta(complex(L[1][2]), p[1] * p[2])
-    theta = 0.5 * math.acos(cos2theta)
-    cos, sin = math.cos(theta), math.sin(theta)
-    r1, r2, r3 = (math.sqrt(p_i) for p_i in p)
-    return theta, r1, r2 * cos, r2 * sin, r3 * cos, r3 * sin, phase3
-
-
-def _placed(geometry: tuple, swap: bool, signs: tuple[int, ...]) -> tuple[list[Row], float]:
-    """:func:`success_vectors` of gauge (swap, signs); ``s * (r * cos)`` is ``(s * r) * cos``."""
-    theta, r1, c2, s2, c3, s3, phase3 = geometry
-    mode1, mode_a, mode_b = (1, 0, 2) if swap else (0, 1, 2)
-    v1, v2, v3 = ([0j] * NETWORK_DIM for _ in range(3))
-    v1[mode1] = complex(signs[0] * r1, 0.0)
-    v2[mode_a] = complex(signs[1] * c2, 0.0)
-    v2[mode_b] = complex(signs[1] * s2, 0.0)
-    v3[mode_a] = _scaled(signs[2] * c3, phase3)
-    v3[mode_b] = _scaled(-signs[2] * s3, phase3)
-    return [v1, v2, v3], theta
 
 
 def embed_inputs(e: Ensemble) -> tuple[tuple[complex, ...], ...]:
@@ -473,29 +455,30 @@ def complete_unitary(e: Ensemble, outputs) -> list[Row]:
     ]
 
 
-def _gauge_table(lone_flips: bool) -> tuple:
-    """``(perm, gauges)`` pairs: each gauge ``(swap, sign_index, signs, diag)``
-    grouped by ``perm``, both in tie-break order.
+def _placements(rows: list[list[complex]]) -> tuple[list, list]:
+    """The two candidate placements A and B of the unitary U0, as rows.
 
-    Gauge ``(swap, signs)`` has the standard-gauge outputs with rows in
-    order ``perm`` and rows 1-3 negated by ``diag``.  A lone flip of vector
-    2 or 3 is offered only where it is a mode exchange (``lone_flips``:
-    L23 = 0 and theta = pi/4), and swaps their shared modes.
+    ``rows`` are U0's rows, each with any columns appended that move with
+    it.  The set-port rows x and y, with column-4 entries a and b, are mixed
+    into ``z = (b x - a y) / h`` and ``u = (a* x + b* y) / h``, with
+    ``h = |(a, b)|``: a 2x2 unitary, so every output keeps its inner
+    products and no forbidden amplitude appears.  z's column-4 entry is
+    ``b a - a b``, exactly 0.  Where a or b is already 0, this puts a phase
+    on each row (and exchanges them where b is); where both are, the rows
+    are kept.  Candidate A keeps state 1 on port 1 and puts z on port 2;
+    candidate B puts u on port 1, state 1 on port 2 and z on port 3.
+    Triangular nulling clears column 4 first, so z's zero saves a layer in
+    both.
     """
-    groups: dict = {}
-    sign_opts = [s for s in product((1, -1), repeat=3) if lone_flips or s[1] == s[2]]
-    for swap in (0, 1):
-        for sign_index, signs in enumerate(sign_opts):
-            s0, s1, s2 = signs
-            a, b, c = (0, 1, 2) if s1 == s2 else (0, 2, 1)
-            # The swapped placement exchanges the first two modes.
-            perm, diag = ((b, a, c, 3), (s1, s0, s1)) if swap else ((a, b, c, 3), (s0, s1, s1))
-            groups.setdefault(perm, []).append((swap, sign_index, signs, diag))
-    return tuple([(perm, tuple(gauges)) for perm, gauges in groups.items()])
-
-
-#: :func:`_gauge_table` by ``lone_flips``: 2 or 4 permutations of 4 gauges.
-_GAUGES = {flips: _gauge_table(flips) for flips in (False, True)}
+    r1, x, y, r4 = rows
+    a, b = x[3], y[3]
+    h = math.hypot(a.real, a.imag, b.real, b.imag)
+    z, u = x, y
+    if h:  # summed onto 0j, so that no entry is a negative zero
+        ca, cb = a.conjugate(), b.conjugate()
+        z = [0j + (b * s - a * t) / h for s, t in zip(x, y)]
+        u = [0j + (ca * s + cb * t) / h for s, t in zip(x, y)]
+    return [r1, z, u, r4], [u, r1, z, r4]
 
 
 def _cross(u: Row, v: Row) -> Row:
@@ -538,15 +521,16 @@ def design(e: Ensemble, sol: FilterSolution | None = None) -> MeasurementDesign:
     ``0j`` in mode order, as :func:`qfilter.simulator.port_probabilities`
     sums them), and theta is read off ``<v2|v3>``.
 
-    In the POVM regime one unitary U0 is completed in the standard gauge,
-    and each gauge candidate is scored as ``diag * U0[perm]``: diagonal
-    phases leave the layer count unchanged, so :data:`_GAUGES` groups the
-    candidates by ``perm``, layers are counted once per permutation (as
-    :func:`qfilter.multiport.decompose` counts them) and a permutation that
-    has already lost on layers is not traced.  Ties go to the largest real
-    trace of the upper-left 3x3 block, then the standard placement and
-    unflipped signs.  The winner's column 4 has its phase fixed again, since
-    the flips can leave its largest entry negative.
+    In the POVM regime one unitary U0 is completed from the standard
+    placement of :func:`success_vectors`, and its two :func:`_placements`
+    are scored by their layer count (as :func:`qfilter.multiport.decompose`
+    counts them); B wins only on strictly fewer layers.  The success vectors
+    ride along as extra columns of U0's rows, so each output keeps
+    ``U input_i = success_i + failure_i``.  Then every row of ports 1-3 whose
+    diagonal entry has a real part below 0 (at 9 decimals) is negated, which
+    maximizes the real trace and changes no layer count, and column 4 has
+    its phase fixed again, since the flips can leave its largest entry
+    negative.
 
     Raises
     ------
@@ -578,28 +562,17 @@ def design(e: Ensemble, sol: FilterSolution | None = None) -> MeasurementDesign:
         theta = 0.5 * math.acos(1.0 if small else _cos2theta(_vdot(v2, v3), _vdot(v2, v2).real * _vdot(v3, v3).real)[0])
     else:
         fails = failure_vectors(sol, chi)
-        L = build_L(e, sol, chi)
-        geometry = _geometry(L, sol.failure_probabilities)
-        lone_flips = abs(L[1][2]) <= 1e-12 and abs(geometry[0] - math.pi / 4.0) <= 1e-12
-        base_rows = complete_unitary(e, _sums(_placed(geometry, False, (1, 1, 1))[0], fails))
-        best = (math.inf,)
-        for perm, gauges in _GAUGES[lone_flips]:
-            rows = [base_rows[i] for i in perm]
-            layers = _layer_count(rows)
-            if layers > best[0]:
-                continue
-            r0, r1, r2 = rows[0][0].real, rows[1][1].real, rows[2][2].real
-            for swap, sign_index, signs, diag in gauges:
-                # Left to right from 0.0: sum() rounds differently from Python 3.12 on.
-                trace = 0.0 + diag[0] * r0 + diag[1] * r1 + diag[2] * r2
-                key = (layers, round(-trace, 9), swap, sign_index)
-                if key < best:
-                    best, winner = key, (swap, signs, diag, rows)
-        swap, signs, diag, rows = winner
-        rows = [row if d > 0 else [-x for x in row] for d, row in zip(diag + (1,), rows)]
+        succ, theta = success_vectors(build_L(e, sol, chi), sol.failure_probabilities)
+        base = complete_unitary(e, _sums(succ, fails))
+        # Each row carries the three success vectors' entries on its port.
+        cand_a, cand_b = _placements([row + [v[k] for v in succ] for k, row in enumerate(base)])
+        swap = _layer_count([row[:4] for row in cand_b]) < _layer_count([row[:4] for row in cand_a])
+        rows = cand_b if swap else cand_a
+        # 0j - x: a flipped 0 stays +0.
+        rows = [[0j - x for x in row] if k < 3 and round(row[k].real, 9) < 0.0 else row for k, row in enumerate(rows)]
         col = _phase_fixed([row[3] for row in rows])
         unitary = [(*row[:3], x) for row, x in zip(rows, col)]
-        succ, theta = _placed(geometry, swap, signs)
+        succ = [[row[4 + i] for row in rows] for i in range(3)]
     return MeasurementDesign._built(
         _success_vectors=tuple(map(tuple, succ)),
         _failure_vectors=tuple(map(tuple, fails)),

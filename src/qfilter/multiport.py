@@ -17,9 +17,9 @@ two-column updates on Python scalars, into rows.  Nothing here imports
 numpy.
 
 The nulling itself is one private kernel on Python rows.  :func:`decompose`
-wraps it with its input checks, layer objects and phases; the designer's
-gauge search, which only POVM-regime designs run, counts the kept layers of
-a unitary it has just built through ``_layer_count``.  The kernel and the
+wraps it with its input checks, layer objects and phases; the designer
+counts the kept layers of the two placements it scores for a POVM-regime
+design through ``_layer_count``.  The kernel and the
 unitarity residual write out a 4x4 matrix (every network the designer builds)
 entry by entry and loop over any other size, with the same operations in the
 same order.

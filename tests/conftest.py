@@ -371,6 +371,16 @@ def reference_complete_unitary(e: Ensemble, outputs) -> np.ndarray:
     return mat
 
 
+def placed(succ, swap: bool, signs: tuple[int, ...]) -> list[list[complex]]:
+    """Standard-placement success vectors moved to gauge ``(swap, signs)``.
+
+    ``swap`` exchanges modes 1 and 2, so state 1 succeeds into mode 2;
+    ``signs`` multiplies each vector by +/-1.
+    """
+    order = (1, 0, 2, 3) if swap else (0, 1, 2, 3)
+    return [[sign * v[m] for m in order] for sign, v in zip(signs, succ)]
+
+
 def gauge_candidates(e: Ensemble, sol: FilterSolution):
     """Yield ``(swap, sign_index, success_vectors, theta, outputs)`` per gauge.
 
@@ -389,9 +399,10 @@ def gauge_candidates(e: Ensemble, sol: FilterSolution):
         ]
     else:
         sign_opts = [(1, 1, 1), (1, -1, -1), (-1, 1, 1), (-1, -1, -1)]
+    standard, theta = success_vectors(residual_gram, q)
     for swap in (False, True):
         for sign_index, signs in enumerate(sign_opts):
-            succ, theta = success_vectors(residual_gram, q, swap, signs)
+            succ = placed(standard, swap, signs)
             yield swap, sign_index, succ, theta, [np.add(s, f) for s, f in zip(succ, fail_vecs)]
 
 

@@ -1,8 +1,9 @@
 """Smoke test of ``scripts/signatures.py``, the bit-for-bit check of the
 benchmark's in-process operations: it runs on seed 1 from this repository's
 ``src`` by default and through ``--src``, and both runs print the same
-counts, a digest per workload and one overall digest.  No digest's value is
-pinned: each changes with any declared change of results."""
+counts, a digest per workload, the mean mesh layers of the ``pipeline``
+designs and one overall digest.  No digest's value is pinned: each changes
+with any declared change of results."""
 
 import pathlib
 import re
@@ -26,11 +27,24 @@ def run_signatures(*args: str) -> list[str]:
     return proc.stdout.splitlines()
 
 
+#: The mean mesh layers of the ``pipeline`` designs, per regime and overall.
+LAYERS = re.compile(
+    r"pipeline mesh layers: POVM (\d+\.\d{4}) \((\d+)\), "
+    r"VN_LARGE_OVERLAP \d+\.\d{4} \((\d+)\), VN_SMALL_OVERLAP \d+\.\d{4} \((\d+)\), "
+    r"all \d+\.\d{4} \((\d+)\)"
+)
+
+
 def test_signatures_print_the_counts_and_one_digest_with_and_without_src():
     default, given = run_signatures("1"), run_signatures("--src", "src", "1")
     assert given == default
-    counts, digests = zip(*(line.rsplit(", ", 1) for line in default[:-1]))
+    counts, digests = zip(*(line.rsplit(", ", 1) for line in default[:3]))
     assert list(counts) == COUNTS
     for digest in [*digests, default[-1]]:
         assert re.fullmatch(r"[0-9a-f]{64}", digest)
     assert len(set(digests)) == len(digests)
+    layers = LAYERS.fullmatch(default[3])
+    assert layers and len(default) == 5
+    povm_mean, povm, large, small, total = layers.groups()
+    assert int(povm) + int(large) + int(small) == int(total) == 225
+    assert 0.0 < float(povm_mean) <= 6.0
