@@ -336,7 +336,7 @@ class TestSharedGeometry:
     (on any residual matrix)."""
 
     @pytest.mark.parametrize("name", ["stratified", "fixtures", "random_2d"])
-    def test_design_places_the_success_vectors_once(self, monkeypatch, name):
+    def test_design_builds_the_geometry_once(self, monkeypatch, name):
         calls = []
         func = designer.success_vectors
         monkeypatch.setattr(designer, "success_vectors", lambda *args: calls.append(1) or func(*args))
@@ -759,6 +759,12 @@ class TestGaugeSearch:
             if name == "random_3d":
                 assert bound == 6 and layers < bound  # dense: one column-4 entry is zeroed
             assert dsn.theta == want.theta
+            # Column 4's phase is fixed: its largest entry (the first on a tie) is real
+            # and positive, to the rounding of the division that fixes it.
+            pivot = max([row[3] for row in dsn._unitary], key=abs)
+            assert pivot.real > 0 and abs(pivot.imag) <= 1e-15
+            # No success amplitude is a negative zero, which the artifacts would print as -0.0.
+            assert all(math.copysign(1, x) > 0 for v in dsn._success_vectors for z in v for x in (z.real, z.imag) if x == 0)
             for i, q_i in enumerate(sol.failure_probabilities):
                 probs = port_probabilities(dsn, i)
                 forbidden = sum(probs[p - 1] for p in dsn.set_ports) if i == 0 else probs[dsn.state1_port - 1]
@@ -1235,20 +1241,27 @@ class TestGaugeScoringWork:
     )
     def test_layers_are_counted_once_per_placement(self, monkeypatch, name, counts):
         """Two layer counts per POVM-regime design, one per placement, and
-        none in the projective regimes."""
+        none in the projective regimes.  The design has the fewer layers,
+        and state 1 stays on port 1 where the two placements tie."""
         calls = []
         layer_count = designer._layer_count
         monkeypatch.setattr(
-            designer, "_layer_count", lambda rows: calls.append(1) or layer_count(rows)
+            designer, "_layer_count", lambda rows: calls.append(layer_count(rows)) or calls[-1]
         )
-        seen = set()
+        seen, ties = set(), 0
         for e in oracle_instances(name)[:40]:
             sol = solve(e)
             del calls[:]
-            design(e, sol)
+            dsn = design(e, sol)
             assert len(calls) == (2 if sol.regime is Regime.POVM else 0)
             seen.add(len(calls))
+            if calls:
+                assert len(decompose(dsn.unitary).layers) == min(calls)
+                if calls[0] == calls[1]:
+                    ties += 1
+                    assert dsn.state1_port == 1
         assert seen == counts
+        assert ties or name != "stratified"  # every dense design ties at 5 layers
 
     @pytest.mark.parametrize("size, refused", [(1e-6, True), (1e-12, False)])
     def test_a_projective_unitary_is_checked_for_unitarity(self, monkeypatch, size, refused):

@@ -471,8 +471,8 @@ class TestFourModePath:
         assert_generic_path_agrees(rows)
 
     def test_pipeline_pool_designs_in_every_gauge_order(self):
-        """The design unitaries of the benchmark's pipeline pool, and the
-        signal-row orders in which the gauge search counts their layers."""
+        """The design unitaries of the benchmark's pipeline pool, in every
+        order of their signal rows."""
         for item in pipeline_pool(1):
             rows = design(Ensemble(tuple(item.states), item.priors))._unitary
             for perm in itertools.permutations(range(3)):
