@@ -19,7 +19,7 @@ unitary is written down from the basis it measures in, one row per port.
 In the POVM regime a unitary exists iff the Gram matrix is preserved: the
 success vectors must reproduce the residual matrix L of :func:`build_L`.
 Any unitary on the two set ports keeps a design zero-error with the same
-q, and so does the port that hosts state 1's success amplitude.
+q, and so does a move of state 1's success amplitude to another port.
 :func:`design` completes one unitary and scores two placements of it, each
 with a set-port rotation that zeroes one column-4 entry (the first entries
 a triangular mesh clears, as in Reck et al., PRL 73, 58, 1994), and keeps
@@ -529,8 +529,7 @@ def design(e: Ensemble, sol: FilterSolution | None = None) -> MeasurementDesign:
     ``U input_i = success_i + failure_i``.  Then every row of ports 1-3 whose
     diagonal entry has a real part below 0 (at 9 decimals) is negated, which
     maximizes the real trace and changes no layer count, and column 4 has
-    its phase fixed again, since the flips can leave its largest entry
-    negative.
+    its phase fixed again, since the rotation and the flips change it.
 
     Raises
     ------
