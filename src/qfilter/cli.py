@@ -347,8 +347,8 @@ def _cmd_synthesize(args: SimpleNamespace) -> None:
     residual = max(
         abs(a - b) for ra, rb in zip(recompose(program), dsn._unitary) for a, b in zip(ra, rb)
     )
-    if residual > max(args.tolerance, 1e-9):
-        raise QFilterError(f"mesh recomposition residual {residual:.3e} exceeds 1e-9")
+    if residual > (bound := max(args.tolerance, 1e-9)):
+        raise QFilterError(f"mesh recomposition residual {residual:.3e} exceeds {bound:g}")
     if len(program.layers) > 6:
         raise QFilterError(f"{len(program.layers)} layers exceed the 6-layer budget")
     payload = _header(SCHEMA_MESH, label)

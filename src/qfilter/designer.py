@@ -336,10 +336,6 @@ def _orthonormal_basis(vectors: list[Row]) -> tuple[list[Row], list[int]]:
     return basis, kept
 
 
-#: Squared-norm margin within which a pivot candidate is still projected out.
-#: Not a tuning knob: any margin far above rounding picks the same pivots, and
-#: a larger one only prunes less.
-_PIVOT_MARGIN = 1e-8
 #: The coordinate directions e_1 ... e_4, as rows.
 _UNITS = ((1 + 0j, 0j, 0j, 0j), (0j, 1 + 0j, 0j, 0j), (0j, 0j, 1 + 0j, 0j), (0j, 0j, 0j, 1 + 0j))
 
@@ -347,25 +343,16 @@ _UNITS = ((1 + 0j, 0j, 0j, 0j), (0j, 1 + 0j, 0j, 0j), (0j, 0j, 1 + 0j, 0j), (0j,
 def _complement(basis: list[Row]) -> list[Row]:
     """Orthonormal completion of an orthonormal `basis` to all 4 modes.
 
-    Pivoted Gram-Schmidt over the coordinate directions: each round takes the
-    one with the largest residual (the first on a tie), which is the
-    numerically safe choice when any spanning set will do.  It stops once the
-    basis spans the 4 modes.  The residual it keeps is never small: those of
-    the directions not yet picked have squared norms summing to
-    ``4 - len(full) >= 1``, so the largest is at least 1/2.
-
-    The residual of e_k against an orthonormal basis has squared norm
-    ``1 - m_k`` with ``m_k = sum_j |b_j[k]|^2``, read off the basis for every
-    candidate at once.  Both that value and the squared norm of the two-pass
-    residual that :func:`_project_out` computes equal the exact ``|P e_k|^2``
-    to within a few ulp (~1e-15), because the basis is orthonormal to working
-    precision.  A candidate whose ``m_k`` exceeds the least by more than
-    ``_PIVOT_MARGIN`` therefore computes a residual strictly smaller than
-    the least-mass candidate's, so it can neither be the largest nor tie with
-    it.  Only the candidates within the margin are projected out, and the
-    pick among them is the unpruned rule's.  A basis that leaves as many modes
-    exactly empty (by the entries: a mass can underflow) as it lacks spans the
-    rest, so each pick is the next empty e_k, its own residual: read off at entry.
+    Pivoted Gram-Schmidt over the coordinate directions: each round projects
+    out the remaining e_k of least basis mass ``m_k = sum_j |b_j[k]|^2`` (the
+    first on a tie) and keeps its residual, until the basis spans the 4
+    modes.  That residual has squared norm ``1 - m_k``, the largest of the
+    round in exact arithmetic, so it is never small: the residuals of the
+    directions not yet picked have squared norms summing to
+    ``4 - len(full) >= 1``, so the largest is at least 1/4.  A basis that
+    leaves as many modes exactly empty (by the entries: a mass can
+    underflow) as it lacks spans the rest, so the completion is those e_k,
+    read off at entry.
     """
     empty = [k for k, col in enumerate(zip(*basis)) if not any(col)]
     if len(empty) == NETWORK_DIM - len(basis):
@@ -376,14 +363,10 @@ def _complement(basis: list[Row]) -> list[Row]:
         mass = [0.0] * NETWORK_DIM
         for a, b, c, d in full:  # left to right from 0.0, on every Python version
             mass = [mass[0] + abs(a) ** 2, mass[1] + abs(b) ** 2, mass[2] + abs(c) ** 2, mass[3] + abs(d) ** 2]
-        least = min([mass[k] for k in remaining])
-        pool = [k for k in remaining if mass[k] <= least + _PIVOT_MARGIN]
-        residuals = [_project_out(_UNITS[k], full) for k in pool]
-        norms = [_norm(w) for w in residuals]
-        norm = max(norms)
-        pick = norms.index(norm)
-        remaining.remove(pool[pick])
-        full.append([x * (1.0 / norm) for x in residuals[pick]])
+        pick = min(remaining, key=mass.__getitem__)
+        remaining.remove(pick)
+        w = _project_out(_UNITS[pick], full)
+        full.append([x * (1.0 / _norm(w)) for x in w])
     return full[len(basis):]
 
 
@@ -405,10 +388,8 @@ def complete_unitary(e: Ensemble, outputs) -> list[Row]:
     deterministic.
 
     The Gram-Schmidt work runs on :data:`Row` lists, each basis completed by
-    :func:`_complement`.  Mode 4 is empty at the input, so one input frame
-    vector is e4 and the others are exactly 0 there: U's column 4 is ``0j +``
-    its paired output vector, and the other columns sum over the other three.
-    The terms left out are exact zeros, which leave a sum from ``0j`` as it is.
+    :func:`_complement`, and U is ``sum_k |out_k><in_k|`` over the two frames,
+    summed from ``0j`` in frame order.
 
     Raises
     ------
@@ -443,15 +424,13 @@ def complete_unitary(e: Ensemble, outputs) -> list[Row]:
         w = _project_out(outs[k], out_basis)
         norm = _norm(w)
         out_basis.append([x * (1.0 / norm) for x in w])
-    # U = sum_k |out_k><in_k| over both frames (each fills the 4 modes), summed from 0j.
     out_cols = out_basis + [_phase_fixed(w) for w in _complement(out_basis)]
-    frame = in_basis + _complement(in_basis)  # the input frame; e4 is one of these
-    out4 = out_cols.pop([u[3] for u in frame].index(1))
-    (b0, b1, b2, _), (c0, c1, c2, _), (d0, d1, d2, _) = ([x.conjugate() for x in u] for u in frame if u[3] != 1)
+    frame = in_basis + _complement(in_basis)
+    (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3), (f0, f1, f2, f3) = ([x.conjugate() for x in u] for u in frame)
     return [
-        [0j + a0 * b0 + a1 * c0 + a2 * d0, 0j + a0 * b1 + a1 * c1 + a2 * d1,
-         0j + a0 * b2 + a1 * c2 + a2 * d2, 0j + x]
-        for (a0, a1, a2), x in zip(zip(*out_cols), out4)
+        [0j + a0 * b0 + a1 * c0 + a2 * d0 + a3 * f0, 0j + a0 * b1 + a1 * c1 + a2 * d1 + a3 * f1,
+         0j + a0 * b2 + a1 * c2 + a2 * d2 + a3 * f2, 0j + a0 * b3 + a1 * c3 + a2 * d3 + a3 * f3]
+        for a0, a1, a2, a3 in zip(*out_cols)
     ]
 
 

@@ -79,12 +79,15 @@ class ComparisonRecord(FrozenRecord):
 
 
 def _check_resolution(resolution: float) -> float:
-    resolution = float(resolution)
-    if not 0.0 < resolution <= 1e-2:
-        raise DomainError(
-            f"resolution must lie in (0, 1e-2], got {resolution!r}"
-        )
-    return resolution
+    """``resolution`` as a float in (0, 1e-2]; ``+x`` refuses the strings and
+    bytes that ``float()`` would parse, as every other numeric input does."""
+    try:
+        value = float(+resolution)
+    except (TypeError, ValueError, OverflowError):
+        value = math.nan
+    if not 0.0 < value <= 1e-2:
+        raise DomainError(f"resolution must lie in (0, 1e-2], got {resolution!r}")
+    return value
 
 
 def brute_force_filter(e: Ensemble, resolution: float = 1e-4) -> OracleResult:

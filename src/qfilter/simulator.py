@@ -20,7 +20,7 @@ import operator
 from .designer import MeasurementDesign, embed_inputs
 from .errors import DomainError
 from .filter_core import average_overlap_A
-from .states import Ensemble, Frozen, frozen_array, parallel_component_norm2
+from .states import Ensemble, Frozen, _entries, frozen_array, parallel_component_norm2
 
 __all__ = [
     "SimulationReport",
@@ -36,15 +36,17 @@ ZERO_PROB_TOL = 1e-14
 MAX_TRIALS = 10**9
 
 
-_ROW_FIELDS = {"exact_probabilities": float, "counts": int}
+_ROW_FIELDS = {"exact_probabilities": (float, "numbers"), "counts": (operator.index, "integers")}
 
 
 class SimulationReport(Frozen):
     """Outcome statistics of a Monte-Carlo run, compared by identity.
 
-    The constructor casts ``exact_probabilities`` and ``counts``, an ndarray
-    or Python rows, to rows of Python ``float`` and ``int`` under their names
-    with a leading underscore (:func:`sample` builds them directly); the
+    The constructor reads ``exact_probabilities`` and ``counts``, an ndarray
+    or Python rows, as 3 rows of 4 Python ``float`` and ``int`` (through
+    ``operator.index``) under their names with a leading underscore
+    (:func:`sample` builds them directly).  A string, a float count or any
+    other shape is refused with :class:`DomainError` naming the field.  The
     fields themselves read as read-only ndarrays built on first access.
 
     Attributes
@@ -69,8 +71,15 @@ class SimulationReport(Frozen):
     _fields = ("exact_probabilities", "counts", "trials", "violations", "empirical_Q", "seed")
 
     def __init__(self, exact_probabilities, counts, trials, violations, empirical_Q, seed) -> None:
-        for (name, cast), rows in zip(_ROW_FIELDS.items(), (exact_probabilities, counts)):
-            self.__dict__["_" + name] = tuple([tuple(map(cast, row)) for row in rows])
+        for (name, (cast, kind)), rows in zip(_ROW_FIELDS.items(), (exact_probabilities, counts)):
+            refusal = f"{name} must be 3 rows of 4 {kind}"
+            try:
+                rows = tuple([tuple(_entries(row, cast, refusal, DomainError)) for row in rows])
+            except TypeError:  # not a sequence of rows
+                raise DomainError(f"{refusal}, got {rows!r}") from None
+            if len(rows) != 3 or any(len(row) != 4 for row in rows):
+                raise DomainError(f"{refusal}, got rows of {[len(row) for row in rows]} entries")
+            self.__dict__["_" + name] = rows
         self.__dict__.update(
             trials=trials, violations=violations, empirical_Q=empirical_Q, seed=seed
         )

@@ -816,3 +816,17 @@ class TestStageFailures:
         assert captured.err == f"error: {message}\n"
         # No command writes its artifact once a check has failed.
         assert captured.out == ""
+
+    @pytest.mark.parametrize("tolerance, bound", [("1e-10", "1e-09"), ("1e-6", "1e-06")])
+    def test_the_recomposition_refusal_names_the_bound_it_used(self, monkeypatch, capsys, tolerance, bound):
+        """The residual is held to max(--tolerance, 1e-9); the message named
+        1e-9 whatever the tolerance."""
+        real = cli.recompose
+        for shift, code in ((5e-7, int(bound == "1e-09")), (2e-6, 1)):
+            monkeypatch.setattr(cli, "recompose", lambda p: [[x + shift for x in row] for row in real(p)])
+            assert main(["synthesize", "--input", FIFTY_FIFTY, "--tolerance", tolerance]) == code
+            captured = capsys.readouterr()
+            if code:
+                residual = f"{shift:.3e}"
+                assert captured.err == f"error: synthesize: mesh recomposition residual {residual} exceeds {bound}\n"
+                assert captured.out == ""

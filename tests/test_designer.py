@@ -1159,29 +1159,36 @@ class TestCompletionWork:
 
     @pytest.mark.parametrize("dust", [1e-5, 3e-5])
     def test_an_empty_mode_behind_a_dusty_one_is_projected_out(self, rounds, dust):
-        """e1's mass is within ``_PIVOT_MARGIN`` of e4's exact 0, so e1 comes
-        first in the pool: both are projected out, as the unpruned rule does."""
+        """e4's exact 0 is the least mass, e1's dust the next: e4 is projected
+        out first and e1 second, one direction per round, and the completion
+        is the unpruned rule's."""
         rows = [[dust, 1.0, 0.2, 0.0], [0.5 * dust, -0.3, 1.0, 0.0]]
         basis = designer._orthonormal_basis([[complex(x) for x in v] for v in rows])[0]
-        assert sum(abs(b[0]) ** 2 for b in basis) <= designer._PIVOT_MARGIN
+        assert 0.0 < sum(abs(b[0]) ** 2 for b in basis) <= 1e-8
         rounds.clear()
         complement = designer._complement(basis)
-        assert rounds[:2] == [(2, 0), (2, 3)]
+        assert rounds == [(2, 3), (3, 0)]
         assert np.array(complement).tobytes() == np.array(unpruned_complement(basis)).tobytes()
 
     def test_entries_whose_mass_underflows_are_projected_out(self, rounds):
         """An entry of 1e-170 has squared mass 0.0, as an empty mode has; the
-        entries, not the masses, decide, so e3 is projected out and keeps it."""
+        entries, not the masses, decide, so e3 is projected out and keeps it.
+        e3 and e4 tie at 0.0, and e3 comes first."""
         basis = [[1 + 0j, 0j, 1e-170 + 0j, 0j], [0j, 1 + 0j, 0j, 0j]]
         assert sum(abs(b[2]) ** 2 for b in basis) == 0.0
         complement = designer._complement(basis)
-        assert rounds[:2] == [(2, 2), (2, 3)]
+        assert rounds == [(2, 2), (3, 3)]
         assert complement[0][0] == -1e-170 and complement[0][2] == 1.0
         assert np.array(complement).tobytes() == np.array(unpruned_complement(basis)).tobytes()
 
-    def test_pruned_pivots_are_the_unpruned_rule(self):
-        """Bit for bit, on orthonormal bases of 1-3 rounded real 2-D and 3-D
-        inputs, whose coordinate masses tie exactly or within rounding."""
+    def test_least_mass_pivots_are_the_unpruned_rule(self):
+        """On orthonormal bases of 1-3 rounded real 2-D and 3-D inputs, whose
+        coordinate masses often tie exactly or within rounding, and of 1-2
+        complex 4-D vectors, whose later rounds see the masses each pick
+        adds, every completion is orthonormal and orthogonal to its basis.
+        It is the largest-residual rule's bit for bit wherever no round's two
+        least masses lie within 1e-12, where both rules pick the same
+        direction."""
         # Here coordinate masses tie exactly (first) or within an ulp
         # (second), and the least mass is not the largest residual.
         inputs = [[[0.3, 0.1, 0.1]], [[-1.5, -0.8, 0.7], [-0.5, 0.0, 0.5]]]
@@ -1189,22 +1196,70 @@ class TestCompletionWork:
         for i in range(3000):
             dim = 2 + i % 2
             inputs.append(np.round(rng.normal(size=(1 + i // 2 % dim, dim)), 1).tolist())
-        compared = 0
+        for i in range(400):
+            inputs.append((rng.normal(size=(1 + i % 2, 4)) + 1j * rng.normal(size=(1 + i % 2, 4))).tolist())
+        compared, tied = 0, []
         for vectors in inputs:
             rows = [[complex(x) for x in v] + [0j] * (4 - len(v)) for v in vectors]
             basis = designer._orthonormal_basis(rows)[0]
-            if basis:
-                got = designer._complement(basis)
-                want = unpruned_complement(basis)
-                assert np.array(got).tobytes() == np.array(want).tobytes(), vectors
+            if not basis:
+                continue
+            got = designer._complement(basis)
+            frame = np.array(basis + got)
+            overlap = frame[len(basis):].conj() @ frame.T
+            assert np.abs(overlap - np.eye(4)[len(basis):]).max() <= 1e-15, vectors
+            same = np.array(got).tobytes() == np.array(unpruned_complement(basis)).tobytes()
+            gap = least_mass_gaps(basis)
+            if gap > 1e-12:
+                assert same, vectors
                 compared += 1
-        assert compared > 2900
+            elif not same:
+                assert gap <= 1e-15, vectors  # a tie, exact or within rounding
+                tied.append(vectors)
+        assert compared > 2500
+        assert inputs[0] in tied and inputs[1] in tied
+
+    def test_pipeline_completions_are_the_unpruned_rule(self, monkeypatch):
+        """Every completion that the POVM designs of the benchmark's
+        ``pipeline`` pool of seed 1 make is the largest-residual rule's, bit
+        for bit."""
+        completions = []
+        complement = designer._complement
+
+        def recording(basis):
+            completions.append((basis, complement(basis)))
+            return completions[-1][1]
+
+        monkeypatch.setattr(designer, "_complement", recording)
+        povm = 0
+        for item in perfbench_module("inputs").pipeline_pool(1):
+            dsn = design(Ensemble(tuple(item.states), item.priors))
+            povm += dsn.solution.regime is Regime.POVM
+        assert povm >= 20 and len(completions) == 2 * povm
+        for basis, got in completions:
+            assert np.array(got).tobytes() == np.array(unpruned_complement(basis)).tobytes()
+
+
+def least_mass_gaps(basis):
+    """The least gap, over the rounds of ``designer._complement(basis)``,
+    between the two least coordinate masses of the directions not yet
+    picked; infinite where the completion is read off."""
+    if sum(not any(b[k] for b in basis) for k in range(4)) == 4 - len(basis):
+        return math.inf
+    full, remaining, gaps = list(basis), list(range(4)), []
+    for u in designer._complement(basis):
+        mass = sum(np.abs(b) ** 2 for b in full)
+        first, second = sorted(mass[k] for k in remaining)[:2]
+        gaps.append(second - first)
+        remaining.remove(min(remaining, key=lambda k: mass[k]))
+        full.append(u)
+    return min(gaps)
 
 
 def unpruned_complement(basis):
-    """``designer._complement`` without the pruning: each round projects out
-    every remaining coordinate direction and keeps the largest residual, the
-    first on a tie."""
+    """``designer._complement`` by the largest computed residual: each round
+    projects out every remaining coordinate direction and keeps the largest
+    residual, the first on a tie."""
     full = list(basis)
     remaining = list(range(4))
     while len(full) < 4:
@@ -1346,6 +1401,8 @@ PAST_THE_FLOAT_RANGE = {
                          "outputs must be three 4-mode vectors"),
     "MeasurementDesign": (lambda e, dsn, x: rebuilt(dsn, unitary=[[x, 0, 0, 0]] * 4), DomainError,
                           "unitary must be 4 rows of 4 numbers"),
+    "SimulationReport": (lambda e, dsn, x: rebuilt(sample(dsn, e, 100, 1), exact_probabilities=[[x, 0, 0, 0]] * 3),
+                         DomainError, "exact_probabilities must be 3 rows of 4 numbers"),
     "BeamSplitterLayer": (lambda e, dsn, x: BeamSplitterLayer(1, 2, x, 0), DomainError,
                           "t, r and phi must be real numbers"),
     "MeshProgram": (lambda e, dsn, x: MeshProgram([], [x, 0]), DomainError,

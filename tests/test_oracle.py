@@ -240,6 +240,16 @@ class TestBruteForce:
         with pytest.raises(DomainError):
             brute_force_filter(e, resolution=-1e-4)
 
+    @pytest.mark.parametrize("resolution", ["1e-3", b"1e-3", None, 1e-3j, 10**400])
+    def test_a_resolution_that_is_not_a_real_number_is_refused(self, resolution):
+        """``compare`` and ``brute_force_filter`` parsed numeric strings and
+        bytes, and let ``float()``'s TypeError and OverflowError through."""
+        e = fifty_fifty_ensemble()
+        message = re.escape(f"resolution must lie in (0, 1e-2], got {resolution!r}")
+        for call in (compare, brute_force_filter):
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                call(e, resolution)
+
 
 class TestStationarityResiduals:
     KEYS = {"delta", "delta_12", "delta_13", "stationarity", "inv_lambda"}

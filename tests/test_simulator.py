@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from qfilter import (
     DomainError,
     Ensemble,
+    SimulationReport,
     design,
     parallel_component_norm2,
     port_probabilities,
@@ -63,6 +64,51 @@ class TestPortProbabilities:
             port_probabilities(dsn, 3)
         with pytest.raises(DomainError):
             port_probabilities(dsn, -1)
+
+
+class TestReportConstructor:
+    """``SimulationReport`` parses its row fields as ``MeasurementDesign``
+    does: the strings and the truncated float counts it accepted, and any
+    other shape, are refused naming the field."""
+
+    @pytest.fixture
+    def fields(self):
+        e = fifty_fifty_ensemble()
+        report = sample(design(e), e, 1000, 7)
+        return {name: getattr(report, name) for name in type(report)._fields}
+
+    @pytest.mark.parametrize(
+        "name, rows, got",
+        [
+            ("exact_probabilities", [["0.5", 0.5, 0.0, 0.0]] * 3, "['0.5', 0.5, 0.0, 0.0]"),
+            ("exact_probabilities", [[b"0.5", 0.5, 0.0, 0.0]] * 3, "[b'0.5', 0.5, 0.0, 0.0]"),
+            ("exact_probabilities", [[0.5j, 0.5, 0.0, 0.0]] * 3, "[0.5j, 0.5, 0.0, 0.0]"),
+            ("exact_probabilities", 0.5, "0.5"),
+            ("counts", [[1.9, 1.9, 1.9, 1.9]] * 3, "[1.9, 1.9, 1.9, 1.9]"),
+            ("counts", [["1", 1, 1, 1]] * 3, "['1', 1, 1, 1]"),
+            ("counts", None, "None"),
+            ("counts", [[1.9, 1.9]], "[1.9, 1.9]"),
+            ("counts", [[1, 1]] * 3, "rows of [2, 2, 2] entries"),
+            ("counts", [[1, 1, 1, 1]] * 2, "rows of [4, 4] entries"),
+            ("exact_probabilities", [[0.25] * 5] * 3, "rows of [5, 5, 5] entries"),
+            ("exact_probabilities", [[0.25] * 4] * 4, "rows of [4, 4, 4, 4] entries"),
+        ],
+    )
+    def test_other_rows_are_refused_naming_the_field(self, fields, name, rows, got):
+        kind = "numbers" if name == "exact_probabilities" else "integers"
+        with pytest.raises(DomainError) as err:
+            SimulationReport(**{**fields, name: rows})
+        assert str(err.value) == f"{name} must be 3 rows of 4 {kind}, got {got}"
+
+    def test_ndarray_and_python_rows_are_read_as_floats_and_ints(self, fields):
+        report = SimulationReport(**{
+            **fields,
+            "exact_probabilities": np.asarray(fields["exact_probabilities"], dtype=np.float32),
+            "counts": [[np.int64(n) for n in row] for row in fields["counts"]],
+        })
+        assert all(type(x) is float for row in report._exact_probabilities for x in row)
+        assert all(type(x) is int for row in report._counts for x in row)
+        assert report.counts.tolist() == fields["counts"].tolist()
 
 
 class TestSampling:
