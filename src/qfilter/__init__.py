@@ -25,8 +25,8 @@ of :mod:`qfilter._stream`), and a state's ``amplitudes``, an ensemble's ``priors
 first use only by ``brute_force_filter`` and the ndarray views of
 :class:`MeasurementDesign` and :class:`SimulationReport` (``unitary``,
 ``counts``, ...).  The building blocks of the stages (``gram_matrix``,
-``average_overlap_A``, ``failure_phases``, ``embed_inputs``,
-``complete_unitary`` and the like) are imported from their modules.
+``average_overlap_A``, ``failure_phases``, ``embed_inputs`` and the
+like) are imported from their modules.
 """
 
 from .designer import MeasurementDesign, design
@@ -39,7 +39,6 @@ from .errors import (
     InternalConsistencyError,
     InvalidEnsembleError,
     InvalidStateError,
-    NoUnitaryError,
     QFilterError,
 )
 from .filter_core import FilterSolution, Regime, solve
@@ -113,6 +112,5 @@ __all__ = [
     "InternalConsistencyError",
     "InconsistentSolutionError",
     "InfeasibleError",
-    "NoUnitaryError",
     "DomainError",
 ]

@@ -33,15 +33,11 @@ class InternalConsistencyError(QFilterError):
 
 
 class InconsistentSolutionError(QFilterError):
-    """A proposed solution is incompatible with the ensemble (residual Gram not PSD)."""
+    """A proposed solution is incompatible with the ensemble (no design realizes its q)."""
 
 
 class InfeasibleError(QFilterError):
     """A constraint set admits no solution (should not happen for valid optima)."""
-
-
-class NoUnitaryError(QFilterError):
-    """No unitary can map the given inputs to the given outputs (Gram mismatch)."""
 
 
 class DomainError(QFilterError, ValueError):

@@ -46,8 +46,12 @@ class SimulationReport(Frozen):
     or Python rows, as 3 rows of 4 Python ``float`` and ``int`` (through
     ``operator.index``) under their names with a leading underscore
     (:func:`sample` builds them directly).  A string, a float count or any
-    other shape is refused with :class:`DomainError` naming the field.  The
-    fields themselves read as read-only ndarrays built on first access.
+    other shape is refused with :class:`DomainError` naming the field.  So
+    is a value no run can give: ``trials`` and ``seed`` as :func:`sample`
+    refuses them, a negative or non-finite probability, a negative count,
+    counts that do not sum to ``trials``, ``violations`` outside [0, trials]
+    and ``empirical_Q`` outside [0, 1].  The row fields themselves read as
+    read-only ndarrays built on first access.
 
     Attributes
     ----------
@@ -71,18 +75,32 @@ class SimulationReport(Frozen):
     _fields = ("exact_probabilities", "counts", "trials", "violations", "empirical_Q", "seed")
 
     def __init__(self, exact_probabilities, counts, trials, violations, empirical_Q, seed) -> None:
+        trials, seed = _trials_and_seed(trials, seed)
         for (name, (cast, kind)), rows in zip(_ROW_FIELDS.items(), (exact_probabilities, counts)):
             refusal = f"{name} must be 3 rows of 4 {kind}"
             try:
+                if isinstance(rows, (str, bytes)):  # iterable, but not rows
+                    raise TypeError
                 rows = tuple([tuple(_entries(row, cast, refusal, DomainError)) for row in rows])
             except TypeError:  # not a sequence of rows
                 raise DomainError(f"{refusal}, got {rows!r}") from None
             if len(rows) != 3 or any(len(row) != 4 for row in rows):
                 raise DomainError(f"{refusal}, got rows of {[len(row) for row in rows]} entries")
             self.__dict__["_" + name] = rows
-        self.__dict__.update(
-            trials=trials, violations=violations, empirical_Q=empirical_Q, seed=seed
-        )
+        if not all(0.0 <= p < math.inf for row in self._exact_probabilities for p in row):
+            raise DomainError("exact_probabilities must be finite and nonnegative")
+        if any(n < 0 for row in self._counts for n in row) or sum(map(sum, self._counts)) != trials:
+            raise DomainError(f"counts must be nonnegative integers summing to trials = {trials}")
+        violations = _integer(violations, "violations")
+        if not 0 <= violations <= trials:
+            raise DomainError(f"violations must lie in [0, trials = {trials}], got {violations}")
+        try:  # ``+x`` refuses the strings and bytes that ``float()`` would parse.
+            q = float(+empirical_Q)
+        except (TypeError, ValueError, OverflowError):
+            q = math.nan
+        if not 0.0 <= q <= 1.0:
+            raise DomainError(f"empirical_Q must be a number in [0, 1], got {empirical_Q!r}")
+        self.__dict__.update(trials=trials, violations=violations, empirical_Q=q, seed=seed)
 
     def __getattr__(self, name: str):
         """Build the ndarray view of a row field on first read."""
@@ -117,6 +135,18 @@ def _integer(value, name: str) -> int:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _trials_and_seed(trials, seed) -> tuple[int, int]:
+    """``trials`` in [1, ``MAX_TRIALS``] and ``seed`` >= 0, read by :func:`_integer`."""
+    trials, seed = _integer(trials, "trials"), _integer(seed, "seed")
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
+    if trials > MAX_TRIALS:
+        raise DomainError(f"trials must not exceed {MAX_TRIALS:g}, got {trials}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    return trials, seed
+
+
 def sample(
     design: MeasurementDesign, e: Ensemble, trials: int, seed: int
 ) -> SimulationReport:
@@ -140,13 +170,7 @@ def sample(
 
     from ._stream import multinomial
 
-    trials, seed = _integer(trials, "trials"), _integer(seed, "seed")
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
-    if trials > MAX_TRIALS:
-        raise DomainError(f"trials must not exceed {MAX_TRIALS:g}, got {trials}")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    trials, seed = _trials_and_seed(trials, seed)
     for (g0, g1, g2, g3), (b0, b1, b2, b3) in zip(embed_inputs(e), design._embedded_inputs):
         if max(abs(g0 - b0), abs(g1 - b1), abs(g2 - b2), abs(g3 - b3)) > 1e-9:
             raise DomainError(

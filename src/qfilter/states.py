@@ -176,7 +176,7 @@ def _cholesky(g, shift: float = 0.0) -> list[list[complex]] | None:
 
 def _least_eigenvalue(mat: list[list[complex]]) -> float:
     """Least eigenvalue of a Hermitian 3x3 matrix, closed-form when its
-    first-row off-diagonals nearly vanish, as in :func:`.designer.build_L`.
+    first-row off-diagonals nearly vanish.
 
     Without them it is that of ``mat[0][0]`` (+) a 2x2 block, and they move
     it by at most ``r = hypot(|mat[0][1]|, |mat[0][2]|)`` (Weyl).  For r >

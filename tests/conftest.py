@@ -27,27 +27,17 @@ import numpy as np
 from qfilter import (
     DegeneratePriorError,
     DegenerateSubspaceError,
-    DomainError,
     Ensemble,
     FilterSolution,
     InternalConsistencyError,
     MeasurementDesign,
-    NoUnitaryError,
     OverlapSet,
     Regime,
     decompose,
     overlaps,
     parallel_component_norm2,
 )
-from qfilter.designer import (
-    GRAM_TOL,
-    NETWORK_DIM,
-    build_L,
-    embed_inputs,
-    failure_phases,
-    failure_vectors,
-    success_vectors,
-)
+from qfilter.designer import GRAM_TOL, NETWORK_DIM, embed_inputs, failure_phases
 from qfilter.states import SUBSPACE_TOL
 
 FIXTURES_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -296,12 +286,57 @@ def grid_three_state_Q(e: Ensemble, resolution: float = 1e-3) -> float:
     return best
 
 
-# complete_unitary and its Gram-Schmidt helpers as they stood before the
-# work moved to Python rows: every call orthonormalizes the inputs in numpy,
-# and each pivoted completion, unpruned, runs one more round after its basis
-# is full.  The reference
-# that complete_unitary() must match in accuracy and, within rounding, in
-# value, and the completion of exhaustive_design().
+# The POVM-regime design as it stood before it was written down from the
+# frame: the residual Gram matrix L, its success vectors in the standard
+# placement and the Gram-Schmidt completion of a unitary, here in numpy.
+# exhaustive_design() completes and factors every sign-and-swap gauge of the
+# success vectors: the layer count that design() must not exceed.
+
+
+def numpy_L(e: Ensemble, sol: FilterSolution) -> np.ndarray:
+    """The residual Gram matrix ``<psi_i|psi_j> - <failure_i|failure_j>``."""
+    ov = overlaps(e)
+    q1, q2, q3 = sol.failure_probabilities
+    _, chi2, chi3 = failure_phases(e)
+    l12 = ov.O12 - np.sqrt(max(q1 * q2, 0.0)) * np.exp(1j * chi2)
+    l13 = ov.O13 - np.sqrt(max(q1 * q3, 0.0)) * np.exp(1j * chi3)
+    l23 = ov.O23 - np.sqrt(max(q2 * q3, 0.0)) * np.exp(1j * (chi3 - chi2))
+    return np.array(
+        [[1.0 - q1, l12, l13],
+         [np.conj(l12), 1.0 - q2, l23],
+         [np.conj(l13), np.conj(l23), 1.0 - q3]],
+        dtype=complex,
+    )
+
+
+def reference_failure_vectors(e: Ensemble, sol: FilterSolution) -> list[np.ndarray]:
+    """``sqrt(q_i) e^{i chi_i} e4``, with chi from ``failure_phases``."""
+    return [
+        np.array([0.0, 0.0, 0.0, np.sqrt(max(q, 0.0)) * np.exp(1j * chi)])
+        for q, chi in zip(sol.failure_probabilities, failure_phases(e))
+    ]
+
+
+def standard_success_vectors(L: np.ndarray, q) -> tuple[list[np.ndarray], float]:
+    """Success vectors reproducing L, and theta: state 1 alone on mode 1,
+    states 2 and 3 sharing modes 2 and 3 as ``sqrt(p_i) (cos theta, +/- sin
+    theta)``, ``p_i = 1 - q_i``, a complex L23's phase carried on vector 3."""
+    p = [max(1.0 - q_i, 0.0) for q_i in q]
+    l23, cos2theta, phase3 = complex(L[1][2]), 0.0, 1.0
+    if p[1] * p[2] > 1e-24:
+        bound = math.sqrt(p[1] * p[2])
+        if abs(l23.imag) <= 1e-12 * max(1.0, abs(l23)):
+            cos2theta = min(max(l23.real / bound, -1.0), 1.0)
+        else:
+            cos2theta, phase3 = min(abs(l23) / bound, 1.0), l23 / abs(l23)
+    theta = 0.5 * math.acos(cos2theta)
+    r1, r2, r3 = (math.sqrt(p_i) for p_i in p)
+    cos, sin = math.cos(theta), math.sin(theta)
+    return [
+        np.array([r1, 0.0, 0.0, 0.0], dtype=complex),
+        np.array([0.0, r2 * cos, r2 * sin, 0.0], dtype=complex),
+        phase3 * np.array([0.0, r3 * cos, -r3 * sin, 0.0], dtype=complex),
+    ], theta
 
 
 def _reference_project_out(vec: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
@@ -339,20 +374,14 @@ def _reference_orthonormal_basis(
 
 
 def reference_complete_unitary(e: Ensemble, outputs) -> np.ndarray:
-    """Independent re-implementation of ``complete_unitary`` (see the note above)."""
+    """The unitary mapping each embedded input to its output: the input and
+    output frames by Gram-Schmidt, each completed by the largest residual
+    of the coordinate directions, a completion column's largest entry made
+    real and positive."""
     ins = [np.asarray(v, dtype=complex) for v in embed_inputs(e)]
     outs = [np.asarray(v, dtype=complex) for v in outputs]
-    if len(outs) != 3 or any(v.shape != (NETWORK_DIM,) for v in outs):
-        raise DomainError("outputs must be three 4-mode vectors")
     diff = np.abs(np.conj(ins) @ np.transpose(ins) - np.conj(outs) @ np.transpose(outs))
-    worst = float(diff.max())
-    if worst > GRAM_TOL:
-        i, j = np.unravel_index(int(diff.argmax()), diff.shape)
-        raise NoUnitaryError(
-            "no unitary maps these inputs to these outputs: inner products "
-            f"of pair ({i + 1}, {j + 1}) differ by {worst:.3e} "
-            f"(tolerance {GRAM_TOL:g})"
-        )
+    assert diff.max() <= GRAM_TOL, "no unitary maps these inputs to these outputs"
     in_basis, kept = _reference_orthonormal_basis(ins)
     out_basis: list[np.ndarray] = []
     for k in kept:
@@ -371,14 +400,14 @@ def reference_complete_unitary(e: Ensemble, outputs) -> np.ndarray:
     return mat
 
 
-def placed(succ, swap: bool, signs: tuple[int, ...]) -> list[list[complex]]:
+def placed(succ, swap: bool, signs: tuple[int, ...]) -> list[np.ndarray]:
     """Standard-placement success vectors moved to gauge ``(swap, signs)``.
 
     ``swap`` exchanges modes 1 and 2, so state 1 succeeds into mode 2;
     ``signs`` multiplies each vector by +/-1.
     """
-    order = (1, 0, 2, 3) if swap else (0, 1, 2, 3)
-    return [[sign * v[m] for m in order] for sign, v in zip(signs, succ)]
+    order = [1, 0, 2, 3] if swap else [0, 1, 2, 3]
+    return [sign * v[order] for sign, v in zip(signs, succ)]
 
 
 def gauge_candidates(e: Ensemble, sol: FilterSolution):
@@ -388,10 +417,7 @@ def gauge_candidates(e: Ensemble, sol: FilterSolution):
     invariant, or 16 when L23 vanishes and lone flips of vector 2 or 3 are
     allowed too; they come in tie-break order.
     """
-    q = (sol.q1, sol.q2, sol.q3)
-    chi = failure_phases(e)
-    fail_vecs = failure_vectors(sol, chi)
-    residual_gram = build_L(e, sol, chi)
+    residual_gram = numpy_L(e, sol)
     if abs(residual_gram[1][2]) <= 1e-12:
         sign_opts = [
             (1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
@@ -399,11 +425,12 @@ def gauge_candidates(e: Ensemble, sol: FilterSolution):
         ]
     else:
         sign_opts = [(1, 1, 1), (1, -1, -1), (-1, 1, 1), (-1, -1, -1)]
-    standard, theta = success_vectors(residual_gram, q)
+    standard, theta = standard_success_vectors(residual_gram, sol.failure_probabilities)
+    fail_vecs = reference_failure_vectors(e, sol)
     for swap in (False, True):
         for sign_index, signs in enumerate(sign_opts):
             succ = placed(standard, swap, signs)
-            yield swap, sign_index, succ, theta, [np.add(s, f) for s, f in zip(succ, fail_vecs)]
+            yield swap, sign_index, succ, theta, [s + f for s, f in zip(succ, fail_vecs)]
 
 
 def exhaustive_design(e: Ensemble, sol: FilterSolution) -> MeasurementDesign:
@@ -427,8 +454,8 @@ def exhaustive_design(e: Ensemble, sol: FilterSolution) -> MeasurementDesign:
             best = (succ, unitary, theta, swap)
     succ, unitary, theta, swap = best
     return MeasurementDesign(
-        success_vectors=tuple(succ),
-        failure_vectors=failure_vectors(sol, failure_phases(e)),
+        success_vectors=succ,
+        failure_vectors=reference_failure_vectors(e, sol),
         unitary=unitary,
         theta=float(theta),
         chi=failure_phases(e),

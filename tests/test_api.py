@@ -62,13 +62,12 @@ PUBLIC = [
     "InternalConsistencyError",
     "InconsistentSolutionError",
     "InfeasibleError",
-    "NoUnitaryError",
     "DomainError",
 ]
 
 
 def test_all_is_the_declared_list_and_every_name_resolves():
-    assert len(PUBLIC) == len(set(PUBLIC)) == 37
+    assert len(PUBLIC) == len(set(PUBLIC)) == 36
     assert sorted(qfilter.__all__) == sorted(PUBLIC)
     for name in PUBLIC:
         assert getattr(qfilter, name) is not None
@@ -85,6 +84,12 @@ def test_every_qf_name_used_by_the_benchmark_and_scripts_exists():
     assert sorted(use for use in used if not hasattr(qfilter, use[1])) == []
 
 
+#: Traced names that the program no longer defines (``design`` writes its
+#: POVM unitary down and completes none): their spans and per-layer figures
+#: read 0 until the benchmark stops tracing them.
+RETIRED_TRACED = {"complete_unitary"}
+
+
 def test_every_traced_name_is_defined_in_its_module():
     tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
     traced = next(
@@ -93,9 +98,12 @@ def test_every_traced_name_is_defined_in_its_module():
         if isinstance(node, ast.Assign)
         and any(getattr(t, "id", None) == "TRACED" for t in node.targets)
     )
-    assert "complete_unitary" in traced
+    assert RETIRED_TRACED <= set(traced)
     for name, layer in traced.items():
         module = importlib.import_module(f"qfilter.{layer}")
+        if name in RETIRED_TRACED:
+            assert not hasattr(module, name)
+            continue
         assert getattr(module, name).__module__ == module.__name__
 
 

@@ -1,7 +1,6 @@
 """Measurement design: success/failure vectors and the realizing unitary."""
 
 import cmath
-import itertools
 import json
 import math
 import re
@@ -17,15 +16,12 @@ from qfilter import (
     Ensemble,
     FilterSolution,
     InconsistentSolutionError,
-    InfeasibleError,
     InternalConsistencyError,
     InvalidEnsembleError,
     InvalidStateError,
     MeasurementDesign,
     MeshProgram,
-    NoUnitaryError,
     Regime,
-    SimulationReport,
     StateVector,
     decompose,
     design,
@@ -37,15 +33,8 @@ from qfilter import (
 )
 import qfilter
 from qfilter import designer, multiport
-from qfilter.designer import (
-    build_L,
-    complete_unitary,
-    embed_inputs,
-    failure_phases,
-    failure_vectors,
-    success_vectors,
-)
-from qfilter.states import _least_eigenvalue, gram_matrix
+from qfilter.designer import embed_inputs, failure_phases
+from qfilter.states import gram_matrix
 from qfilter.cli import _design_checks, load_ensemble, main as cli_main
 
 from conftest import (
@@ -57,14 +46,11 @@ from conftest import (
     fifty_fifty_ensemble,
     fifty_fifty_expected_outputs,
     fifty_fifty_expected_unitary,
-    gauge_candidates,
     near_parallel_ensembles,
     orthogonal_ensemble,
     perfbench_module,
-    placed,
     random_ensemble,
     rebuilt,
-    reference_complete_unitary,
     stratified_random_ensembles,
     symmetric_ensemble,
     symmetric_expected_outputs,
@@ -88,22 +74,20 @@ class TestFailureSide:
 
     def test_failure_vectors_live_in_the_last_mode(self):
         e = fifty_fifty_ensemble()
-        sol = solve(e)
-        phis = failure_vectors(sol, failure_phases(e))
-        qs = (sol.q1, sol.q2, sol.q3)
-        for phi, q in zip(phis, qs):
+        dsn = design(e)
+        for phi, q in zip(dsn._failure_vectors, dsn.solution.failure_probabilities):
             assert len(phi) == 4 and all(type(x) is complex for x in phi)
-            np.testing.assert_allclose(phi[:3], 0.0, atol=1e-15)
+            assert phi[:3] == (0j, 0j, 0j)
             assert abs(phi[3]) == pytest.approx(math.sqrt(q), abs=1e-12)
 
     def test_failure_vectors_reproduce_the_overlaps_of_state_1(self):
         rng = np.random.default_rng(6)
-        e = random_ensemble(rng)
-        sol = solve(e)
-        phis = failure_vectors(sol, failure_phases(e))
-        ov = overlaps(e)
-        assert np.vdot(phis[0], phis[1]) == pytest.approx(ov.O12, abs=1e-10)
-        assert np.vdot(phis[0], phis[2]) == pytest.approx(ov.O13, abs=1e-10)
+        for _ in range(20):
+            e = random_ensemble(rng)
+            phis = design(e).failure_vectors
+            ov = overlaps(e)
+            assert np.vdot(phis[0], phis[1]) == pytest.approx(ov.O12, abs=1e-10)
+            assert np.vdot(phis[0], phis[2]) == pytest.approx(ov.O13, abs=1e-10)
 
     def test_design_computes_the_phases_once(self, monkeypatch):
         phases = designer.failure_phases
@@ -122,15 +106,11 @@ class TestFailureSide:
             assert calls["failure_phases"] == 1
             assert dsn.chi == phases(e)
             seen.add(sol.regime)
-            if sol.regime is not Regime.POVM:
-                # Read off U's outputs: the phases agree within rounding.
-                for got, chi in zip(dsn.failure_vectors, dsn.chi):
-                    assert abs(cmath.phase(got[3] * cmath.exp(-1j * chi))) <= 1e-12
-                continue
-            for got, want in zip(dsn.failure_vectors, failure_vectors(sol, phases(e))):
-                assert got.tobytes() == np.array(want).tobytes()
+            # Read off U's outputs: the phases agree within rounding.
+            for got, chi in zip(dsn.failure_vectors, dsn.chi):
+                assert abs(cmath.phase(got[3] * cmath.exp(-1j * chi))) <= 1e-12
         assert seen == set(Regime)
-        # Real overlaps and a real L23: arg O12 and arg O13 are the only angles.
+        # Real overlaps: arg O12 and arg O13 are the only angles.
         phase = cmath.phase
 
         def counting_phase(z):
@@ -145,45 +125,6 @@ class TestFailureSide:
             calls["angle"] = 0
             design(e, sol)
             assert calls["angle"] == 2
-
-
-class TestSuccessGram:
-    def test_success_gram_decouples_state_1(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            e = random_ensemble(rng)
-            sol = solve(e)
-            L = np.array(build_L(e, sol, failure_phases(e)))
-            assert abs(L[0, 1]) < 1e-10
-            assert abs(L[0, 2]) < 1e-10
-            assert L[0, 0].real == pytest.approx(1.0 - sol.q1, abs=1e-12)
-            assert np.linalg.eigvalsh((L + L.conj().T) / 2.0).min() >= -1e-10
-
-    def test_inconsistent_failure_probabilities_are_detected(self):
-        e = fifty_fifty_ensemble()
-        sol = solve(e)
-        bogus = FilterSolution(
-            q1=1.0, q2=1.0, q3=1.0, Q=1.0,
-            regime=sol.regime, A=sol.A, parallel_norm2=sol.parallel_norm2,
-        )
-        with pytest.raises(InconsistentSolutionError):
-            build_L(e, bogus, failure_phases(e))
-
-
-def numpy_L(e: Ensemble, sol: FilterSolution) -> np.ndarray:
-    """The residual Gram matrix of :func:`build_L`, built in numpy."""
-    ov = overlaps(e)
-    q1, q2, q3 = sol.failure_probabilities
-    _, chi2, chi3 = failure_phases(e)
-    l12 = ov.O12 - np.sqrt(max(q1 * q2, 0.0)) * np.exp(1j * chi2)
-    l13 = ov.O13 - np.sqrt(max(q1 * q3, 0.0)) * np.exp(1j * chi3)
-    l23 = ov.O23 - np.sqrt(max(q2 * q3, 0.0)) * np.exp(1j * (chi3 - chi2))
-    return np.array(
-        [[1.0 - q1, l12, l13],
-         [np.conj(l12), 1.0 - q2, l23],
-         [np.conj(l13), np.conj(l23), 1.0 - q3]],
-        dtype=complex,
-    )
 
 
 def gate_cases(name: str) -> list[tuple[Ensemble, FilterSolution]]:
@@ -203,8 +144,7 @@ def gate_cases(name: str) -> list[tuple[Ensemble, FilterSolution]]:
         if name != "bogus":
             cases.append((e, sol))
             continue
-        # Scaled failure probabilities: the first-row entries of L no longer
-        # vanish, and some of these matrices are indefinite.
+        # Scaled failure probabilities: q1 q_j is no longer |O1j|^2.
         for f in (0.5, 0.9, 0.999, 1.5):
             q = [f * x for x in sol.failure_probabilities]
             cases.append((e, FilterSolution(*q, sol.Q, sol.regime, sol.A, sol.parallel_norm2)))
@@ -213,165 +153,6 @@ def gate_cases(name: str) -> list[tuple[Ensemble, FilterSolution]]:
         sol = solve(e)
         cases.append((e, FilterSolution(1.0, 1.0, 1.0, 1.0, sol.regime, sol.A, sol.parallel_norm2)))
     return cases
-
-
-class TestLeastEigenvalueGate:
-    """``build_L`` gates on a scalar least eigenvalue instead of eigvalsh."""
-
-    @pytest.mark.parametrize("name", ["stratified", "near_parallel", "fixtures", "bogus"])
-    def test_same_decision_message_and_eigenvalue_as_eigvalsh(self, name):
-        cases = gate_cases(name)
-        refused = 0
-        for e, sol in cases:
-            mat = numpy_L(e, sol)
-            want = float(np.linalg.eigvalsh(mat).min())
-            assert abs(_least_eigenvalue(mat.tolist()) - want) <= 1e-12
-            if want < -1e-8:
-                refused += 1
-                with pytest.raises(InconsistentSolutionError) as err:
-                    build_L(e, sol, failure_phases(e))
-                assert str(err.value) == (
-                    f"residual Gram matrix has negative eigenvalue {want:.3e}; the "
-                    "failure probabilities are not consistent with this ensemble"
-                )
-            else:
-                np.testing.assert_array_equal(build_L(e, sol, failure_phases(e)), mat)
-        assert len(cases) >= 4
-        assert (refused > 0) == (name == "bogus")
-
-
-class TestSuccessVectors:
-    def test_fifty_fifty_geometry(self):
-        e = fifty_fifty_ensemble()
-        sol = solve(e)
-        L = build_L(e, sol, failure_phases(e))
-        vecs, _ = success_vectors(L, sol.failure_probabilities)
-        # State 1 succeeds into mode 1 alone; 2 and 3 share modes 2-3.
-        assert abs(vecs[0][0]) == pytest.approx(math.sqrt(1.0 - sol.q1), abs=1e-12)
-        np.testing.assert_allclose(vecs[0][1:], 0.0, atol=1e-12)
-        for v in (vecs[1], vecs[2]):
-            assert abs(v[0]) < 1e-12
-            assert abs(v[3]) < 1e-12
-        gram = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
-        np.testing.assert_allclose(gram, L, atol=1e-10)
-
-    def test_vanishing_success_of_state_1_gives_zero_vector(self):
-        e = symmetric_ensemble(0.9)  # q1 = 1 here
-        sol = solve(e)
-        L = build_L(e, sol, failure_phases(e))
-        vecs, _ = success_vectors(L, sol.failure_probabilities)
-        np.testing.assert_allclose(vecs[0], 0.0, atol=1e-12)
-
-    def test_vanishing_success_of_state_2_gives_zero_vector(self):
-        # psi1's in-span part lies along psi2 and psi3 is orthogonal to both,
-        # so q1 = |O12|^2 and q2 = 1 exactly: no mixing angle is defined.
-        e = Ensemble(((0.6, 0.0, 0.8), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), (0.9, 0.05, 0.05))
-        sol = solve(e)
-        assert sol.q2 == 1.0
-        L = build_L(e, sol, failure_phases(e))
-        vecs, theta = success_vectors(L, sol.failure_probabilities)
-        assert vecs[1] == [0j] * 4
-        assert theta == math.pi / 4
-        gram = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
-        np.testing.assert_allclose(gram, L, atol=1e-12)
-
-    def test_gram_is_reproduced_for_random_instances(self):
-        rng = np.random.default_rng(8)
-        for _ in range(25):
-            e = random_ensemble(rng)
-            sol = solve(e)
-            L = build_L(e, sol, failure_phases(e))
-            vecs, _ = success_vectors(L, sol.failure_probabilities)
-            gram = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
-            np.testing.assert_allclose(gram, L, atol=1e-9)
-
-    def test_impossible_success_gram_is_rejected(self):
-        # This instance has a nonzero success correlation between states
-        # 2 and 3; shrinking their success norms below it is impossible.
-        e = symmetric_ensemble(0.5)
-        sol = solve(e)
-        L = build_L(e, sol, failure_phases(e))
-        assert abs(L[1][2]) > 0.1
-        bogus = FilterSolution(
-            q1=sol.q1, q2=0.999, q3=0.999, Q=sol.Q,
-            regime=sol.regime, A=sol.A, parallel_norm2=sol.parallel_norm2,
-        )
-        L_fake = [list(row) for row in L]
-        L_fake[1][1] = complex(1.0 - bogus.q2)
-        L_fake[2][2] = complex(1.0 - bogus.q3)
-        with pytest.raises(InfeasibleError):
-            success_vectors(L_fake, bogus.failure_probabilities)
-
-
-def unsplit_success_vectors(L, q, swap, signs):
-    """``success_vectors`` as one function, each entry formed as ``(sign * r)
-    * cos``: the order of operations before the geometry was shared."""
-    p = [max(1.0 - q_i, 0.0) for q_i in q]
-    l23, p23 = complex(L[1][2]), p[1] * p[2]
-    cos2theta, phase3 = 0.0, 1.0 + 0.0j
-    if p23 > 1e-24:
-        bound = math.sqrt(p23)
-        if abs(l23.imag) <= 1e-12 * max(1.0, abs(l23)):
-            cos2theta = min(max(l23.real / bound, -1.0), 1.0)
-        else:
-            cos2theta = min(abs(l23) / bound, 1.0)
-            phase3 = cmath.exp(1j * cmath.phase(l23))
-    theta = 0.5 * math.acos(cos2theta)
-    cos, sin = math.cos(theta), math.sin(theta)
-    mode1, mode_a, mode_b = (1, 0, 2) if swap else (0, 1, 2)
-    r1, r2, r3 = (math.sqrt(p_i) for p_i in p)
-    v1, v2, v3 = ([0j] * 4 for _ in range(3))
-    v1[mode1] = complex(signs[0] * r1, 0.0)
-    v2[mode_a] = complex(signs[1] * r2 * cos, 0.0)
-    v2[mode_b] = complex(signs[1] * r2 * sin, 0.0)
-    v3[mode_a] = complex(signs[2] * r3 * cos, 0.0) * phase3
-    v3[mode_b] = complex(-signs[2] * r3 * sin, 0.0) * phase3
-    return [v1, v2, v3], theta
-
-
-class TestSharedGeometry:
-    """``design`` places the success vectors once per POVM-regime design, and
-    none in the projective regimes; the standard placement, and the oracle's
-    moves of it to every gauge, have the bits of the unsplit construction
-    (on any residual matrix)."""
-
-    @pytest.mark.parametrize("name", ["stratified", "fixtures", "random_2d"])
-    def test_design_builds_the_geometry_once(self, monkeypatch, name):
-        calls = []
-        func = designer.success_vectors
-        monkeypatch.setattr(designer, "success_vectors", lambda *args: calls.append(1) or func(*args))
-        povm = 0
-        for e in oracle_instances(name):
-            sol = solve(e)
-            del calls[:]
-            design(e, sol)
-            povm += sol.regime is Regime.POVM
-            assert len(calls) == int(sol.regime is Regime.POVM)
-        # Inputs spanning 2 modes have w = 1, so they are never POVM.
-        assert (povm > 0) == (name != "random_2d")
-
-    @pytest.mark.parametrize(
-        "name", ["stratified", "structured", "near_boundary", "random_2d", "rank_2"]
-    )
-    def test_every_gauge_is_placed_with_the_values_of_success_vectors(self, name):
-        """The standard placement has the bits of the unsplit construction,
-        and all 16 ``(swap, signs)`` its values: a sign flips the sign of a
-        zero at most."""
-        seen = set()
-        for e in oracle_instances(name)[:100]:
-            sol = solve(e)
-            L = build_L(e, sol, failure_phases(e))
-            q = sol.failure_probabilities
-            standard, theta = success_vectors(L, q)
-            for swap in (False, True):
-                for signs in itertools.product((1, -1), repeat=3):
-                    want, want_theta = unsplit_success_vectors(L, q, swap, signs)
-                    if not swap and signs == (1, 1, 1):
-                        assert np.array(standard).tobytes() == np.array(want).tobytes()
-                    assert np.array_equal(placed(standard, swap, signs), want)
-                    assert theta == want_theta
-                    seen.add((swap, signs))
-        assert len(seen) == 16
 
 
 class TestEmbedding:
@@ -405,85 +186,6 @@ class TestEmbedding:
 #: Entries that ``complex()`` parses or refuses with a bare error, and that
 #: ``StateVector`` and ``decompose`` refuse as not numbers.
 NOT_NUMBERS = [None, "1", "1+0j", b"1", "abc"]
-
-
-class TestCompleteUnitary:
-    def test_maps_inputs_to_outputs_unitarily(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            e = random_ensemble(rng)
-            dsn = design(e)
-            unitary = np.array(complete_unitary(e, dsn.outputs))
-            np.testing.assert_allclose(
-                unitary.conj().T @ unitary, np.eye(4), atol=1e-10
-            )
-            for vec, out in zip(embedded(e), dsn.outputs):
-                np.testing.assert_allclose(unitary @ vec, out, atol=1e-9)
-
-    def test_gram_mismatch_is_rejected_with_the_offending_pair(self):
-        e = fifty_fifty_ensemble()
-        outputs = [v.copy() for v in fifty_fifty_expected_outputs()]
-        outputs[2] = np.array([0.0, 0.0, 1.0, 0.0])  # wrong inner products
-        with pytest.raises(NoUnitaryError) as err:
-            complete_unitary(e, outputs)
-        assert "(2, 3)" in str(err.value) or "(1, 3)" in str(err.value)
-
-    def test_gram_refusal_names_the_pair_of_a_full_scan(self):
-        """Only entries i <= j are compared; the pair and the message are
-        those of scanning all 9 entries in row-major order."""
-        rng = np.random.default_rng(29)
-        for k in range(60):
-            e = random_ensemble(rng)
-            outputs = [np.array(v) for v in design(e).outputs]
-            outputs[k % 3] = outputs[k % 3] + 1e-3 * (rng.normal(size=4) + 1j * rng.normal(size=4))
-            outs = [[complex(x) for x in v] for v in outputs]
-            diff = [
-                abs(g - designer._vdot(a, b))
-                for row, a in zip(gram_matrix(e.states), outs)
-                for g, b in zip(row, outs)
-            ]
-            i, j = divmod(diff.index(max(diff)), 3)
-            with pytest.raises(NoUnitaryError) as err:
-                complete_unitary(e, outputs)
-            assert str(err.value) == (
-                "no unitary maps these inputs to these outputs: inner products "
-                f"of pair ({i + 1}, {j + 1}) differ by {max(diff):.3e} (tolerance 1e-08)"
-            )
-
-    @pytest.mark.parametrize(
-        "bad", [math.nan, complex(0.0, math.nan), math.inf, complex(0.0, -math.inf)]
-    )
-    @pytest.mark.parametrize("vector", [0, 1, 2])
-    @pytest.mark.parametrize("mode", [0, 1, 2, 3])
-    def test_non_finite_output_entries_are_refused(self, bad, vector, mode):
-        """A NaN failed no ``x > tol`` gate; it is refused like a mismatch,
-        in every output vector, on the signal modes and the failure mode."""
-        outputs = [v.astype(complex) for v in fifty_fifty_expected_outputs()]
-        outputs[vector][mode] = bad
-        with pytest.raises(NoUnitaryError) as err:
-            complete_unitary(fifty_fifty_ensemble(), outputs)
-        pair = str(err.value).split("pair ")[1][:6]
-        assert str(vector + 1) in pair
-        assert str(err.value).endswith(
-            f"differ by {'nan' if cmath.isnan(bad) else 'inf'} (tolerance 1e-08)"
-        )
-
-    @pytest.mark.parametrize("outputs", [5, [[1.0, 0.0]] * 3, [None] * 3])
-    def test_outputs_that_are_not_three_4_vectors_are_refused(self, outputs):
-        with pytest.raises(DomainError) as err:
-            complete_unitary(fifty_fifty_ensemble(), outputs)
-        assert str(err.value) == "outputs must be three 4-mode vectors"
-
-    @pytest.mark.parametrize("bad", NOT_NUMBERS)
-    @pytest.mark.parametrize("vector, mode", [(0, 0), (1, 2), (2, 3)])
-    def test_entries_that_are_not_numbers_are_refused(self, bad, vector, mode):
-        """``complex()`` alone parses "1" and "1+0j", and raises a bare
-        ValueError for "abc"; a string is not a number here."""
-        outputs = [list(v.astype(complex)) for v in fifty_fifty_expected_outputs()]
-        outputs[vector][mode] = bad
-        with pytest.raises(DomainError) as err:
-            complete_unitary(fifty_fifty_ensemble(), outputs)
-        assert str(err.value) == "outputs must be three 4-mode vectors"
 
 
 class TestDesignShapes:
@@ -734,35 +436,72 @@ def family_grid(count: int, seed: int) -> list[Ensemble]:
     return ensembles
 
 
+def ladder_ensembles() -> list[Ensemble]:
+    """POVM-regime ensembles with ``a1 = |<n|psi1>| = 10^-k``, k = 1 ... 7, so
+    that ``w = 1 - a1^2`` runs to 1 and the inputs' least singular value to
+    0: psi2 = e1, psi3 at 60 degrees from it in the (1, 2) plane, psi1 at
+    two angles in that plane plus ``a1 e3``, and priors putting A midway
+    between eta1 w^2 and eta1.  Formed as ``1 - y^2``, s loses its digits
+    here, and the forbidden probabilities grow as (u/a1)^2, to 3e-18."""
+    ensembles = []
+    psi2, psi3 = np.array([1.0, 0.0, 0.0]), np.array([0.5, math.sqrt(3.0) / 2.0, 0.0])
+    for k in range(1, 8):
+        a1 = 10.0**-k
+        b1 = math.sqrt(1.0 - a1 * a1)
+        for phi in (0.3, 1.2):
+            psi1 = np.array([b1 * math.cos(phi), b1 * math.sin(phi), a1])
+            mean = (abs(psi1 @ psi2) ** 2 + abs(psi1 @ psi3) ** 2) / 2.0
+            eta1 = mean / (mean + (1.0 + b1**4) / 2.0)
+            ensembles.append(Ensemble((psi1, psi2, psi3), (eta1, (1.0 - eta1) / 2.0, (1.0 - eta1) / 2.0)))
+    return ensembles
+
+
+def povm_cases(name: str) -> list[tuple[Ensemble, FilterSolution]]:
+    """The POVM-regime instances of a set: an oracle set, the sweep families'
+    grid, the a1 ladder, or the answered near-parallel items."""
+    if name == "near_parallel":
+        cases = gate_cases("near_parallel")
+    elif name == "family":
+        cases = [(e, solve(e)) for e in family_grid(400, 20261021)]
+    elif name == "ladder":
+        cases = [(e, solve(e)) for e in ladder_ensembles()]
+    else:
+        cases = [(e, solve(e)) for e in oracle_instances(name)]
+    return [(e, sol) for e, sol in cases if sol.regime is Regime.POVM]
+
+
 class TestGaugeSearch:
-    """POVM-regime designs score two rotated placements of one completed
-    unitary; the projective regimes take none (``TestProjectiveRoute``).
-    Against the exhaustive search over the 8 or 16 sign-and-swap gauges,
-    each design has no more layers, is exactly zero-error with q on port 4,
-    and maps each input onto its success plus failure vector."""
+    """POVM-regime designs are written down from the frame and score two
+    placements; the projective regimes take none (``TestProjectiveRoute``).
+    Against the exhaustive search over the 8 or 16 sign-and-swap gauges of
+    the Gram-Schmidt completion, each design has no more layers, is exactly
+    zero-error with q on port 4, and maps each input onto its success plus
+    failure vector."""
 
     @pytest.mark.parametrize(
         "name",
-        ["stratified", "symmetric", "structured", "reference", "random_3d", "fixtures", "family"],
+        ["stratified", "symmetric", "structured", "reference", "random_3d", "fixtures", "family",
+         "ladder", "near_parallel"],
     )
     def test_no_more_layers_than_the_exhaustive_search(self, name):
-        povm = 0
-        ensembles = family_grid(400, 20261021) if name == "family" else oracle_instances(name)
-        for e in ensembles:
-            sol = solve(e)
-            if sol.regime is not Regime.POVM:
-                continue
-            povm += 1
+        cases = povm_cases(name)
+        assert len(cases) >= 2
+        # The orthogonal triple (q1 = 0, where psi1 has no part f) is in both.
+        assert any(sol.q1 == 0.0 for _, sol in cases) == (name in ("reference", "fixtures"))
+        for e, sol in cases:
             dsn, want = design(e, sol), exhaustive_design(e, sol)
             layers, bound = len(decompose(dsn.unitary).layers), len(decompose(want.unitary).layers)
             assert layers <= bound
             if name == "random_3d":
                 assert bound == 6 and layers < bound  # dense: one column-4 entry is zeroed
-            assert dsn.theta == want.theta
-            # Column 4's phase is fixed: its largest entry (the first on a tie) is real
-            # and positive, to the rounding of the division that fixes it.
-            pivot = max([row[3] for row in dsn._unitary], key=abs)
-            assert pivot.real > 0 and abs(pivot.imag) <= 1e-15
+            # theta = acos(cos 2 theta) / 2 magnifies an ulp of its argument
+            # near theta = 0 and pi/2, where the ladder and near-parallel items go.
+            assert abs(math.cos(2.0 * dsn.theta) - math.cos(2.0 * want.theta)) <= 1e-13
+            if name not in ("ladder", "near_parallel"):
+                assert abs(dsn.theta - want.theta) <= 1e-12
+            # Column 4 is real, and its largest entry (the first on a tie) positive.
+            column = [row[3] for row in dsn._unitary]
+            assert max(column, key=abs).real > 0 and all(x.imag == 0 for x in column)
             # No success amplitude is a negative zero, which the artifacts would print as -0.0.
             assert all(math.copysign(1, x) > 0 for v in dsn._success_vectors for z in v for x in (z.real, z.imag) if x == 0)
             for i, q_i in enumerate(sol.failure_probabilities):
@@ -772,8 +511,75 @@ class TestGaugeSearch:
                 assert abs(probs[3] - q_i) <= 1e-12
                 x = dsn._embedded_inputs[i]
                 amps = [0j + u[0] * x[0] + u[1] * x[1] + u[2] * x[2] + u[3] * x[3] for u in dsn._unitary]
-                assert max(abs(a - b) for a, b in zip(amps, dsn._outputs[i])) <= 1e-14
-        assert povm
+                assert amps == list(dsn._outputs[i])
+
+    @pytest.mark.parametrize("name", ["stratified", "random_2d", "rank_2", "near_boundary"])
+    def test_design_makes_no_decompose_call(self, monkeypatch, name):
+        calls = []
+
+        def counting(unitary):
+            calls.append(unitary)
+            return decompose(unitary)
+
+        for module in (qfilter, multiport, designer):
+            monkeypatch.setattr(module, "decompose", counting, raising=False)
+        for e in oracle_instances(name)[:40]:
+            design(e)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "name, counts",
+        [("stratified", {0, 2}), ("structured", {0, 2}), ("reference", {2}), ("near_boundary", {0})],
+    )
+    def test_layers_are_counted_once_per_placement(self, monkeypatch, name, counts):
+        """Two layer counts per POVM-regime design, one per placement, and
+        none in the projective regimes.  The design has the fewer layers,
+        and state 1 stays on port 1 where the two placements tie."""
+        calls = []
+        layer_count = designer._layer_count
+        monkeypatch.setattr(
+            designer, "_layer_count", lambda rows: calls.append(layer_count(rows)) or calls[-1]
+        )
+        seen, ties = set(), 0
+        for e in oracle_instances(name)[:40]:
+            sol = solve(e)
+            del calls[:]
+            dsn = design(e, sol)
+            assert len(calls) == (2 if sol.regime is Regime.POVM else 0)
+            seen.add(len(calls))
+            if calls:
+                assert len(decompose(dsn.unitary).layers) == min(calls)
+                if calls[0] == calls[1]:
+                    ties += 1
+                    assert dsn.state1_port == 1
+        assert seen == counts
+        assert ties or name != "stratified"  # every dense design ties at 5 layers
+
+    @pytest.mark.parametrize("name", ["stratified", "rank_2", "random_2d", "fixtures"])
+    def test_the_closed_form_meets_both_projective_boundaries(self, name):
+        """A projective solution read as a POVM one is the POVM closed form at
+        its boundary: q1 = w (s = 0) or q1 = 1 (with w = 1 too on the rank-2
+        and 2-D sets, v = 0).  Where rounding puts b1^2 above q1 = w, y is
+        taken as 1; every such design is zero-error with q on port 4."""
+        cases = [(e, rebuilt(sol, regime=Regime.POVM)) for e, sol in projective_cases(name)]
+        assert {sol.failure_probabilities[0] == 1.0 for _, sol in cases} == {True, False}
+        for e, sol in cases:
+            dsn = design(e, sol)
+            for i, q_i in enumerate(sol.failure_probabilities):
+                probs = port_probabilities(dsn, i)
+                forbidden = sum(probs[p - 1] for p in dsn.set_ports) if i == 0 else probs[dsn.state1_port - 1]
+                assert forbidden <= 1e-24
+                assert abs(probs[3] - q_i) <= 1e-12
+
+    def test_every_bogus_solution_is_refused(self):
+        """Scaled q (q1 q_j != |O1j|^2 for a scale other than 1, or q1 outside
+        [w, 1]) and q = (1, 1, 1) on the fifty-fifty instance, in every
+        regime: no design is built."""
+        cases = gate_cases("bogus")
+        assert {sol.regime for _, sol in cases} == set(Regime)
+        for e, sol in cases:
+            with pytest.raises(InconsistentSolutionError):
+                design(e, sol)
 
 
 class TestNearBoundary:
@@ -963,381 +769,31 @@ class TestProjectiveRoute:
             design(e, sol)
 
 
-def completion_outcome(complete, e, outputs):
-    """The unitary, or the class and message of the error raised."""
-    try:
-        return complete(e, outputs)
-    except (DomainError, NoUnitaryError) as exc:
-        return type(exc), str(exc)
+@pytest.mark.parametrize("size, refused", [(1e-6, True), (1e-12, False)])
+@pytest.mark.parametrize("route", ["_projective_unitary", "_povm_candidates"])
+def test_the_unitary_is_checked_for_unitarity(monkeypatch, route, size, refused):
+    """A row off by 1e-6 is refused, and one off by 1e-12 designs: ``design``
+    checks a projective unitary's unitarity, and the layer counts' nulling
+    refuses a POVM placement first."""
+    povm = route == "_povm_candidates"
+    regimes = {Regime.POVM} if povm else {Regime.VN_LARGE_OVERLAP, Regime.VN_SMALL_OVERLAP}
+    instances = [e for e in oracle_instances("stratified")[:40] if solve(e).regime in regimes]
+    assert {solve(e).regime for e in instances} == regimes
+    build = getattr(designer, route)
 
-
-def completion_residuals(unitary, e, outputs) -> tuple[float, float]:
-    """Unitarity residual and worst input-to-output mapping error."""
-    unitary = np.asarray(unitary)
-    unitarity = np.abs(unitary.conj().T @ unitary - np.eye(4)).max()
-    mapping = max(np.abs(unitary @ v - o).max() for v, o in zip(embedded(e), outputs))
-    return unitarity, mapping
-
-
-def assert_completes_like_the_reference(e, outputs, got=None):
-    """``complete_unitary`` is as accurate as the reference and, within a
-    bound that grows as 1/sigma_min of the inputs, the same unitary."""
-    got = np.asarray(complete_unitary(e, outputs) if got is None else got)
-    want = reference_complete_unitary(e, outputs)
-    for g, w in zip(completion_residuals(got, e, outputs), completion_residuals(want, e, outputs)):
-        assert g <= w + 1e-15
-    singular = np.linalg.svd(np.array(embedded(e)), compute_uv=False)
-    assert np.abs(got - want).max() <= 4e-15 / singular[singular > 1e-10].min()
-
-
-class TestReferenceCompletion:
-    """``complete_unitary`` agrees with ``reference_complete_unitary``, which
-    redoes all of its Gram-Schmidt work in numpy on every call."""
-
-    @pytest.mark.parametrize(
-        "name",
-        ["stratified", "random_2d", "rank_2", "near_boundary", "structured", "fixtures"],
-    )
-    def test_every_gauge_candidate_matches_the_reference(self, name):
-        for e in oracle_instances(name):
-            outputs = [outs for *_, outs in gauge_candidates(e, solve(e))]
-            assert len(outputs) in (8, 16)
-            for outs in outputs:
-                assert_completes_like_the_reference(e, outs)
-
-    def test_later_calls_on_one_ensemble_match_the_reference(self):
-        rng = np.random.default_rng(31)
-        ensembles = [random_ensemble(rng) for _ in range(5)]
-        ensembles += [coplanar_ensemble(rng, in_span=k % 2 == 0) for k in range(4)]
-        for e in ensembles:
-            candidates = list(gauge_candidates(e, solve(e)))
-            # The swapped placement first, then the standard one.
-            for *_, outs in (candidates[-1], candidates[0], candidates[-1]):
-                assert_completes_like_the_reference(e, outs)
-
-    def test_errors_match_the_reference(self):
-        e = fifty_fifty_ensemble()
-        good = [v.copy() for v in fifty_fifty_expected_outputs()]
-        scaled = [v.copy() for v in good]
-        scaled[1] *= 1.0 + 1e-6
-        cases = [
-            [good[0], good[1], np.array([0.0, 0.0, 1.0, 0.0])],  # Gram mismatch
-            scaled,  # norm mismatch above GRAM_TOL
-            good[:2],
-            [v[:3] for v in good],
-            [np.append(v, 0.0) for v in good],
-            good,
-        ]
-        kinds = set()
-        for outs in cases + cases:  # a second call on the ensemble, same outcome
-            want = completion_outcome(reference_complete_unitary, e, outs)
-            got = completion_outcome(complete_unitary, e, outs)
-            if isinstance(want, np.ndarray):
-                assert_completes_like_the_reference(e, outs, got)
-                kinds.add(np.ndarray)
-            else:
-                assert got == want
-                kinds.add(want[0])
-        assert kinds == {NoUnitaryError, DomainError, np.ndarray}
-        four_modes = Ensemble(tuple(np.eye(4)[:3]), EQUAL_PRIORS)
-        for _ in range(2):
-            want = completion_outcome(reference_complete_unitary, four_modes, good)
-            assert want[0] is DomainError
-            assert completion_outcome(complete_unitary, four_modes, good) == want
-
-
-class TestCompletionWork:
-    """Each piece of Gram-Schmidt work in a design is done once."""
-
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        """Count calls of the completion helpers, by name."""
-        calls = {"_project_out": 0, "complete_unitary": 0, "input_side": 0, "pivoted": 0}
-
-        def counting(key, name):
-            func = getattr(designer, name)
-
-            def wrapper(*args, **kwargs):
-                calls[key] += 1
-                return func(*args, **kwargs)
-            monkeypatch.setattr(designer, name, wrapper)
-
-        counting("_project_out", "_project_out")
-        counting("complete_unitary", "complete_unitary")
-        counting("input_side", "_orthonormal_basis")
-        counting("pivoted", "_complement")
-        return calls
-
-    def test_project_out_calls_per_design(self, calls):
-        """POVM: 3 input vectors, 3 output vectors and the output completion;
-        the input completion, e4, is read off.  So is the output completion
-        where the outputs leave a mode exactly empty (q = 0 here).  The
-        projective regimes complete nothing: ``VN_SMALL_OVERLAP`` projects
-        psi1 out of one direction, ``VN_LARGE_OVERLAP`` nothing."""
-        counts = set()
-        for e in stratified_random_ensembles(40, 8) + oracle_instances("fixtures"):
-            sol = solve(e)
-            calls.update(_project_out=0, complete_unitary=0)
-            dsn = design(e, sol)
-            if sol.regime is not Regime.POVM:
-                assert calls["complete_unitary"] == 0
-                assert calls["_project_out"] == int(sol.regime is Regime.VN_SMALL_OVERLAP)
-                counts.add((sol.regime, calls["_project_out"]))
-                continue
-            # Permutable: one completion, the winner read off its rows.
-            assert calls["complete_unitary"] == 1
-            empty = any(not any(out[k] for out in dsn._outputs) for k in range(4))
-            # 12 when the winner was completed again, 23 before the memo, 8
-            # while e4 was projected out
-            assert calls["_project_out"] == (6 if empty else 7)
-            counts.add(calls["_project_out"])
-        assert counts == {6, 7, (Regime.VN_SMALL_OVERLAP, 1), (Regime.VN_LARGE_OVERLAP, 0)}
-
-    @pytest.mark.parametrize("name", ["stratified", "random_2d", "rank_2", "near_boundary"])
-    def test_every_design_completes_at_most_one_unitary(self, calls, name):
-        """One for a POVM-regime design, none for a projective one; inputs
-        spanning 2 modes, and near q2 = 1, included."""
-        for e in oracle_instances(name)[:20]:
-            sol = solve(e)
-            calls.update(complete_unitary=0)
-            design(e, sol)
-            assert calls["complete_unitary"] == int(sol.regime is Regime.POVM)
-
-    def test_input_side_runs_once_per_completion(self, calls):
-        for e in stratified_random_ensembles(6, 9) + [fifty_fifty_ensemble()]:
-            calls.update(complete_unitary=0, input_side=0, pivoted=0)
-            dsn = design(e)
-            later = [outs for *_, outs in gauge_candidates(e, dsn.solution)][-3:]
-            for outs in later:
-                complete_unitary(e, outs)
-            completions = calls["complete_unitary"] + len(later)
-            assert completions == 3 + (dsn.solution.regime is Regime.POVM)
-            # Each completion orthonormalizes the inputs once, and completes
-            # the input basis and the output basis once each.
-            assert calls["input_side"] == completions
-            assert calls["pivoted"] == 2 * completions
-
-    @pytest.fixture
-    def rounds(self, monkeypatch):
-        """``(len(basis), mode)`` of each coordinate direction projected out."""
-        rounds: list[tuple[int, int]] = []
-        project_out = designer._project_out
-
-        def recording(vec, basis):
-            rounds.append((len(basis), int(np.argmax(np.abs(vec)))))
-            return project_out(vec, basis)
-
-        monkeypatch.setattr(designer, "_project_out", recording)
-        return rounds
-
-    def test_empty_modes_are_read_off_without_projecting(self, rounds):
-        """2-D inputs leave e3 and e4 exactly empty: both are read off."""
-        rng = np.random.default_rng(43)
-        inputs = [[v.tolist() for v in embedded(random_ensemble(rng, dim=2))] for _ in range(10)]
-        for ins in inputs:
-            basis = designer._orthonormal_basis(ins)[0]
-            assert len(basis) == 2
-            rounds.clear()
-            complement = designer._complement(basis)
-            assert rounds == []
-            assert np.array(complement).tobytes() == np.eye(4, dtype=complex)[2:].tobytes()
-            assert np.array(complement).tobytes() == np.array(unpruned_complement(basis)).tobytes()
-
-    def test_empty_modes_of_projective_outputs_are_read_off_without_projecting(self, rounds):
-        """A projective design's outputs span 3 modes and leave one exactly
-        empty, port 1 or 3 (its row is e4^T): that e_k is read off at entry."""
-        bases = [designer._orthonormal_basis(design(e)._outputs)[0] for e, _ in projective_cases("stratified")[:40]]
-        assert len(bases) >= 10
-        for basis in bases:
-            empty = [k for k in range(4) if not any(b[k] for b in basis)]
-            assert len(basis) == 3 and len(empty) == 1
-            rounds.clear()
-            complement = designer._complement(basis)
-            assert rounds == []
-            assert np.array(complement).tobytes() == np.eye(4, dtype=complex)[empty].tobytes()
-            assert np.array(complement).tobytes() == np.array(unpruned_complement(basis)).tobytes()
-
-    @pytest.mark.parametrize("dust", [1e-5, 3e-5])
-    def test_an_empty_mode_behind_a_dusty_one_is_projected_out(self, rounds, dust):
-        """e4's exact 0 is the least mass, e1's dust the next: e4 is projected
-        out first and e1 second, one direction per round, and the completion
-        is the unpruned rule's."""
-        rows = [[dust, 1.0, 0.2, 0.0], [0.5 * dust, -0.3, 1.0, 0.0]]
-        basis = designer._orthonormal_basis([[complex(x) for x in v] for v in rows])[0]
-        assert 0.0 < sum(abs(b[0]) ** 2 for b in basis) <= 1e-8
-        rounds.clear()
-        complement = designer._complement(basis)
-        assert rounds == [(2, 3), (3, 0)]
-        assert np.array(complement).tobytes() == np.array(unpruned_complement(basis)).tobytes()
-
-    def test_entries_whose_mass_underflows_are_projected_out(self, rounds):
-        """An entry of 1e-170 has squared mass 0.0, as an empty mode has; the
-        entries, not the masses, decide, so e3 is projected out and keeps it.
-        e3 and e4 tie at 0.0, and e3 comes first."""
-        basis = [[1 + 0j, 0j, 1e-170 + 0j, 0j], [0j, 1 + 0j, 0j, 0j]]
-        assert sum(abs(b[2]) ** 2 for b in basis) == 0.0
-        complement = designer._complement(basis)
-        assert rounds == [(2, 2), (3, 3)]
-        assert complement[0][0] == -1e-170 and complement[0][2] == 1.0
-        assert np.array(complement).tobytes() == np.array(unpruned_complement(basis)).tobytes()
-
-    def test_least_mass_pivots_are_the_unpruned_rule(self):
-        """On orthonormal bases of 1-3 rounded real 2-D and 3-D inputs, whose
-        coordinate masses often tie exactly or within rounding, and of 1-2
-        complex 4-D vectors, whose later rounds see the masses each pick
-        adds, every completion is orthonormal and orthogonal to its basis.
-        It is the largest-residual rule's bit for bit wherever no round's two
-        least masses lie within 1e-12, where both rules pick the same
-        direction."""
-        # Here coordinate masses tie exactly (first) or within an ulp
-        # (second), and the least mass is not the largest residual.
-        inputs = [[[0.3, 0.1, 0.1]], [[-1.5, -0.8, 0.7], [-0.5, 0.0, 0.5]]]
-        rng = np.random.default_rng(53)
-        for i in range(3000):
-            dim = 2 + i % 2
-            inputs.append(np.round(rng.normal(size=(1 + i // 2 % dim, dim)), 1).tolist())
-        for i in range(400):
-            inputs.append((rng.normal(size=(1 + i % 2, 4)) + 1j * rng.normal(size=(1 + i % 2, 4))).tolist())
-        compared, tied = 0, []
-        for vectors in inputs:
-            rows = [[complex(x) for x in v] + [0j] * (4 - len(v)) for v in vectors]
-            basis = designer._orthonormal_basis(rows)[0]
-            if not basis:
-                continue
-            got = designer._complement(basis)
-            frame = np.array(basis + got)
-            overlap = frame[len(basis):].conj() @ frame.T
-            assert np.abs(overlap - np.eye(4)[len(basis):]).max() <= 1e-15, vectors
-            same = np.array(got).tobytes() == np.array(unpruned_complement(basis)).tobytes()
-            gap = least_mass_gaps(basis)
-            if gap > 1e-12:
-                assert same, vectors
-                compared += 1
-            elif not same:
-                assert gap <= 1e-15, vectors  # a tie, exact or within rounding
-                tied.append(vectors)
-        assert compared > 2500
-        assert inputs[0] in tied and inputs[1] in tied
-
-    def test_pipeline_completions_are_the_unpruned_rule(self, monkeypatch):
-        """Every completion that the POVM designs of the benchmark's
-        ``pipeline`` pool of seed 1 make is the largest-residual rule's, bit
-        for bit."""
-        completions = []
-        complement = designer._complement
-
-        def recording(basis):
-            completions.append((basis, complement(basis)))
-            return completions[-1][1]
-
-        monkeypatch.setattr(designer, "_complement", recording)
-        povm = 0
-        for item in perfbench_module("inputs").pipeline_pool(1):
-            dsn = design(Ensemble(tuple(item.states), item.priors))
-            povm += dsn.solution.regime is Regime.POVM
-        assert povm >= 20 and len(completions) == 2 * povm
-        for basis, got in completions:
-            assert np.array(got).tobytes() == np.array(unpruned_complement(basis)).tobytes()
-
-
-def least_mass_gaps(basis):
-    """The least gap, over the rounds of ``designer._complement(basis)``,
-    between the two least coordinate masses of the directions not yet
-    picked; infinite where the completion is read off."""
-    if sum(not any(b[k] for b in basis) for k in range(4)) == 4 - len(basis):
-        return math.inf
-    full, remaining, gaps = list(basis), list(range(4)), []
-    for u in designer._complement(basis):
-        mass = sum(np.abs(b) ** 2 for b in full)
-        first, second = sorted(mass[k] for k in remaining)[:2]
-        gaps.append(second - first)
-        remaining.remove(min(remaining, key=lambda k: mass[k]))
-        full.append(u)
-    return min(gaps)
-
-
-def unpruned_complement(basis):
-    """``designer._complement`` by the largest computed residual: each round
-    projects out every remaining coordinate direction and keeps the largest
-    residual, the first on a tie."""
-    full = list(basis)
-    remaining = list(range(4))
-    while len(full) < 4:
-        units = [[complex(m == k) for m in range(4)] for k in remaining]
-        residuals = [designer._project_out(unit, full) for unit in units]
-        norms = [designer._norm(w) for w in residuals]
-        norm = max(norms)
-        pick = norms.index(norm)
-        full.append([x * (1.0 / norm) for x in residuals[pick]])
-        del remaining[pick]
-    return full[len(basis):]
-
-
-class TestGaugeScoringWork:
-    """The gauge search counts layers without building mesh programs."""
-
-    @pytest.mark.parametrize("name", ["stratified", "random_2d", "rank_2", "near_boundary"])
-    def test_design_makes_no_decompose_call(self, monkeypatch, name):
-        calls = []
-
-        def counting(unitary):
-            calls.append(unitary)
-            return decompose(unitary)
-
-        for module in (qfilter, multiport, designer):
-            monkeypatch.setattr(module, "decompose", counting, raising=False)
-        for e in oracle_instances(name)[:40]:
-            design(e)
-        assert calls == []
-
-    @pytest.mark.parametrize(
-        "name, counts",
-        [("stratified", {0, 2}), ("structured", {0, 2}), ("reference", {2}), ("near_boundary", {0})],
-    )
-    def test_layers_are_counted_once_per_placement(self, monkeypatch, name, counts):
-        """Two layer counts per POVM-regime design, one per placement, and
-        none in the projective regimes.  The design has the fewer layers,
-        and state 1 stays on port 1 where the two placements tie."""
-        calls = []
-        layer_count = designer._layer_count
-        monkeypatch.setattr(
-            designer, "_layer_count", lambda rows: calls.append(layer_count(rows)) or calls[-1]
-        )
-        seen, ties = set(), 0
-        for e in oracle_instances(name)[:40]:
-            sol = solve(e)
-            del calls[:]
-            dsn = design(e, sol)
-            assert len(calls) == (2 if sol.regime is Regime.POVM else 0)
-            seen.add(len(calls))
-            if calls:
-                assert len(decompose(dsn.unitary).layers) == min(calls)
-                if calls[0] == calls[1]:
-                    ties += 1
-                    assert dsn.state1_port == 1
-        assert seen == counts
-        assert ties or name != "stratified"  # every dense design ties at 5 layers
-
-    @pytest.mark.parametrize("size, refused", [(1e-6, True), (1e-12, False)])
-    def test_a_projective_unitary_is_checked_for_unitarity(self, monkeypatch, size, refused):
-        """No projective unitary is nulled, so ``design`` checks its unitarity
-        once: a row off by 1e-6 is refused, and one off by 1e-12 designs."""
-        instances = [e for e, _ in projective_cases("stratified")[:40]]
-        projective = designer._projective_unitary
-
-        def perturbed(ins, regime):
-            rows = projective(ins, regime)
+    def perturbed(*args):
+        built = build(*args)
+        for rows in built if povm else [built]:
             rows[1] = [x + size for x in rows[1]]
-            return rows
+        return built
 
-        monkeypatch.setattr(designer, "_projective_unitary", perturbed)
-        assert {solve(e).regime for e in instances} == {Regime.VN_LARGE_OVERLAP, Regime.VN_SMALL_OVERLAP}
-        for e in instances:
-            if refused:
-                with pytest.raises(InternalConsistencyError, match="unitarity residual"):
-                    design(e)
-            else:
-                assert design(e).state1_port == 1
+    monkeypatch.setattr(designer, route, perturbed)
+    for e in instances:
+        if refused:
+            with pytest.raises(InternalConsistencyError, match="unitarity residual|off-diagonal residue"):
+                design(e)
+        else:
+            assert design(e).solution.regime in regimes
 
 
 def exact(value):
@@ -1397,8 +853,6 @@ PAST_THE_FLOAT_RANGE = {
                  "priors must be 3 real numbers"),
     "decompose": (lambda e, dsn, x: decompose([[x, 0, 0, 0], *dsn._unitary[1:]]), DomainError,
                   "matrix rows must be 1-D sequences of numbers"),
-    "complete_unitary": (lambda e, dsn, x: complete_unitary(e, [[x, 0, 0, 0]] * 3), DomainError,
-                         "outputs must be three 4-mode vectors"),
     "MeasurementDesign": (lambda e, dsn, x: rebuilt(dsn, unitary=[[x, 0, 0, 0]] * 4), DomainError,
                           "unitary must be 4 rows of 4 numbers"),
     "SimulationReport": (lambda e, dsn, x: rebuilt(sample(dsn, e, 100, 1), exact_probabilities=[[x, 0, 0, 0]] * 3),

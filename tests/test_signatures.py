@@ -3,7 +3,7 @@ benchmark's in-process operations: it runs on seed 1 from this repository's
 ``src`` by default and through ``--src``, and both runs print the same
 counts, a digest per workload, the mean mesh layers of the ``pipeline``
 designs and one overall digest.  No digest's value is pinned: each changes
-with any declared change of results."""
+with any declared change of results.  The mean layers are bounded above."""
 
 import pathlib
 import re
@@ -31,7 +31,7 @@ def run_signatures(*args: str) -> list[str]:
 LAYERS = re.compile(
     r"pipeline mesh layers: POVM (\d+\.\d{4}) \((\d+)\), "
     r"VN_LARGE_OVERLAP \d+\.\d{4} \((\d+)\), VN_SMALL_OVERLAP \d+\.\d{4} \((\d+)\), "
-    r"all \d+\.\d{4} \((\d+)\)"
+    r"all (\d+\.\d{4}) \((\d+)\)"
 )
 
 
@@ -45,6 +45,9 @@ def test_signatures_print_the_counts_and_one_digest_with_and_without_src():
     assert len(set(digests)) == len(digests)
     layers = LAYERS.fullmatch(default[3])
     assert layers and len(default) == 5
-    povm_mean, povm, large, small, total = layers.groups()
+    povm_mean, povm, large, small, mean, total = layers.groups()
     assert int(povm) + int(large) + int(small) == int(total) == 225
-    assert 0.0 < float(povm_mean) <= 6.0
+    # The seed-1 means when the POVM designs were first written down from
+    # the frame: a design that gains a layer on the benchmark's pool fails.
+    assert int(povm) == 56 and float(povm_mean) <= 4.3750
+    assert float(mean) <= 3.6889

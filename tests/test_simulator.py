@@ -88,6 +88,8 @@ class TestReportConstructor:
             ("counts", [["1", 1, 1, 1]] * 3, "['1', 1, 1, 1]"),
             ("counts", None, "None"),
             ("counts", [[1.9, 1.9]], "[1.9, 1.9]"),
+            ("counts", "abc", "'abc'"),
+            ("exact_probabilities", b"abc", "b'abc'"),
             ("counts", [[1, 1]] * 3, "rows of [2, 2, 2] entries"),
             ("counts", [[1, 1, 1, 1]] * 2, "rows of [4, 4] entries"),
             ("exact_probabilities", [[0.25] * 5] * 3, "rows of [5, 5, 5] entries"),
@@ -109,6 +111,52 @@ class TestReportConstructor:
         assert all(type(x) is float for row in report._exact_probabilities for x in row)
         assert all(type(x) is int for row in report._counts for x in row)
         assert report.counts.tolist() == fields["counts"].tolist()
+
+
+    def test_the_found_inputs_are_refused(self, fields):
+        """Negative counts and impossible scalars built a report, and counts
+        of 10**400 built one whose first read of ``counts`` overflowed."""
+        rows = fields["exact_probabilities"]
+        with pytest.raises(DomainError, match="^trials must be an integer"):
+            SimulationReport(rows, [[-5, 0, 0, 0]] * 3, "x", -1, "y", 1.5)
+        with pytest.raises(DomainError, match="^counts must be nonnegative integers summing to trials = 1000$"):
+            SimulationReport(**{**fields, "counts": [[10**400, 0, 0, 0]] * 3})
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("counts", [[-5, 5, 0, 0], [500, 0, 0, 0], [500, 0, 0, 0]], "counts must be nonnegative integers summing to trials = 1000"),
+            ("counts", [[1, 0, 0, 0]] * 3, "counts must be nonnegative integers summing to trials = 1000"),
+            ("exact_probabilities", [[-0.5, 1.5, 0.0, 0.0]] * 3, "exact_probabilities must be finite and nonnegative"),
+            ("exact_probabilities", [[math.nan, 1.0, 0.0, 0.0]] * 3, "exact_probabilities must be finite and nonnegative"),
+            ("exact_probabilities", [[math.inf, 1.0, 0.0, 0.0]] * 3, "exact_probabilities must be finite and nonnegative"),
+            ("trials", 0, "trials must be >= 1, got 0"),
+            ("trials", MAX_TRIALS + 1, f"trials must not exceed {MAX_TRIALS:g}, got {MAX_TRIALS + 1}"),
+            ("trials", 1000.0, "trials must be an integer, got 1000.0"),
+            ("violations", -1, "violations must lie in [0, trials = 1000], got -1"),
+            ("violations", 1001, "violations must lie in [0, trials = 1000], got 1001"),
+            ("violations", "0", "violations must be an integer, got '0'"),
+            ("seed", -1, "seed must be >= 0, got -1"),
+            ("seed", 7.0, "seed must be an integer, got 7.0"),
+            ("empirical_Q", -0.1, "empirical_Q must be a number in [0, 1], got -0.1"),
+            ("empirical_Q", 1.5, "empirical_Q must be a number in [0, 1], got 1.5"),
+            ("empirical_Q", math.nan, "empirical_Q must be a number in [0, 1], got nan"),
+            ("empirical_Q", "0.5", "empirical_Q must be a number in [0, 1], got '0.5'"),
+            ("empirical_Q", 0.5j, "empirical_Q must be a number in [0, 1], got 0.5j"),
+        ],
+    )
+    def test_values_no_run_can_give_are_refused_naming_the_field(self, fields, name, value, message):
+        with pytest.raises(DomainError) as err:
+            SimulationReport(**{**fields, name: value})
+        assert str(err.value) == message
+
+    def test_the_scalars_are_read_as_python_ints_and_a_float(self, fields):
+        report = SimulationReport(**{
+            **fields, "trials": np.int64(1000), "violations": np.int32(0), "seed": np.int64(7),
+            "empirical_Q": np.float32(fields["empirical_Q"]),
+        })
+        assert [type(getattr(report, k)) for k in ("trials", "violations", "empirical_Q", "seed")] == [int, int, float, int]
+        assert (report.trials, report.violations, report.seed) == (1000, 0, 7)
 
 
 class TestSampling:

@@ -635,8 +635,8 @@ class TestCholesky:
     def matrices(rng):
         """Seeded Hermitian 3x3 rows: unit-diagonal Gram matrices (complex,
         and the real ones of ``_overlap_gram`` with float entries), general
-        diagonals as in ``designer.build_L`` (first-row off-diagonals large,
-        tiny or zero), and near-singular Gram matrices of coplanar states."""
+        diagonals with first-row off-diagonals large, tiny or zero (as a
+        filter's residual Gram matrix has), and near-singular Gram matrices of coplanar states."""
         out = []
         for k in range(120):
             out.append(gram_matrix(random_ensemble(rng).states))
