@@ -37,7 +37,7 @@ import math
 from .errors import DomainError, InconsistentSolutionError, InternalConsistencyError
 from .filter_core import FilterSolution, Regime, solve
 from .multiport import UNITARITY_TOL, _layer_count, _unitarity_residual
-from .states import Ensemble, Frozen, frozen_array, overlaps
+from .states import Ensemble, Frozen, _entries, frozen_array, overlaps
 
 __all__ = [
     "MeasurementDesign",
@@ -314,6 +314,17 @@ def _povm_candidates(ins, q1: float) -> tuple[list[Row], list[Row]]:
     return [s1, z, g, p4], [g, s1, z, p4]
 
 
+def _failure_probabilities(sol: FilterSolution) -> list[float]:
+    """The solution's (q1, q2, q3) as floats, or :class:`InconsistentSolutionError`
+    unless they are 3 finite real numbers (a NaN passes every square root and
+    no ``x <= tol`` gate would name it)."""
+    refusal = "failure probabilities must be 3 finite real numbers"
+    qs = _entries(sol.failure_probabilities, float, refusal, InconsistentSolutionError)
+    if not all(map(math.isfinite, qs)):
+        raise InconsistentSolutionError(f"{refusal}, got {sol.failure_probabilities!r}")
+    return qs
+
+
 def design(e: Ensemble, sol: FilterSolution | None = None) -> MeasurementDesign:
     """Build the full measurement design for an ensemble.
 
@@ -334,19 +345,19 @@ def design(e: Ensemble, sol: FilterSolution | None = None) -> MeasurementDesign:
     Raises
     ------
     InconsistentSolutionError
-        If a supplied solution does not fit the ensemble: states 2 and 3
-        are parallel, q1 lies outside [0, 1] in the POVM regime, or a
+        If a supplied solution does not fit the ensemble: a q is not a
+        finite real number, states 2 and 3 are parallel, q1 lies outside [0, 1] in the POVM regime, or a
         port-4 probability is off q by more than ``GRAM_TOL``.
     InternalConsistencyError
         If the unitary is off unitarity by more than ``UNITARITY_TOL``.
     """
     if sol is None:
         sol = solve(e)
-    chi, ins = failure_phases(e), embed_inputs(e)
+    qs, chi, ins = _failure_probabilities(sol), failure_phases(e), embed_inputs(e)
     swap = False
     try:
         if sol.regime is Regime.POVM:
-            cand_a, cand_b = _povm_candidates(ins, sol.q1)
+            cand_a, cand_b = _povm_candidates(ins, qs[0])
             swap = _layer_count(cand_b) < _layer_count(cand_a)
             # 0j - x: a flipped 0 stays +0.
             rows = [[0j - x for x in row] if k < 3 and round(row[k].real, 9) < 0.0 else row
@@ -359,7 +370,7 @@ def design(e: Ensemble, sol: FilterSolution | None = None) -> MeasurementDesign:
     if not (residual := _unitarity_residual(unitary)) <= UNITARITY_TOL:
         raise InternalConsistencyError(f"the unitary has unitarity residual {residual:.3e}")
     outs = [[0j + u0 * x0 + u1 * x1 + u2 * x2 + u3 * x3 for u0, u1, u2, u3 in unitary] for x0, x1, x2, x3 in ins]
-    gaps = [abs(out[3].real ** 2 + out[3].imag ** 2 - q) for out, q in zip(outs, sol.failure_probabilities)]
+    gaps = [abs(out[3].real ** 2 + out[3].imag ** 2 - q) for out, q in zip(outs, qs)]
     if not all([gap <= GRAM_TOL for gap in gaps]):
         raise InconsistentSolutionError(f"failure-port probabilities are off q by up to {max(gaps):.3e} "
                                         f"(tolerance {GRAM_TOL:g}); the solution does not fit this ensemble")

@@ -1,6 +1,7 @@
 """Measurement design: success/failure vectors and the realizing unitary."""
 
 import cmath
+import fractions
 import json
 import math
 import re
@@ -571,6 +572,55 @@ class TestGaugeSearch:
                 assert forbidden <= 1e-24
                 assert abs(probs[3] - q_i) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "name", ["stratified", "symmetric", "structured", "reference", "random_3d", "fixtures"]
+    )
+    def test_both_placements_are_zero_error_dilations(self, name):
+        """Placement B is placement A's rows in the port order (g, s1, z, 4),
+        and each, before any row flip, is unitary and zero-error with q on
+        port 4, whichever of the two the design keeps."""
+        for e, sol in povm_cases(name):
+            ins = embed_inputs(e)
+            cand_a, cand_b = designer._povm_candidates(ins, sol.q1)
+            s1, z, g, p4 = cand_a
+            assert cand_b == [g, s1, z, p4]
+            assert z[3] == 0
+            assert multiport._unitarity_residual(cand_a) <= 1e-14
+            for i, q_i in enumerate(sol.failure_probabilities):
+                probs = [abs(sum(u * x for u, x in zip(row, ins[i]))) ** 2 for row in cand_a]
+                forbidden = probs[1] + probs[2] if i == 0 else probs[0]
+                assert forbidden <= 1e-24
+                assert abs(probs[3] - q_i) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["stratified", "fixtures", "near_boundary", "random_2d"])
+    def test_design_builds_the_frame_once(self, monkeypatch, name):
+        """The POVM and ``VN_SMALL_OVERLAP`` unitaries share one frame, built
+        once per design; ``VN_LARGE_OVERLAP`` needs none."""
+        calls = []
+        frame = designer._frame
+        monkeypatch.setattr(designer, "_frame", lambda ins: calls.append(ins) or frame(ins))
+        for e in oracle_instances(name)[:40]:
+            sol = solve(e)
+            del calls[:]
+            design(e, sol)
+            assert calls == ([] if sol.regime is Regime.VN_LARGE_OVERLAP else [embed_inputs(e)])
+
+    @pytest.mark.parametrize("name", ["stratified", "fixtures", "near_boundary", "random_2d"])
+    def test_each_design_writes_down_one_unitary_route(self, monkeypatch, name):
+        """A POVM design writes its two placements once, and a projective one
+        its measurement basis once; neither route runs for the other."""
+        calls = []
+        for route in ("_povm_candidates", "_projective_unitary"):
+            build = getattr(designer, route)
+            monkeypatch.setattr(
+                designer, route, lambda *args, route=route, build=build: calls.append(route) or build(*args)
+            )
+        for e in oracle_instances(name)[:40]:
+            sol = solve(e)
+            del calls[:]
+            design(e, sol)
+            assert calls == ["_povm_candidates" if sol.regime is Regime.POVM else "_projective_unitary"]
+
     def test_every_bogus_solution_is_refused(self):
         """Scaled q (q1 q_j != |O1j|^2 for a scale other than 1, or q1 outside
         [w, 1]) and q = (1, 1, 1) on the fifty-fifty instance, in every
@@ -769,6 +819,88 @@ class TestProjectiveRoute:
             design(e, sol)
 
 
+def one_of_each_regime() -> dict[Regime, Ensemble]:
+    """The first instance of each regime in a small stratified draw."""
+    found = {}
+    for e in stratified_random_ensembles(12, 4):
+        found.setdefault(solve(e).regime, e)
+    assert set(found) == set(Regime)
+    return found
+
+
+class TestSuppliedSolution:
+    """``design`` reads a supplied solution's q as floats, once: anything but
+    3 finite real numbers is refused with ``InconsistentSolutionError``
+    naming them.  Unparsed, a NaN q1 passed every square root and was
+    blamed on the code (``InternalConsistencyError`` from the nulling), a NaN
+    q2 was refused as "off q by up to 1.110e-16", and a string or None
+    raised a bare ``TypeError``."""
+
+    REFUSAL = "failure probabilities must be 3 finite real numbers, got "
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    @pytest.mark.parametrize("field", ["q1", "q2", "q3"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    def test_a_q_that_is_not_finite_is_refused(self, regime, field, bad):
+        e = one_of_each_regime()[regime]
+        sol = rebuilt(solve(e), **{field: bad})
+        with pytest.raises(InconsistentSolutionError) as err:
+            design(e, sol)
+        assert str(err.value) == self.REFUSAL + repr(sol.failure_probabilities)
+
+    @pytest.mark.parametrize("field", ["q1", "q2", "q3"])
+    @pytest.mark.parametrize("bad", NOT_NUMBERS + [0.5j, pytest.param(10**400, id="10**400")])
+    def test_a_q_that_is_not_a_real_number_is_refused(self, field, bad):
+        e = fifty_fifty_ensemble()
+        sol = rebuilt(solve(e), **{field: bad})
+        with pytest.raises(InconsistentSolutionError) as err:
+            design(e, sol)
+        assert str(err.value) == self.REFUSAL + repr(sol.failure_probabilities)
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    @pytest.mark.parametrize("cast", [np.float64, fractions.Fraction])
+    def test_other_real_types_design_as_their_floats(self, regime, cast):
+        e = one_of_each_regime()[regime]
+        sol = solve(e)
+        cast_sol = rebuilt(sol, **{f: cast(getattr(sol, f)) for f in ("q1", "q2", "q3")})
+        dsn, want = design(e, cast_sol), design(e, sol)
+        assert dsn.solution is cast_sol
+        assert exact(dsn._unitary) == exact(want._unitary)
+        assert exact(dsn._failure_vectors) == exact(want._failure_vectors)
+
+
+class TestSuccessSide:
+    """The success vectors keep the inputs' Gram matrix less the failure
+    vectors' (Gram preservation), state 1's is orthogonal to the other two,
+    and a state that always fails leaves no success amplitude."""
+
+    @pytest.mark.parametrize("name", ["stratified", "random_3d", "random_2d", "rank_2", "fixtures"])
+    def test_success_gram_is_the_input_gram_less_the_failure_gram(self, name):
+        for e in oracle_instances(name)[:40]:
+            dsn = design(e)
+            ins = gram_matrix([StateVector(v) for v in embedded(e)])
+            succ = np.array(dsn.success_vectors)
+            fails = np.array(dsn.failure_vectors)
+            np.testing.assert_allclose(succ.conj() @ succ.T, ins - fails.conj() @ fails.T, atol=1e-14)
+            assert abs(np.vdot(succ[0], succ[1])) <= 1e-12 and abs(np.vdot(succ[0], succ[2])) <= 1e-12
+            for v, q in zip(succ, dsn.solution.failure_probabilities):
+                assert np.vdot(v, v).real == pytest.approx(1.0 - q, abs=1e-12)
+
+    def test_state_1_leaves_nothing_where_it_always_fails(self):
+        cases = [case for case in projective_cases("stratified") if case[1].regime is Regime.VN_LARGE_OVERLAP]
+        assert cases
+        for e, sol in cases:
+            assert sol.q1 == 1.0
+            assert sum(abs(x) ** 2 for x in design(e, sol)._success_vectors[0]) <= 1e-30
+
+    def test_state_2_leaves_nothing_where_it_always_fails(self):
+        for args in NEAR_BOUNDARY:
+            e = near_boundary_ensemble(*args)
+            dsn = design(e)
+            assert dsn.solution.q2 == 1.0
+            assert sum(abs(x) ** 2 for x in dsn._success_vectors[1]) <= 1e-30
+
+
 @pytest.mark.parametrize("size, refused", [(1e-6, True), (1e-12, False)])
 @pytest.mark.parametrize("route", ["_projective_unitary", "_povm_candidates"])
 def test_the_unitary_is_checked_for_unitarity(monkeypatch, route, size, refused):
@@ -857,6 +989,8 @@ PAST_THE_FLOAT_RANGE = {
                           "unitary must be 4 rows of 4 numbers"),
     "SimulationReport": (lambda e, dsn, x: rebuilt(sample(dsn, e, 100, 1), exact_probabilities=[[x, 0, 0, 0]] * 3),
                          DomainError, "exact_probabilities must be 3 rows of 4 numbers"),
+    "design": (lambda e, dsn, x: design(e, rebuilt(dsn.solution, q2=x)), InconsistentSolutionError,
+               "failure probabilities must be 3 finite real numbers"),
     "BeamSplitterLayer": (lambda e, dsn, x: BeamSplitterLayer(1, 2, x, 0), DomainError,
                           "t, r and phi must be real numbers"),
     "MeshProgram": (lambda e, dsn, x: MeshProgram([], [x, 0]), DomainError,
