@@ -227,21 +227,29 @@ def _cross(u: Row, v: Row) -> Row:
     return [u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0, 0j]
 
 
+#: psi1's part orthogonal to n is read as 0 at or below this norm: two
+#: projection passes leave a few ulps of ``|psi1| = 1``, in any direction.
+_DUST = 1e-14
+
+
 def _frame(ins) -> tuple[Row, Row]:
     """The unit vectors n and f of the frame, as rows.
 
     ``n = conj(psi2 x psi3)/|.|`` is orthogonal to psi2 and psi3, and f is
     psi1 with n projected out, normalized: psi1 lies in span{n, f}, and f in
-    span{psi2, psi3}.  Where psi1 lies along n exactly (q1 = 0), f is the
-    signal mode of least ``|n_k|`` (the last on a tie) with n projected out.
-    A ``ZeroDivisionError`` means psi2 and psi3 are parallel.
+    span{psi2, psi3}.  Where psi1's part off n is at rounding level (at most
+    ``_DUST``; q1 = 0 for the orthogonal triple), that part's direction is
+    rounding error and may lie along n itself, so f is instead the signal
+    mode of least ``|n_k|`` (the last on a tie) with n projected out; psi1
+    then leaks at most ``_DUST^2`` into the port of ``conj(n x f)``.  A
+    ``ZeroDivisionError`` means psi2 and psi3 are parallel.
     """
     psi1, psi2, psi3 = ins
     c = _cross(psi2, psi3)
     scale = 1.0 / _norm(c)
     n = [(x * scale).conjugate() for x in c]
     p = _project_out(psi1, n)
-    if not any(p):
+    if not _norm(p) > _DUST:
         p = _project_out(_UNITS[min((2, 1, 0), key=lambda k: abs(n[k]))], n)
     return n, [x * (1.0 / _norm(p)) for x in p]
 
@@ -315,7 +323,7 @@ def _povm_candidates(ins, q1: float) -> tuple[list[Row], list[Row]]:
 
 
 def _failure_probabilities(sol: FilterSolution) -> list[float]:
-    """The solution's (q1, q2, q3) as floats, or :class:`InconsistentSolutionError`
+    """A supplied solution's (q1, q2, q3) as floats, or :class:`InconsistentSolutionError`
     unless they are 3 finite real numbers (a NaN passes every square root and
     no ``x <= tol`` gate would name it)."""
     refusal = "failure probabilities must be 3 finite real numbers"
@@ -353,7 +361,10 @@ def design(e: Ensemble, sol: FilterSolution | None = None) -> MeasurementDesign:
     """
     if sol is None:
         sol = solve(e)
-    qs, chi, ins = _failure_probabilities(sol), failure_phases(e), embed_inputs(e)
+        qs = sol.failure_probabilities  # solve's own floats need no parse
+    else:
+        qs = _failure_probabilities(sol)
+    chi, ins = failure_phases(e), embed_inputs(e)
     swap = False
     try:
         if sol.regime is Regime.POVM:
